@@ -40,7 +40,10 @@ def offered_loads(flows, paths: dict[int, tuple[tuple[int, int], ...]]) -> dict[
 def delivered_rates(flows, paths: dict[int, tuple[tuple[int, int], ...]],
                     topo: NetworkTopology) -> dict[int, float]:
     """Delivered rate per flow: offered rate scaled by the worst link's share."""
-    loads = offered_loads(flows, paths)
+    return _delivered(flows, paths, topo, offered_loads(flows, paths))
+
+
+def _delivered(flows, paths, topo: NetworkTopology, loads) -> dict[int, float]:
     factor: dict[tuple[int, int], float] = {}
     for pair, load in loads.items():
         ln = topo.link_lookup(*pair)
@@ -58,7 +61,7 @@ def compute_sample(slot: int, flows, paths: dict[int, tuple[tuple[int, int], ...
                    topo: NetworkTopology) -> MetricsSample:
     """Aggregate one slot's metrics over every flow and every directed link."""
     loads = offered_loads(flows, paths)
-    delivered = delivered_rates(flows, paths, topo)
+    delivered = _delivered(flows, paths, topo, loads)
     throughput = sum(delivered.values())
     offered = sum(f.rate for f in flows)
     utils = []

@@ -20,7 +20,7 @@ from .baseline import shortest_path_route
 from .errors import ConfigError, Infeasible, ParseError
 from .ffr import ffr, find_proper_lsps
 from .lsp import FlowAssignment, Lsp, LspRouting, build_lsp
-from .metrics import MetricsSample, compute_sample, write_metrics_csv
+from .metrics import MetricsSample, compute_sample, offered_loads, write_metrics_csv
 from .recreation import (LspRequest, RecreationProblem, enumerate_simple_paths,
                          recreation_to_json, solve_lsp_recreation)
 from .rerouting import (ReroutingProblem, RoutingMode, rerouting_to_json,
@@ -78,8 +78,14 @@ class RunResult:
     config_echo: dict
 
 
+_SCENARIO_KEYS = frozenset({"topology", "traffic", "slots", "scheme", "rerouting_mode",
+                            "mu_trigger", "mu_headroom", "rerouting_interval", "lsp_plan",
+                            "seed"})
+
+
 def load_scenario(path: str) -> ScenarioConfig:
-    """Read a scenario JSON file; relative paths resolve against its directory."""
+    """Read a scenario JSON file; relative paths resolve against its directory.
+    Unknown top-level keys and non-integer counts are rejected, not defaulted."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             doc = json.load(fp)
@@ -89,6 +95,12 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ParseError(f"scenario {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
+    unknown = sorted(doc.keys() - _SCENARIO_KEYS)
+    if unknown:
+        raise ParseError(f"scenario has unknown keys {unknown}")
+    for name in ("slots", "rerouting_interval", "seed"):
+        if name in doc and (not isinstance(doc[name], int) or isinstance(doc[name], bool)):
+            raise ParseError(f"scenario field {name!r} must be an integer")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p: str) -> str:
@@ -200,17 +212,6 @@ class _Dumper:
                 fp.write(text)
 
 
-def _max_utilization(flows, paths, topo) -> float:
-    loads: dict[tuple[int, int], float] = {}
-    for f in flows:
-        for pair in paths[f.id]:
-            loads[pair] = loads.get(pair, 0.0) + f.rate
-    out = 0.0
-    for pair, load in loads.items():
-        out = max(out, load / topo.link_lookup(*pair).bandwidth)
-    return out
-
-
 def _delay_budgets(flows, lsps, assignment) -> dict[int, float]:
     budgets = {l.id: math.inf for l in lsps}
     for f in flows:
@@ -315,10 +316,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             lsps = rebuilt
         routing = rsol.routing
 
+    paths = flow_paths()  # keyed by flow id, which growth keeps
     for t in range(cfg.slots):
         if t >= 1:
             flows = grow_flows(flows, traffic_cfg.growth_max, (cfg.seed, t))
-            max_util = _max_utilization(flows, flow_paths(), topo)
+            max_util = max((load / topo.link_lookup(*pair).bandwidth
+                            for pair, load in offered_loads(flows, paths).items()), default=0.0)
             periodic = t % cfg.rerouting_interval == 0
             trigger = max_util > cfg.mu_trigger or periodic
             events.append(f"slot={t} event=check scheme={cfg.scheme} "
@@ -328,7 +331,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 if run_flow_level(t, retry=False):
                     run_recreation(t)
                     run_flow_level(t, retry=True)
-        samples.append(compute_sample(t, flows, flow_paths(), topo))
+                paths = flow_paths()
+        samples.append(compute_sample(t, flows, paths, topo))
     return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
 
 

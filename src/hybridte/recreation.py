@@ -101,19 +101,19 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     for i, req in enumerate(problem.requests):
         if req.capacity <= 0:
             raise ValidationError(f"request {i}: capacity must be positive")
-        paths, truncated = _enumerate(topo, req.src, req.dst, req.delay_budget,
-                                      problem.path_limit)
+        # The topology is immutable, so its enumerations are memoized on it.
+        key = (req.src, req.dst, req.delay_budget, problem.path_limit)
+        if key not in topo._paths:
+            paths, truncated = _enumerate(topo, *key)
+            topo._paths[key] = (tuple(map(links_of_path, paths)), truncated)
+        paths, truncated = topo._paths[key]
         any_truncated = any_truncated or truncated
         if not paths:
             raise Infeasible(f"request {i}: no simple path within the delay budget",
                              proven=not truncated)
         old_links = set(old[i]) if i < len(old) else set()
-        entries = []
-        for nodes in paths:
-            links = links_of_path(nodes)
-            entries.append((len(set(links) ^ old_links), links))
-        entries.sort(key=lambda e: e[0])
-        cands.append(entries)
+        cands.append(sorted(((len(old_links.symmetric_difference(links)), links)
+                             for links in paths), key=lambda e: e[0]))
 
     order = sorted(range(n), key=lambda i: (len(cands[i]), i))
     min_cost = [cands[i][0][0] for i in range(n)]

@@ -36,6 +36,7 @@ class NetworkTopology:
     edge_nodes: frozenset[int]
     _by_pair: dict = field(init=False, repr=False, compare=False)
     _out: dict = field(init=False, repr=False, compare=False)
+    _paths: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.node_count < 2:
@@ -64,6 +65,7 @@ class NetworkTopology:
             raise ValidationError("topology needs at least one edge node")
         object.__setattr__(self, "_by_pair", by_pair)
         object.__setattr__(self, "_out", {v: tuple(sorted(ls, key=lambda l: l.dst)) for v, ls in out.items()})
+        object.__setattr__(self, "_paths", {})  # recreation's candidate paths, memoized
 
     @property
     def core_nodes(self) -> frozenset[int]:

@@ -232,6 +232,11 @@ def test_scenario_config_validation(tmp_path):
     path = write_mini_files(tmp_path, mu_trigger=1.5)
     with pytest.raises(ConfigError):
         ht.load_scenario(path)
+    for bad in ({"mu_triger": 0.5}, {"slots": True}, {"seed": True},
+                {"rerouting_interval": True}, {"slots": 2.5}, {"rerouting_interval": 2.5}):
+        path = write_mini_files(tmp_path, **bad)
+        with pytest.raises((ParseError, ConfigError)):
+            ht.load_scenario(path)
 
 
 def test_config_echo_is_complete_and_serializable():

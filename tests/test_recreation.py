@@ -7,7 +7,7 @@ import pytest
 import hybridte as ht
 from hybridte.errors import Infeasible, ValidationError
 from hybridte.recreation import recreation_to_json
-from hybridte.topology import links_of_path
+from hybridte.topology import Link, NetworkTopology, links_of_path
 
 import oracles
 
@@ -61,6 +61,88 @@ def test_enumeration_random_graphs():
         budget = float(rng.uniform(1.0, 8.0))
         assert (ht.enumerate_simple_paths(t, src, dst, delay_budget=budget)
                 == oracles.all_simple_paths(t, src, dst, budget))
+
+
+def ring14():
+    """Cores 6..13 in a bidirectional ring, edge e in 0..5 attached to cores
+    2e and 2e+1 (mod 8); unit delays, so many paths tie on delay."""
+    pairs = {(6 + c, 6 + (c + 1) % 8) for c in range(8)}
+    for e in range(6):
+        pairs |= {(e, 6 + (2 * e) % 8), (e, 6 + (2 * e + 1) % 8)}
+    links = [Link(a, b, 100.0, 1.0) for a, b in pairs]
+    links += [Link(b, a, 100.0, 1.0) for a, b in pairs]
+    return NetworkTopology(14, tuple(links), frozenset(range(6)))
+
+
+RING_PAIRS = ((0, 3), (0, 1), (5, 2))
+RING_BUDGETS = (2.0, 3.0, 4.0, 5.5, 8.0, 10.0)
+
+
+def test_cached_candidates_match_oracle_on_ring():
+    topo = ring14()
+    for src, dst in RING_PAIRS:
+        for budget in RING_BUDGETS:
+            expect = oracles.all_simple_paths(topo, src, dst, budget)
+            assert ht.enumerate_simple_paths(topo, src, dst, budget, limit=10_000) == expect
+            problem = ht.RecreationProblem(requests=(ht.LspRequest(src, dst, 1.0, budget),),
+                                           topology=topo, path_limit=10_000)
+            try:
+                ht.solve_lsp_recreation(problem)
+            except Infeasible as exc:
+                assert not expect and exc.proven
+            assert topo._paths[(src, dst, budget, 10_000)] == (
+                tuple(links_of_path(p) for p in expect), False)
+
+
+def test_enumeration_matches_networkx_on_ring():
+    nx = pytest.importorskip("networkx")
+    topo = ring14()
+    graph = nx.DiGraph()
+    graph.add_weighted_edges_from(((l.src, l.dst, l.delay) for l in topo.links), weight="delay")
+    for src, dst in RING_PAIRS:
+        for budget in RING_BUDGETS:
+            expect = set()
+            for path in nx.shortest_simple_paths(graph, src, dst, weight="delay"):
+                if nx.path_weight(graph, path, "delay") > budget:
+                    break
+                expect.add(tuple(path))
+            got = ht.enumerate_simple_paths(topo, src, dst, budget, limit=10_000)
+            assert len(got) == len(expect)
+            assert set(got) == expect
+
+
+def _outcome(problem):
+    try:
+        sol = ht.solve_lsp_recreation(problem)
+    except Infeasible as exc:
+        return ("infeasible", exc.proven, str(exc))
+    return (sol.routing.routes, sol.changed_entries, sol.optimal, sol.nodes_explored)
+
+
+def test_path_cache_leaves_solutions_unchanged():
+    shortest = ((0, 6), (6, 13), (13, 3))
+    specs = [
+        # binding budget: 3 paths within delay 4, and no link carries all three
+        dict(requests=(ht.LspRequest(0, 3, 40.0, 4.0),) * 3,
+             lr_old=ht.LspRouting(routes=(shortest,) * 3)),
+        # the same endpoints and budget, but path_limit cuts the list short
+        dict(requests=(ht.LspRequest(0, 3, 10.0, 4.0),), path_limit=2),
+        # request 1 has no path within its budget: proven infeasible
+        dict(requests=(ht.LspRequest(0, 3, 1.0, 4.0), ht.LspRequest(1, 4, 1.0, 2.0))),
+        # a tighter budget that rules out the old four-link detour
+        dict(requests=(ht.LspRequest(0, 3, 20.0, 3.0),),
+             lr_old=ht.LspRouting(routes=(((0, 7), (7, 6), (6, 13), (13, 3)),))),
+    ]
+    warm = ring14()
+    fresh = [_outcome(ht.RecreationProblem(topology=ring14(), **spec)) for spec in specs]
+    assert fresh[0][1] > 0 and fresh[0][2]
+    assert fresh[1][2] is False
+    assert fresh[2][:2] == ("infeasible", True)
+    assert fresh[3][:2] == ((shortest,), 3)
+    for _ in range(2):
+        for spec, expect in zip(specs, fresh):
+            assert _outcome(ht.RecreationProblem(topology=warm, **spec)) == expect
+    assert len(warm._paths) == 4  # 7 requests per pass share 4 enumeration keys
 
 
 def test_enumeration_argument_validation(topo):

@@ -1,0 +1,100 @@
+"""Depth-first branch and bound shared by the exact solvers.
+
+Each item takes exactly one of its options. An option is a tuple
+`(step, resources, value)`: the change it costs, the capacitated resources it
+loads with the item's demand, and what the solver records when the item takes
+it. Options are listed in non-decreasing step order, so the first step is an
+item's cheapest and the sum of the first steps of the items still open is a
+lower bound on what they add (Land & Doig, Econometrica 28(3), 1960).
+"""
+
+from __future__ import annotations
+
+import math
+
+
+class BudgetExhausted(Exception):
+    """The search visited more nodes than its budget allows."""
+
+
+def cap_tol(cap: float) -> float:
+    """Absolute slack under which a load still counts as within `cap`."""
+    return 1e-9 * max(1.0, abs(cap))
+
+
+class Search:
+    """Resource loads, one node counter shared by every `run`, and the best
+    assignment of the latest `run`.
+
+    Resources are keyed by LSP id or by (src, dst) link pair."""
+
+    def __init__(self, capacity: dict, node_budget: int):
+        self.limit = {r: cap + cap_tol(cap) for r, cap in capacity.items()}
+        self.load = dict.fromkeys(capacity, 0.0)
+        self.nodes = 0
+        self.budget = node_budget
+        self.best: dict | None = None
+        self.best_cost = math.inf
+
+    def fits(self, resources, demand: float) -> bool:
+        for r in resources:
+            if self.load[r] + demand > self.limit[r]:
+                return False
+        return True
+
+    def place(self, resources, demand: float):
+        for r in resources:
+            self.load[r] += demand
+
+    def remove(self, resources, demand: float):
+        for r in resources:
+            self.load[r] -= demand
+
+    def run(self, order, demand, options, best_cost: float = math.inf,
+            first: bool = False) -> dict | None:
+        """Find the cheapest assignment of the items of `order`, branched in
+        that order, that costs less than `best_cost`; with `first`, stop at
+        the first assignment below it instead.
+
+        Returns that assignment (item -> option value), or None.
+        Raises BudgetExhausted once the node budget is spent; `best` and
+        `best_cost` then hold the incumbent, and the loads are left as they
+        were at that node."""
+        n = len(order)
+        bound = [0] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            bound[k] = bound[k + 1] + options[order[k]][0][0]
+        chosen: dict = {}
+        self.best = None
+        self.best_cost = best_cost
+
+        def dfs(k: int, cost: int) -> bool:
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise BudgetExhausted
+            # Every node is entered with cost + bound[k] < best_cost (the root
+            # by the check below, children by the option check), so it needs
+            # no bound check of its own.
+            if k == n:
+                self.best_cost = cost
+                self.best = dict(chosen)
+                return first
+            item = order[k]
+            need = demand[item]
+            for step, resources, value in options[item]:
+                if cost + step + bound[k + 1] >= self.best_cost:
+                    break
+                if not self.fits(resources, need):
+                    continue
+                self.place(resources, need)
+                chosen[item] = value
+                stop = dfs(k + 1, cost + step)
+                del chosen[item]
+                self.remove(resources, need)
+                if stop:
+                    return True
+            return False
+
+        if bound[0] < best_cost:
+            dfs(0, 0)
+        return self.best

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidPathError, ValidationError
 from .topology import NetworkTopology, links_of_path
 
@@ -87,14 +85,6 @@ class LspRouting:
     def __len__(self) -> int:
         return len(self.routes)
 
-    def tensor(self, node_count: int) -> np.ndarray:
-        """0/1 array t[j, v, i] = 1 when LSP i crosses link j->v."""
-        t = np.zeros((node_count, node_count, len(self.routes)), dtype=np.int8)
-        for i, links in enumerate(self.routes):
-            for a, b in links:
-                t[a, b, i] = 1
-        return t
-
 
 class FlowAssignment:
     """Mutable map from flow id to LSP id; every flow rides exactly one LSP."""
@@ -107,9 +97,6 @@ class FlowAssignment:
 
     def assign(self, flow_id: int, lsp_id: int) -> None:
         self._map[flow_id] = lsp_id
-
-    def copy(self) -> "FlowAssignment":
-        return FlowAssignment(self._map)
 
     def items(self):
         return sorted(self._map.items())
@@ -132,16 +119,3 @@ class FlowAssignment:
     def changes_from(self, other: "FlowAssignment") -> int:
         """Number of flows mapped differently than in `other`."""
         return sum(1 for f, i in self._map.items() if other._map.get(f) != i)
-
-    def matrix(self, flow_ids: list[int], lsp_count: int) -> np.ndarray:
-        """0/1 matrix m[f, i] = 1 when flow_ids[f] rides LSP i."""
-        m = np.zeros((len(flow_ids), lsp_count), dtype=np.int8)
-        for row, fid in enumerate(flow_ids):
-            m[row, self._map[fid]] = 1
-        return m
-
-
-def free_capacity(lsp: Lsp, flows, assignment: FlowAssignment) -> float:
-    """Reserved capacity minus the rates of the flows currently assigned."""
-    used = sum(f.rate for f in flows if f.id in assignment and assignment.lsp_of(f.id) == lsp.id)
-    return lsp.capacity - used

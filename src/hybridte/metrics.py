@@ -21,12 +21,6 @@ class MetricsSample:
     packet_loss: float
     per_link_load: tuple[tuple[tuple[int, int], float], ...]
 
-    def link_load(self, src: int, dst: int) -> float:
-        for pair, load in self.per_link_load:
-            if pair == (src, dst):
-                return load
-        raise KeyError((src, dst))
-
 
 def offered_loads(flows, paths: dict[int, tuple[tuple[int, int], ...]]) -> dict[tuple[int, int], float]:
     """Sum of flow rates crossing each directed link."""

@@ -83,9 +83,20 @@ _SCENARIO_KEYS = frozenset({"topology", "traffic", "slots", "scheme", "rerouting
                             "seed"})
 
 
+_PLAN_KEYS = frozenset({"kind", "paths_per_pair", "path"})
+
+
+def _check_numbers(doc: dict, names, types, kind: str, prefix: str = "") -> None:
+    # JSON true/false load as bools, which Python also counts as ints.
+    for name in names:
+        if name in doc and (not isinstance(doc[name], types) or isinstance(doc[name], bool)):
+            raise ParseError(f"scenario field {prefix + name!r} must be {kind}")
+
+
 def load_scenario(path: str) -> ScenarioConfig:
     """Read a scenario JSON file; relative paths resolve against its directory.
-    Unknown top-level keys and non-integer counts are rejected, not defaulted."""
+    Unknown keys (top level and `lsp_plan`), non-integer counts and non-number
+    thresholds are rejected, not defaulted."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             doc = json.load(fp)
@@ -98,9 +109,15 @@ def load_scenario(path: str) -> ScenarioConfig:
     unknown = sorted(doc.keys() - _SCENARIO_KEYS)
     if unknown:
         raise ParseError(f"scenario has unknown keys {unknown}")
-    for name in ("slots", "rerouting_interval", "seed"):
-        if name in doc and (not isinstance(doc[name], int) or isinstance(doc[name], bool)):
-            raise ParseError(f"scenario field {name!r} must be an integer")
+    _check_numbers(doc, ("slots", "rerouting_interval", "seed"), int, "an integer")
+    _check_numbers(doc, ("mu_trigger", "mu_headroom"), (int, float), "a number")
+    plan_doc = doc.get("lsp_plan", {})
+    if not isinstance(plan_doc, dict):
+        raise ParseError("scenario field 'lsp_plan' must be a JSON object")
+    unknown = sorted(plan_doc.keys() - _PLAN_KEYS)
+    if unknown:
+        raise ParseError(f"scenario lsp_plan has unknown keys {unknown}")
+    _check_numbers(plan_doc, ("paths_per_pair",), int, "an integer", "lsp_plan.")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p: str) -> str:
@@ -108,7 +125,6 @@ def load_scenario(path: str) -> ScenarioConfig:
 
     try:
         traffic = TrafficConfig(**doc["traffic"])
-        plan_doc = doc.get("lsp_plan", {})
         plan = LspPlanSpec(
             kind=plan_doc.get("kind", "auto"),
             paths_per_pair=plan_doc.get("paths_per_pair", 2),

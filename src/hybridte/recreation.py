@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .bnb import BudgetExhausted, Search
 from .errors import Infeasible, ValidationError
 from .lsp import LspRouting
 from .topology import NetworkTopology, links_of_path
@@ -43,14 +44,6 @@ class RecreationSolution:
     changed_entries: int
     optimal: bool
     nodes_explored: int
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _cap_tol(cap: float) -> float:
-    return 1e-9 * max(1.0, abs(cap))
 
 
 def _enumerate(topo: NetworkTopology, src: int, dst: int, delay_budget: float,
@@ -97,7 +90,7 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     n = len(problem.requests)
     old = problem.lr_old.routes if problem.lr_old is not None else ()
     any_truncated = False
-    cands: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = []
+    options: list[list[tuple]] = []
     for i, req in enumerate(problem.requests):
         if req.capacity <= 0:
             raise ValidationError(f"request {i}: capacity must be positive")
@@ -112,71 +105,25 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
             raise Infeasible(f"request {i}: no simple path within the delay budget",
                              proven=not truncated)
         old_links = set(old[i]) if i < len(old) else set()
-        cands.append(sorted(((len(old_links.symmetric_difference(links)), links)
-                             for links in paths), key=lambda e: e[0]))
+        options.append(sorted(((len(old_links.symmetric_difference(links)), links, links)
+                               for links in paths), key=lambda o: o[0]))
 
-    order = sorted(range(n), key=lambda i: (len(cands[i]), i))
-    min_cost = [cands[i][0][0] for i in range(n)]
-    suffix_min = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix_min[k] = suffix_min[k + 1] + min_cost[order[k]]
-
-    budget = {(l.src, l.dst): problem.mu * l.bandwidth for l in topo.links}
-    reserved = {pair: 0.0 for pair in budget}
-    chosen: list[tuple[tuple[int, int], ...] | None] = [None] * n
-    best_cost = math.inf
-    best: list[tuple[tuple[int, int], ...]] | None = None
-    nodes_explored = 0
-
-    def fits(i: int, links) -> bool:
-        cap = problem.requests[i].capacity
-        for pair in links:
-            b = budget[pair]
-            if reserved[pair] + cap > b + _cap_tol(b):
-                return False
-        return True
-
-    def place(i: int, links, sign: float):
-        cap = problem.requests[i].capacity * sign
-        for pair in links:
-            reserved[pair] += cap
-
-    def dfs(k: int, cost: int):
-        nonlocal best_cost, best, nodes_explored
-        nodes_explored += 1
-        if nodes_explored > problem.node_budget:
-            raise _BudgetExhausted
-        if cost + suffix_min[k] >= best_cost:
-            return
-        if k == n:
-            best_cost = cost
-            best = list(chosen)
-            return
-        i = order[k]
-        for step, links in cands[i]:
-            if cost + step + suffix_min[k + 1] >= best_cost:
-                break
-            if not fits(i, links):
-                continue
-            place(i, links, 1.0)
-            chosen[i] = links
-            dfs(k + 1, cost + step)
-            chosen[i] = None
-            place(i, links, -1.0)
-
+    search = Search({(l.src, l.dst): problem.mu * l.bandwidth for l in topo.links},
+                    problem.node_budget)
+    order = sorted(range(n), key=lambda i: (len(options[i]), i))
     aborted = False
     try:
-        dfs(0, 0)
-    except _BudgetExhausted:
+        search.run(order, [r.capacity for r in problem.requests], options)
+    except BudgetExhausted:
         aborted = True
-    if best is None:
+    if search.best is None:
         if aborted or any_truncated:
             raise Infeasible("search stopped before any feasible routing was found",
                              proven=False)
         raise Infeasible("no routing satisfies the reservation headroom", proven=True)
-    routing = LspRouting(routes=tuple(best))
+    routing = LspRouting(routes=tuple(search.best[i] for i in range(n)))
     optimal = not aborted and not any_truncated
-    return RecreationSolution(routing, int(best_cost), optimal, nodes_explored)
+    return RecreationSolution(routing, int(search.best_cost), optimal, search.nodes)
 
 
 def recreation_to_json(problem: RecreationProblem, solution: RecreationSolution | None = None) -> str:

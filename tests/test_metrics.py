@@ -52,8 +52,9 @@ def test_sample_aggregates(topo):
     assert s.avg_path_length == pytest.approx(2.0)
     # 4 loaded links at 0.5 and 0.3, 16 idle, averaged over all 20
     assert s.avg_link_utilization == pytest.approx((2 * 0.5 + 2 * 0.3) / 20.0)
-    assert s.link_load(0, 4) == pytest.approx(50.0)
-    assert s.link_load(4, 6) == 0.0
+    loads = dict(s.per_link_load)
+    assert loads[(0, 4)] == pytest.approx(50.0)
+    assert loads[(4, 6)] == 0.0
 
 
 def test_utilization_caps_at_one(topo):

@@ -237,6 +237,14 @@ def test_scenario_config_validation(tmp_path):
         path = write_mini_files(tmp_path, **bad)
         with pytest.raises((ParseError, ConfigError)):
             ht.load_scenario(path)
+    for bad in ({"lsp_plan": {"kind": "auto", "paths_per_pairs": 3}},
+                {"lsp_plan": {"kind": "auto", "paths_per_pair": True}},
+                {"lsp_plan": {"kind": "auto", "paths_per_pair": 2.5}},
+                {"lsp_plan": ["auto"]}, {"mu_trigger": True}, {"mu_headroom": True},
+                {"mu_trigger": "0.5"}):
+        path = write_mini_files(tmp_path, **bad)
+        with pytest.raises(ParseError):
+            ht.load_scenario(path)
 
 
 def test_config_echo_is_complete_and_serializable():

@@ -247,3 +247,30 @@ def test_dump_round_trip(square):
     assert doc["type"] == "lsp_recreation"
     assert doc["requests"][1]["delay_budget"] is None
     assert doc["solution"]["changed_entries"] == sol.changed_entries
+
+
+def contested_ring_problem(**overrides):
+    # Three 40-unit requests from 0 to 3 whose old routes all share the
+    # shortest path; at most two fit on any link, so one of them must move.
+    shortest = ((0, 6), (6, 13), (13, 3))
+    spec = dict(requests=(ht.LspRequest(0, 3, 40.0, 8.0),) * 3, topology=ring14(),
+                lr_old=ht.LspRouting(routes=(shortest,) * 3))
+    return ht.RecreationProblem(**{**spec, **overrides})
+
+
+def test_search_trajectory_is_pinned():
+    # Exact routes, changed entries, optimality and nodes_explored recorded
+    # from the solver; a search that branches, prunes or counts nodes
+    # differently changes at least one of them.
+    rng = np.random.default_rng(1424)
+    topo_r, requests, lr_old, mu = oracles.random_recreation_instance(rng, 5)
+    random_case = _outcome(ht.RecreationProblem(requests=requests, topology=topo_r,
+                                                lr_old=lr_old, mu=mu))
+    assert random_case == ((((0, 1), (1, 4), (4, 3)), ((0, 2),), ((1, 4), (4, 2), (2, 0)),
+                            ((4, 2),)), 8, True, 9)
+    moved = (((0, 6), (6, 13), (13, 3)), ((0, 6), (6, 13), (13, 3)),
+             ((0, 7), (7, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 3)))
+    assert _outcome(contested_ring_problem()) == (moved, 10, True, 38)
+    assert _outcome(contested_ring_problem(node_budget=20)) == (moved, 10, False, 21)
+    # Without an old routing every path costs its length, so the bound is not zero.
+    assert _outcome(contested_ring_problem(lr_old=None)) == (moved, 13, True, 31)

@@ -202,3 +202,56 @@ def test_dump_is_deterministic_and_complete(topo):
     assert len(doc["flows"]) == 2 and len(doc["lsps"]) == 2
     assert doc["solution"]["changes"] == 1
     assert doc["old_assignment"] == {"0": 0, "1": 0}
+
+
+# (max_flows, seed, mode) -> (LSP of each flow in id order, changes, optimal,
+# nodes_explored), recorded from the solver. A search that branches, prunes
+# or counts nodes differently changes at least one of these.
+PINNED = {
+    (8, 149, "reserved"): ((0, 0, 3, 0, 0, 2, 2), 5, True, 75),
+    (8, 149, "unreserved"): ((0, 0, 3, 0, 0, 2, 2), 5, True, 75),
+    (8, 625, "reserved"): ((1, 0, 1, 2, 2, 2, 0), 2, True, 46),
+    (8, 625, "unreserved"): ((1, 0, 1, 2, 1, 2, 0), 3, True, 63),
+    (6, 684, "reserved"): ((0, 2, 1, 1, 3), 1, True, 36),
+    (6, 684, "unreserved"): ((0, 1, 3, 0, 3), 2, True, 39),
+    (8, 1448, "reserved"): ((2, 0, 3, 1, 2, 1), 1, True, 34),
+    (8, 1448, "unreserved"): ((2, 0, 3, 3, 2, 1), 1, True, 52),
+    (4, 1211, "reserved"): ((3, 3, 1, 2), 0, True, 15),
+    (4, 1211, "unreserved"): ((3, 1, 0, 1), 3, True, 20),
+}
+
+
+def pinned_instance(max_flows, seed, mode, **overrides):
+    topo_r, flows, lsps, fr_old, _, routing = oracles.random_rerouting_instance(
+        np.random.default_rng(seed), max_flows, 4)
+    return ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=fr_old, mode=RoutingMode(mode),
+                               routing=routing, topology=topo_r, **overrides)
+
+
+def test_search_trajectory_is_pinned():
+    for key, expect in PINNED.items():
+        sol = ht.solve_flow_rerouting(pinned_instance(*key))
+        got = (tuple(lid for _, lid in sol.assignment.items()), sol.changes, sol.optimal,
+               sol.nodes_explored)
+        assert got == expect, key
+
+
+def test_budget_spent_in_tie_break_keeps_proven_cost():
+    # One node short of a full solve: the first phase proves the optimum,
+    # and the budget runs out while the tie-break pass rebuilds it.
+    full = ht.solve_flow_rerouting(pinned_instance(8, 149, "unreserved"))
+    budget = full.nodes_explored - 1
+    problem = pinned_instance(8, 149, "unreserved", node_budget=budget)
+    sol = ht.solve_flow_rerouting(problem)
+    expect = oracles.best_rerouting(problem.flows, problem.lsps, problem.fr_old, "unreserved",
+                                    problem.mu, problem.routing, problem.topology)
+    assert sol.changes == full.changes == expect[0]
+    assert sol.optimal is True
+    assert sol.nodes_explored == budget + 1
+    # The first optimum found is returned, not the lexicographically smallest.
+    assert dict(full.assignment.items()) == expect[1]
+    assert sol.assignment != full.assignment
+    assert sol.assignment.changes_from(problem.fr_old) == sol.changes
+    assert ht.audit_flow_assignment(problem.flows, problem.lsps, sol.assignment,
+                                    mode="unreserved", mu=problem.mu, routing=problem.routing,
+                                    topo=problem.topology) == []

@@ -20,19 +20,19 @@ flows = (
     ht.Flow(1, 0, 1, 4.0, 4.0),
     ht.Flow(2, 0, 1, 3.0, 4.0),
 )
-old = ht.FlowAssignment({0: 0, 1: 0, 2: 0})
+old = {0: 0, 1: 0, 2: 0}
 
 problem = ReroutingProblem(flows=flows, lsps=lsps, fr_old=old)
 solution = ht.solve_flow_rerouting(problem)
 
 print(f"changes: {solution.changes} (optimal={solution.optimal})")
 for fid, lid in solution.assignment.items():
-    moved = " <- moved" if lid != old.lsp_of(fid) else ""
+    moved = " <- moved" if lid != old[fid] else ""
     print(f"  flow {fid} (rate {flows[fid].rate}) on LSP {lid}{moved}")
 
 # One move suffices: shifting the 3-unit flow leaves 9 <= 10 on LSP 0.
 assert solution.changes == 1
-assert solution.assignment.lsp_of(2) == 1
+assert solution.assignment[2] == 1
 
 # The independent auditor re-checks every constraint from scratch.
 violations = ht.audit_flow_assignment(flows, lsps, solution.assignment)
@@ -42,7 +42,7 @@ print("audit: no violations")
 # Unreserved mode additionally bounds the offered load on every physical
 # link by a headroom share of its bandwidth. With 90 usable units per link
 # that bound is slack and the answer is unchanged ...
-routing = ht.LspRouting.from_lsps(lsps)
+routing = ht.routes_of(lsps)
 relaxed = ReroutingProblem(flows=flows, lsps=lsps, fr_old=old,
                            mode=RoutingMode.UNRESERVED, mu=0.9,
                            routing=routing, topology=topo)
@@ -60,7 +60,7 @@ print(f"\nunreserved mode with 8-unit link headroom: changes={solution.changes}"
 for fid, lid in solution.assignment.items():
     print(f"  flow {fid} -> LSP {lid}")
 assert solution.changes == 1
-assert solution.assignment.lsp_of(1) == 1 and solution.assignment.lsp_of(2) == 0
+assert solution.assignment[1] == 1 and solution.assignment[2] == 0
 assert ht.audit_flow_assignment(flows, lsps, solution.assignment,
                                 mode="unreserved", mu=0.08,
                                 routing=routing, topo=topo) == []

@@ -20,7 +20,7 @@ flows = (
     ht.Flow(0, 0, 1, 7.0, 4.0),
     ht.Flow(1, 0, 1, 6.0, 4.0),
 )
-old = ht.FlowAssignment({0: 0, 1: 0})   # 13 units on a 10-unit LSP
+old = {0: 0, 1: 0}   # 13 units on a 10-unit LSP
 
 
 def show(tag, result):
@@ -34,7 +34,7 @@ def show(tag, result):
 # widens its old LSP by the missing 3 units. Nothing moves.
 generous = ht.ffr(flows, lsps, old, topo, mu=0.9)
 show("mu=0.90", generous)
-assert generous.assignment.lsp_of(1) == 0
+assert generous.assignment[1] == 0
 assert round(generous.augmentations[0], 9) == 3.0
 
 # 5% headroom: LSP 0's links already carry 7 units, more than the 5 usable,
@@ -42,7 +42,7 @@ assert round(generous.augmentations[0], 9) == 3.0
 # and the 4-unit reservation is widened by 2.
 tight = ht.ffr(flows, lsps, old, topo, mu=0.05)
 show("mu=0.05", tight)
-assert tight.assignment.lsp_of(1) == 1
+assert tight.assignment[1] == 1
 assert round(tight.augmentations[1], 9) == 2.0
 
 # The audit accepts the widened capacities.
@@ -56,5 +56,5 @@ print("audit with widened capacities: clean")
 starved = ht.ffr(flows, lsps, old, topo, mu=0.01)
 show("mu=0.01", starved)
 assert starved.recreation_requests == (1,)
-assert starved.assignment.lsp_of(1) == 0
+assert starved.assignment[1] == 0
 assert starved.placed == frozenset({0})

@@ -13,7 +13,7 @@ topo = ht.reference_topology()
 # on a 100-unit link. With 90 usable, at most two such paths may stay.
 old_paths = ([0, 4, 1], [0, 4, 6, 2], [0, 4, 6, 3])
 lsps = tuple(ht.build_lsp(topo, p, 40.0, i) for i, p in enumerate(old_paths))
-routing = ht.LspRouting.from_lsps(lsps)
+routing = ht.routes_of(lsps)
 
 requests = tuple(
     LspRequest(l.src, l.dst, l.capacity, delay_budget=6.0) for l in lsps
@@ -24,13 +24,13 @@ solution = ht.solve_lsp_recreation(problem)
 
 print(f"changed link entries: {solution.changed_entries} "
       f"(optimal={solution.optimal})")
-for i, links in enumerate(solution.routing.routes):
+for i, links in enumerate(solution.routing):
     tag = "kept" if links == lsps[i].links else "re-routed"
     print(f"  LSP {i}: {links} ({tag})")
 
 # The cheapest repair re-routes exactly one LSP onto the 5/7 plane. A
 # two-hop detour differs from the old path in all old + all new entries.
-moved = [i for i, links in enumerate(solution.routing.routes)
+moved = [i for i, links in enumerate(solution.routing)
          if links != lsps[i].links]
 assert len(moved) == 1
 

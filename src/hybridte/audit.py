@@ -31,7 +31,7 @@ def audit_flow_assignment(flows, lsps, assignment, mode: str = "reserved",
         if f.id not in assignment:
             problems.append(f"flow {f.id}: not assigned to any LSP")
             continue
-        lid = assignment.lsp_of(f.id)
+        lid = assignment[f.id]
         if lid not in lsp_by_id:
             problems.append(f"flow {f.id}: assigned to unknown LSP {lid}")
             continue
@@ -74,7 +74,7 @@ def audit_flow_assignment(flows, lsps, assignment, mode: str = "reserved",
             return problems
         lr = np.zeros((topo.node_count, topo.node_count, n_l), dtype=np.int64)
         for lid in lsp_by_id:
-            for a, b in routing.links_of(lid):
+            for a, b in routing[lid]:
                 lr[a, b, lid] = 1
         link_loads = lr @ lsp_loads
         for ln in topo.links:
@@ -94,7 +94,7 @@ def audit_lsp_routing(requests, routing, topo, mu: float = 0.9,
     nn = topo.node_count
     lr = np.zeros((nn, nn, n), dtype=np.int64)
     for i in range(n):
-        for a, b in routing.links_of(i):
+        for a, b in routing[i]:
             if topo.link_lookup(a, b) is None:
                 problems.append(f"request {i}: uses nonexistent link ({a},{b})")
             else:

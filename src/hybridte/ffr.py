@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .lsp import FlowAssignment, Lsp
+from .lsp import Lsp
 from .topology import NetworkTopology
 from .traffic import Flow
 
 
 @dataclass(frozen=True, eq=False)
 class FfrResult:
-    assignment: FlowAssignment
+    assignment: dict[int, int]
     recreation_requests: tuple[int, ...]
     augmentations: dict = field(default_factory=dict)
     examinations: int = 0
@@ -52,7 +52,7 @@ def check_congestion(lsp: Lsp, flow: Flow, topo: NetworkTopology,
     return free + residual >= flow.rate
 
 
-def ffr(flows, lsps, fr_old: FlowAssignment, topo: NetworkTopology,
+def ffr(flows, lsps, fr_old: dict[int, int], topo: NetworkTopology,
         mu: float = 0.9) -> FfrResult:
     """One greedy re-routing round; never raises on congestion, it reports it."""
     by_id = {l.id: l for l in lsps}
@@ -61,11 +61,11 @@ def ffr(flows, lsps, fr_old: FlowAssignment, topo: NetworkTopology,
     for f in flows:
         if f.id not in fr_old:
             raise ValidationError(f"flow {f.id} missing from the old assignment")
-        if fr_old.lsp_of(f.id) not in by_id:
+        if fr_old[f.id] not in by_id:
             raise ValidationError(f"flow {f.id} rides an unknown LSP")
     free = {l.id: l.capacity for l in lsps}
     link_load: dict[tuple[int, int], float] = {}
-    assignment = FlowAssignment()
+    assignment: dict[int, int] = {}
     augmentations: dict[int, float] = {}
     requests: list[int] = []
     placed: set[int] = set()
@@ -79,7 +79,7 @@ def ffr(flows, lsps, fr_old: FlowAssignment, topo: NetworkTopology,
     for f in sorted(flows, key=lambda f: (-f.rate, f.id)):
         exams += len(lsps)
         proper = find_proper_lsps(f, lsps, free)
-        old_id = fr_old.lsp_of(f.id)
+        old_id = fr_old[f.id]
         proper.sort(key=lambda l: l.id != old_id)
         chosen = None
         for l in proper:
@@ -98,13 +98,13 @@ def ffr(flows, lsps, fr_old: FlowAssignment, topo: NetworkTopology,
                     break
         if chosen is not None:
             occupy(chosen, f.rate)
-            assignment.assign(f.id, chosen.id)
+            assignment[f.id] = chosen.id
             placed.add(f.id)
         else:
             # Congestion stays where it was: the flow keeps its old LSP and
             # the caller is told to request fresh paths.
             requests.append(f.id)
-            assignment.assign(f.id, old_id)
+            assignment[f.id] = old_id
             occupy(by_id[old_id], f.rate)
 
     return FfrResult(

@@ -1,4 +1,4 @@
-"""Label-switched paths and the flow-to-path assignment state."""
+"""Label-switched paths and their routing, the links of each LSP by id."""
 
 from __future__ import annotations
 
@@ -66,56 +66,9 @@ def validate_lsp(lsp: Lsp, topo: NetworkTopology) -> None:
         raise InvalidPathError(f"LSP {lsp.id} endpoints disagree with its links")
 
 
-@dataclass(frozen=True)
-class LspRouting:
-    """Immutable snapshot of every LSP's links, indexed by LSP id."""
-
-    routes: tuple[tuple[tuple[int, int], ...], ...]
-
-    @classmethod
-    def from_lsps(cls, lsps: list[Lsp] | tuple[Lsp, ...]) -> "LspRouting":
-        ordered = sorted(lsps, key=lambda l: l.id)
-        if [l.id for l in ordered] != list(range(len(ordered))):
-            raise ValidationError("LSP ids must be 0..n-1 without gaps")
-        return cls(routes=tuple(l.links for l in ordered))
-
-    def links_of(self, lsp_id: int) -> tuple[tuple[int, int], ...]:
-        return self.routes[lsp_id]
-
-    def __len__(self) -> int:
-        return len(self.routes)
-
-
-class FlowAssignment:
-    """Mutable map from flow id to LSP id; every flow rides exactly one LSP."""
-
-    def __init__(self, mapping: dict[int, int] | None = None):
-        self._map: dict[int, int] = dict(mapping) if mapping else {}
-
-    def lsp_of(self, flow_id: int) -> int:
-        return self._map[flow_id]
-
-    def assign(self, flow_id: int, lsp_id: int) -> None:
-        self._map[flow_id] = lsp_id
-
-    def items(self):
-        return sorted(self._map.items())
-
-    def flow_ids(self) -> list[int]:
-        return sorted(self._map)
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __contains__(self, flow_id: int) -> bool:
-        return flow_id in self._map
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FlowAssignment) and self._map == other._map
-
-    def __repr__(self) -> str:
-        return f"FlowAssignment({self._map!r})"
-
-    def changes_from(self, other: "FlowAssignment") -> int:
-        """Number of flows mapped differently than in `other`."""
-        return sum(1 for f, i in self._map.items() if other._map.get(f) != i)
+def routes_of(lsps) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every LSP's links, indexed by LSP id; the ids must be 0..n-1."""
+    ordered = sorted(lsps, key=lambda l: l.id)
+    if [l.id for l in ordered] != list(range(len(ordered))):
+        raise ValidationError("LSP ids must be 0..n-1 without gaps")
+    return tuple(l.links for l in ordered)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .baseline import shortest_path_route
 from .errors import ConfigError, Infeasible, ParseError
 from .ffr import ffr, find_proper_lsps
-from .lsp import FlowAssignment, Lsp, LspRouting, build_lsp
+from .lsp import Lsp, build_lsp, routes_of
 from .metrics import MetricsSample, compute_sample, offered_loads, write_metrics_csv
 from .recreation import (LspRequest, RecreationProblem, enumerate_simple_paths,
                          recreation_to_json, solve_lsp_recreation)
@@ -199,11 +199,11 @@ def load_lsp_plan_file(path: str, topo: NetworkTopology) -> list[Lsp]:
         raise ParseError(f"LSP plan {path!r} is malformed: {exc}") from exc
 
 
-def initial_assignment(flows, lsps) -> FlowAssignment:
+def initial_assignment(flows, lsps) -> dict[int, int]:
     """Worst-fit initial placement: largest flows first onto the roomiest
     admissible LSP. Raises when some flow has no admissible LSP at all."""
     free = {l.id: l.capacity for l in lsps}
-    assignment = FlowAssignment()
+    assignment: dict[int, int] = {}
     for f in sorted(flows, key=lambda f: (-f.rate, f.id)):
         proper = find_proper_lsps(f, lsps, free)
         if not proper:
@@ -211,7 +211,7 @@ def initial_assignment(flows, lsps) -> FlowAssignment:
                 f"flow {f.id} ({f.src}->{f.dst}, delay bound {f.max_delay:.3g}) "
                 "matches no planned LSP"
             )
-        assignment.assign(f.id, proper[0].id)
+        assignment[f.id] = proper[0].id
         free[proper[0].id] -= f.rate
     return assignment
 
@@ -231,7 +231,7 @@ class _Dumper:
 def _delay_budgets(flows, lsps, assignment) -> dict[int, float]:
     budgets = {l.id: math.inf for l in lsps}
     for f in flows:
-        lid = assignment.lsp_of(f.id)
+        lid = assignment[f.id]
         budgets[lid] = min(budgets[lid], f.max_delay)
     return budgets
 
@@ -264,12 +264,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         lsps = build_auto_lsp_plan(topo, cfg.lsp_plan.paths_per_pair, cfg.mu_headroom)
     else:
         lsps = load_lsp_plan_file(cfg.lsp_plan.path, topo)
-    routing = LspRouting.from_lsps(lsps)
+    routing = routes_of(lsps)
     assignment = initial_assignment(flows, lsps)
     events.append(f"slot=0 event=plan scheme={cfg.scheme} lsps={len(lsps)}")
 
     def flow_paths():
-        return {f.id: routing.links_of(assignment.lsp_of(f.id)) for f in flows}
+        return {f.id: routing[assignment[f.id]] for f in flows}
 
     def run_flow_level(t: int, retry: bool) -> bool:
         """One flow-level round; returns True when escalation is needed."""
@@ -294,7 +294,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             assignment = sol.assignment
             return False
         res = ffr(flows, lsps, assignment, topo, mu=cfg.mu_headroom)
-        changed = res.assignment.changes_from(assignment)
+        changed = sum(assignment.get(f) != i for f, i in res.assignment.items())
         events.append(f"slot={t} event={tag} scheme=ffr changes={changed} "
                       f"parked={len(res.recreation_requests)} "
                       f"examinations={res.examinations}")
@@ -304,10 +304,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     def run_recreation(t: int):
         nonlocal lsps, routing
         budgets = _delay_budgets(flows, lsps, assignment)
-        requests = tuple(
-            LspRequest(l.src, l.dst, l.capacity, budgets[l.id])
-            for l in sorted(lsps, key=lambda l: l.id)
-        )
+        # Both plan builders number LSPs by position, so lsps is in id order.
+        requests = tuple(LspRequest(l.src, l.dst, l.capacity, budgets[l.id]) for l in lsps)
         problem = RecreationProblem(requests=requests, topology=topo,
                                     lr_old=routing, mu=cfg.mu_headroom)
         try:
@@ -320,16 +318,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         events.append(f"slot={t} event=recreate scheme={cfg.scheme} "
                       f"changed_entries={rsol.changed_entries} optimal={rsol.optimal}")
         dumper.write(f"slot{t:03d}_recreation.json", recreation_to_json(problem, rsol))
-        if rsol.changed_entries:
-            rebuilt = []
-            for l in lsps:
-                links = rsol.routing.links_of(l.id)
-                if links == l.links:
-                    rebuilt.append(l)
-                    continue
-                delay = sum(topo.link_lookup(*pair).delay for pair in links)
-                rebuilt.append(dataclasses.replace(l, links=links, prop_delay=delay))
-            lsps = rebuilt
+        lsps = [l if links == l.links else dataclasses.replace(
+                    l, links=links, prop_delay=sum(topo.link_lookup(*p).delay for p in links))
+                for l, links in zip(lsps, rsol.routing)]
         routing = rsol.routing
 
     paths = flow_paths()  # keyed by flow id, which growth keeps

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .bnb import BudgetExhausted, Search
 from .errors import Infeasible, ValidationError
-from .lsp import LspRouting
 from .topology import NetworkTopology, links_of_path
 
 
@@ -32,7 +31,7 @@ class LspRequest:
 class RecreationProblem:
     requests: tuple
     topology: NetworkTopology
-    lr_old: LspRouting | None = None
+    lr_old: tuple | None = None
     mu: float = 0.9
     path_limit: int = 200
     node_budget: int = 500_000
@@ -40,7 +39,7 @@ class RecreationProblem:
 
 @dataclass(frozen=True, eq=False)
 class RecreationSolution:
-    routing: LspRouting
+    routing: tuple
     changed_entries: int
     optimal: bool
     nodes_explored: int
@@ -88,7 +87,7 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     """Solve one re-creation instance; raises Infeasible when no routing exists."""
     topo = problem.topology
     n = len(problem.requests)
-    old = problem.lr_old.routes if problem.lr_old is not None else ()
+    old = problem.lr_old or ()
     any_truncated = False
     options: list[list[tuple]] = []
     for i, req in enumerate(problem.requests):
@@ -121,7 +120,7 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
             raise Infeasible("search stopped before any feasible routing was found",
                              proven=False)
         raise Infeasible("no routing satisfies the reservation headroom", proven=True)
-    routing = LspRouting(routes=tuple(search.best[i] for i in range(n)))
+    routing = tuple(search.best[i] for i in range(n))
     optimal = not aborted and not any_truncated
     return RecreationSolution(routing, int(search.best_cost), optimal, search.nodes)
 
@@ -140,14 +139,11 @@ def recreation_to_json(problem: RecreationProblem, solution: RecreationSolution 
             }
             for i, r in enumerate(problem.requests)
         ],
-        "old_routing": [
-            [list(p) for p in links] for links in
-            (problem.lr_old.routes if problem.lr_old is not None else ())
-        ],
+        "old_routing": [[list(p) for p in links] for links in problem.lr_old or ()],
     }
     if solution is not None:
         doc["solution"] = {
-            "routing": [[list(p) for p in links] for links in solution.routing.routes],
+            "routing": [[list(p) for p in links] for links in solution.routing],
             "changed_entries": solution.changed_entries,
             "optimal": solution.optimal,
             "nodes_explored": solution.nodes_explored,

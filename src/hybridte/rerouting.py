@@ -15,7 +15,6 @@ from enum import Enum
 
 from .bnb import BudgetExhausted, Search
 from .errors import Infeasible, ValidationError
-from .lsp import FlowAssignment
 from .topology import NetworkTopology
 
 
@@ -28,17 +27,17 @@ class RoutingMode(str, Enum):
 class ReroutingProblem:
     flows: tuple
     lsps: tuple
-    fr_old: FlowAssignment
+    fr_old: dict[int, int]
     mode: RoutingMode = RoutingMode.RESERVED
     mu: float = 0.9
-    routing: object = None
+    routing: tuple | None = None
     topology: NetworkTopology | None = None
     node_budget: int = 500_000
 
 
 @dataclass(frozen=True, eq=False)
 class ReroutingSolution:
-    assignment: FlowAssignment
+    assignment: dict[int, int]
     changes: int
     optimal: bool
     nodes_explored: int
@@ -54,7 +53,7 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     for f in problem.flows:
         if f.id not in problem.fr_old:
             raise ValidationError(f"flow {f.id} missing from the old assignment")
-    old = {f.id: problem.fr_old.lsp_of(f.id) for f in problem.flows}
+    old = {f.id: problem.fr_old[f.id] for f in problem.flows}
     unreserved = problem.mode == RoutingMode.UNRESERVED
     if unreserved and (problem.routing is None or problem.topology is None):
         raise ValidationError("unreserved mode needs an LSP routing and a topology")
@@ -73,11 +72,12 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
         for ln in problem.topology.links:
             capacity[(ln.src, ln.dst)] = problem.mu * ln.bandwidth
         for l in problem.lsps:
-            links = problem.routing.links_of(l.id)
-            for pair in links:
+            if not 0 <= l.id < len(problem.routing) or problem.routing[l.id] != l.links:
+                raise ValidationError(f"the routing disagrees with the links of LSP {l.id}")
+            for pair in l.links:
                 if pair not in capacity:
                     raise ValidationError(f"LSP {l.id} uses nonexistent link {pair}")
-            resources[l.id] = (l.id, *links)
+            resources[l.id] = (l.id, *l.links)
     search = Search(capacity, problem.node_budget)
     rate = {fid: f.rate for fid, f in flows.items()}
     # Staying put is tried first; the sort is stable, so moves follow in id order.
@@ -91,8 +91,7 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
         if search.best is None:
             raise Infeasible("node budget exhausted before any assignment was found",
                              proven=False) from None
-        return ReroutingSolution(FlowAssignment(search.best), int(search.best_cost), False,
-                                 search.nodes)
+        return ReroutingSolution(search.best, int(search.best_cost), False, search.nodes)
     if incumbent is None:
         raise Infeasible("no assignment satisfies capacity and delay", proven=True)
 
@@ -116,11 +115,11 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
                 raise RuntimeError("tie-break reconstruction lost a proven-feasible instance")
             fixed[fid] = lid
             changes += step
-        return ReroutingSolution(FlowAssignment(fixed), target, True, search.nodes)
+        return ReroutingSolution(fixed, target, True, search.nodes)
     except BudgetExhausted:
         # Cost optimality is already proven; fall back to the incumbent when
         # the budget runs out before the tie-break pass finishes.
-        return ReroutingSolution(FlowAssignment(incumbent), target, True, search.nodes)
+        return ReroutingSolution(incumbent, target, True, search.nodes)
 
 
 def rerouting_to_json(problem: ReroutingProblem, solution: ReroutingSolution | None = None) -> str:

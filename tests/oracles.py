@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from hybridte.lsp import FlowAssignment, LspRouting, build_lsp
+from hybridte.lsp import build_lsp, routes_of
 from hybridte.recreation import LspRequest
 from hybridte.topology import Link, NetworkTopology, links_of_path
 from hybridte.traffic import Flow
@@ -79,7 +79,7 @@ def rerouting_feasible(flows, lsps, assign, mode="reserved", mu=0.9,
     if mode == "unreserved":
         link_load = {}
         for f in flows:
-            for pair in routing.links_of(assign[f.id]):
+            for pair in routing[assign[f.id]]:
                 link_load[pair] = link_load.get(pair, 0.0) + f.rate
         for pair, load in link_load.items():
             if not within(load, mu * topo.link_lookup(*pair).bandwidth):
@@ -99,7 +99,7 @@ def best_rerouting(flows, lsps, fr_old, mode="reserved", mu=0.9,
         assign = {f.id: lid for f, lid in zip(flows, combo)}
         if not rerouting_feasible(flows, lsps, assign, mode, mu, routing, topo):
             continue
-        changes = sum(1 for f in flows if assign[f.id] != fr_old.lsp_of(f.id))
+        changes = sum(1 for f in flows if assign[f.id] != fr_old[f.id])
         key = (changes, combo)
         if best is None or key < best:
             best = key
@@ -112,7 +112,7 @@ def best_rerouting(flows, lsps, fr_old, mode="reserved", mu=0.9,
 def best_recreation(requests, topo, lr_old, mu=0.9):
     """Exhaustive minimum-change routing over every simple-path combination;
     returns the least total changed link entries, or None when infeasible."""
-    old = lr_old.routes if lr_old is not None else ()
+    old = lr_old or ()
     options = []
     for i, req in enumerate(requests):
         paths = all_simple_paths(topo, req.src, req.dst, req.delay_budget)
@@ -194,9 +194,9 @@ def random_rerouting_instance(rng: np.random.Generator, max_flows: int = 5,
              float(rng.uniform(0.8, 1.5)) * max_pd)
         for i in range(n_f)
     )
-    fr_old = FlowAssignment({f.id: int(rng.integers(n_l)) for f in flows})
+    fr_old = {f.id: int(rng.integers(n_l)) for f in flows}
     mode = "unreserved" if rng.uniform() < 0.4 else "reserved"
-    routing = LspRouting.from_lsps(lsps)
+    routing = routes_of(lsps)
     return topo, flows, lsps, fr_old, mode, routing
 
 
@@ -218,6 +218,6 @@ def random_recreation_instance(rng: np.random.Generator, max_requests: int = 3):
         old_routes.append(links_of_path(paths[int(rng.integers(len(paths)))]))
     if not requests:
         return random_recreation_instance(rng, max_requests)
-    lr_old = LspRouting(routes=tuple(old_routes))
+    lr_old = tuple(old_routes)
     mu = float(rng.uniform(0.5, 1.0))
     return topo, tuple(requests), lr_old, mu

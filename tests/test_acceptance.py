@@ -37,7 +37,7 @@ import numpy as np
 import hybridte as ht
 from hybridte.errors import Infeasible
 from hybridte.ffr import ffr
-from hybridte.lsp import FlowAssignment, LspRouting, build_lsp
+from hybridte.lsp import build_lsp
 from hybridte.orchestrator import SCHEMES
 from hybridte.recreation import RecreationProblem, solve_lsp_recreation
 from hybridte.rerouting import ReroutingProblem, RoutingMode, solve_flow_rerouting
@@ -163,7 +163,7 @@ def test_criterion_2_thousand_runs_zero_audit_violations():
         res = ffr(flows, lsps, fr_old, topo, mu=0.9)
         caps = {l.id: l.capacity + res.augmentations.get(l.id, 0.0) for l in lsps}
         placed = tuple(f for f in flows if f.id in res.placed)
-        sub = FlowAssignment({f.id: res.assignment.lsp_of(f.id) for f in placed})
+        sub = {f.id: res.assignment[f.id] for f in placed}
         bad = ht.audit_flow_assignment(placed, lsps, sub, capacities=caps)
         failures.extend(f"ffr #{k}: {b}" for b in bad)
         for fid in res.recreation_requests:
@@ -180,7 +180,7 @@ def _line_examinations(n_flows: int, n_lsps: int, n_links: int) -> int:
     path = list(range(n_links + 1))
     lsps = tuple(build_lsp(topo, path, 1e-4, i) for i in range(n_lsps))
     flows = tuple(Flow(i, 0, n_links, 1.0, 1e9) for i in range(n_flows))
-    fr_old = FlowAssignment({f.id: 0 for f in flows})
+    fr_old = {f.id: 0 for f in flows}
     return ffr(flows, lsps, fr_old, topo, mu=0.9).examinations
 
 

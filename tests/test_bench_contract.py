@@ -1,0 +1,50 @@
+"""What the benchmark in bench/ reads from the program, checked on a small run:
+the layer names it wraps, the solver results it audits, the enumeration it
+replays and the layers every workload must call. The bench modules are
+imported from their files and left unchanged."""
+
+import dataclasses
+import importlib.util
+import os
+import sys
+
+import hybridte as ht
+from hybridte import orchestrator
+from hybridte.rerouting import RoutingMode
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(ROOT, "bench", f"{name}.py"))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+probes = load_bench_module("probes")
+workloads = load_bench_module("workloads")
+
+
+def test_traced_names_resolve_in_the_orchestrator():
+    for name in probes.TRACED:
+        assert callable(getattr(orchestrator, name)), name
+
+
+def test_traced_runs_pass_the_benchmark_checks():
+    cfg = dataclasses.replace(ht.load_scenario(os.path.join(ROOT, "scenarios", "scenario3.json")),
+                              seed=0, rerouting_mode=RoutingMode.UNRESERVED)
+    tracer = probes.Tracer()
+    tracer.capture = True
+    with probes.patched(tracer.wrappers()):
+        for scheme in ("exact", "ffr"):
+            tracer.run_tag = scheme
+            orchestrator.run_scenario(dataclasses.replace(cfg, scheme=scheme))
+    assert [tag for tag, _, _ in tracer.recreations].count("exact") == 9
+    assert [tag for tag, _, _ in tracer.recreations].count("ffr") == 6
+    assert tracer.reroutings
+    assert probes.audit_captures(tracer) == set()
+    paths, _ = probes.replay_enumeration(tracer)
+    assert paths > 0
+    assert sorted(n for n in workloads._COMMON if tracer.calls[n] == 0) == []

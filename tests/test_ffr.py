@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import hybridte as ht
-from hybridte.lsp import FlowAssignment
 
 import oracles
 
@@ -48,7 +47,7 @@ def test_unchanged_when_everything_still_fits(topo):
     lsps = parallel_lsps(topo)
     flows = (ht.Flow(0, 0, 1, 4.0, 4.0), ht.Flow(1, 0, 1, 5.0, 4.0),
              ht.Flow(2, 0, 1, 3.0, 4.0))
-    old = FlowAssignment({0: 0, 1: 1, 2: 0})
+    old = {0: 0, 1: 1, 2: 0}
     res = ht.ffr(flows, lsps, old, topo)
     assert res.assignment == old
     assert res.recreation_requests == ()
@@ -59,8 +58,8 @@ def test_unchanged_when_everything_still_fits(topo):
 def test_overflowing_flow_moves_to_roomier_lsp(topo):
     lsps = parallel_lsps(topo)
     flows = (ht.Flow(0, 0, 1, 6.0, 4.0), ht.Flow(1, 0, 1, 6.0, 4.0))
-    res = ht.ffr(flows, lsps, FlowAssignment({0: 0, 1: 0}), topo)
-    assert dict(res.assignment.items()) == {0: 0, 1: 1}
+    res = ht.ffr(flows, lsps, {0: 0, 1: 0}, topo)
+    assert res.assignment == {0: 0, 1: 1}
     assert res.recreation_requests == ()
 
 
@@ -69,8 +68,8 @@ def test_augmentation_borrows_link_headroom(topo):
     # links under LSP 0 still have headroom to widen it
     lsps = parallel_lsps(topo, cap0=10.0, cap1=1.0)
     flows = (ht.Flow(0, 0, 1, 6.0, 4.0), ht.Flow(1, 0, 1, 6.0, 4.0))
-    res = ht.ffr(flows, lsps, FlowAssignment({0: 0, 1: 0}), topo)
-    assert dict(res.assignment.items()) == {0: 0, 1: 0}
+    res = ht.ffr(flows, lsps, {0: 0, 1: 0}, topo)
+    assert res.assignment == {0: 0, 1: 0}
     assert res.recreation_requests == ()
     assert res.augmentations == {0: pytest.approx(2.0)}
     # audit with the widened capacity
@@ -82,19 +81,18 @@ def test_congestion_parks_flow_and_requests_recreation(topo):
     lsps = (ht.build_lsp(topo, [0, 4, 1], 5.0, 0),)
     flows = (ht.Flow(0, 0, 1, 4.0, 4.0), ht.Flow(1, 0, 1, 4.0, 4.0))
     # bandwidth is large, so shrink headroom to force a parked flow
-    res = ht.ffr(flows, lsps, FlowAssignment({0: 0, 1: 0}), topo, mu=0.05)
+    res = ht.ffr(flows, lsps, {0: 0, 1: 0}, topo, mu=0.05)
     assert res.recreation_requests == (1,)
     assert res.placed == {0}
     # the parked flow stays on its old LSP
-    assert dict(res.assignment.items()) == {0: 0, 1: 0}
+    assert res.assignment == {0: 0, 1: 0}
 
 
 def test_examinations_grow_with_candidate_work(topo):
     lsps = parallel_lsps(topo)
-    small = ht.ffr((ht.Flow(0, 0, 1, 1.0, 4.0),), lsps,
-                   FlowAssignment({0: 0}), topo)
+    small = ht.ffr((ht.Flow(0, 0, 1, 1.0, 4.0),), lsps, {0: 0}, topo)
     big_flows = tuple(ht.Flow(i, 0, 1, 1.0, 4.0) for i in range(8))
-    big = ht.ffr(big_flows, lsps, FlowAssignment({i: 0 for i in range(8)}), topo)
+    big = ht.ffr(big_flows, lsps, {i: 0 for i in range(8)}, topo)
     assert big.examinations > small.examinations
 
 
@@ -114,5 +112,5 @@ def test_larger_flows_take_priority(topo):
     # the big flow claims the old LSP, the small one is displaced
     lsps = parallel_lsps(topo, cap0=6.0, cap1=6.0)
     flows = (ht.Flow(0, 0, 1, 2.0, 4.0), ht.Flow(1, 0, 1, 6.0, 4.0))
-    res = ht.ffr(flows, lsps, FlowAssignment({0: 0, 1: 0}), topo)
-    assert dict(res.assignment.items()) == {0: 1, 1: 0}
+    res = ht.ffr(flows, lsps, {0: 0, 1: 0}, topo)
+    assert res.assignment == {0: 1, 1: 0}

@@ -2,7 +2,6 @@ import pytest
 
 import hybridte as ht
 from hybridte.errors import InvalidPathError, ValidationError
-from hybridte.lsp import FlowAssignment
 
 
 @pytest.fixture
@@ -45,26 +44,13 @@ def test_validate_lsp_catches_tampering(topo):
         ht.validate_lsp(broken, topo)
 
 
-def test_assignment_basics():
-    a = FlowAssignment({0: 2, 1: 0})
-    assert a.lsp_of(0) == 2
-    assert 1 in a and 5 not in a
-    b = FlowAssignment({0: 2, 1: 0})
-    b.assign(0, 1)
-    assert a.lsp_of(0) == 2
-    assert b.changes_from(a) == 1
-    assert a.changes_from(a) == 0
-    assert a == FlowAssignment({1: 0, 0: 2})
-    assert a != b
-
-
 def test_routing_tensor(topo):
     lsps = [ht.build_lsp(topo, [0, 4, 1], 5.0, 0), ht.build_lsp(topo, [0, 5, 7, 2], 5.0, 1)]
-    routing = ht.LspRouting.from_lsps(lsps)
-    assert routing.links_of(1) == ((0, 5), (5, 7), (7, 2))
+    routing = ht.routes_of(lsps)
+    assert routing[1] == ((0, 5), (5, 7), (7, 2))
 
 
 def test_routing_requires_dense_ids(topo):
     lsps = [ht.build_lsp(topo, [0, 4, 1], 5.0, 0), ht.build_lsp(topo, [0, 5, 1], 5.0, 2)]
     with pytest.raises(ValidationError):
-        ht.LspRouting.from_lsps(lsps)
+        ht.routes_of(lsps)

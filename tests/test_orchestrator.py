@@ -26,14 +26,14 @@ def parse_events(events):
 
 # -- mini network used by the crafted runs: two edge nodes, two cores --
 
-def write_mini_files(tmp_path, bandwidth=100.0, lsp_cap=8.0, **scenario_overrides):
+def write_mini_files(tmp_path, bandwidth=100.0, lsp_cap=8.0, plan=None, **scenario_overrides):
     topo_doc = {"nodes": 4, "edge_nodes": [0, 1], "links": []}
     for a, b in ((0, 2), (2, 1), (0, 3), (3, 1)):
         topo_doc["links"].append({"src": a, "dst": b, "bandwidth": bandwidth, "delay": 1.0})
         topo_doc["links"].append({"src": b, "dst": a, "bandwidth": bandwidth, "delay": 1.0})
     (tmp_path / "topo.json").write_text(json.dumps(topo_doc))
-    plan_doc = {"lsps": [{"path": [0, 2, 1], "capacity": lsp_cap},
-                         {"path": [1, 2, 0], "capacity": lsp_cap}]}
+    plan = plan or (([0, 2, 1], lsp_cap), ([1, 2, 0], lsp_cap))
+    plan_doc = {"lsps": [{"path": p, "capacity": cap} for p, cap in plan]}
     (tmp_path / "plan.json").write_text(json.dumps(plan_doc))
     scenario = {
         "topology": "topo.json",
@@ -156,6 +156,40 @@ def test_recreation_fires_at_the_replayed_overflow_slot(tmp_path):
     assert first["changed_entries"] == "0"
 
 
+def run_contested_plan(tmp_path, plan):
+    # Flows big enough that the flow-level step fails from slot 1 on, on
+    # links whose headroom is 9 units, with every solver instance dumped.
+    traffic = {"demand_fraction": 0.3, "flow_intensity": 0.8, "max_flows_per_source": 2,
+               "growth_max": 0.10, "delay_stretch": 2.0}
+    path = write_mini_files(tmp_path, bandwidth=10.0, plan=plan, seed=1, traffic=traffic)
+    cfg = dataclasses.replace(ht.load_scenario(path), dump_dir=str(tmp_path / "lp"))
+    return ht.run_scenario(cfg)
+
+
+def test_recreation_that_moves_an_lsp_rebuilds_it(tmp_path):
+    # Two 5-unit LSPs share link 0->2, so re-creation moves one of them.
+    plan = (([0, 2, 1], 5.0), ([0, 2, 1], 5.0), ([1, 2, 0], 4.0))
+    events = parse_events(run_contested_plan(tmp_path, plan).events)
+    first = next(e for e in events if e["event"].startswith("recreate"))
+    assert (first["slot"], first["event"], first["changed_entries"]) == (1, "recreate", "4")
+    # The retry runs on the rebuilt LSP: new links and their delay.
+    doc = json.loads((tmp_path / "lp" / "slot001_reroute_retry.json").read_text())
+    assert [(l["links"], l["prop_delay"]) for l in doc["lsps"][:2]] == [
+        ([[0, 2], [2, 1]], 2.0), ([[0, 3], [3, 1]], 2.0)]
+
+
+def test_infeasible_recreation_keeps_the_run_going(tmp_path):
+    # Three 6-unit LSPs from 0 to 1 over two paths: no routing fits.
+    plan = (([0, 2, 1], 6.0),) * 3 + (([1, 2, 0], 4.0),)
+    result = run_contested_plan(tmp_path, plan)
+    events = parse_events(result.events)
+    assert [e["event"] for e in events if e["slot"] == 1] == [
+        "check", "reroute_infeasible", "recreate_infeasible", "reroute_retry_infeasible"]
+    assert next(e for e in events if e["event"] == "recreate_infeasible")["proven"] == "True"
+    assert "solution" not in json.loads((tmp_path / "lp" / "slot001_recreation.json").read_text())
+    assert [s.slot for s in result.samples] == list(range(12))
+
+
 def test_comparison_runs_identical_traffic():
     cfg = ht.load_scenario(scenario_path("scenario2.json"))
     results = ht.run_comparison(cfg)
@@ -195,7 +229,7 @@ def test_initial_assignment_balances_and_validates():
     lsps = (ht.build_lsp(topo, [0, 4, 1], 10.0, 0), ht.build_lsp(topo, [0, 5, 1], 10.0, 1))
     flows = (ht.Flow(0, 0, 1, 6.0, 4.0), ht.Flow(1, 0, 1, 6.0, 4.0))
     a = ht.initial_assignment(flows, lsps)
-    assert {a.lsp_of(0), a.lsp_of(1)} == {0, 1}
+    assert {a[0], a[1]} == {0, 1}
     with pytest.raises(ConfigError):
         ht.initial_assignment((ht.Flow(0, 2, 3, 1.0, 9.0),), lsps)
 

@@ -116,26 +116,28 @@ def _outcome(problem):
         sol = ht.solve_lsp_recreation(problem)
     except Infeasible as exc:
         return ("infeasible", exc.proven, str(exc))
-    return (sol.routing.routes, sol.changed_entries, sol.optimal, sol.nodes_explored)
+    return (sol.routing, sol.changed_entries, sol.optimal, sol.nodes_explored)
 
 
 def test_path_cache_leaves_solutions_unchanged():
     shortest = ((0, 6), (6, 13), (13, 3))
+    detour = ((0, 7), (7, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 3))
     specs = [
-        # binding budget: 3 paths within delay 4, and no link carries all three
-        dict(requests=(ht.LspRequest(0, 3, 40.0, 4.0),) * 3,
-             lr_old=ht.LspRouting(routes=(shortest,) * 3)),
+        # binding budget: link 6->13 carries two of the three requests, and
+        # delay 7 admits one path around it (delay 6 admits none)
+        dict(requests=(ht.LspRequest(0, 3, 40.0, 7.0),) * 3,
+             lr_old=(shortest,) * 3),
         # the same endpoints and budget, but path_limit cuts the list short
-        dict(requests=(ht.LspRequest(0, 3, 10.0, 4.0),), path_limit=2),
+        dict(requests=(ht.LspRequest(0, 3, 10.0, 7.0),), path_limit=2),
         # request 1 has no path within its budget: proven infeasible
-        dict(requests=(ht.LspRequest(0, 3, 1.0, 4.0), ht.LspRequest(1, 4, 1.0, 2.0))),
+        dict(requests=(ht.LspRequest(0, 3, 1.0, 7.0), ht.LspRequest(1, 4, 1.0, 2.0))),
         # a tighter budget that rules out the old four-link detour
         dict(requests=(ht.LspRequest(0, 3, 20.0, 3.0),),
-             lr_old=ht.LspRouting(routes=(((0, 7), (7, 6), (6, 13), (13, 3)),))),
+             lr_old=(((0, 7), (7, 6), (6, 13), (13, 3)),)),
     ]
     warm = ring14()
     fresh = [_outcome(ht.RecreationProblem(topology=ring14(), **spec)) for spec in specs]
-    assert fresh[0][1] > 0 and fresh[0][2]
+    assert fresh[0][:3] == ((shortest, shortest, detour), 10, True)
     assert fresh[1][2] is False
     assert fresh[2][:2] == ("infeasible", True)
     assert fresh[3][:2] == ((shortest,), 3)
@@ -155,24 +157,24 @@ def test_enumeration_argument_validation(topo):
 
 
 def test_overloaded_link_forces_one_lsp_aside(square):
-    old = ht.LspRouting(routes=(((0, 1), (1, 3)), ((0, 1), (1, 3))))
+    old = (((0, 1), (1, 3)), ((0, 1), (1, 3)))
     reqs = (ht.LspRequest(0, 3, 6.0, 10.0), ht.LspRequest(0, 3, 6.0, 10.0))
     sol = ht.solve_lsp_recreation(ht.RecreationProblem(
         requests=reqs, topology=square, lr_old=old, mu=1.0))
     assert sol.optimal
     assert sol.changed_entries == 4
-    assert sol.routing.routes[0] == ((0, 1), (1, 3))
-    assert sol.routing.routes[1] == ((0, 2), (2, 3))
+    assert sol.routing[0] == ((0, 1), (1, 3))
+    assert sol.routing[1] == ((0, 2), (2, 3))
     assert ht.audit_lsp_routing(reqs, sol.routing, square, mu=1.0) == []
 
 
 def test_feasible_old_routing_is_kept(square):
-    old = ht.LspRouting(routes=(((0, 1), (1, 3)), ((0, 2), (2, 3))))
+    old = (((0, 1), (1, 3)), ((0, 2), (2, 3)))
     reqs = (ht.LspRequest(0, 3, 6.0, 10.0), ht.LspRequest(0, 3, 6.0, 10.0))
     sol = ht.solve_lsp_recreation(ht.RecreationProblem(
         requests=reqs, topology=square, lr_old=old, mu=1.0))
     assert sol.changed_entries == 0
-    assert sol.routing.routes == old.routes
+    assert sol.routing == old
 
 
 def test_delay_budget_forces_detour_infeasible(square):
@@ -227,18 +229,18 @@ def test_capacity_validation(square):
 
 def test_determinism(square):
     reqs = (ht.LspRequest(0, 3, 6.0, 10.0), ht.LspRequest(0, 3, 6.0, 10.0))
-    old = ht.LspRouting(routes=(((0, 1), (1, 3)), ((0, 1), (1, 3))))
+    old = (((0, 1), (1, 3)), ((0, 1), (1, 3)))
     a = ht.solve_lsp_recreation(ht.RecreationProblem(requests=reqs, topology=square,
                                                      lr_old=old, mu=1.0))
     b = ht.solve_lsp_recreation(ht.RecreationProblem(requests=reqs, topology=square,
                                                      lr_old=old, mu=1.0))
-    assert a.routing.routes == b.routing.routes
+    assert a.routing == b.routing
     assert a.changed_entries == b.changed_entries
 
 
 def test_dump_round_trip(square):
     reqs = (ht.LspRequest(0, 3, 6.0, 10.0), ht.LspRequest(0, 3, 6.0, math.inf))
-    old = ht.LspRouting(routes=(((0, 1), (1, 3)), ((0, 1), (1, 3))))
+    old = (((0, 1), (1, 3)), ((0, 1), (1, 3)))
     problem = ht.RecreationProblem(requests=reqs, topology=square, lr_old=old, mu=1.0)
     sol = ht.solve_lsp_recreation(problem)
     text = recreation_to_json(problem, sol)
@@ -254,7 +256,7 @@ def contested_ring_problem(**overrides):
     # shortest path; at most two fit on any link, so one of them must move.
     shortest = ((0, 6), (6, 13), (13, 3))
     spec = dict(requests=(ht.LspRequest(0, 3, 40.0, 8.0),) * 3, topology=ring14(),
-                lr_old=ht.LspRouting(routes=(shortest,) * 3))
+                lr_old=(shortest,) * 3)
     return ht.RecreationProblem(**{**spec, **overrides})
 
 

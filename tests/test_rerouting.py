@@ -5,7 +5,6 @@ import pytest
 
 import hybridte as ht
 from hybridte.errors import Infeasible, ValidationError
-from hybridte.lsp import FlowAssignment
 from hybridte.rerouting import RoutingMode, rerouting_to_json
 
 import oracles
@@ -25,16 +24,16 @@ def two_lsp_instance(topo, cap0=10.0, cap1=10.0):
 def test_one_flow_moves_when_shared_lsp_overflows(topo):
     flows, lsps = two_lsp_instance(topo)
     sol = ht.solve_flow_rerouting(ht.ReroutingProblem(
-        flows=flows, lsps=lsps, fr_old=FlowAssignment({0: 0, 1: 0})))
+        flows=flows, lsps=lsps, fr_old={0: 0, 1: 0}))
     assert sol.changes == 1
     assert sol.optimal
     # lexicographic tie-break: flow 0 keeps LSP 0, flow 1 moves
-    assert dict(sol.assignment.items()) == {0: 0, 1: 1}
+    assert sol.assignment == {0: 0, 1: 1}
 
 
 def test_no_move_when_everything_fits(topo):
     flows, lsps = two_lsp_instance(topo, cap0=20.0)
-    old = FlowAssignment({0: 0, 1: 0})
+    old = {0: 0, 1: 0}
     sol = ht.solve_flow_rerouting(ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=old))
     assert sol.changes == 0
     assert sol.assignment == old
@@ -75,7 +74,7 @@ def test_matches_exhaustive_enumeration_and_lex_tiebreak():
         sol = ht.solve_flow_rerouting(problem)
         assert sol.optimal
         assert sol.changes == expect[0]
-        assert dict(sol.assignment.items()) == expect[1]
+        assert sol.assignment == expect[1]
         solved += 1
     assert solved > 30 and infeasible > 5
 
@@ -86,16 +85,16 @@ def test_delay_bound_disqualifies_lsp(topo):
             ht.build_lsp(topo, [0, 4, 1, 5, 7, 2], 20.0, 1))
     flows = (ht.Flow(0, 0, 2, 3.0, 3.5), ht.Flow(1, 0, 2, 3.0, 6.0))
     sol = ht.solve_flow_rerouting(ht.ReroutingProblem(
-        flows=flows, lsps=lsps, fr_old=FlowAssignment({0: 0, 1: 0})))
-    assert dict(sol.assignment.items()) == {0: 0, 1: 1}
+        flows=flows, lsps=lsps, fr_old={0: 0, 1: 0}))
+    assert sol.assignment == {0: 0, 1: 1}
 
 
 def test_endpoint_mismatch_is_never_chosen(topo):
     lsps = (ht.build_lsp(topo, [0, 4, 1], 10.0, 0), ht.build_lsp(topo, [2, 6, 3], 10.0, 1))
     flows = (ht.Flow(0, 0, 1, 2.0, 9.0),)
     sol = ht.solve_flow_rerouting(ht.ReroutingProblem(
-        flows=flows, lsps=lsps, fr_old=FlowAssignment({0: 0})))
-    assert dict(sol.assignment.items()) == {0: 0}
+        flows=flows, lsps=lsps, fr_old={0: 0}))
+    assert sol.assignment == {0: 0}
 
 
 def test_infeasible_when_no_endpoint_match(topo):
@@ -103,7 +102,7 @@ def test_infeasible_when_no_endpoint_match(topo):
     flows = (ht.Flow(0, 0, 1, 2.0, 9.0),)
     with pytest.raises(Infeasible) as exc:
         ht.solve_flow_rerouting(ht.ReroutingProblem(
-            flows=flows, lsps=lsps, fr_old=FlowAssignment({0: 0})))
+            flows=flows, lsps=lsps, fr_old={0: 0}))
     assert exc.value.proven
 
 
@@ -111,7 +110,7 @@ def test_infeasible_when_capacity_short(topo):
     flows, lsps = two_lsp_instance(topo, cap0=5.0, cap1=5.0)
     with pytest.raises(Infeasible) as exc:
         ht.solve_flow_rerouting(ht.ReroutingProblem(
-            flows=flows, lsps=lsps, fr_old=FlowAssignment({0: 0, 1: 0})))
+            flows=flows, lsps=lsps, fr_old={0: 0, 1: 0}))
     assert exc.value.proven
 
 
@@ -123,8 +122,8 @@ def test_unreserved_mode_respects_link_headroom(topo):
             ht.build_lsp(topo, [0, 4, 6, 3, 7, 2], 50.0, 1),
             ht.build_lsp(topo, [0, 5, 7, 2], 50.0, 2))
     flows = (ht.Flow(0, 0, 2, 48.0, 9.0), ht.Flow(1, 0, 2, 48.0, 9.0))
-    routing = ht.LspRouting.from_lsps(lsps)
-    old = FlowAssignment({0: 0, 1: 1})
+    routing = ht.routes_of(lsps)
+    old = {0: 0, 1: 1}
     reserved = ht.solve_flow_rerouting(ht.ReroutingProblem(
         flows=flows, lsps=lsps, fr_old=old, mode=RoutingMode.RESERVED))
     assert reserved.changes == 0
@@ -133,15 +132,21 @@ def test_unreserved_mode_respects_link_headroom(topo):
         mu=0.9, routing=routing, topology=topo))
     assert unreserved.changes == 1
     # flow 0 keeps its LSP, flow 1 leaves the shared link
-    assert dict(unreserved.assignment.items()) == {0: 0, 1: 2}
+    assert unreserved.assignment == {0: 0, 1: 2}
 
 
 def test_unreserved_mode_requires_routing(topo):
     flows, lsps = two_lsp_instance(topo)
     with pytest.raises(ValidationError):
         ht.solve_flow_rerouting(ht.ReroutingProblem(
-            flows=flows, lsps=lsps, fr_old=FlowAssignment({0: 0, 1: 0}),
+            flows=flows, lsps=lsps, fr_old={0: 0, 1: 0},
             mode=RoutingMode.UNRESERVED))
+    # The routing must be the LSPs' own: not swapped, and not missing one.
+    for routing in (ht.routes_of(lsps)[::-1], ht.routes_of(lsps)[:1]):
+        with pytest.raises(ValidationError):
+            ht.solve_flow_rerouting(ht.ReroutingProblem(
+                flows=flows, lsps=lsps, fr_old={0: 0, 1: 0},
+                mode=RoutingMode.UNRESERVED, routing=routing, topology=topo))
 
 
 def deceptive_instance(topo):
@@ -152,7 +157,7 @@ def deceptive_instance(topo):
             ht.build_lsp(topo, [0, 5, 1], 4.0, 1),
             ht.build_lsp(topo, [0, 4, 6, 3, 7, 5, 1], 6.0, 2))
     flows = (ht.Flow(0, 0, 1, 6.0, 6.0), ht.Flow(1, 0, 1, 4.0, 2.0))
-    return flows, lsps, FlowAssignment({0: 1, 1: 0})
+    return flows, lsps, {0: 1, 1: 0}
 
 
 def test_deceptive_instance_solved_exactly(topo):
@@ -160,7 +165,7 @@ def test_deceptive_instance_solved_exactly(topo):
     full = ht.solve_flow_rerouting(ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=old))
     assert full.optimal
     assert full.changes == 1
-    assert dict(full.assignment.items()) == {0: 2, 1: 0}
+    assert full.assignment == {0: 2, 1: 0}
 
 
 def test_budget_abort_keeps_incumbent(topo):
@@ -169,7 +174,7 @@ def test_budget_abort_keeps_incumbent(topo):
         flows=flows, lsps=lsps, fr_old=old, node_budget=3))
     assert not capped.optimal
     assert capped.changes == 2
-    assert dict(capped.assignment.items()) == {0: 0, 1: 1}
+    assert capped.assignment == {0: 0, 1: 1}
     assert capped.nodes_explored > 3
 
 
@@ -177,7 +182,7 @@ def test_budget_abort_without_incumbent_is_unproven(topo):
     flows, lsps = two_lsp_instance(topo)
     with pytest.raises(Infeasible) as exc:
         ht.solve_flow_rerouting(ht.ReroutingProblem(
-            flows=flows, lsps=lsps, fr_old=FlowAssignment({0: 0, 1: 0}),
+            flows=flows, lsps=lsps, fr_old={0: 0, 1: 0},
             node_budget=1))
     assert not exc.value.proven
 
@@ -185,14 +190,14 @@ def test_budget_abort_without_incumbent_is_unproven(topo):
 def test_solution_counts_nodes(topo):
     flows, lsps = two_lsp_instance(topo)
     sol = ht.solve_flow_rerouting(ht.ReroutingProblem(
-        flows=flows, lsps=lsps, fr_old=FlowAssignment({0: 0, 1: 0})))
+        flows=flows, lsps=lsps, fr_old={0: 0, 1: 0}))
     assert sol.nodes_explored > 0
 
 
 def test_dump_is_deterministic_and_complete(topo):
     flows, lsps = two_lsp_instance(topo)
     problem = ht.ReroutingProblem(flows=flows, lsps=lsps,
-                                  fr_old=FlowAssignment({0: 0, 1: 0}))
+                                  fr_old={0: 0, 1: 0})
     sol = ht.solve_flow_rerouting(problem)
     text = rerouting_to_json(problem, sol)
     assert text == rerouting_to_json(problem, sol)
@@ -249,9 +254,9 @@ def test_budget_spent_in_tie_break_keeps_proven_cost():
     assert sol.optimal is True
     assert sol.nodes_explored == budget + 1
     # The first optimum found is returned, not the lexicographically smallest.
-    assert dict(full.assignment.items()) == expect[1]
+    assert full.assignment == expect[1]
     assert sol.assignment != full.assignment
-    assert sol.assignment.changes_from(problem.fr_old) == sol.changes
+    assert sum(problem.fr_old[f] != i for f, i in sol.assignment.items()) == sol.changes
     assert ht.audit_flow_assignment(problem.flows, problem.lsps, sol.assignment,
                                     mode="unreserved", mu=problem.mu, routing=problem.routing,
                                     topo=problem.topology) == []

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that raise them."""
 
 from __future__ import annotations
 
@@ -37,3 +37,18 @@ class Infeasible(HybridTeError):
     def __init__(self, message: str, proven: bool = True):
         super().__init__(message)
         self.proven = proven
+
+
+def check_keys(doc: dict, allowed, where: str) -> None:
+    """Raise ParseError when `doc` has a key outside `allowed`."""
+    unknown = sorted(doc.keys() - allowed)
+    if unknown:
+        raise ParseError(f"{where} has unknown keys {unknown}")
+
+
+def check_types(doc: dict, names, types, kind: str, where: str) -> None:
+    """Raise ParseError when one of `names` present in `doc` is not of `types`."""
+    # JSON true/false load as bools, which Python also counts as ints.
+    for name in names:
+        if name in doc and (not isinstance(doc[name], types) or isinstance(doc[name], bool)):
+            raise ParseError(f"{where} field {name!r} must be {kind}")

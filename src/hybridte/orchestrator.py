@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 
 from .baseline import shortest_path_route
-from .errors import ConfigError, Infeasible, ParseError
+from .errors import ConfigError, Infeasible, ParseError, check_keys, check_types
 from .ffr import ffr, find_proper_lsps
 from .lsp import Lsp, build_lsp, routes_of
 from .metrics import MetricsSample, compute_sample, offered_loads, write_metrics_csv
@@ -84,19 +84,13 @@ _SCENARIO_KEYS = frozenset({"topology", "traffic", "slots", "scheme", "rerouting
 
 
 _PLAN_KEYS = frozenset({"kind", "paths_per_pair", "path"})
-
-
-def _check_numbers(doc: dict, names, types, kind: str, prefix: str = "") -> None:
-    # JSON true/false load as bools, which Python also counts as ints.
-    for name in names:
-        if name in doc and (not isinstance(doc[name], types) or isinstance(doc[name], bool)):
-            raise ParseError(f"scenario field {prefix + name!r} must be {kind}")
+_TRAFFIC_KEYS = frozenset(f.name for f in dataclasses.fields(TrafficConfig)) - {"seed"}
 
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Read a scenario JSON file; relative paths resolve against its directory.
-    Unknown keys (top level and `lsp_plan`), non-integer counts and non-number
-    thresholds are rejected, not defaulted."""
+    Unknown keys (top level, `lsp_plan` and `traffic`, which takes no `seed`),
+    non-integer counts and non-number thresholds are rejected, not defaulted."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             doc = json.load(fp)
@@ -106,25 +100,33 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ParseError(f"scenario {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
-    unknown = sorted(doc.keys() - _SCENARIO_KEYS)
-    if unknown:
-        raise ParseError(f"scenario has unknown keys {unknown}")
-    _check_numbers(doc, ("slots", "rerouting_interval", "seed"), int, "an integer")
-    _check_numbers(doc, ("mu_trigger", "mu_headroom"), (int, float), "a number")
+    check_keys(doc, _SCENARIO_KEYS, "scenario")
+    check_types(doc, ("slots", "rerouting_interval", "seed"), int, "an integer", "scenario")
+    check_types(doc, ("mu_trigger", "mu_headroom"), (int, float), "a number", "scenario")
     plan_doc = doc.get("lsp_plan", {})
     if not isinstance(plan_doc, dict):
         raise ParseError("scenario field 'lsp_plan' must be a JSON object")
-    unknown = sorted(plan_doc.keys() - _PLAN_KEYS)
-    if unknown:
-        raise ParseError(f"scenario lsp_plan has unknown keys {unknown}")
-    _check_numbers(plan_doc, ("paths_per_pair",), int, "an integer", "lsp_plan.")
+    check_keys(plan_doc, _PLAN_KEYS, "scenario lsp_plan")
+    check_types(plan_doc, ("paths_per_pair",), int, "an integer", "scenario lsp_plan")
+    traffic_doc = doc.get("traffic")
+    if not isinstance(traffic_doc, dict):
+        raise ParseError("scenario field 'traffic' must be a JSON object")
+    # The run's traffic seed is the scenario seed, so the traffic object has none.
+    check_keys(traffic_doc, _TRAFFIC_KEYS, "scenario traffic")
+    check_types(traffic_doc, ("max_flows_per_source", "min_flows_per_source"), int,
+                "an integer", "scenario traffic")
+    check_types(traffic_doc, ("target_flow_count",), (int, type(None)), "an integer or null",
+                "scenario traffic")
+    check_types(traffic_doc, ("demand_fraction", "flow_intensity", "growth_max",
+                              "intensity_scale", "delay_stretch"), (int, float), "a number",
+                "scenario traffic")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     try:
-        traffic = TrafficConfig(**doc["traffic"])
+        traffic = TrafficConfig(**traffic_doc)
         plan = LspPlanSpec(
             kind=plan_doc.get("kind", "auto"),
             paths_per_pair=plan_doc.get("paths_per_pair", 2),
@@ -192,11 +194,17 @@ def load_lsp_plan_file(path: str, topo: NetworkTopology) -> list[Lsp]:
         raise ParseError(f"cannot read LSP plan {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"LSP plan {path!r} is not valid JSON: {exc}") from exc
-    try:
-        entries = doc["lsps"]
-        return [build_lsp(topo, e["path"], e["capacity"], i) for i, e in enumerate(entries)]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"LSP plan {path!r} is malformed: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("lsps"), list):
+        raise ParseError(f"LSP plan {path!r} must be an object with an 'lsps' list")
+    check_keys(doc, {"lsps"}, f"LSP plan {path!r}")
+    for i, e in enumerate(doc["lsps"]):
+        where = f"LSP plan {path!r} entry #{i}"
+        if not isinstance(e, dict) or e.keys() != {"path", "capacity"}:
+            raise ParseError(f"{where} must be an object with the keys 'path' and 'capacity'")
+        check_types(e, ("capacity",), (int, float), "a number", where)
+        if not isinstance(e["path"], list) or not all(type(v) is int for v in e["path"]):
+            raise ParseError(f"{where} field 'path' must be a list of node ids")
+    return [build_lsp(topo, e["path"], e["capacity"], i) for i, e in enumerate(doc["lsps"])]
 
 
 def initial_assignment(flows, lsps) -> dict[int, int]:

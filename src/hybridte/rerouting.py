@@ -5,6 +5,14 @@ per-flow delay bounds and endpoint matching (plus per-link headroom in
 unreserved mode) while moving as few flows as possible. Ties between optimal
 assignments are broken toward the lexicographically smallest LSP-id vector in
 flow-id order, so equal inputs always produce the identical solution.
+
+Every LSP serves one (src, dst) pair, so each pair's flows are searched on their
+own, in sorted pair order, on one node counter. In reserved mode the pairs share
+nothing, so their optima together are the optimum and its lexicographic minimum.
+In unreserved mode they share links: each pair is solved against the full link
+headroom, a relaxation (Geoffrion, Math. Programming Study 2, 1974) whose answers
+are optimal and lexicographically smallest whenever they fit the links together.
+When they do not, all flows are searched jointly.
 """
 
 from __future__ import annotations
@@ -84,42 +92,84 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     options = {fid: sorted(((int(lid != old[fid]), resources[lid], lid) for lid in cands),
                            key=lambda o: o[0])
                for fid, cands in candidates.items()}
-    seq = sorted(flows, key=lambda fid: (-rate[fid], fid))
-    try:
-        incumbent = search.run(seq, rate, options)
-    except BudgetExhausted:
-        if search.best is None:
-            raise Infeasible("node budget exhausted before any assignment was found",
-                             proven=False) from None
-        return ReroutingSolution(search.best, int(search.best_cost), False, search.nodes)
-    if incumbent is None:
-        raise Infeasible("no assignment satisfies capacity and delay", proven=True)
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for f in problem.flows:
+        by_pair.setdefault((f.src, f.dst), []).append(f.id)
+    parts = [by_pair[pair] for pair in sorted(by_pair)]
+    assignment, changes, optimal = _solve(search, parts, rate, options)
+    if unreserved and len(parts) > 1 and not _fits_together(search, assignment, rate, resources):
+        # The pairs overload a shared link together: search all flows jointly.
+        assignment, changes, optimal = _solve(search, [list(flows)], rate, options)
+    return ReroutingSolution(dict(sorted(assignment.items())), changes, optimal, search.nodes)
 
-    # Rebuild the optimal assignment flow id by flow id, committing the
-    # smallest LSP id that still allows a completion within the proven cost.
-    target = int(search.best_cost)
-    fixed: dict[int, int] = {}
-    changes = 0
+
+def _clear(search: Search):
+    search.load = dict.fromkeys(search.load, 0.0)
+
+
+def _fits_together(search: Search, assignment: dict[int, int], rate, resources) -> bool:
+    """Whether every flow fits on its LSP's resources with all others placed."""
+    _clear(search)
+    for fid, lid in assignment.items():
+        if not search.fits(resources[lid], rate[fid]):
+            return False
+        search.place(resources[lid], rate[fid])
+    return True
+
+
+def _solve(search: Search, parts, rate, options) -> tuple[dict[int, int], int, bool]:
+    """Minimum-change assignment of every part's flows, each part searched on
+    its own from empty loads. Returns (assignment, changes, optimal); raises
+    Infeasible when a part has none or the budget runs out before each has one."""
+    found: dict[int, int] = {}
+    costs = []
+    optimal = True
+    for part in parts:
+        _clear(search)
+        seq = sorted(part, key=lambda fid: (-rate[fid], fid))
+        try:
+            if search.run(seq, rate, options) is None:
+                raise Infeasible("no assignment satisfies capacity and delay", proven=True)
+        except BudgetExhausted:
+            # Keep the incumbent; a later part finds the budget spent at its
+            # first node and raises.
+            if search.best is None:
+                raise Infeasible("node budget exhausted before any assignment was found",
+                                 proven=False) from None
+            optimal = False
+        found.update(search.best)
+        costs.append((seq, int(search.best_cost)))
+    changes = sum(cost for _, cost in costs)
+    if not optimal:
+        return found, changes, False
+
+    # Rebuild each part's optimum flow id by flow id, committing the smallest
+    # LSP id that still allows a completion within the part's proven cost.
     try:
-        for fid in sorted(flows):
-            rest = [g for g in seq if g > fid]
-            for step, res, lid in sorted(options[fid], key=lambda o: o[2]):
-                if not search.fits(res, rate[fid]):
-                    continue
-                search.place(res, rate[fid])
-                if search.run(rest, rate, options, target - changes - step + 1,
-                              first=True) is not None:
-                    break
-                search.remove(res, rate[fid])
-            else:
-                raise RuntimeError("tie-break reconstruction lost a proven-feasible instance")
-            fixed[fid] = lid
-            changes += step
-        return ReroutingSolution(fixed, target, True, search.nodes)
+        for seq, target in costs:
+            _clear(search)
+            fixed: dict[int, int] = {}
+            spent = 0
+            for fid in sorted(seq):
+                rest = [g for g in seq if g > fid]
+                for step, res, lid in sorted(options[fid], key=lambda o: o[2]):
+                    if not search.fits(res, rate[fid]):
+                        continue
+                    search.place(res, rate[fid])
+                    if search.run(rest, rate, options, target - spent - step + 1,
+                                  first=True) is not None:
+                        break
+                    search.remove(res, rate[fid])
+                else:
+                    raise RuntimeError("tie-break reconstruction lost a proven-feasible instance")
+                fixed[fid] = lid
+                spent += step
+            found.update(fixed)
     except BudgetExhausted:
-        # Cost optimality is already proven; fall back to the incumbent when
-        # the budget runs out before the tie-break pass finishes.
-        return ReroutingSolution(incumbent, target, True, search.nodes)
+        # Cost optimality is already proven; the parts not rebuilt when the
+        # budget runs out keep the first optimum found.
+        pass
+    return found, changes, True
 
 
 def rerouting_to_json(problem: ReroutingProblem, solution: ReroutingSolution | None = None) -> str:

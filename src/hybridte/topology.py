@@ -12,7 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import ParseError, UnreachableError, ValidationError
+from .errors import (ParseError, UnreachableError, ValidationError, check_keys,
+                     check_types)
 
 
 @dataclass(frozen=True, order=True)
@@ -52,9 +53,9 @@ class NetworkTopology:
                 raise ValidationError(f"self-loop at node {ln.src}")
             if (ln.src, ln.dst) in by_pair:
                 raise ValidationError(f"duplicate link ({ln.src},{ln.dst})")
-            if ln.bandwidth <= 0:
+            if not ln.bandwidth > 0:  # also catches NaN, which JSON input can carry
                 raise ValidationError(f"link ({ln.src},{ln.dst}) bandwidth must be positive")
-            if ln.delay < 0:
+            if not ln.delay >= 0:
                 raise ValidationError(f"link ({ln.src},{ln.dst}) delay must be nonnegative")
             by_pair[(ln.src, ln.dst)] = ln
             out[ln.src].append(ln)
@@ -123,44 +124,43 @@ def serialize_topology(topo: NetworkTopology) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_TOPOLOGY_KEYS = frozenset({"nodes", "edge_nodes", "links"})
+_LINK_KEYS = frozenset({"src", "dst", "bandwidth", "delay"})
+
+
 def load_topology(text: str) -> NetworkTopology:
-    """Parse topology JSON. ParseError on malformed input, ValidationError on bad structure."""
+    """Parse topology JSON. ParseError on malformed input (unknown keys, and
+    node ids or link figures of the wrong type), ValidationError on bad
+    structure."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"topology is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("topology document must be a JSON object")
+    check_keys(doc, _TOPOLOGY_KEYS, "topology")
     try:
         nodes = doc["nodes"]
         edge_nodes = doc["edge_nodes"]
         raw_links = doc["links"]
     except KeyError as exc:
         raise ParseError(f"topology document missing key {exc}") from exc
-    if not isinstance(nodes, int) or isinstance(nodes, bool):
-        raise ParseError("'nodes' must be an integer")
+    check_types(doc, ("nodes",), int, "an integer", "topology")
     if not isinstance(raw_links, list) or not isinstance(edge_nodes, list):
         raise ParseError("'links' and 'edge_nodes' must be lists")
+    if not all(type(v) is int for v in edge_nodes):  # a JSON true/false loads as a bool
+        raise ParseError("edge_nodes entries must be integers")
     links = []
     for k, entry in enumerate(raw_links):
         if not isinstance(entry, dict):
             raise ParseError(f"link #{k} must be an object")
-        try:
-            links.append(
-                Link(
-                    src=int(entry["src"]),
-                    dst=int(entry["dst"]),
-                    bandwidth=float(entry["bandwidth"]),
-                    delay=float(entry["delay"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"link #{k} is malformed: {exc}") from exc
-    try:
-        edge_set = frozenset(int(v) for v in edge_nodes)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"edge_nodes entries must be integers: {exc}") from exc
-    return NetworkTopology(node_count=nodes, links=tuple(links), edge_nodes=edge_set)
+        if entry.keys() != _LINK_KEYS:
+            raise ParseError(f"link #{k} has keys {sorted(entry)}, not {sorted(_LINK_KEYS)}")
+        check_types(entry, ("src", "dst"), int, "an integer", f"link #{k}")
+        check_types(entry, ("bandwidth", "delay"), (int, float), "a number", f"link #{k}")
+        links.append(Link(entry["src"], entry["dst"], float(entry["bandwidth"]),
+                          float(entry["delay"])))
+    return NetworkTopology(node_count=nodes, links=tuple(links), edge_nodes=frozenset(edge_nodes))
 
 
 def load_topology_file(path: str) -> NetworkTopology:

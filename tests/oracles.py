@@ -93,9 +93,11 @@ def best_rerouting(flows, lsps, fr_old, mode="reserved", mu=0.9,
     the mapping is the lexicographically smallest optimum in flow-id order,
     or None when nothing is feasible."""
     flows = sorted(flows, key=lambda f: f.id)
-    lsp_ids = sorted(l.id for l in lsps)
+    # Only an LSP with the flow's endpoints can carry it; listing those alone
+    # keeps multi-pair instances small enough to enumerate.
+    choices = [sorted(l.id for l in lsps if (l.src, l.dst) == (f.src, f.dst)) for f in flows]
     best = None
-    for combo in itertools.product(lsp_ids, repeat=len(flows)):
+    for combo in itertools.product(*choices):
         assign = {f.id: lid for f, lid in zip(flows, combo)}
         if not rerouting_feasible(flows, lsps, assign, mode, mu, routing, topo):
             continue
@@ -198,6 +200,43 @@ def random_rerouting_instance(rng: np.random.Generator, max_flows: int = 5,
     mode = "unreserved" if rng.uniform() < 0.4 else "reserved"
     routing = routes_of(lsps)
     return topo, flows, lsps, fr_old, mode, routing
+
+
+def random_multipair_rerouting_instance(rng: np.random.Generator, max_flows: int = 2,
+                                        max_lsps: int = 2):
+    """Instance with 2-3 endpoint pairs over a small random topology, each
+    pair with 1..max_lsps LSPs and 1..max_flows flows. Flow and LSP ids are
+    shuffled across the pairs, and every flow starts on an LSP of its pair.
+    Returns the solver inputs."""
+    while True:
+        topo = random_topology(rng)
+        pairs = [(a, b) for a in range(topo.node_count) for b in range(topo.node_count)
+                 if a != b and all_simple_paths(topo, a, b)]
+        if len(pairs) >= 2:
+            break
+    picks = rng.choice(len(pairs), size=min(len(pairs), int(rng.integers(2, 4))), replace=False)
+    lsp_specs, flow_specs = [], []
+    for src, dst in (pairs[int(k)] for k in picks):
+        paths = all_simple_paths(topo, src, dst)
+        specs = [(paths[int(rng.integers(len(paths)))], float(rng.uniform(4.0, 12.0)))
+                 for _ in range(int(rng.integers(1, max_lsps + 1)))]
+        max_pd = max(sum(topo.link_lookup(*p).delay for p in links_of_path(nodes))
+                     for nodes, _ in specs)
+        lsp_specs += specs
+        flow_specs += [(src, dst, float(rng.uniform(0.5, 6.0)),
+                        float(rng.uniform(1.0, 1.5)) * max_pd)
+                       for _ in range(int(rng.integers(1, max_flows + 1)))]
+    lsp_ids = [int(i) for i in rng.permutation(len(lsp_specs))]
+    lsps = tuple(sorted((build_lsp(topo, nodes, cap, i)
+                         for i, (nodes, cap) in zip(lsp_ids, lsp_specs)), key=lambda l: l.id))
+    flow_ids = [int(i) for i in rng.permutation(len(flow_specs))]
+    flows = tuple(sorted((Flow(i, *spec) for i, spec in zip(flow_ids, flow_specs)),
+                         key=lambda f: f.id))
+    fr_old = {}
+    for f in flows:
+        own = [l.id for l in lsps if (l.src, l.dst) == (f.src, f.dst)]
+        fr_old[f.id] = own[int(rng.integers(len(own)))]
+    return topo, flows, lsps, fr_old, routes_of(lsps)
 
 
 def random_recreation_instance(rng: np.random.Generator, max_requests: int = 3):

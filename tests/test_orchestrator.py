@@ -26,6 +26,15 @@ def parse_events(events):
 
 # -- mini network used by the crafted runs: two edge nodes, two cores --
 
+MINI_TRAFFIC = {
+    "demand_fraction": 0.04,
+    "flow_intensity": 0.8,
+    "max_flows_per_source": 1,
+    "growth_max": 0.10,
+    "delay_stretch": 2.0,
+}
+
+
 def write_mini_files(tmp_path, bandwidth=100.0, lsp_cap=8.0, plan=None, **scenario_overrides):
     topo_doc = {"nodes": 4, "edge_nodes": [0, 1], "links": []}
     for a, b in ((0, 2), (2, 1), (0, 3), (3, 1)):
@@ -44,13 +53,7 @@ def write_mini_files(tmp_path, bandwidth=100.0, lsp_cap=8.0, plan=None, **scenar
         "mu_headroom": 0.9,
         "rerouting_interval": 5,
         "lsp_plan": {"kind": "file", "path": "plan.json"},
-        "traffic": {
-            "demand_fraction": 0.04,
-            "flow_intensity": 0.8,
-            "max_flows_per_source": 1,
-            "growth_max": 0.10,
-            "delay_stretch": 2.0,
-        },
+        "traffic": MINI_TRAFFIC,
     }
     scenario.update(scenario_overrides)
     path = tmp_path / "scenario.json"
@@ -243,6 +246,22 @@ def test_lsp_plan_file_round_trip(tmp_path):
     assert plan[0].capacity == 8.0
 
 
+def test_lsp_plan_file_is_strict(tmp_path):
+    write_mini_files(tmp_path)
+    topo = ht.load_topology_file(str(tmp_path / "topo.json"))
+    entry = {"path": [0, 2, 1], "capacity": 8.0}
+    for bad in ({"lsps": [entry], "note": "x"}, {"lsps": [{**entry, "capcity": 8.0}]},
+                {"lsps": [{"path": [0, 2, 1]}]}, {"lsps": [{**entry, "capacity": True}]},
+                {"lsps": [{**entry, "capacity": "8"}]}, {"lsps": [{**entry, "path": [0, 2.0, 1]}]},
+                {"lsps": [{**entry, "path": [False, 2, 1]}]}, {"lsps": [entry, "x"]},
+                {"lsps": {"0": entry}}, [entry]):
+        (tmp_path / "plan.json").write_text(json.dumps(bad))
+        with pytest.raises(ParseError):
+            load_lsp_plan_file(str(tmp_path / "plan.json"), topo)
+    (tmp_path / "plan.json").write_text(json.dumps({"lsps": [{**entry, "capacity": 8}]}))
+    assert load_lsp_plan_file(str(tmp_path / "plan.json"), topo)[0].capacity == 8
+
+
 def test_scenario_loader_errors(tmp_path):
     with pytest.raises(ParseError, match="missing.json"):
         ht.load_scenario(str(tmp_path / "missing.json"))
@@ -279,6 +298,21 @@ def test_scenario_config_validation(tmp_path):
         path = write_mini_files(tmp_path, **bad)
         with pytest.raises(ParseError):
             ht.load_scenario(path)
+    # The traffic seed is the scenario seed, so the traffic object may not set one.
+    for bad in ({"seed": 3}, {"max_flows_per_source": True}, {"max_flows_per_source": 2.5},
+                {"min_flows_per_source": True}, {"min_flows_per_source": 0.5},
+                {"growth_max": True}, {"growth_max": "0.1"}, {"target_flow_count": 4.5},
+                {"demand_fractoin": 0.04}):
+        path = write_mini_files(tmp_path, traffic={**MINI_TRAFFIC, **bad})
+        with pytest.raises(ParseError):
+            ht.load_scenario(path)
+    for bad in ([MINI_TRAFFIC], None):
+        path = write_mini_files(tmp_path, traffic=bad)
+        with pytest.raises(ParseError):
+            ht.load_scenario(path)
+    path = write_mini_files(tmp_path, traffic={**MINI_TRAFFIC, "target_flow_count": None,
+                                               "growth_max": 0, "min_flows_per_source": 0})
+    assert ht.load_scenario(path).traffic.growth_max == 0
 
 
 def test_config_echo_is_complete_and_serializable():

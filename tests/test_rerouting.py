@@ -209,26 +209,39 @@ def test_dump_is_deterministic_and_complete(topo):
     assert doc["old_assignment"] == {"0": 0, "1": 0}
 
 
-# (max_flows, seed, mode) -> (LSP of each flow in id order, changes, optimal,
-# nodes_explored), recorded from the solver. A search that branches, prunes
-# or counts nodes differently changes at least one of these.
+# (generator, max_flows, seed, mode) -> (LSP of each flow in id order, changes,
+# optimal, nodes_explored), recorded from the solver. A search that branches,
+# prunes or counts nodes differently changes at least one of these. The "one"
+# instances have a single endpoint pair; the "multi" ones have 2-3, and in
+# unreserved mode seeds 1795 and 1945 need the joint search.
 PINNED = {
-    (8, 149, "reserved"): ((0, 0, 3, 0, 0, 2, 2), 5, True, 75),
-    (8, 149, "unreserved"): ((0, 0, 3, 0, 0, 2, 2), 5, True, 75),
-    (8, 625, "reserved"): ((1, 0, 1, 2, 2, 2, 0), 2, True, 46),
-    (8, 625, "unreserved"): ((1, 0, 1, 2, 1, 2, 0), 3, True, 63),
-    (6, 684, "reserved"): ((0, 2, 1, 1, 3), 1, True, 36),
-    (6, 684, "unreserved"): ((0, 1, 3, 0, 3), 2, True, 39),
-    (8, 1448, "reserved"): ((2, 0, 3, 1, 2, 1), 1, True, 34),
-    (8, 1448, "unreserved"): ((2, 0, 3, 3, 2, 1), 1, True, 52),
-    (4, 1211, "reserved"): ((3, 3, 1, 2), 0, True, 15),
-    (4, 1211, "unreserved"): ((3, 1, 0, 1), 3, True, 20),
+    ("one", 8, 149, "reserved"): ((0, 0, 3, 0, 0, 2, 2), 5, True, 75),
+    ("one", 8, 149, "unreserved"): ((0, 0, 3, 0, 0, 2, 2), 5, True, 75),
+    ("one", 8, 625, "reserved"): ((1, 0, 1, 2, 2, 2, 0), 2, True, 46),
+    ("one", 8, 625, "unreserved"): ((1, 0, 1, 2, 1, 2, 0), 3, True, 63),
+    ("one", 6, 684, "reserved"): ((0, 2, 1, 1, 3), 1, True, 36),
+    ("one", 6, 684, "unreserved"): ((0, 1, 3, 0, 3), 2, True, 39),
+    ("one", 8, 1448, "reserved"): ((2, 0, 3, 1, 2, 1), 1, True, 34),
+    ("one", 8, 1448, "unreserved"): ((2, 0, 3, 3, 2, 1), 1, True, 52),
+    ("one", 4, 1211, "reserved"): ((3, 3, 1, 2), 0, True, 15),
+    ("one", 4, 1211, "unreserved"): ((3, 1, 0, 1), 3, True, 20),
+    ("multi", 4, 1795, "reserved"): ((1, 3, 3, 4, 6, 0, 0, 3, 6, 4, 6), 2, True, 49),
+    ("multi", 4, 1795, "unreserved"): ((3, 1, 3, 4, 6, 2, 0, 3, 6, 4, 6), 2, True, 265),
+    ("multi", 4, 1945, "reserved"): ((4, 5, 3, 3, 2, 0, 0), 2, True, 34),
+    ("multi", 4, 1945, "unreserved"): ((1, 5, 3, 3, 2, 0, 0), 3, True, 94),
+    ("multi", 4, 2495, "reserved"): ((1, 4, 1, 7, 3, 2, 6, 6, 0, 0), 3, True, 40),
+    ("multi", 4, 2495, "unreserved"): ((4, 1, 1, 7, 3, 2, 6, 6, 0, 0), 3, True, 42),
 }
 
 
-def pinned_instance(max_flows, seed, mode, **overrides):
-    topo_r, flows, lsps, fr_old, _, routing = oracles.random_rerouting_instance(
-        np.random.default_rng(seed), max_flows, 4)
+def pinned_instance(generator, max_flows, seed, mode, **overrides):
+    rng = np.random.default_rng(seed)
+    if generator == "multi":
+        topo_r, flows, lsps, fr_old, routing = oracles.random_multipair_rerouting_instance(
+            rng, max_flows, 3)
+    else:
+        topo_r, flows, lsps, fr_old, _, routing = oracles.random_rerouting_instance(
+            rng, max_flows, 4)
     return ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=fr_old, mode=RoutingMode(mode),
                                routing=routing, topology=topo_r, **overrides)
 
@@ -244,9 +257,9 @@ def test_search_trajectory_is_pinned():
 def test_budget_spent_in_tie_break_keeps_proven_cost():
     # One node short of a full solve: the first phase proves the optimum,
     # and the budget runs out while the tie-break pass rebuilds it.
-    full = ht.solve_flow_rerouting(pinned_instance(8, 149, "unreserved"))
+    full = ht.solve_flow_rerouting(pinned_instance("one", 8, 149, "unreserved"))
     budget = full.nodes_explored - 1
-    problem = pinned_instance(8, 149, "unreserved", node_budget=budget)
+    problem = pinned_instance("one", 8, 149, "unreserved", node_budget=budget)
     sol = ht.solve_flow_rerouting(problem)
     expect = oracles.best_rerouting(problem.flows, problem.lsps, problem.fr_old, "unreserved",
                                     problem.mu, problem.routing, problem.topology)
@@ -260,3 +273,90 @@ def test_budget_spent_in_tie_break_keeps_proven_cost():
     assert ht.audit_flow_assignment(problem.flows, problem.lsps, sol.assignment,
                                     mode="unreserved", mu=problem.mu, routing=problem.routing,
                                     topo=problem.topology) == []
+
+
+def test_multi_pair_instances_match_exhaustive_enumeration():
+    # Each endpoint pair is searched on its own; the answers put together
+    # must be the joint optimum and its lexicographic tie-break, in both modes.
+    rng = np.random.default_rng(31)
+    seen = {"reserved": [0, 0, 0], "unreserved": [0, 0, 0]}  # infeasible, unmoved, moved
+    for _ in range(200):
+        topo_r, flows, lsps, fr_old, routing = oracles.random_multipair_rerouting_instance(
+            rng, 3, 2)
+        assert len({(f.src, f.dst) for f in flows}) >= 2
+        for mode in ("reserved", "unreserved"):
+            expect = oracles.best_rerouting(flows, lsps, fr_old, mode, 0.9, routing, topo_r)
+            problem = ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=fr_old,
+                                          mode=RoutingMode(mode), mu=0.9,
+                                          routing=routing, topology=topo_r)
+            if expect is None:
+                with pytest.raises(Infeasible) as exc:
+                    ht.solve_flow_rerouting(problem)
+                assert exc.value.proven
+                seen[mode][0] += 1
+                continue
+            sol = ht.solve_flow_rerouting(problem)
+            assert sol.optimal
+            assert sol.changes == expect[0]
+            assert sol.assignment == expect[1]
+            assert list(sol.assignment) == sorted(sol.assignment)
+            seen[mode][1 + (sol.changes > 0)] += 1
+    for mode, counts in seen.items():
+        assert min(counts) >= 5, (mode, counts)
+
+
+def test_unreserved_pairs_that_overload_a_shared_link_are_searched_jointly(topo):
+    # Flows 0->2 and 1->2 each fit on their upper-plane LSP alone, but
+    # together they put 100 units on links 4->6 and 6->2 (headroom 90), so the
+    # pair answers fail the link check and the joint search moves one flow.
+    lsps = (ht.build_lsp(topo, [0, 4, 6, 2], 60.0, 0), ht.build_lsp(topo, [0, 5, 7, 2], 60.0, 1),
+            ht.build_lsp(topo, [1, 4, 6, 2], 60.0, 2), ht.build_lsp(topo, [1, 5, 7, 2], 60.0, 3))
+    flows = (ht.Flow(0, 0, 2, 50.0, 9.0), ht.Flow(1, 1, 2, 50.0, 9.0))
+    old = {0: 0, 1: 2}
+    routing = ht.routes_of(lsps)
+    reserved = ht.solve_flow_rerouting(ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=old))
+    assert (reserved.assignment, reserved.changes) == (old, 0)
+    sol = ht.solve_flow_rerouting(ht.ReroutingProblem(
+        flows=flows, lsps=lsps, fr_old=old, mode=RoutingMode.UNRESERVED, mu=0.9,
+        routing=routing, topology=topo))
+    expect = oracles.best_rerouting(flows, lsps, old, "unreserved", 0.9, routing, topo)
+    assert expect == (1, {0: 0, 1: 3})
+    assert (sol.changes, sol.assignment, sol.optimal) == (*expect, True)
+
+
+def test_node_budget_is_shared_by_every_pair():
+    # Every budget up to a full solve, on a 3-pair instance whose unreserved
+    # form also needs the joint search: the one node counter never runs more
+    # than one node past the budget, a proven cost is the true optimum, and an
+    # exhausted budget yields an unproven incumbent or an unproven Infeasible.
+    for mode in ("reserved", "unreserved"):
+        problem = pinned_instance("multi", 4, 1945, mode)
+        expect = oracles.best_rerouting(problem.flows, problem.lsps, problem.fr_old, mode,
+                                        problem.mu, problem.routing, problem.topology)
+        full = ht.solve_flow_rerouting(problem)
+        outcomes = set()
+        for budget in range(1, full.nodes_explored + 1):
+            problem = pinned_instance("multi", 4, 1945, mode, node_budget=budget)
+            try:
+                sol = ht.solve_flow_rerouting(problem)
+            except Infeasible as exc:
+                assert not exc.proven
+                outcomes.add("unproven infeasible")
+                continue
+            assert sol.nodes_explored <= budget + 1
+            assert sum(problem.fr_old[f] != i for f, i in sol.assignment.items()) == sol.changes
+            assert ht.audit_flow_assignment(problem.flows, problem.lsps, sol.assignment,
+                                            mode=mode, mu=problem.mu, routing=problem.routing,
+                                            topo=problem.topology) == []
+            if not sol.optimal:
+                assert sol.nodes_explored == budget + 1 and sol.changes >= expect[0]
+                outcomes.add("incumbent")
+                continue
+            assert sol.changes == expect[0]
+            if sol.nodes_explored <= budget:
+                assert sol.assignment == expect[1]
+                outcomes.add("solved")
+            else:
+                outcomes.add("tie-break cut short")
+        assert outcomes == {"unproven infeasible", "incumbent", "tie-break cut short",
+                            "solved"}, mode

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import hybridte as ht
 from hybridte.errors import ParseError, UnreachableError, ValidationError
 
 import oracles
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def test_reference_shape():
@@ -80,6 +83,19 @@ def test_shortest_delay_unreachable():
     '{"nodes": 3, "links": []}',
     '{"nodes": "three", "edge_nodes": [0], "links": []}',
     '{"nodes": 3, "edge_nodes": [0], "links": [{"src": 0}]}',
+    # Wrong types are rejected, not coerced, and unknown keys are not ignored.
+    '{"nodes": 3, "edge_nodes": [0], "links": [{"src": 0.7, "dst": 1, "bandwidth": 1, "delay": 1}]}',
+    '{"nodes": 3, "edge_nodes": [0], "links": [{"src": 0, "dst": true, "bandwidth": 1, "delay": 1}]}',
+    '{"nodes": 3, "edge_nodes": [0], "links": [{"src": 0, "dst": 1, "bandwidth": true, "delay": 1}]}',
+    '{"nodes": 3, "edge_nodes": [0], "links": [{"src": 0, "dst": 1, "bandwidth": 1, "delay": false}]}',
+    '{"nodes": 3, "edge_nodes": [0], "links": [{"src": 0, "dst": 1, "bandwidth": "1", "delay": 1}]}',
+    '{"nodes": 3, "edge_nodes": [0], "links": [{"src": 0, "dst": 1, "bandwith": 1, "delay": 1}]}',
+    '{"nodes": 3, "edge_nodes": [0], "links": [{"src": 0, "dst": 1, "bandwidth": 1, "delay": 1,'
+    ' "cost": 2}]}',
+    '{"nodes": 3, "edge_nodes": [1.9], "links": [{"src": 0, "dst": 1, "bandwidth": 1, "delay": 1}]}',
+    '{"nodes": 3, "edge_nodes": [true], "links": [{"src": 0, "dst": 1, "bandwidth": 1, "delay": 1}]}',
+    '{"nodes": true, "edge_nodes": [0], "links": [{"src": 0, "dst": 1, "bandwidth": 1, "delay": 1}]}',
+    '{"nodes": 3, "edge_nodes": [0], "links": [], "name": "lab"}',
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
@@ -98,6 +114,10 @@ def test_parse_errors(text):
         {"src": 0, "dst": 1, "bandwidth": 1, "delay": 1},
         {"src": 0, "dst": 1, "bandwidth": 2, "delay": 1},
     ]},
+    {"nodes": 3, "edge_nodes": [0], "links": [
+        {"src": 0, "dst": 1, "bandwidth": float("nan"), "delay": 1}]},
+    {"nodes": 3, "edge_nodes": [0], "links": [
+        {"src": 0, "dst": 1, "bandwidth": 1, "delay": float("nan")}]},
 ])
 def test_validation_errors(doc):
     with pytest.raises(ValidationError):
@@ -113,6 +133,17 @@ def test_missing_file_named_in_error(tmp_path):
 def test_links_of_path():
     assert ht.links_of_path((0, 4, 6, 2)) == ((0, 4), (4, 6), (6, 2))
     assert ht.links_of_path((7,)) == ()
+
+
+def test_shipped_topology_and_integer_figures_load():
+    topo = ht.load_topology_file(os.path.join(SCENARIOS, "reference_topology.json"))
+    assert topo == ht.reference_topology()
+    # Integer bandwidth and delay are numbers too.
+    topo = ht.load_topology(json.dumps({
+        "nodes": 2, "edge_nodes": [0, 1],
+        "links": [{"src": 0, "dst": 1, "bandwidth": 10, "delay": 2}],
+    }))
+    assert topo.link_lookup(0, 1) == ht.Link(0, 1, 10.0, 2.0)
 
 
 def test_random_topologies_round_trip():

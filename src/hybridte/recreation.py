@@ -83,11 +83,45 @@ def enumerate_simple_paths(topo: NetworkTopology, src: int, dst: int,
     return _enumerate(topo, src, dst, delay_budget, limit)[0]
 
 
+def _old_routing_feasible(problem: RecreationProblem, old: tuple, headroom: dict) -> bool:
+    """Whether each request's old route is a simple src->dst path within its
+    delay budget and the routes, placed one after another, keep every link
+    within the reservation headroom."""
+    topo = problem.topology
+    search = Search(headroom, problem.node_budget)
+    for req, route in zip(problem.requests, old):
+        if not req.capacity > 0:
+            return False  # the full solver raises on capacities <= 0
+        node, seen, delay = req.src, {req.src}, 0.0
+        for pair in route:
+            ln = topo._by_pair.get(pair)
+            if ln is None or ln.src != node or ln.dst in seen:
+                return False
+            delay += ln.delay  # summed in path order, as _enumerate does
+            if delay > req.delay_budget:
+                return False
+            node = ln.dst
+            seen.add(node)
+        if node != req.dst or not search.fits(route, req.capacity):
+            return False
+        search.place(route, req.capacity)
+    return True
+
+
 def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
-    """Solve one re-creation instance; raises Infeasible when no routing exists."""
+    """Solve one re-creation instance; raises Infeasible when no routing exists.
+
+    A still-feasible old routing is returned as is, at cost 0, without
+    enumerating candidate paths: 0 is a lower bound on any routing's cost.
+    Its node count, n + 1, is the kernel's first descent, so the shortcut
+    applies only when the node budget allows that descent."""
     topo = problem.topology
     n = len(problem.requests)
     old = problem.lr_old or ()
+    headroom = {(l.src, l.dst): problem.mu * l.bandwidth for l in topo.links}
+    if (len(old) >= n and n < problem.node_budget
+            and _old_routing_feasible(problem, old, headroom)):
+        return RecreationSolution(tuple(old[:n]), 0, True, n + 1)
     any_truncated = False
     options: list[list[tuple]] = []
     for i, req in enumerate(problem.requests):
@@ -107,8 +141,7 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
         options.append(sorted(((len(old_links.symmetric_difference(links)), links, links)
                                for links in paths), key=lambda o: o[0]))
 
-    search = Search({(l.src, l.dst): problem.mu * l.bandwidth for l in topo.links},
-                    problem.node_budget)
+    search = Search(headroom, problem.node_budget)
     order = sorted(range(n), key=lambda i: (len(options[i]), i))
     aborted = False
     try:

@@ -47,13 +47,13 @@ class TrafficConfig:
     seed: int = 0
 
     def validate(self, topo: NetworkTopology) -> None:
-        if self.demand_fraction <= 0:
+        if not self.demand_fraction > 0:  # also catches NaN, which JSON input can carry
             raise ConfigError("demand_fraction must be positive")
         if self.max_flows_per_source < 1:
             raise ConfigError("max_flows_per_source must be at least 1")
-        if self.growth_max < 0:
+        if not self.growth_max >= 0:
             raise ConfigError("growth_max must be nonnegative")
-        if self.delay_stretch < 1:
+        if not self.delay_stretch >= 1:
             raise ConfigError("delay_stretch must be at least 1")
         if self.min_flows_per_source not in (0, 1):
             raise ConfigError("min_flows_per_source must be 0 or 1")
@@ -67,7 +67,7 @@ class TrafficConfig:
             )
 
     def geometric_p(self, topo: NetworkTopology) -> float:
-        if self.flow_intensity <= 0 or self.intensity_scale <= 0:
+        if not (self.flow_intensity > 0 and self.intensity_scale > 0):
             raise ConfigError("flow_intensity and intensity_scale must be positive")
         return 1.0 / (self.flow_intensity * self.intensity_scale * topo.node_count)
 
@@ -129,7 +129,7 @@ def generate_flows(topo: NetworkTopology, cfg: TrafficConfig) -> tuple[Flow, ...
 
 def grow_flows(flows, growth_max: float, seed) -> tuple[Flow, ...]:
     """Scale each rate by (1 + u), u uniform on [0, growth_max), one draw per flow."""
-    if growth_max < 0:
+    if not growth_max >= 0:
         raise ConfigError("growth_max must be nonnegative")
     rng = np.random.default_rng(seed)
     grown = []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hybridte as ht
+from hybridte import recreation
 from hybridte.errors import Infeasible, ValidationError
 from hybridte.recreation import recreation_to_json
 from hybridte.topology import Link, NetworkTopology, links_of_path
@@ -156,6 +157,9 @@ def test_enumeration_argument_validation(topo):
         ht.enumerate_simple_paths(topo, 0, 2, limit=0)
 
 
+UP, DOWN = ((0, 1), (1, 3)), ((0, 2), (2, 3))  # the square's two routes from 0 to 3
+
+
 def test_overloaded_link_forces_one_lsp_aside(square):
     old = (((0, 1), (1, 3)), ((0, 1), (1, 3)))
     reqs = (ht.LspRequest(0, 3, 6.0, 10.0), ht.LspRequest(0, 3, 6.0, 10.0))
@@ -222,9 +226,13 @@ def test_missing_old_routing_counts_full_path(square):
 
 
 def test_capacity_validation(square):
-    with pytest.raises(ValidationError):
-        ht.solve_lsp_recreation(ht.RecreationProblem(
-            requests=(ht.LspRequest(0, 3, 0.0, 4.0),), topology=square))
+    # The last two old routings are feasible but for the bad capacity.
+    for requests, lr_old in (((ht.LspRequest(0, 3, 0.0, 4.0),), None),
+                             ((ht.LspRequest(0, 3, 0.0, 4.0),), (UP,)),
+                             ((ht.LspRequest(0, 3, 6.0), ht.LspRequest(0, 3, -1.0)), (UP, DOWN))):
+        with pytest.raises(ValidationError):
+            ht.solve_lsp_recreation(ht.RecreationProblem(
+                requests=requests, topology=square, lr_old=lr_old))
 
 
 def test_determinism(square):
@@ -276,3 +284,89 @@ def test_search_trajectory_is_pinned():
     assert _outcome(contested_ring_problem(node_budget=20)) == (moved, 10, False, 21)
     # Without an old routing every path costs its length, so the bound is not zero.
     assert _outcome(contested_ring_problem(lr_old=None)) == (moved, 13, True, 31)
+
+
+def _square_pair(capacity=6.0, delay_budget=10.0):
+    return ht.LspRequest(0, 3, capacity, delay_budget)
+
+
+@pytest.mark.parametrize("spec, expect", [
+    # over the headroom: both old routes share UP's links
+    (dict(requests=(_square_pair(),) * 2, lr_old=(UP, UP), mu=1.0),
+     ((UP, DOWN), 4, True, 3)),
+    # over the delay budget, with no path inside it
+    (dict(requests=(_square_pair(1.0, 1.5),), lr_old=(UP,)),
+     ("infeasible", True, "request 0: no simple path within the delay budget")),
+    # over the delay budget, with a shorter path inside it
+    (dict(requests=(ht.LspRequest(0, 3, 20.0, 3.0),), topology=ring14(),
+          lr_old=(((0, 7), (7, 6), (6, 13), (13, 3)),)),
+     ((((0, 6), (6, 13), (13, 3)),), 3, True, 2)),
+    # wrong source, then wrong destination
+    (dict(requests=(_square_pair(),), lr_old=(((2, 3),),)), ((DOWN,), 1, True, 2)),
+    (dict(requests=(_square_pair(),), lr_old=(((0, 1),),)), ((UP,), 1, True, 2)),
+    # links that do not chain, and a link the topology lacks
+    (dict(requests=(_square_pair(),), lr_old=(((0, 1), (2, 3)),)), ((UP,), 2, True, 2)),
+    (dict(requests=(_square_pair(),), lr_old=(((0, 3),),)), ((UP,), 3, True, 2)),
+    # a walk that returns to its source
+    (dict(requests=(_square_pair(),), lr_old=(((0, 1), (1, 0), (0, 2), (2, 3)),)),
+     ((DOWN,), 2, True, 2)),
+    # an old routing shorter than the requests, and none at all
+    (dict(requests=(_square_pair(),) * 2, lr_old=(UP,)), ((UP, DOWN), 2, True, 3)),
+    (dict(requests=(_square_pair(),) * 2, lr_old=None), ((UP, DOWN), 4, True, 3)),
+])
+def test_old_routing_that_is_not_feasible_is_searched(square, spec, expect):
+    # Outcomes of the full search, pinned: the kept-routing shortcut must not
+    # answer any of these.
+    assert _outcome(ht.RecreationProblem(**{"topology": square, **spec})) == expect
+
+
+def test_old_routing_is_kept_within_the_node_budget(square):
+    # Keeping n old routes counts the kernel's first descent, n + 1 nodes; a
+    # budget that cannot pay for it stops the search as before.
+    for budget in (1, 2, 3, 4):
+        problem = ht.RecreationProblem(requests=(_square_pair(),) * 2, topology=square,
+                                       lr_old=(UP, DOWN), node_budget=budget)
+        if budget <= 2:
+            assert _outcome(problem) == (
+                "infeasible", False, "search stopped before any feasible routing was found")
+        else:
+            assert _outcome(problem) == ((UP, DOWN), 0, True, 3)
+
+
+def test_old_route_beyond_the_path_limit_is_kept(square):
+    # Only UP is among the first path_limit candidates, so a search over them
+    # would move the LSP there; the old route needs no candidate list.
+    assert ht.enumerate_simple_paths(square, 0, 3, limit=1) == [(0, 1, 3)]
+    problem = ht.RecreationProblem(requests=(_square_pair(),), topology=square,
+                                   lr_old=(DOWN,), path_limit=1)
+    assert _outcome(problem) == ((DOWN,), 0, True, 2)
+
+
+def test_kept_routing_is_optimal_when_enumeration_would_truncate(square):
+    # Cost 0 is a lower bound on any routing, so keeping the old one is proven
+    # optimal however many candidates the limit cuts off.
+    problem = ht.RecreationProblem(requests=(_square_pair(),), topology=square,
+                                   lr_old=(UP,), path_limit=1)
+    assert _outcome(problem) == ((UP,), 0, True, 2)
+
+
+def test_kept_routing_matches_the_search(monkeypatch):
+    rng = np.random.default_rng(2024)
+    instances = [oracles.random_recreation_instance(rng) for _ in range(300)]
+    got = [_outcome(ht.RecreationProblem(requests=reqs, topology=t, lr_old=lr_old, mu=mu))
+           for t, reqs, lr_old, mu in instances]
+    monkeypatch.setattr(recreation, "_old_routing_feasible", lambda *args: False)
+    kept = searched = 0
+    for (t, reqs, lr_old, mu), outcome in zip(instances, got):
+        problem = ht.RecreationProblem(requests=reqs, topology=t, lr_old=lr_old, mu=mu)
+        assert outcome == _outcome(problem)
+        feasible = (ht.audit_lsp_routing(reqs, lr_old, t, mu=mu) == []
+                    and all(len(oracles.all_simple_paths(t, r.src, r.dst, r.delay_budget))
+                            <= problem.path_limit for r in reqs))
+        if feasible:
+            assert outcome == (lr_old, 0, True, len(reqs) + 1)
+            assert oracles.best_recreation(reqs, t, lr_old, mu) == 0
+            kept += 1
+        else:
+            searched += 1
+    assert kept >= 50 and searched >= 50

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,12 @@ def test_target_flow_count(topo):
     dict(flow_intensity=0.0),
     dict(intensity_scale=-2.0),
     dict(min_flows_per_source=2),
+    # NaN fails every comparison, so each check must be written to reject it
+    dict(demand_fraction=math.nan),
+    dict(growth_max=math.nan),
+    dict(delay_stretch=math.nan),
+    dict(flow_intensity=math.nan),
+    dict(intensity_scale=math.nan),
 ])
 def test_config_validation(topo, bad):
     with pytest.raises(ConfigError):

@@ -39,7 +39,7 @@ def build_lsp(topo: NetworkTopology, path: list[int] | tuple[int, ...], capacity
         raise InvalidPathError("path needs at least two nodes")
     if len(set(path)) != len(path):
         raise InvalidPathError(f"path {list(path)} repeats a node")
-    if capacity <= 0:
+    if not capacity > 0:  # also catches NaN, which JSON input can carry
         raise ValidationError("capacity must be positive")
     delay = 0.0
     for a, b in links_of_path(tuple(path)):

@@ -10,11 +10,11 @@ that differ from the old routing.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 
 from .bnb import BudgetExhausted, Search
+from .dumps import block, routes, scalar
 from .errors import Infeasible, ValidationError
 from .topology import NetworkTopology, links_of_path
 
@@ -125,7 +125,7 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     any_truncated = False
     options: list[list[tuple]] = []
     for i, req in enumerate(problem.requests):
-        if req.capacity <= 0:
+        if not req.capacity > 0:
             raise ValidationError(f"request {i}: capacity must be positive")
         # The topology is immutable, so its enumerations are memoized on it.
         key = (req.src, req.dst, req.delay_budget, problem.path_limit)
@@ -160,25 +160,17 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
 
 def recreation_to_json(problem: RecreationProblem, solution: RecreationSolution | None = None) -> str:
     """Deterministic JSON dump of one instance (and optionally its solution)."""
-    doc = {
-        "type": "lsp_recreation",
-        "mu": problem.mu,
-        "path_limit": problem.path_limit,
-        "node_budget": problem.node_budget,
-        "requests": [
-            {
-                "id": i, "src": r.src, "dst": r.dst, "capacity": r.capacity,
-                "delay_budget": None if math.isinf(r.delay_budget) else r.delay_budget,
-            }
-            for i, r in enumerate(problem.requests)
-        ],
-        "old_routing": [[list(p) for p in links] for links in problem.lr_old or ()],
-    }
+    requests = ",\n".join(
+        f'    {{\n      "capacity": {scalar(r.capacity)},\n      "delay_budget": '
+        f'{"null" if math.isinf(r.delay_budget) else scalar(r.delay_budget)},\n'
+        f'      "dst": {scalar(r.dst)},\n      "id": {i},\n      "src": {scalar(r.src)}\n    }}'
+        for i, r in enumerate(problem.requests))
+    text = (f'{{\n  "mu": {scalar(problem.mu)},\n  "node_budget": {scalar(problem.node_budget)},\n'
+            f'  "old_routing": {routes(problem.lr_old or (), "  ")},\n'
+            f'  "path_limit": {scalar(problem.path_limit)},\n  "requests": {block(requests, "  ")}')
     if solution is not None:
-        doc["solution"] = {
-            "routing": [[list(p) for p in links] for links in solution.routing],
-            "changed_entries": solution.changed_entries,
-            "optimal": solution.optimal,
-            "nodes_explored": solution.nodes_explored,
-        }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text += (f',\n  "solution": {{\n    "changed_entries": {scalar(solution.changed_entries)},\n'
+                 f'    "nodes_explored": {scalar(solution.nodes_explored)},\n'
+                 f'    "optimal": {scalar(solution.optimal)},\n'
+                 f'    "routing": {routes(solution.routing, "    ")}\n  }}')
+    return text + ',\n  "type": "lsp_recreation"\n}\n'

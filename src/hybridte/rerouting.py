@@ -17,11 +17,11 @@ When they do not, all flows are searched jointly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 from .bnb import BudgetExhausted, Search
+from .dumps import block, id_map, pairs, scalar
 from .errors import Infeasible, ValidationError
 from .topology import NetworkTopology
 
@@ -174,29 +174,23 @@ def _solve(search: Search, parts, rate, options) -> tuple[dict[int, int], int, b
 
 def rerouting_to_json(problem: ReroutingProblem, solution: ReroutingSolution | None = None) -> str:
     """Deterministic JSON dump of one instance (and optionally its solution)."""
-    doc = {
-        "type": "flow_rerouting",
-        "mode": problem.mode.value,
-        "mu": problem.mu,
-        "node_budget": problem.node_budget,
-        "flows": [
-            {"id": f.id, "src": f.src, "dst": f.dst, "rate": f.rate, "max_delay": f.max_delay}
-            for f in sorted(problem.flows, key=lambda f: f.id)
-        ],
-        "lsps": [
-            {
-                "id": l.id, "src": l.src, "dst": l.dst, "capacity": l.capacity,
-                "prop_delay": l.prop_delay, "links": [list(p) for p in l.links],
-            }
-            for l in sorted(problem.lsps, key=lambda l: l.id)
-        ],
-        "old_assignment": {str(fid): lid for fid, lid in problem.fr_old.items()},
-    }
+    flows = ",\n".join(
+        f'    {{\n      "dst": {scalar(f.dst)},\n      "id": {scalar(f.id)},\n'
+        f'      "max_delay": {scalar(f.max_delay)},\n      "rate": {scalar(f.rate)},\n'
+        f'      "src": {scalar(f.src)}\n    }}'
+        for f in sorted(problem.flows, key=lambda f: f.id))
+    lsps = ",\n".join(
+        f'    {{\n      "capacity": {scalar(l.capacity)},\n      "dst": {scalar(l.dst)},\n'
+        f'      "id": {scalar(l.id)},\n      "links": {pairs(l.links, "      ")},\n'
+        f'      "prop_delay": {scalar(l.prop_delay)},\n      "src": {scalar(l.src)}\n    }}'
+        for l in sorted(problem.lsps, key=lambda l: l.id))
+    text = (f'{{\n  "flows": {block(flows, "  ")},\n  "lsps": {block(lsps, "  ")},\n'
+            f'  "mode": "{problem.mode.value}",\n  "mu": {scalar(problem.mu)},\n'
+            f'  "node_budget": {scalar(problem.node_budget)},\n'
+            f'  "old_assignment": {id_map(problem.fr_old, "  ")}')
     if solution is not None:
-        doc["solution"] = {
-            "assignment": {str(fid): lid for fid, lid in solution.assignment.items()},
-            "changes": solution.changes,
-            "optimal": solution.optimal,
-            "nodes_explored": solution.nodes_explored,
-        }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text += (f',\n  "solution": {{\n    "assignment": {id_map(solution.assignment, "    ")},\n'
+                 f'    "changes": {scalar(solution.changes)},\n'
+                 f'    "nodes_explored": {scalar(solution.nodes_explored)},\n'
+                 f'    "optimal": {scalar(solution.optimal)}\n  }}')
+    return text + ',\n  "type": "flow_rerouting"\n}\n'

@@ -131,9 +131,9 @@ def grow_flows(flows, growth_max: float, seed) -> tuple[Flow, ...]:
     """Scale each rate by (1 + u), u uniform on [0, growth_max), one draw per flow."""
     if not growth_max >= 0:
         raise ConfigError("growth_max must be nonnegative")
-    rng = np.random.default_rng(seed)
-    grown = []
-    for f in flows:
-        u = float(rng.uniform(0.0, growth_max)) if growth_max > 0 else 0.0
-        grown.append(Flow(f.id, f.src, f.dst, f.rate * (1.0 + u), f.max_delay))
-    return tuple(grown)
+    if growth_max > 0:
+        draws = np.random.default_rng(seed).uniform(0.0, growth_max, len(flows)).tolist()
+    else:
+        draws = [0.0] * len(flows)
+    return tuple(Flow(f.id, f.src, f.dst, f.rate * (1.0 + u), f.max_delay)
+                 for f, u in zip(flows, draws))

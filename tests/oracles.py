@@ -1,4 +1,5 @@
-"""Brute-force reference implementations and random instance generators.
+"""Brute-force reference implementations, random instance generators and the
+reference rendering of `--dump-lp` instances.
 
 Everything here is deliberately naive: exhaustive enumeration and plain
 Python sums, so solver results can be checked against an implementation
@@ -8,6 +9,7 @@ with no shared logic.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -260,3 +262,61 @@ def random_recreation_instance(rng: np.random.Generator, max_requests: int = 3):
     lr_old = tuple(old_routes)
     mu = float(rng.uniform(0.5, 1.0))
     return topo, tuple(requests), lr_old, mu
+
+
+def rerouting_dump(problem, solution=None) -> str:
+    """A re-routing instance (and its solution) as `--dump-lp` writes it,
+    built as a document and encoded by json itself."""
+    doc = {
+        "type": "flow_rerouting",
+        "mode": problem.mode.value,
+        "mu": problem.mu,
+        "node_budget": problem.node_budget,
+        "flows": [
+            {"id": f.id, "src": f.src, "dst": f.dst, "rate": f.rate, "max_delay": f.max_delay}
+            for f in sorted(problem.flows, key=lambda f: f.id)
+        ],
+        "lsps": [
+            {
+                "id": l.id, "src": l.src, "dst": l.dst, "capacity": l.capacity,
+                "prop_delay": l.prop_delay, "links": [list(p) for p in l.links],
+            }
+            for l in sorted(problem.lsps, key=lambda l: l.id)
+        ],
+        "old_assignment": {str(fid): lid for fid, lid in problem.fr_old.items()},
+    }
+    if solution is not None:
+        doc["solution"] = {
+            "assignment": {str(fid): lid for fid, lid in solution.assignment.items()},
+            "changes": solution.changes,
+            "optimal": solution.optimal,
+            "nodes_explored": solution.nodes_explored,
+        }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def recreation_dump(problem, solution=None) -> str:
+    """A re-creation instance (and its solution) as `--dump-lp` writes it,
+    built as a document and encoded by json itself."""
+    doc = {
+        "type": "lsp_recreation",
+        "mu": problem.mu,
+        "path_limit": problem.path_limit,
+        "node_budget": problem.node_budget,
+        "requests": [
+            {
+                "id": i, "src": r.src, "dst": r.dst, "capacity": r.capacity,
+                "delay_budget": None if math.isinf(r.delay_budget) else r.delay_budget,
+            }
+            for i, r in enumerate(problem.requests)
+        ],
+        "old_routing": [[list(p) for p in links] for links in problem.lr_old or ()],
+    }
+    if solution is not None:
+        doc["solution"] = {
+            "routing": [[list(p) for p in links] for links in solution.routing],
+            "changed_entries": solution.changed_entries,
+            "optimal": solution.optimal,
+            "nodes_explored": solution.nodes_explored,
+        }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

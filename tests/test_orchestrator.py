@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import math
 import os
 
 import pytest
 
 import hybridte as ht
-from hybridte.errors import ConfigError, ParseError
+from hybridte.errors import ConfigError, ParseError, ValidationError
 from hybridte.orchestrator import SCHEMES, load_lsp_plan_file
+from hybridte.rerouting import RoutingMode
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -159,6 +161,20 @@ def test_recreation_fires_at_the_replayed_overflow_slot(tmp_path):
     assert first["changed_entries"] == "0"
 
 
+def test_dumped_instances_are_canonical_json(tmp_path):
+    # Each --dump-lp file is exactly what json writes for its own document.
+    cfg = dataclasses.replace(ht.load_scenario(scenario_path("scenario3.json")), seed=0,
+                              scheme="exact", rerouting_mode=RoutingMode.UNRESERVED,
+                              dump_dir=str(tmp_path / "lp"))
+    ht.run_scenario(cfg)
+    names = sorted(os.listdir(tmp_path / "lp"))
+    assert any(n.endswith("_recreation.json") for n in names)
+    assert any(n.endswith("_reroute.json") for n in names)
+    for name in names:
+        text = (tmp_path / "lp" / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
+
 def run_contested_plan(tmp_path, plan):
     # Flows big enough that the flow-level step fails from slot 1 on, on
     # links whose headroom is 9 units, with every solver instance dumped.
@@ -260,6 +276,10 @@ def test_lsp_plan_file_is_strict(tmp_path):
             load_lsp_plan_file(str(tmp_path / "plan.json"), topo)
     (tmp_path / "plan.json").write_text(json.dumps({"lsps": [{**entry, "capacity": 8}]}))
     assert load_lsp_plan_file(str(tmp_path / "plan.json"), topo)[0].capacity == 8
+    # Python's json reads NaN; the capacity check rejects it.
+    (tmp_path / "plan.json").write_text(json.dumps({"lsps": [{**entry, "capacity": math.nan}]}))
+    with pytest.raises(ValidationError):
+        load_lsp_plan_file(str(tmp_path / "plan.json"), topo)
 
 
 def test_scenario_loader_errors(tmp_path):

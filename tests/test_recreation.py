@@ -235,6 +235,14 @@ def test_capacity_validation(square):
                 requests=requests, topology=square, lr_old=lr_old))
 
 
+def test_nan_capacity_is_rejected(square):
+    # UP is a feasible old route, so the kept-routing check sees the NaN first.
+    for lr_old in (None, (UP,)):
+        with pytest.raises(ValidationError):
+            ht.solve_lsp_recreation(ht.RecreationProblem(
+                requests=(ht.LspRequest(0, 3, math.nan, 4.0),), topology=square, lr_old=lr_old))
+
+
 def test_determinism(square):
     reqs = (ht.LspRequest(0, 3, 6.0, 10.0), ht.LspRequest(0, 3, 6.0, 10.0))
     old = (((0, 1), (1, 3)), ((0, 1), (1, 3)))

@@ -83,6 +83,18 @@ def test_zero_growth_is_identity(topo):
     assert ht.grow_flows(flows, 0.0, (1, 1)) == flows
 
 
+def test_growth_draws_match_one_scalar_draw_per_flow(topo):
+    flows = ht.generate_flows(topo, cfg())
+    for seed in ((1, 1), (3, 7), 11):
+        for growth_max in (0.0, 0.02, 0.5):
+            rng = np.random.default_rng(seed)
+            expect = tuple(
+                ht.Flow(f.id, f.src, f.dst, f.rate * (1.0 + (
+                    float(rng.uniform(0.0, growth_max)) if growth_max > 0 else 0.0)), f.max_delay)
+                for f in flows)
+            assert ht.grow_flows(flows, growth_max, seed) == expect
+
+
 def test_growth_mean_near_half_cap(topo):
     flows = ht.generate_flows(topo, cfg())
     ratios = []

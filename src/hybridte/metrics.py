@@ -19,7 +19,6 @@ class MetricsSample:
     avg_link_utilization: float
     avg_path_length: float
     packet_loss: float
-    per_link_load: tuple[tuple[tuple[int, int], float], ...]
 
 
 def offered_loads(flows, paths: dict[int, tuple[tuple[int, int], ...]]) -> dict[tuple[int, int], float]:
@@ -58,12 +57,7 @@ def compute_sample(slot: int, flows, paths: dict[int, tuple[tuple[int, int], ...
     delivered = _delivered(flows, paths, topo, loads)
     throughput = sum(delivered.values())
     offered = sum(f.rate for f in flows)
-    utils = []
-    per_link = []
-    for ln in topo.links:
-        load = loads.get((ln.src, ln.dst), 0.0)
-        utils.append(min(1.0, load / ln.bandwidth))
-        per_link.append(((ln.src, ln.dst), load))
+    utils = [min(1.0, loads.get((ln.src, ln.dst), 0.0) / ln.bandwidth) for ln in topo.links]
     avg_util = sum(utils) / len(utils) if utils else 0.0
     avg_len = (sum(len(paths[f.id]) for f in flows) / len(flows)) if flows else 0.0
     return MetricsSample(
@@ -72,7 +66,6 @@ def compute_sample(slot: int, flows, paths: dict[int, tuple[tuple[int, int], ...
         avg_link_utilization=avg_util,
         avg_path_length=avg_len,
         packet_loss=offered - throughput,
-        per_link_load=tuple(per_link),
     )
 
 

@@ -162,7 +162,7 @@ def recreation_to_json(problem: RecreationProblem, solution: RecreationSolution 
     """Deterministic JSON dump of one instance (and optionally its solution)."""
     requests = ",\n".join(
         f'    {{\n      "capacity": {scalar(r.capacity)},\n      "delay_budget": '
-        f'{"null" if math.isinf(r.delay_budget) else scalar(r.delay_budget)},\n'
+        f'{"null" if r.delay_budget == math.inf else scalar(r.delay_budget)},\n'
         f'      "dst": {scalar(r.dst)},\n      "id": {i},\n      "src": {scalar(r.src)}\n    }}'
         for i, r in enumerate(problem.requests))
     text = (f'{{\n  "mu": {scalar(problem.mu)},\n  "node_budget": {scalar(problem.node_budget)},\n'

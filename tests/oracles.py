@@ -306,7 +306,7 @@ def recreation_dump(problem, solution=None) -> str:
         "requests": [
             {
                 "id": i, "src": r.src, "dst": r.dst, "capacity": r.capacity,
-                "delay_budget": None if math.isinf(r.delay_budget) else r.delay_budget,
+                "delay_budget": None if r.delay_budget == math.inf else r.delay_budget,
             }
             for i, r in enumerate(problem.requests)
         ],

@@ -37,12 +37,17 @@ def test_traced_runs_pass_the_benchmark_checks():
                               seed=0, rerouting_mode=RoutingMode.UNRESERVED)
     tracer = probes.Tracer()
     tracer.capture = True
+    events = {}
     with probes.patched(tracer.wrappers()):
         for scheme in ("exact", "ffr"):
             tracer.run_tag = scheme
-            orchestrator.run_scenario(dataclasses.replace(cfg, scheme=scheme))
-    assert [tag for tag, _, _ in tracer.recreations].count("exact") == 9
-    assert [tag for tag, _, _ in tracer.recreations].count("ffr") == 6
+            result = orchestrator.run_scenario(dataclasses.replace(cfg, scheme=scheme))
+            events[scheme] = result.events
+    # Each run escalates 9 and 6 times; a re-creation equal to the one before
+    # reuses its answer, so the solver sees only the first.
+    for scheme, escalations in (("exact", 9), ("ffr", 6)):
+        assert sum(" event=recreate" in line for line in events[scheme]) == escalations
+        assert [tag for tag, _, _ in tracer.recreations].count(scheme) == 1
     assert tracer.reroutings
     assert probes.audit_captures(tracer) == set()
     paths, _ = probes.replay_enumeration(tracer)

@@ -108,4 +108,9 @@ def test_recreation_edge_cases():
         check_recreation(problem)
         check_recreation(problem, ht.RecreationSolution(routing, 4, False, 9))
         check_recreation(problem, ht.RecreationSolution((), 0, True, 1))
+    # Only +inf, no budget at all, is null; -inf, which no path meets, is kept.
+    budgets = [line.strip() for line in recreation_to_json(problem).splitlines()
+               if '"delay_budget"' in line]
+    assert budgets == ['"delay_budget": null,', '"delay_budget": -Infinity,',
+                       '"delay_budget": NaN,', '"delay_budget": 4.0,']
     check_recreation(ht.RecreationProblem((), topo))

@@ -1,7 +1,7 @@
 import pytest
 
 import hybridte as ht
-from hybridte.metrics import CSV_HEADER, metrics_csv_rows
+from hybridte.metrics import CSV_HEADER, metrics_csv_rows, offered_loads
 from hybridte.topology import links_of_path
 
 
@@ -52,9 +52,9 @@ def test_sample_aggregates(topo):
     assert s.avg_path_length == pytest.approx(2.0)
     # 4 loaded links at 0.5 and 0.3, 16 idle, averaged over all 20
     assert s.avg_link_utilization == pytest.approx((2 * 0.5 + 2 * 0.3) / 20.0)
-    loads = dict(s.per_link_load)
+    loads = offered_loads(flows, paths)
     assert loads[(0, 4)] == pytest.approx(50.0)
-    assert loads[(4, 6)] == 0.0
+    assert (4, 6) not in loads  # idle
 
 
 def test_utilization_caps_at_one(topo):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import os
 import pytest
 
 import hybridte as ht
+from hybridte import orchestrator
 from hybridte.errors import ConfigError, ParseError, ValidationError
 from hybridte.orchestrator import SCHEMES, load_lsp_plan_file
 from hybridte.rerouting import RoutingMode
@@ -175,6 +177,25 @@ def test_dumped_instances_are_canonical_json(tmp_path):
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
 
 
+def record_solver_calls(monkeypatch):
+    """Wrap both solvers in the orchestrator's namespace; returns the list of
+    (kind, varying inputs) of every call, in call order."""
+    calls = []
+
+    def recording(kind, solve, key):
+        def wrapper(problem):
+            calls.append((kind, key(problem)))
+            return solve(problem)
+        return wrapper
+
+    monkeypatch.setattr(orchestrator, "solve_flow_rerouting", recording(
+        "reroute", orchestrator.solve_flow_rerouting,
+        lambda p: (p.flows, p.lsps, dict(p.fr_old), p.routing)))
+    monkeypatch.setattr(orchestrator, "solve_lsp_recreation", recording(
+        "recreate", orchestrator.solve_lsp_recreation, lambda p: (p.requests, p.lr_old)))
+    return calls
+
+
 def run_contested_plan(tmp_path, plan):
     # Flows big enough that the flow-level step fails from slot 1 on, on
     # links whose headroom is 9 units, with every solver instance dumped.
@@ -185,8 +206,9 @@ def run_contested_plan(tmp_path, plan):
     return ht.run_scenario(cfg)
 
 
-def test_recreation_that_moves_an_lsp_rebuilds_it(tmp_path):
+def test_recreation_that_moves_an_lsp_rebuilds_it(tmp_path, monkeypatch):
     # Two 5-unit LSPs share link 0->2, so re-creation moves one of them.
+    calls = record_solver_calls(monkeypatch)
     plan = (([0, 2, 1], 5.0), ([0, 2, 1], 5.0), ([1, 2, 0], 4.0))
     events = parse_events(run_contested_plan(tmp_path, plan).events)
     first = next(e for e in events if e["event"].startswith("recreate"))
@@ -195,6 +217,10 @@ def test_recreation_that_moves_an_lsp_rebuilds_it(tmp_path):
     doc = json.loads((tmp_path / "lp" / "slot001_reroute_retry.json").read_text())
     assert [(l["links"], l["prop_delay"]) for l in doc["lsps"][:2]] == [
         ([[0, 2], [2, 1]], 2.0), ([[0, 3], [3, 1]], 2.0)]
+    # The rebuilt LSPs make the retry a new instance, so the solver runs again.
+    assert [kind for kind, _ in calls[:3]] == ["reroute", "recreate", "reroute"]
+    (_, first), _, (_, retry) = calls[:3]
+    assert retry[1] != first[1]  # the LSPs
 
 
 def test_infeasible_recreation_keeps_the_run_going(tmp_path):
@@ -207,6 +233,54 @@ def test_infeasible_recreation_keeps_the_run_going(tmp_path):
     assert next(e for e in events if e["event"] == "recreate_infeasible")["proven"] == "True"
     assert "solution" not in json.loads((tmp_path / "lp" / "slot001_recreation.json").read_text())
     assert [s.slot for s in result.samples] == list(range(12))
+
+
+def run_with_dumps(tmp_path, name, scheme, mode):
+    """Run a shipped scenario with every solver instance dumped and return
+    (files, sha256) over events.log and the lp/ files, in name order."""
+    cfg = dataclasses.replace(ht.load_scenario(scenario_path(name)), scheme=scheme,
+                              rerouting_mode=mode, dump_dir=str(tmp_path / "lp"))
+    ht.write_run_result(ht.run_scenario(cfg), str(tmp_path))
+    names = ["events.log"] + [f"lp/{n}" for n in sorted(os.listdir(tmp_path / "lp"))]
+    digest = hashlib.sha256()
+    for n in names:
+        digest.update(n.encode() + b"\0" + (tmp_path / n).read_bytes() + b"\0")
+    return len(names), digest.hexdigest()
+
+
+@pytest.mark.parametrize("name, scheme, mode, files, sha256", [
+    ("scenario3.json", "exact", RoutingMode.UNRESERVED, 8,
+     "73b9bfb420be77cd7ba6c4280ca306ef8f5d762e6f94924ffc5068f0c13b3181"),
+    ("scenario4.json", "exact", RoutingMode.RESERVED, 49,
+     "ada7f3c0e6eccbfc71e8d3a251f2389d734ccb2012d8db12a8cffb08da227545"),
+    ("scenario4.json", "ffr", RoutingMode.RESERVED, 16,
+     "5c881ea57ab382c4764f0a33bb5675997e77a0af2baa369bca3184f28e79c53b"),
+])
+def test_outputs_are_pinned(tmp_path, name, scheme, mode, files, sha256):
+    # Recorded before repeated solver instances reused their answers.
+    assert run_with_dumps(tmp_path, name, scheme, mode) == (files, sha256)
+
+
+@pytest.mark.parametrize("scheme", ["exact", "ffr"])
+def test_repeated_instances_are_not_solved_again(tmp_path, monkeypatch, scheme):
+    calls = record_solver_calls(monkeypatch)
+    cfg = dataclasses.replace(ht.load_scenario(scenario_path("scenario4.json")), scheme=scheme,
+                              dump_dir=str(tmp_path / "lp"))
+    events = parse_events(ht.run_scenario(cfg).events)
+    for kind in ("reroute", "recreate"):
+        keys = [key for k, key in calls if k == kind]
+        assert all(a != b for a, b in zip(keys, keys[1:])), kind
+    recreations = [e for e in events if e["event"] == "recreate"]
+    assert 0 < sum(k == "recreate" for k, _ in calls) < len(recreations)
+    if scheme == "exact":
+        # Every retry follows a re-creation that kept every route, so it is the
+        # slot's first instance again and only that one is solved.
+        assert all(e["changed_entries"] == "0" for e in recreations)
+        assert sum(k == "reroute" for k, _ in calls) == len(recreations)
+        lp = tmp_path / "lp"
+        for e in recreations:
+            retry = (lp / f"slot{e['slot']:03d}_reroute_retry.json").read_bytes()
+            assert retry == (lp / f"slot{e['slot']:03d}_reroute.json").read_bytes()
 
 
 def test_comparison_runs_identical_traffic():

@@ -7,7 +7,7 @@ topo = ht.reference_topology()
 
 print(f"nodes: {topo.node_count}")
 print(f"edge nodes (flow endpoints): {sorted(topo.edge_nodes)}")
-print(f"core nodes: {sorted(topo.core_nodes)}")
+print(f"core nodes: {sorted(set(range(topo.node_count)) - topo.edge_nodes)}")
 print(f"directed links: {len(topo.links)}")
 print(f"mean link bandwidth: {topo.mean_bandwidth}")
 
@@ -23,10 +23,9 @@ for node in range(topo.node_count):
 
 # Edge nodes talk through the core: two hops when they share a core pair
 # (0 with 1 on cores 4/5, 2 with 3 on cores 6/7), three hops across planes.
-assert topo.shortest_delay(0, 1) == 2.0
-assert topo.shortest_delay(2, 3) == 2.0
-assert topo.shortest_delay(0, 2) == 3.0
-assert topo.shortest_delay(1, 3) == 3.0
+assert dist[1] == 2.0 and dist[2] == 3.0
+assert topo.delay_distances(2)[3] == 2.0
+assert topo.delay_distances(1)[3] == 3.0
 
 # The JSON form is canonical: parse(serialize(t)) == t, byte-stable.
 text = ht.serialize_topology(topo)

@@ -32,7 +32,7 @@ for src in sorted(by_src):
 bound = 2.0 * cfg.demand_fraction * topo.mean_bandwidth
 for f in flows:
     assert 0.0 < f.rate < bound
-    assert f.max_delay == 2.0 * topo.shortest_delay(f.src, f.dst)
+    assert f.max_delay == 2.0 * topo.delay_distances(f.src)[f.dst]
 
 # The same seed reproduces the same population, a different seed does not.
 assert ht.generate_flows(topo, cfg) == flows

@@ -8,8 +8,8 @@ import dataclasses
 import sys
 
 from .errors import HybridTeError
-from .orchestrator import (RunResult, load_scenario, run_comparison, run_scenario,
-                           write_comparison, write_run_result)
+from .orchestrator import (load_scenario, run_comparison, run_scenario, write_comparison,
+                           write_run_result)
 from .topology import reference_topology, serialize_topology
 
 
@@ -39,10 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _final_sample(result: RunResult):
-    return result.samples[-1]
-
-
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
@@ -53,7 +49,7 @@ def _cmd_run(args) -> int:
         cfg = dataclasses.replace(cfg, dump_dir=f"{args.out}/lp")
     result = run_scenario(cfg)
     write_run_result(result, args.out)
-    last = _final_sample(result)
+    last = result.samples[-1]
     print(f"scheme={result.scheme} seed={result.seed} slots={len(result.samples)}")
     print(f"final slot {last.slot}: throughput={last.throughput:.4f} "
           f"loss={last.packet_loss:.4f} avg_util={last.avg_link_utilization:.4f}")
@@ -79,11 +75,11 @@ def _cmd_compare(args) -> int:
     results = run_comparison(cfg)
     write_comparison(results, args.out)
     base = next(r for r in results if r.scheme == "shortest_path")
-    base_tp = _final_sample(base).throughput
+    base_tp = base.samples[-1].throughput
     print(f"seed={cfg.seed} slots={cfg.slots}")
     print(f"{'scheme':<15}{'throughput':>12}{'loss':>12}{'ratio':>8}")
     for r in results:
-        last = _final_sample(r)
+        last = r.samples[-1]
         ratio = last.throughput / base_tp if base_tp > 0 else float("nan")
         print(f"{r.scheme:<15}{last.throughput:>12.4f}{last.packet_loss:>12.4f}"
               f"{ratio:>8.3f}")

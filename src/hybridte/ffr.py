@@ -25,26 +25,21 @@ class FfrResult:
     placed: frozenset = frozenset()
 
 
-def find_proper_lsps(flow: Flow, lsps, free: dict[int, float] | None = None) -> list[Lsp]:
+def find_proper_lsps(flow: Flow, lsps, free: dict[int, float]) -> list[Lsp]:
     """Admissible LSPs for the flow (endpoints and delay bound), sorted by
     free capacity descending so the roomiest candidate is tried first."""
     proper = [
         l for l in lsps
         if l.src == flow.src and l.dst == flow.dst and l.prop_delay <= flow.max_delay
     ]
-    if free is None:
-        free = {l.id: l.capacity for l in proper}
     proper.sort(key=lambda l: (-free[l.id], l.id))
     return proper
 
 
 def check_congestion(lsp: Lsp, flow: Flow, topo: NetworkTopology,
-                     load: dict[tuple[int, int], float], mu: float = 0.9,
-                     free: float | None = None) -> bool:
+                     load: dict[tuple[int, int], float], mu: float, free: float) -> bool:
     """True when the flow fits after widening the LSP with the headroom left
     on its most loaded link; `load` is the offered rate per directed link."""
-    if free is None:
-        free = lsp.capacity
     residual = min(
         mu * topo.link_lookup(*pair).bandwidth - load.get(pair, 0.0)
         for pair in lsp.links

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidPathError, ValidationError
@@ -13,7 +14,7 @@ class Lsp:
     """A reserved unidirectional tunnel along a simple path.
 
     `links` holds the (src, dst) pairs in path order; `prop_delay` is the sum
-    of the link delays and is kept consistent by the constructors below.
+    of the link delays and is kept consistent by `build_lsp`.
     """
 
     id: int
@@ -23,14 +24,6 @@ class Lsp:
     capacity: float
     prop_delay: float
 
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return (self.links[0][0],) + tuple(l[1] for l in self.links)
-
-    @property
-    def hop_count(self) -> int:
-        return len(self.links)
-
 
 def build_lsp(topo: NetworkTopology, path: list[int] | tuple[int, ...], capacity: float,
               lsp_id: int = 0) -> Lsp:
@@ -39,8 +32,8 @@ def build_lsp(topo: NetworkTopology, path: list[int] | tuple[int, ...], capacity
         raise InvalidPathError("path needs at least two nodes")
     if len(set(path)) != len(path):
         raise InvalidPathError(f"path {list(path)} repeats a node")
-    if not capacity > 0:  # also catches NaN, which JSON input can carry
-        raise ValidationError("capacity must be positive")
+    if not 0 < capacity < math.inf:  # also catches NaN, which JSON input can carry
+        raise ValidationError("capacity must be positive and finite")
     delay = 0.0
     for a, b in links_of_path(tuple(path)):
         ln = topo.link_lookup(a, b)
@@ -55,15 +48,6 @@ def build_lsp(topo: NetworkTopology, path: list[int] | tuple[int, ...], capacity
         capacity=capacity,
         prop_delay=delay,
     )
-
-
-def validate_lsp(lsp: Lsp, topo: NetworkTopology) -> None:
-    """Raise unless the LSP traces a simple path with consistent delay."""
-    rebuilt = build_lsp(topo, lsp.nodes, lsp.capacity, lsp.id)
-    if rebuilt.links != lsp.links or abs(rebuilt.prop_delay - lsp.prop_delay) > 1e-12:
-        raise InvalidPathError(f"LSP {lsp.id} is inconsistent with the topology")
-    if lsp.src != lsp.nodes[0] or lsp.dst != lsp.nodes[-1]:
-        raise InvalidPathError(f"LSP {lsp.id} endpoints disagree with its links")
 
 
 def routes_of(lsps) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .baseline import shortest_path_route
 from .errors import ConfigError, Infeasible, ParseError, check_keys, check_types
 from .ffr import ffr, find_proper_lsps
-from .lsp import Lsp, build_lsp, routes_of
+from .lsp import Lsp, build_lsp
 from .metrics import MetricsSample, compute_sample, offered_loads, write_metrics_csv
 from .recreation import (LspRequest, RecreationProblem, enumerate_simple_paths,
                          recreation_to_json, solve_lsp_recreation)
@@ -125,25 +125,14 @@ def load_scenario(path: str) -> ScenarioConfig:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
+    # Absent keys take the dataclasses' defaults; only these values are converted.
     try:
-        traffic = TrafficConfig(**traffic_doc)
-        plan = LspPlanSpec(
-            kind=plan_doc.get("kind", "auto"),
-            paths_per_pair=plan_doc.get("paths_per_pair", 2),
-            path=resolve(plan_doc["path"]) if plan_doc.get("path") else None,
-        )
-        cfg = ScenarioConfig(
-            topology_path=resolve(doc["topology"]),
-            traffic=traffic,
-            slots=doc.get("slots", 20),
-            scheme=doc.get("scheme", "ffr"),
-            rerouting_mode=RoutingMode(doc.get("rerouting_mode", "reserved")),
-            mu_trigger=doc.get("mu_trigger", 0.9),
-            mu_headroom=doc.get("mu_headroom", 0.9),
-            rerouting_interval=doc.get("rerouting_interval", 5),
-            lsp_plan=plan,
-            seed=doc.get("seed", 0),
-        )
+        plan = dict(plan_doc, path=resolve(plan_doc["path"]) if plan_doc.get("path") else None)
+        fields = dict(doc, traffic=TrafficConfig(**traffic_doc), lsp_plan=LspPlanSpec(**plan))
+        fields["topology_path"] = resolve(fields.pop("topology"))
+        if "rerouting_mode" in doc:
+            fields["rerouting_mode"] = RoutingMode(doc["rerouting_mode"])
+        cfg = ScenarioConfig(**fields)
     except KeyError as exc:
         raise ParseError(f"scenario missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -272,12 +261,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         lsps = build_auto_lsp_plan(topo, cfg.lsp_plan.paths_per_pair, cfg.mu_headroom)
     else:
         lsps = load_lsp_plan_file(cfg.lsp_plan.path, topo)
-    routing = routes_of(lsps)
+    # Both plan builders number LSPs by position, so lsps[i].id == i.
     assignment = initial_assignment(flows, lsps)
     events.append(f"slot=0 event=plan scheme={cfg.scheme} lsps={len(lsps)}")
 
     def flow_paths():
-        return {f.id: routing[assignment[f.id]] for f in flows}
+        return {f.id: lsps[assignment[f.id]].links for f in flows}
 
     # One-entry memo per solver kind (D. Michie, Nature 218:19-22, 1968). Both
     # solvers are deterministic, and mode, mu, topology, path_limit and
@@ -311,10 +300,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             problem = ReroutingProblem(
                 flows=tuple(flows), lsps=tuple(lsps), fr_old=assignment,
                 mode=cfg.rerouting_mode, mu=cfg.mu_headroom,
-                routing=routing, topology=topo,
+                routing=tuple(l.links for l in lsps), topology=topo,
             )
             sol = solve_once(
-                "reroute", (problem.flows, problem.lsps, assignment, routing), problem,
+                "reroute", (problem.flows, problem.lsps, assignment), problem,
                 solve_flow_rerouting, rerouting_to_json,
                 lambda s: f"changes={s.changes} optimal={s.optimal}",
                 f"slot={t} event={tag}", f"slot{t:03d}_{tag}.json")
@@ -331,10 +320,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         return bool(res.recreation_requests)
 
     def run_recreation(t: int):
-        nonlocal lsps, routing
+        nonlocal lsps
         budgets = _delay_budgets(flows, lsps, assignment)
-        # Both plan builders number LSPs by position, so lsps is in id order.
         requests = tuple(LspRequest(l.src, l.dst, l.capacity, budgets[l.id]) for l in lsps)
+        routing = tuple(l.links for l in lsps)
         problem = RecreationProblem(requests=requests, topology=topo,
                                     lr_old=routing, mu=cfg.mu_headroom)
         rsol = solve_once(
@@ -346,7 +335,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         lsps = [l if links == l.links else dataclasses.replace(
                     l, links=links, prop_delay=sum(topo.link_lookup(*p).delay for p in links))
                 for l, links in zip(lsps, rsol.routing)]
-        routing = rsol.routing
 
     paths = flow_paths()  # keyed by flow id, which growth keeps
     for t in range(cfg.slots):

@@ -94,7 +94,7 @@ def _old_routing_feasible(problem: RecreationProblem, old: tuple, headroom: dict
             return False  # the full solver raises on capacities <= 0
         node, seen, delay = req.src, {req.src}, 0.0
         for pair in route:
-            ln = topo._by_pair.get(pair)
+            ln = topo.link_lookup(*pair)
             if ln is None or ln.src != node or ln.dst in seen:
                 return False
             delay += ln.delay  # summed in path order, as _enumerate does
@@ -127,19 +127,15 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     for i, req in enumerate(problem.requests):
         if not req.capacity > 0:
             raise ValidationError(f"request {i}: capacity must be positive")
-        # The topology is immutable, so its enumerations are memoized on it.
-        key = (req.src, req.dst, req.delay_budget, problem.path_limit)
-        if key not in topo._paths:
-            paths, truncated = _enumerate(topo, *key)
-            topo._paths[key] = (tuple(map(links_of_path, paths)), truncated)
-        paths, truncated = topo._paths[key]
+        paths, truncated = _enumerate(topo, req.src, req.dst, req.delay_budget,
+                                      problem.path_limit)
         any_truncated = any_truncated or truncated
         if not paths:
             raise Infeasible(f"request {i}: no simple path within the delay budget",
                              proven=not truncated)
         old_links = set(old[i]) if i < len(old) else set()
         options.append(sorted(((len(old_links.symmetric_difference(links)), links, links)
-                               for links in paths), key=lambda o: o[0]))
+                               for links in map(links_of_path, paths)), key=lambda o: o[0]))
 
     search = Search(headroom, problem.node_budget)
     order = sorted(range(n), key=lambda i: (len(options[i]), i))

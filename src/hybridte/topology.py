@@ -12,8 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import (ParseError, UnreachableError, ValidationError, check_keys,
-                     check_types)
+from .errors import ParseError, ValidationError, check_keys, check_types
 
 
 @dataclass(frozen=True, order=True)
@@ -37,7 +36,6 @@ class NetworkTopology:
     edge_nodes: frozenset[int]
     _by_pair: dict = field(init=False, repr=False, compare=False)
     _out: dict = field(init=False, repr=False, compare=False)
-    _paths: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.node_count < 2:
@@ -53,10 +51,10 @@ class NetworkTopology:
                 raise ValidationError(f"self-loop at node {ln.src}")
             if (ln.src, ln.dst) in by_pair:
                 raise ValidationError(f"duplicate link ({ln.src},{ln.dst})")
-            if not ln.bandwidth > 0:  # also catches NaN, which JSON input can carry
-                raise ValidationError(f"link ({ln.src},{ln.dst}) bandwidth must be positive")
-            if not ln.delay >= 0:
-                raise ValidationError(f"link ({ln.src},{ln.dst}) delay must be nonnegative")
+            if not 0 < ln.bandwidth < math.inf:  # also catches NaN, which JSON input can carry
+                raise ValidationError(f"link ({ln.src},{ln.dst}) needs a finite positive bandwidth")
+            if not 0 <= ln.delay < math.inf:
+                raise ValidationError(f"link ({ln.src},{ln.dst}) needs a finite nonnegative delay")
             by_pair[(ln.src, ln.dst)] = ln
             out[ln.src].append(ln)
         for v in self.edge_nodes:
@@ -66,11 +64,6 @@ class NetworkTopology:
             raise ValidationError("topology needs at least one edge node")
         object.__setattr__(self, "_by_pair", by_pair)
         object.__setattr__(self, "_out", {v: tuple(sorted(ls, key=lambda l: l.dst)) for v, ls in out.items()})
-        object.__setattr__(self, "_paths", {})  # recreation's candidate paths, memoized
-
-    @property
-    def core_nodes(self) -> frozenset[int]:
-        return frozenset(range(self.node_count)) - self.edge_nodes
 
     @property
     def mean_bandwidth(self) -> float:
@@ -98,12 +91,6 @@ class NetworkTopology:
                     dist[ln.dst] = nd
                     heapq.heappush(heap, (nd, ln.dst))
         return dist
-
-    def shortest_delay(self, src: int, dst: int) -> float:
-        d = self.delay_distances(src).get(dst)
-        if d is None:
-            raise UnreachableError(f"no route from {src} to {dst}")
-        return d
 
 
 def links_of_path(path: tuple[int, ...] | list[int]) -> tuple[tuple[int, int], ...]:
@@ -150,6 +137,8 @@ def load_topology(text: str) -> NetworkTopology:
         raise ParseError("'links' and 'edge_nodes' must be lists")
     if not all(type(v) is int for v in edge_nodes):  # a JSON true/false loads as a bool
         raise ParseError("edge_nodes entries must be integers")
+    if len(set(edge_nodes)) != len(edge_nodes):
+        raise ParseError("edge_nodes repeats a node")
     links = []
     for k, entry in enumerate(raw_links):
         if not isinstance(entry, dict):

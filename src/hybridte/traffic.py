@@ -8,6 +8,7 @@ delay bound proportional to the shortest possible delay to its destination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +48,12 @@ class TrafficConfig:
     seed: int = 0
 
     def validate(self, topo: NetworkTopology) -> None:
-        if not self.demand_fraction > 0:  # also catches NaN, which JSON input can carry
-            raise ConfigError("demand_fraction must be positive")
+        if not 0 < self.demand_fraction < math.inf:  # also catches NaN, which JSON can carry
+            raise ConfigError("demand_fraction must be positive and finite")
         if self.max_flows_per_source < 1:
             raise ConfigError("max_flows_per_source must be at least 1")
-        if not self.growth_max >= 0:
-            raise ConfigError("growth_max must be nonnegative")
+        if not 0 <= self.growth_max < math.inf:
+            raise ConfigError("growth_max must be nonnegative and finite")
         if not self.delay_stretch >= 1:
             raise ConfigError("delay_stretch must be at least 1")
         if self.min_flows_per_source not in (0, 1):
@@ -129,8 +130,8 @@ def generate_flows(topo: NetworkTopology, cfg: TrafficConfig) -> tuple[Flow, ...
 
 def grow_flows(flows, growth_max: float, seed) -> tuple[Flow, ...]:
     """Scale each rate by (1 + u), u uniform on [0, growth_max), one draw per flow."""
-    if not growth_max >= 0:
-        raise ConfigError("growth_max must be nonnegative")
+    if not 0 <= growth_max < math.inf:
+        raise ConfigError("growth_max must be nonnegative and finite")
     if growth_max > 0:
         draws = np.random.default_rng(seed).uniform(0.0, growth_max, len(flows)).tolist()
     else:

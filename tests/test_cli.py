@@ -94,3 +94,16 @@ def test_unknown_subcommand_is_usage_error():
 
 def test_module_entry_point():
     import hybridte.__main__  # noqa: F401  (import must not execute main)
+
+
+def test_run_infinite_input_is_an_error_line(tmp_path, capsys):
+    # Python's json reads Infinity; it must not reach numpy's range checks.
+    with open(SCENARIO, encoding="utf-8") as fp:
+        doc = json.load(fp)
+    doc["topology"] = os.path.join(os.path.dirname(os.path.abspath(SCENARIO)), doc["topology"])
+    doc["traffic"]["demand_fraction"] = float("inf")
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(doc))
+    assert "Infinity" in path.read_text()
+    assert main(["run", str(path), "--out", str(tmp_path / "res")]) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -21,7 +21,7 @@ def test_find_proper_lsps_filters_and_sorts(topo):
             ht.build_lsp(topo, [0, 4, 6, 3, 7, 5, 1], 9.0, 2),  # too slow
             ht.build_lsp(topo, [2, 6, 3], 9.0, 3))              # wrong endpoints
     flow = ht.Flow(0, 0, 1, 2.0, 3.0)
-    proper = ht.find_proper_lsps(flow, lsps)
+    proper = ht.find_proper_lsps(flow, lsps, {l.id: l.capacity for l in lsps})
     assert [l.id for l in proper] == [1, 0]
     free = {0: 9.0, 1: 1.0, 2: 0.0, 3: 0.0}
     assert [l.id for l in ht.find_proper_lsps(flow, lsps, free)] == [0, 1]

@@ -15,9 +15,7 @@ def test_build_lsp_basics(topo):
     assert (l.src, l.dst) == (0, 2)
     assert l.links == ((0, 4), (4, 6), (6, 2))
     assert l.prop_delay == 3.0
-    assert l.nodes == (0, 4, 6, 2)
-    assert l.hop_count == 3
-    ht.validate_lsp(l, topo)
+    assert len(l.links) == 3
 
 
 @pytest.mark.parametrize("path", [
@@ -34,14 +32,6 @@ def test_build_lsp_rejects_bad_paths(topo, path):
 def test_build_lsp_rejects_bad_capacity(topo):
     with pytest.raises(ValidationError):
         ht.build_lsp(topo, [0, 4, 1], 0.0)
-
-
-def test_validate_lsp_catches_tampering(topo):
-    l = ht.build_lsp(topo, [0, 4, 1], 5.0)
-    import dataclasses
-    broken = dataclasses.replace(l, prop_delay=9.0)
-    with pytest.raises(InvalidPathError):
-        ht.validate_lsp(broken, topo)
 
 
 def test_routing_tensor(topo):

@@ -350,10 +350,11 @@ def test_lsp_plan_file_is_strict(tmp_path):
             load_lsp_plan_file(str(tmp_path / "plan.json"), topo)
     (tmp_path / "plan.json").write_text(json.dumps({"lsps": [{**entry, "capacity": 8}]}))
     assert load_lsp_plan_file(str(tmp_path / "plan.json"), topo)[0].capacity == 8
-    # Python's json reads NaN; the capacity check rejects it.
-    (tmp_path / "plan.json").write_text(json.dumps({"lsps": [{**entry, "capacity": math.nan}]}))
-    with pytest.raises(ValidationError):
-        load_lsp_plan_file(str(tmp_path / "plan.json"), topo)
+    # Python's json reads NaN and Infinity; the capacity check rejects both.
+    for bad in (math.nan, math.inf):
+        (tmp_path / "plan.json").write_text(json.dumps({"lsps": [{**entry, "capacity": bad}]}))
+        with pytest.raises(ValidationError):
+            load_lsp_plan_file(str(tmp_path / "plan.json"), topo)
 
 
 def test_scenario_loader_errors(tmp_path):
@@ -407,6 +408,15 @@ def test_scenario_config_validation(tmp_path):
     path = write_mini_files(tmp_path, traffic={**MINI_TRAFFIC, "target_flow_count": None,
                                                "growth_max": 0, "min_flows_per_source": 0})
     assert ht.load_scenario(path).traffic.growth_max == 0
+
+
+def test_absent_scenario_keys_take_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"topology": "topo.json", "traffic": MINI_TRAFFIC}))
+    expect = ht.ScenarioConfig(topology_path=str(tmp_path / "topo.json"),
+                               traffic=ht.TrafficConfig(**MINI_TRAFFIC))
+    assert (orchestrator._config_echo(ht.load_scenario(str(path)))
+            == orchestrator._config_echo(expect))
 
 
 def test_config_echo_is_complete_and_serializable():

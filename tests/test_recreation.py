@@ -91,8 +91,6 @@ def test_cached_candidates_match_oracle_on_ring():
                 ht.solve_lsp_recreation(problem)
             except Infeasible as exc:
                 assert not expect and exc.proven
-            assert topo._paths[(src, dst, budget, 10_000)] == (
-                tuple(links_of_path(p) for p in expect), False)
 
 
 def test_enumeration_matches_networkx_on_ring():
@@ -145,7 +143,6 @@ def test_path_cache_leaves_solutions_unchanged():
     for _ in range(2):
         for spec, expect in zip(specs, fresh):
             assert _outcome(ht.RecreationProblem(topology=warm, **spec)) == expect
-    assert len(warm._paths) == 4  # 7 requests per pass share 4 enumeration keys
 
 
 def test_enumeration_argument_validation(topo):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hybridte as ht
-from hybridte.errors import ParseError, UnreachableError, ValidationError
+from hybridte.errors import ParseError, ValidationError
 
 import oracles
 
@@ -17,7 +17,7 @@ def test_reference_shape():
     assert topo.node_count == 8
     assert len(topo.links) == 20
     assert topo.edge_nodes == frozenset({0, 1, 2, 3})
-    assert topo.core_nodes == frozenset({4, 5, 6, 7})
+    assert frozenset(range(topo.node_count)) - topo.edge_nodes == frozenset({4, 5, 6, 7})
 
 
 def test_reference_edges_are_lowest_degree():
@@ -26,7 +26,7 @@ def test_reference_edges_are_lowest_degree():
     ranked = sorted(range(topo.node_count), key=lambda v: (out_deg[v], v))
     assert set(ranked[:4]) == set(topo.edge_nodes)
     assert all(out_deg[v] == 2 for v in topo.edge_nodes)
-    assert all(out_deg[v] == 3 for v in topo.core_nodes)
+    assert all(out_deg[v] == 3 for v in set(range(topo.node_count)) - topo.edge_nodes)
 
 
 def test_reference_is_strongly_connected():
@@ -69,12 +69,12 @@ def test_delay_distances_match_hops_on_unit_delays():
 
 
 def test_shortest_delay_unreachable():
+    # Traffic generation raises UnreachableError for a destination left out here.
     topo = ht.load_topology(json.dumps({
         "nodes": 3, "edge_nodes": [0, 2],
         "links": [{"src": 0, "dst": 1, "bandwidth": 1, "delay": 1}],
     }))
-    with pytest.raises(UnreachableError):
-        topo.shortest_delay(0, 2)
+    assert topo.delay_distances(0) == {0: 0.0, 1: 1.0}
 
 
 @pytest.mark.parametrize("text", [
@@ -96,6 +96,7 @@ def test_shortest_delay_unreachable():
     '{"nodes": 3, "edge_nodes": [true], "links": [{"src": 0, "dst": 1, "bandwidth": 1, "delay": 1}]}',
     '{"nodes": true, "edge_nodes": [0], "links": [{"src": 0, "dst": 1, "bandwidth": 1, "delay": 1}]}',
     '{"nodes": 3, "edge_nodes": [0], "links": [], "name": "lab"}',
+    '{"nodes": 3, "edge_nodes": [0, 0, 1], "links": [{"src": 0, "dst": 1, "bandwidth": 1, "delay": 1}]}',
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
@@ -118,6 +119,10 @@ def test_parse_errors(text):
         {"src": 0, "dst": 1, "bandwidth": float("nan"), "delay": 1}]},
     {"nodes": 3, "edge_nodes": [0], "links": [
         {"src": 0, "dst": 1, "bandwidth": 1, "delay": float("nan")}]},
+    {"nodes": 3, "edge_nodes": [0], "links": [
+        {"src": 0, "dst": 1, "bandwidth": float("inf"), "delay": 1}]},
+    {"nodes": 3, "edge_nodes": [0], "links": [
+        {"src": 0, "dst": 1, "bandwidth": 1, "delay": float("inf")}]},
 ])
 def test_validation_errors(doc):
     with pytest.raises(ValidationError):

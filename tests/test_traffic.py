@@ -38,7 +38,7 @@ def test_flow_fields_well_formed(topo):
         assert f.src in topo.edge_nodes and f.dst in topo.edge_nodes
         assert f.src != f.dst
         assert 0.0 < f.rate < 2.0 * mean_rate
-        assert f.max_delay == 2.0 * topo.shortest_delay(f.src, f.dst)
+        assert f.max_delay == 2.0 * topo.delay_distances(f.src)[f.dst]
 
 
 def test_per_source_counts_within_support(topo):
@@ -126,10 +126,16 @@ def test_target_flow_count(topo):
     dict(delay_stretch=math.nan),
     dict(flow_intensity=math.nan),
     dict(intensity_scale=math.nan),
+    # Python's json reads Infinity too, and numpy cannot draw from an infinite range
+    dict(demand_fraction=math.inf),
+    dict(growth_max=math.inf),
 ])
 def test_config_validation(topo, bad):
     with pytest.raises(ConfigError):
         ht.generate_flows(topo, cfg(**bad))
+    if "growth_max" in bad:
+        with pytest.raises(ConfigError):
+            ht.grow_flows((), bad["growth_max"], 0)
 
 
 def test_intensity_governs_population(topo):

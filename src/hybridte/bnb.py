@@ -3,9 +3,9 @@
 Each item takes exactly one of its options. An option is a tuple
 `(step, resources, value)`: the change it costs, the capacitated resources it
 loads with the item's demand, and what the solver records when the item takes
-it. Options are listed in non-decreasing step order, so the first step is an
-item's cheapest and the sum of the first steps of the items still open is a
-lower bound on what they add (Land & Doig, Econometrica 28(3), 1960).
+it. Options are listed in the order they are branched on, and the sum of the
+cheapest steps of the items still open is a lower bound on what they add
+(Land & Doig, Econometrica 28(3), 1960).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class Search:
         n = len(order)
         bound = [0] * (n + 1)
         for k in range(n - 1, -1, -1):
-            bound[k] = bound[k + 1] + options[order[k]][0][0]
+            bound[k] = bound[k + 1] + min(o[0] for o in options[order[k]])
         chosen: dict = {}
         self.best = None
         self.best_cost = best_cost
@@ -82,9 +82,8 @@ class Search:
             item = order[k]
             need = demand[item]
             for step, resources, value in options[item]:
-                if cost + step + bound[k + 1] >= self.best_cost:
-                    break
-                if not self.fits(resources, need):
+                if (cost + step + bound[k + 1] >= self.best_cost
+                        or not self.fits(resources, need)):
                     continue
                 self.place(resources, need)
                 chosen[item] = value

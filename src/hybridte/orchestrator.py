@@ -57,6 +57,8 @@ class ScenarioConfig:
             raise ConfigError("slots must be at least 1")
         if self.rerouting_interval < 1:
             raise ConfigError("rerouting_interval must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not (0 < self.mu_trigger <= 1 and 0 < self.mu_headroom <= 1):
             raise ConfigError("mu_trigger and mu_headroom must lie in (0, 1]")
         if self.scheme not in SCHEMES:

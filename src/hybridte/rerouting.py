@@ -143,31 +143,16 @@ def _solve(search: Search, parts, rate, options) -> tuple[dict[int, int], int, b
     if not optimal:
         return found, changes, False
 
-    # Rebuild each part's optimum flow id by flow id, committing the smallest
-    # LSP id that still allows a completion within the part's proven cost.
+    # The first assignment within a part's proven cost that a search in flow-id
+    # order, trying LSPs in id order, finds is the part's lexicographic minimum.
+    by_id = {fid: sorted(opts, key=lambda o: o[2]) for fid, opts in options.items()}
     try:
         for seq, target in costs:
             _clear(search)
-            fixed: dict[int, int] = {}
-            spent = 0
-            for fid in sorted(seq):
-                rest = [g for g in seq if g > fid]
-                for step, res, lid in sorted(options[fid], key=lambda o: o[2]):
-                    if not search.fits(res, rate[fid]):
-                        continue
-                    search.place(res, rate[fid])
-                    if search.run(rest, rate, options, target - spent - step + 1,
-                                  first=True) is not None:
-                        break
-                    search.remove(res, rate[fid])
-                else:
-                    raise RuntimeError("tie-break reconstruction lost a proven-feasible instance")
-                fixed[fid] = lid
-                spent += step
-            found.update(fixed)
+            found.update(search.run(sorted(seq), rate, by_id, target + 1, first=True))
     except BudgetExhausted:
-        # Cost optimality is already proven; the parts not rebuilt when the
-        # budget runs out keep the first optimum found.
+        # Cost optimality is already proven; the parts not yet tie-broken when
+        # the budget runs out keep the first optimum found.
         pass
     return found, changes, True
 

@@ -54,8 +54,8 @@ class TrafficConfig:
             raise ConfigError("max_flows_per_source must be at least 1")
         if not 0 <= self.growth_max < math.inf:
             raise ConfigError("growth_max must be nonnegative and finite")
-        if not self.delay_stretch >= 1:
-            raise ConfigError("delay_stretch must be at least 1")
+        if not 1 <= self.delay_stretch < math.inf:
+            raise ConfigError("delay_stretch must be at least 1 and finite")
         if self.min_flows_per_source not in (0, 1):
             raise ConfigError("min_flows_per_source must be 0 or 1")
         if self.target_flow_count is not None and self.target_flow_count < 0:

@@ -1,9 +1,11 @@
-"""Brute-force reference implementations, random instance generators and the
-reference rendering of `--dump-lp` instances.
+"""Brute-force reference implementations, random instance generators, the
+reference rendering of `--dump-lp` instances and the reference re-routing
+tie-break.
 
 Everything here is deliberately naive: exhaustive enumeration and plain
 Python sums, so solver results can be checked against an implementation
-with no shared logic.
+with no shared logic. The one exception is `flow_by_flow_rerouting`, which
+keeps the re-routing solver's former tie-break on the shared B&B kernel.
 """
 
 from __future__ import annotations
@@ -11,9 +13,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 
+from hybridte import rerouting
+from hybridte.bnb import BudgetExhausted
+from hybridte.errors import Infeasible
 from hybridte.lsp import build_lsp, routes_of
 from hybridte.recreation import LspRequest
 from hybridte.topology import Link, NetworkTopology, links_of_path
@@ -111,6 +117,60 @@ def best_rerouting(flows, lsps, fr_old, mode="reserved", mu=0.9,
         return None
     changes, combo = best
     return changes, {f.id: lid for f, lid in zip(flows, combo)}
+
+
+def flow_by_flow_rerouting(problem):
+    """`solve_flow_rerouting` with its former tie-break, which rebuilds each
+    part's optimum flow id by flow id: it commits the smallest LSP id that
+    still allows a completion within the part's proven cost, checking each
+    candidate with one first-completion kernel run."""
+    with mock.patch.object(rerouting, "_solve", _flow_by_flow_solve):
+        return rerouting.solve_flow_rerouting(problem)
+
+
+def _flow_by_flow_solve(search, parts, rate, options):
+    found = {}
+    costs = []
+    optimal = True
+    for part in parts:
+        rerouting._clear(search)
+        seq = sorted(part, key=lambda fid: (-rate[fid], fid))
+        try:
+            if search.run(seq, rate, options) is None:
+                raise Infeasible("no assignment satisfies capacity and delay", proven=True)
+        except BudgetExhausted:
+            if search.best is None:
+                raise Infeasible("node budget exhausted before any assignment was found",
+                                 proven=False) from None
+            optimal = False
+        found.update(search.best)
+        costs.append((seq, int(search.best_cost)))
+    changes = sum(cost for _, cost in costs)
+    if not optimal:
+        return found, changes, False
+    try:
+        for seq, target in costs:
+            rerouting._clear(search)
+            fixed = {}
+            spent = 0
+            for fid in sorted(seq):
+                rest = [g for g in seq if g > fid]
+                for step, res, lid in sorted(options[fid], key=lambda o: o[2]):
+                    if not search.fits(res, rate[fid]):
+                        continue
+                    search.place(res, rate[fid])
+                    if search.run(rest, rate, options, target - spent - step + 1,
+                                  first=True) is not None:
+                        break
+                    search.remove(res, rate[fid])
+                else:
+                    raise RuntimeError("tie-break reconstruction lost a proven-feasible instance")
+                fixed[fid] = lid
+                spent += step
+            found.update(fixed)
+    except BudgetExhausted:
+        pass
+    return found, changes, True
 
 
 def best_recreation(requests, topo, lr_old, mu=0.9):

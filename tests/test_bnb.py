@@ -1,0 +1,99 @@
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from hybridte.bnb import BudgetExhausted, Search
+
+import oracles
+
+
+def random_items(rng):
+    """Items in a random branching order, each with 1-4 options in shuffled
+    step order over 1-3 capacitated resources."""
+    n = int(rng.integers(1, 6))
+    resources = list(range(int(rng.integers(1, 4))))
+    capacity = {r: float(rng.uniform(2.0, 10.0)) for r in resources}
+    demand = {i: float(rng.uniform(0.5, 5.0)) for i in range(n)}
+    options = {}
+    for i in range(n):
+        opts = []
+        for j in range(int(rng.integers(1, 5))):
+            used = tuple(r for r in resources if rng.uniform() < 0.5)
+            opts.append((int(rng.integers(0, 4)), used, (i, j)))
+        options[i] = [opts[int(k)] for k in rng.permutation(len(opts))]
+    order = [int(i) for i in rng.permutation(n)]
+    return capacity, order, demand, options
+
+
+def brute_force(capacity, order, demand, options):
+    """Every assignment that fits, as (cost, item -> value), in the order a
+    depth-first search over `order` and each item's option list meets them."""
+    found = []
+    for combo in itertools.product(*(options[i] for i in order)):
+        load = dict.fromkeys(capacity, 0.0)
+        for item, (_, used, _) in zip(order, combo):
+            for r in used:
+                load[r] += demand[item]
+        if all(oracles.within(load[r], capacity[r]) for r in capacity):
+            found.append((sum(step for step, _, _ in combo),
+                          {item: value for item, (_, _, value) in zip(order, combo)}))
+    return found
+
+
+def test_run_finds_the_cheapest_assignment():
+    rng = np.random.default_rng(5)
+    solved = 0
+    for _ in range(500):
+        capacity, order, demand, options = random_items(rng)
+        found = brute_force(capacity, order, demand, options)
+        search = Search(capacity, 10_000)
+        best = search.run(order, demand, options)
+        if not found:
+            assert best is None and search.best_cost == math.inf
+            continue
+        cost = min(c for c, _ in found)
+        assert search.best_cost == cost
+        # Only a strictly cheaper leaf replaces the incumbent, so of the
+        # optima the first one met in branching order is kept.
+        assert best == next(a for c, a in found if c == cost)
+        solved += 1
+    assert solved > 200
+
+
+def test_first_run_under_a_bound_returns_the_first_assignment():
+    rng = np.random.default_rng(7)
+    hits = 0
+    for _ in range(500):
+        capacity, order, demand, options = random_items(rng)
+        found = brute_force(capacity, order, demand, options)
+        bound = int(rng.integers(1, 2 * len(order) + 2))
+        expect = next(((c, a) for c, a in found if c < bound), None)
+        search = Search(capacity, 10_000)
+        got = search.run(order, demand, options, bound, first=True)
+        if expect is None:
+            assert got is None
+            continue
+        assert (search.best_cost, got) == expect
+        hits += 1
+    assert hits > 200
+
+
+def test_budget_runs_out_one_node_past_the_budget():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(100):
+        capacity, order, demand, options = random_items(rng)
+        full = Search(capacity, 10_000)
+        expect = full.run(order, demand, options)
+        for budget in range(full.nodes):
+            search = Search(capacity, budget)
+            with pytest.raises(BudgetExhausted):
+                search.run(order, demand, options)
+            assert search.nodes == budget + 1
+            checked += 1
+        search = Search(capacity, full.nodes)
+        assert search.run(order, demand, options) == expect
+        assert search.nodes == full.nodes
+    assert checked > 300

@@ -107,3 +107,12 @@ def test_run_infinite_input_is_an_error_line(tmp_path, capsys):
     assert "Infinity" in path.read_text()
     assert main(["run", str(path), "--out", str(tmp_path / "res")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_negative_seed_is_an_error_line(tmp_path, capsys, command):
+    # numpy rejects a negative seed with its own ValueError; the config must first.
+    assert main([command, SCENARIO, "--out", str(tmp_path / "res"), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert not (tmp_path / "res").exists()

@@ -250,7 +250,7 @@ def run_with_dumps(tmp_path, name, scheme, mode):
 
 @pytest.mark.parametrize("name, scheme, mode, files, sha256", [
     ("scenario3.json", "exact", RoutingMode.UNRESERVED, 8,
-     "73b9bfb420be77cd7ba6c4280ca306ef8f5d762e6f94924ffc5068f0c13b3181"),
+     "982b6e414ec7ce4876ffcf8ed0d2ea881067ea56a5d51669c69af64746c32f00"),
     ("scenario4.json", "exact", RoutingMode.RESERVED, 49,
      "ada7f3c0e6eccbfc71e8d3a251f2389d734ccb2012d8db12a8cffb08da227545"),
     ("scenario4.json", "ffr", RoutingMode.RESERVED, 16,
@@ -378,6 +378,9 @@ def test_scenario_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         ht.load_scenario(path)
     path = write_mini_files(tmp_path, mu_trigger=1.5)
+    with pytest.raises(ConfigError):
+        ht.load_scenario(path)
+    path = write_mini_files(tmp_path, seed=-1)
     with pytest.raises(ConfigError):
         ht.load_scenario(path)
     for bad in ({"mu_triger": 0.5}, {"slots": True}, {"seed": True},

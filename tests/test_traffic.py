@@ -129,6 +129,7 @@ def test_target_flow_count(topo):
     # Python's json reads Infinity too, and numpy cannot draw from an infinite range
     dict(demand_fraction=math.inf),
     dict(growth_max=math.inf),
+    dict(delay_stretch=math.inf),
 ])
 def test_config_validation(topo, bad):
     with pytest.raises(ConfigError):

@@ -33,38 +33,40 @@ def offered_loads(flows, paths: dict[int, tuple[tuple[int, int], ...]]) -> dict[
 def delivered_rates(flows, paths: dict[int, tuple[tuple[int, int], ...]],
                     topo: NetworkTopology) -> dict[int, float]:
     """Delivered rate per flow: offered rate scaled by the worst link's share."""
-    return _delivered(flows, paths, topo, offered_loads(flows, paths))
+    shares = _shares(topo, offered_loads(flows, paths))
+    return {f.id: rate for f, rate in zip(flows, _delivered(flows, paths, shares))}
 
 
-def _delivered(flows, paths, topo: NetworkTopology, loads) -> dict[int, float]:
-    factor: dict[tuple[int, int], float] = {}
-    for pair, load in loads.items():
-        ln = topo.link_lookup(*pair)
-        if ln is None:
-            raise KeyError(f"path uses nonexistent link {pair}")
-        factor[pair] = 1.0 if load <= ln.bandwidth else ln.bandwidth / load
-    out = {}
-    for f in flows:
-        share = min((factor[pair] for pair in paths[f.id]), default=1.0)
-        out[f.id] = f.rate * share
-    return out
+def _shares(topo: NetworkTopology, loads) -> dict[tuple[int, int], float]:
+    """bandwidth / load on each overloaded link; every other link passes all."""
+    by_pair = topo.by_pair
+    if not loads.keys() <= by_pair.keys():
+        raise KeyError(f"path uses nonexistent link {min(loads.keys() - by_pair.keys())}")
+    return {pair: by_pair[pair].bandwidth / load for pair, load in loads.items()
+            if load > by_pair[pair].bandwidth}
+
+
+def _delivered(flows, paths, shares) -> list[float]:
+    return [f.rate * min([shares.get(p, 1.0) for p in paths[f.id]], default=1.0) for f in flows]
 
 
 def compute_sample(slot: int, flows, paths: dict[int, tuple[tuple[int, int], ...]],
-                   topo: NetworkTopology) -> MetricsSample:
-    """Aggregate one slot's metrics over every flow and every directed link."""
-    loads = offered_loads(flows, paths)
-    delivered = _delivered(flows, paths, topo, loads)
-    throughput = sum(delivered.values())
-    offered = sum(f.rate for f in flows)
-    utils = [min(1.0, loads.get((ln.src, ln.dst), 0.0) / ln.bandwidth) for ln in topo.links]
-    avg_util = sum(utils) / len(utils) if utils else 0.0
-    avg_len = (sum(len(paths[f.id]) for f in flows) / len(flows)) if flows else 0.0
+                   topo: NetworkTopology, loads=None) -> MetricsSample:
+    """Aggregate one slot's metrics over every flow and every directed link.
+    `loads` are offered_loads(flows, paths) when the caller has summed them."""
+    if loads is None:
+        loads = offered_loads(flows, paths)
+    shares = _shares(topo, loads)
+    offered = sum([f.rate for f in flows])
+    # With no link overloaded every flow delivers its whole rate: the same sum.
+    throughput = sum(_delivered(flows, paths, shares)) if shares else offered
+    hops = sum([len(paths[f.id]) for f in flows])
+    utils = [min(1.0, loads.get(pair, 0.0) / ln.bandwidth) for pair, ln in topo.by_pair.items()]
     return MetricsSample(
         slot=slot,
         throughput=throughput,
-        avg_link_utilization=avg_util,
-        avg_path_length=avg_len,
+        avg_link_utilization=sum(utils) / len(utils) if utils else 0.0,
+        avg_path_length=hops / len(flows) if flows else 0.0,
         packet_loss=offered - throughput,
     )
 

@@ -340,10 +340,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     paths = flow_paths()  # keyed by flow id, which growth keeps
     for t in range(cfg.slots):
+        loads = None  # compute_sample sums them: slot 0, or the paths changed
         if t >= 1:
             flows = grow_flows(flows, traffic_cfg.growth_max, (cfg.seed, t))
-            max_util = max((load / topo.link_lookup(*pair).bandwidth
-                            for pair, load in offered_loads(flows, paths).items()), default=0.0)
+            loads = offered_loads(flows, paths)
+            max_util = max((load / topo.by_pair[pair].bandwidth
+                            for pair, load in loads.items()), default=0.0)
             periodic = t % cfg.rerouting_interval == 0
             trigger = max_util > cfg.mu_trigger or periodic
             events.append(f"slot={t} event=check scheme={cfg.scheme} "
@@ -353,8 +355,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 if run_flow_level(t, retry=False):
                     run_recreation(t)
                     run_flow_level(t, retry=True)
-                paths = flow_paths()
-        samples.append(compute_sample(t, flows, paths, topo))
+                paths, loads = flow_paths(), None
+        samples.append(compute_sample(t, flows, paths, topo, loads))
     return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
 
 

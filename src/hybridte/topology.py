@@ -34,7 +34,7 @@ class NetworkTopology:
     node_count: int
     links: tuple[Link, ...]
     edge_nodes: frozenset[int]
-    _by_pair: dict = field(init=False, repr=False, compare=False)
+    by_pair: dict = field(init=False, repr=False, compare=False)  # (src, dst) -> Link, links order
     _out: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -62,7 +62,7 @@ class NetworkTopology:
                 raise ValidationError(f"edge node {v} out of range")
         if not self.edge_nodes:
             raise ValidationError("topology needs at least one edge node")
-        object.__setattr__(self, "_by_pair", by_pair)
+        object.__setattr__(self, "by_pair", by_pair)
         object.__setattr__(self, "_out", {v: tuple(sorted(ls, key=lambda l: l.dst)) for v, ls in out.items()})
 
     @property
@@ -71,7 +71,7 @@ class NetworkTopology:
 
     def link_lookup(self, src: int, dst: int) -> Link | None:
         """Return the link src->dst, or None when absent."""
-        return self._by_pair.get((src, dst))
+        return self.by_pair.get((src, dst))
 
     def out_links(self, node: int) -> tuple[Link, ...]:
         """Links leaving `node`, sorted by destination."""

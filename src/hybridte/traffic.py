@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +18,7 @@ from .errors import ConfigError, UnreachableError
 from .topology import NetworkTopology
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     id: int
     src: int
     dst: int
@@ -60,6 +60,8 @@ class TrafficConfig:
             raise ConfigError("min_flows_per_source must be 0 or 1")
         if self.target_flow_count is not None and self.target_flow_count < 0:
             raise ConfigError("target_flow_count must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         p = self.geometric_p(topo)
         if not 0 < p <= 1:
             raise ConfigError(
@@ -136,5 +138,5 @@ def grow_flows(flows, growth_max: float, seed) -> tuple[Flow, ...]:
         draws = np.random.default_rng(seed).uniform(0.0, growth_max, len(flows)).tolist()
     else:
         draws = [0.0] * len(flows)
-    return tuple(Flow(f.id, f.src, f.dst, f.rate * (1.0 + u), f.max_delay)
-                 for f, u in zip(flows, draws))
+    return tuple([Flow(f.id, f.src, f.dst, f.rate * (1.0 + u), f.max_delay)
+                  for f, u in zip(flows, draws)])

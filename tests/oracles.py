@@ -1,6 +1,6 @@
 """Brute-force reference implementations, random instance generators, the
-reference rendering of `--dump-lp` instances and the reference re-routing
-tie-break.
+reference rendering of `--dump-lp` instances, the reference re-routing
+tie-break and the reference metrics sample.
 
 Everything here is deliberately naive: exhaustive enumeration and plain
 Python sums, so solver results can be checked against an implementation
@@ -21,6 +21,7 @@ from hybridte import rerouting
 from hybridte.bnb import BudgetExhausted
 from hybridte.errors import Infeasible
 from hybridte.lsp import build_lsp, routes_of
+from hybridte.metrics import MetricsSample
 from hybridte.recreation import LspRequest
 from hybridte.topology import Link, NetworkTopology, links_of_path
 from hybridte.traffic import Flow
@@ -380,3 +381,70 @@ def recreation_dump(problem, solution=None) -> str:
             "nodes_explored": solution.nodes_explored,
         }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def reference_offered_loads(flows, paths):
+    """Sum of flow rates crossing each directed link."""
+    loads = {}
+    for f in flows:
+        for pair in paths[f.id]:
+            loads[pair] = loads.get(pair, 0.0) + f.rate
+    return loads
+
+
+def reference_delivered(flows, paths, topo, loads):
+    """Each flow's rate times its worst link's bandwidth / load, or 1 where
+    the link is not overloaded; a link the topology lacks is a KeyError."""
+    factor = {}
+    for pair, load in loads.items():
+        ln = topo.link_lookup(*pair)
+        if ln is None:
+            raise KeyError(f"path uses nonexistent link {pair}")
+        factor[pair] = 1.0 if load <= ln.bandwidth else ln.bandwidth / load
+    out = {}
+    for f in flows:
+        share = min((factor[pair] for pair in paths[f.id]), default=1.0)
+        out[f.id] = f.rate * share
+    return out
+
+
+def reference_sample(slot, flows, paths, topo) -> MetricsSample:
+    """One slot's metrics, summed link by link and flow by flow as the
+    simulator summed them before it reused the trigger check's loads."""
+    loads = reference_offered_loads(flows, paths)
+    delivered = reference_delivered(flows, paths, topo, loads)
+    throughput = sum(delivered.values())
+    offered = sum(f.rate for f in flows)
+    utils = [min(1.0, loads.get((ln.src, ln.dst), 0.0) / ln.bandwidth) for ln in topo.links]
+    avg_util = sum(utils) / len(utils) if utils else 0.0
+    avg_len = (sum(len(paths[f.id]) for f in flows) / len(flows)) if flows else 0.0
+    return MetricsSample(slot=slot, throughput=throughput, avg_link_utilization=avg_util,
+                         avg_path_length=avg_len, packet_loss=offered - throughput)
+
+
+def random_simple_path(rng: np.random.Generator, topo) -> tuple[int, ...]:
+    """A random walk from a random node that never revisits a node and stops
+    after a random number of hops (possibly none) or when it is stuck."""
+    nodes = [int(rng.integers(topo.node_count))]
+    for _ in range(int(rng.integers(0, topo.node_count))):
+        options = [ln.dst for ln in topo.out_links(nodes[-1]) if ln.dst not in nodes]
+        if not options:
+            break
+        nodes.append(options[int(rng.integers(len(options)))])
+    return tuple(nodes)
+
+
+def random_sample_instance(rng: np.random.Generator, topo, max_flows: int = 12):
+    """(flows, paths) on random simple paths, with ids in shuffled order.
+    Rates are scaled against the mean bandwidth so links come out idle,
+    loaded or overloaded; rates in tens make loads hit a bandwidth of 100 exactly."""
+    n = int(rng.integers(0, max_flows + 1))
+    scale = float(rng.choice([0.05, 0.3, 1.0])) * topo.mean_bandwidth
+    integral = bool(rng.integers(2))
+    flows, paths = [], {}
+    for fid in (int(v) for v in rng.permutation(n)):
+        nodes = random_simple_path(rng, topo)
+        rate = float(10 * rng.integers(1, 6)) if integral else float(rng.uniform(0.0, scale))
+        flows.append(Flow(fid, nodes[0], nodes[-1], rate, 10.0))
+        paths[fid] = links_of_path(nodes)
+    return tuple(flows), paths

@@ -53,3 +53,15 @@ def test_traced_runs_pass_the_benchmark_checks():
     paths, _ = probes.replay_enumeration(tracer)
     assert paths > 0
     assert sorted(n for n in workloads._COMMON if tracer.calls[n] == 0) == []
+
+
+def test_slot_probe_spans_every_checked_slot_once():
+    # The probe times a slot from its grow_flows call to its compute_sample
+    # call, so the orchestrator must make each once per slot, by module name.
+    cfg = ht.load_scenario(os.path.join(ROOT, "scenarios", "scenario3.json"))
+    probe = probes.SlotProbe()
+    with probes.patched(probe.wrappers()):
+        orchestrator.run_comparison(cfg)
+    assert len(probe.spans) == 3 * (cfg.slots - 1)
+    assert all(start <= end for start, end in probe.spans)
+    assert all(end <= start for (_, end), (start, _) in zip(probe.spans, probe.spans[1:]))

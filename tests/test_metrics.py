@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
 import hybridte as ht
 from hybridte.metrics import CSV_HEADER, metrics_csv_rows, offered_loads
 from hybridte.topology import links_of_path
+
+import oracles
+from test_recreation import ring14
 
 
 @pytest.fixture
@@ -101,3 +105,39 @@ def test_empty_flows(topo):
     assert s.throughput == 0.0
     assert s.avg_path_length == 0.0
     assert s.avg_link_utilization == 0.0
+
+
+def test_missing_link_is_a_key_error(topo):
+    assert topo.link_lookup(0, 6) is None
+    flows = (ht.Flow(0, 0, 1, 5.0, 9.0), ht.Flow(1, 0, 2, 5.0, 9.0))
+    paths = path_map((0, (0, 4, 1)), (1, (0, 6, 2)))
+    with pytest.raises(KeyError, match=r"nonexistent link \(0, 6\)"):
+        ht.compute_sample(1, flows, paths, topo)
+    with pytest.raises(KeyError, match=r"nonexistent link \(0, 6\)"):
+        ht.compute_sample(1, flows, paths, topo, offered_loads(flows, paths))
+    with pytest.raises(KeyError, match=r"nonexistent link \(0, 6\)"):
+        ht.delivered_rates(flows, paths, topo)
+
+
+def test_sample_matches_the_reference_sums():
+    # Exact equality: reusing the check's loads and the shortcut for slots
+    # without an overloaded link must not move a single bit of metrics.csv.
+    rng = np.random.default_rng(12)
+    topologies = (ht.reference_topology(), ring14())
+    seen = {"empty": 0, "idle": 0, "overloaded": 0, "at_bandwidth": 0}
+    for i in range(1200):
+        topo = topologies[i % 2]
+        flows, paths = oracles.random_sample_instance(rng, topo)
+        expect = oracles.reference_sample(i, flows, paths, topo)
+        loads = offered_loads(flows, paths)
+        assert loads == oracles.reference_offered_loads(flows, paths)
+        assert ht.compute_sample(i, flows, paths, topo) == expect
+        assert ht.compute_sample(i, flows, paths, topo, loads) == expect
+        assert ht.delivered_rates(flows, paths, topo) == oracles.reference_delivered(
+            flows, paths, topo, loads)
+        bandwidth = {(ln.src, ln.dst): ln.bandwidth for ln in topo.links}
+        seen["empty"] += not flows
+        seen["idle"] += len(loads) < len(bandwidth)
+        seen["overloaded"] += any(load > bandwidth[p] for p, load in loads.items())
+        seen["at_bandwidth"] += any(load == bandwidth[p] for p, load in loads.items())
+    assert min(seen.values()) >= 20, seen

@@ -261,6 +261,24 @@ def test_outputs_are_pinned(tmp_path, name, scheme, mode, files, sha256):
     assert run_with_dumps(tmp_path, name, scheme, mode) == (files, sha256)
 
 
+@pytest.mark.parametrize("name, seed, sha256", [
+    ("scenario1.json", 0, "665cf20c1cfe55baafeff45304d3b47c19b6338c0be29e9c1751a85b915c3ddc"),
+    ("scenario1.json", 1, "9c71995989e1fac8202621d4f6f459def45ce461b187490e9c2b6eb604e231f9"),
+    ("scenario2.json", 0, "665cf20c1cfe55baafeff45304d3b47c19b6338c0be29e9c1751a85b915c3ddc"),
+    ("scenario2.json", 1, "9c71995989e1fac8202621d4f6f459def45ce461b187490e9c2b6eb604e231f9"),
+    ("scenario3.json", 0, "7f8869f61135394c802f41f5048b6c2f17010039d6720d6d4f529ae98c1debff"),
+    ("scenario3.json", 1, "553ceaa7a6fda3421b0bce06cabda3ba1323a94b6f280b9f236dced02ef22783"),
+    ("scenario4.json", 0, "7f8869f61135394c802f41f5048b6c2f17010039d6720d6d4f529ae98c1debff"),
+    ("scenario4.json", 1, "553ceaa7a6fda3421b0bce06cabda3ba1323a94b6f280b9f236dced02ef22783"),
+])
+def test_comparison_metrics_are_pinned(tmp_path, name, seed, sha256):
+    # Recorded before a slot's sample reused the loads of its trigger check.
+    # Scenarios 1 and 2 (and 3 and 4) differ only in their seed, which is set here.
+    cfg = dataclasses.replace(ht.load_scenario(scenario_path(name)), seed=seed)
+    ht.write_comparison(ht.run_comparison(cfg), str(tmp_path))
+    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("scheme", ["exact", "ffr"])
 def test_repeated_instances_are_not_solved_again(tmp_path, monkeypatch, scheme):
     calls = record_solver_calls(monkeypatch)

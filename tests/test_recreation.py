@@ -79,7 +79,7 @@ RING_PAIRS = ((0, 3), (0, 1), (5, 2))
 RING_BUDGETS = (2.0, 3.0, 4.0, 5.5, 8.0, 10.0)
 
 
-def test_cached_candidates_match_oracle_on_ring():
+def test_ring_enumeration_and_solver_match_oracle():
     topo = ring14()
     for src, dst in RING_PAIRS:
         for budget in RING_BUDGETS:
@@ -118,7 +118,7 @@ def _outcome(problem):
     return (sol.routing, sol.changed_entries, sol.optimal, sol.nodes_explored)
 
 
-def test_path_cache_leaves_solutions_unchanged():
+def test_reused_topology_gives_the_same_solutions():
     shortest = ((0, 6), (6, 13), (13, 3))
     detour = ((0, 7), (7, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 3))
     specs = [

@@ -130,6 +130,8 @@ def test_target_flow_count(topo):
     dict(demand_fraction=math.inf),
     dict(growth_max=math.inf),
     dict(delay_stretch=math.inf),
+    # numpy rejects a negative seed with its own ValueError
+    dict(seed=-1),
 ])
 def test_config_validation(topo, bad):
     with pytest.raises(ConfigError):

@@ -30,13 +30,6 @@ def offered_loads(flows, paths: dict[int, tuple[tuple[int, int], ...]]) -> dict[
     return loads
 
 
-def delivered_rates(flows, paths: dict[int, tuple[tuple[int, int], ...]],
-                    topo: NetworkTopology) -> dict[int, float]:
-    """Delivered rate per flow: offered rate scaled by the worst link's share."""
-    shares = _shares(topo, offered_loads(flows, paths))
-    return {f.id: rate for f, rate in zip(flows, _delivered(flows, paths, shares))}
-
-
 def _shares(topo: NetworkTopology, loads) -> dict[tuple[int, int], float]:
     """bandwidth / load on each overloaded link; every other link passes all."""
     by_pair = topo.by_pair

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 
 from .baseline import shortest_path_route
-from .errors import ConfigError, Infeasible, ParseError, check_keys, check_types
+from .errors import ConfigError, Infeasible, ParseError, ValidationError, check_keys, check_types
 from .ffr import ffr, find_proper_lsps
 from .lsp import Lsp, build_lsp
 from .metrics import MetricsSample, compute_sample, offered_loads, write_metrics_csv
@@ -148,7 +148,7 @@ def build_auto_lsp_plan(topo: NetworkTopology, paths_per_pair: int = 2,
     """Plan LSPs between every ordered edge pair: the best few simple paths,
     each granted an equal share of its bottleneck bandwidth, then scaled down
     once so that reservations summed per link never exceed the headroom."""
-    planned: list[tuple[tuple[int, ...], float]] = []
+    planned: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], float]] = []
     for src in sorted(topo.edge_nodes):
         for dst in sorted(topo.edge_nodes):
             if src == dst:
@@ -157,22 +157,26 @@ def build_auto_lsp_plan(topo: NetworkTopology, paths_per_pair: int = 2,
             if not paths:
                 raise ConfigError(f"edge pair ({src},{dst}) has no route")
             for nodes in paths:
-                bottleneck = min(topo.link_lookup(a, b).bandwidth
-                                 for a, b in links_of_path(nodes))
-                planned.append((nodes, bottleneck / len(paths)))
+                links = links_of_path(nodes)
+                bottleneck = min(topo.by_pair[pair].bandwidth for pair in links)
+                planned.append((nodes, links, bottleneck / len(paths)))
 
     link_sum: dict[tuple[int, int], float] = {}
-    for nodes, raw in planned:
-        for pair in links_of_path(nodes):
+    for _, links, raw in planned:
+        for pair in links:
             link_sum[pair] = link_sum.get(pair, 0.0) + raw
     lsps = []
-    for lsp_id, (nodes, raw) in enumerate(planned):
-        factor = 1.0
-        for pair in links_of_path(nodes):
-            budget = mu_headroom * topo.link_lookup(*pair).bandwidth
+    for lsp_id, (nodes, links, raw) in enumerate(planned):
+        factor, delay = 1.0, 0.0  # delay summed link by link, as build_lsp does
+        for pair in links:
+            ln = topo.by_pair[pair]
+            delay += ln.delay
+            budget = mu_headroom * ln.bandwidth
             if link_sum[pair] > budget:
                 factor = min(factor, budget / link_sum[pair])
-        lsps.append(build_lsp(topo, nodes, raw * factor, lsp_id))
+        if not raw * factor > 0:  # a headroom of 0 or less reserves nothing
+            raise ValidationError("capacity must be positive and finite")
+        lsps.append(Lsp(lsp_id, nodes[0], nodes[-1], links, raw * factor, delay))
     return lsps
 
 
@@ -241,12 +245,26 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
     return doc
 
 
-def run_scenario(cfg: ScenarioConfig) -> RunResult:
-    """Run one scheme over the configured slots and collect per-slot samples."""
+def _set_up(cfg: ScenarioConfig, planned: bool) -> tuple:
+    """Validate `cfg` and build a run's inputs before slot 1: topology, slot-0 flows and,
+    when `planned`, the LSP plan and initial assignment. A comparison's schemes share them."""
     cfg.validate()
     topo = load_topology_file(cfg.topology_path)
-    traffic_cfg = dataclasses.replace(cfg.traffic, seed=cfg.seed)
-    flows = generate_flows(topo, traffic_cfg)
+    flows = generate_flows(topo, dataclasses.replace(cfg.traffic, seed=cfg.seed))
+    if not planned:
+        return topo, flows, (), {}
+    if cfg.lsp_plan.kind == "auto":
+        lsps = build_auto_lsp_plan(topo, cfg.lsp_plan.paths_per_pair, cfg.mu_headroom)
+    else:
+        lsps = load_lsp_plan_file(cfg.lsp_plan.path, topo)
+    # Both plan builders number LSPs by position, so lsps[i].id == i.
+    return topo, flows, tuple(lsps), initial_assignment(flows, lsps)
+
+
+def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResult:
+    """Run one scheme over the configured slots; a comparison passes its shared `setup`."""
+    topo, flows, lsps, shared = setup or _set_up(cfg, planned=cfg.scheme != "shortest_path")
+    assignment = dict(shared)  # each scheme's own copy of the shared initial assignment
     events = [f"slot=0 event=init scheme={cfg.scheme} seed={cfg.seed} flows={len(flows)}"]
     samples: list[MetricsSample] = []
     dumper = _Dumper(cfg.dump_dir)
@@ -255,16 +273,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         paths = {f.id: links_of_path(shortest_path_route(f, topo)) for f in flows}
         for t in range(cfg.slots):
             if t >= 1:
-                flows = grow_flows(flows, traffic_cfg.growth_max, (cfg.seed, t))
+                flows = grow_flows(flows, cfg.traffic.growth_max, (cfg.seed, t))
             samples.append(compute_sample(t, flows, paths, topo))
         return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
 
-    if cfg.lsp_plan.kind == "auto":
-        lsps = build_auto_lsp_plan(topo, cfg.lsp_plan.paths_per_pair, cfg.mu_headroom)
-    else:
-        lsps = load_lsp_plan_file(cfg.lsp_plan.path, topo)
-    # Both plan builders number LSPs by position, so lsps[i].id == i.
-    assignment = initial_assignment(flows, lsps)
     events.append(f"slot=0 event=plan scheme={cfg.scheme} lsps={len(lsps)}")
 
     def flow_paths():
@@ -342,7 +354,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     for t in range(cfg.slots):
         loads = None  # compute_sample sums them: slot 0, or the paths changed
         if t >= 1:
-            flows = grow_flows(flows, traffic_cfg.growth_max, (cfg.seed, t))
+            flows = grow_flows(flows, cfg.traffic.growth_max, (cfg.seed, t))
             loads = offered_loads(flows, paths)
             max_util = max((load / topo.by_pair[pair].bandwidth
                             for pair, load in loads.items()), default=0.0)
@@ -361,8 +373,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
 
 def run_comparison(cfg: ScenarioConfig) -> list[RunResult]:
-    """Run every scheme over the same seeded traffic."""
-    return [run_scenario(dataclasses.replace(cfg, scheme=s, dump_dir=None))
+    """Run every scheme from one topology, slot-0 traffic draw, LSP plan and initial
+    assignment; each grows the traffic per slot from the same seeds. Writes no dumps."""
+    setup = _set_up(cfg, planned=True)
+    return [run_scenario(dataclasses.replace(cfg, scheme=s, dump_dir=None), setup=setup)
             for s in SCHEMES]
 
 

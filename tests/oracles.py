@@ -1,6 +1,6 @@
 """Brute-force reference implementations, random instance generators, the
 reference rendering of `--dump-lp` instances, the reference re-routing
-tie-break and the reference metrics sample.
+tie-break, the reference metrics sample and the reference auto LSP plan.
 
 Everything here is deliberately naive: exhaustive enumeration and plain
 Python sums, so solver results can be checked against an implementation
@@ -19,10 +19,10 @@ import numpy as np
 
 from hybridte import rerouting
 from hybridte.bnb import BudgetExhausted
-from hybridte.errors import Infeasible
+from hybridte.errors import ConfigError, Infeasible
 from hybridte.lsp import build_lsp, routes_of
 from hybridte.metrics import MetricsSample
-from hybridte.recreation import LspRequest
+from hybridte.recreation import LspRequest, enumerate_simple_paths
 from hybridte.topology import Link, NetworkTopology, links_of_path
 from hybridte.traffic import Flow
 
@@ -448,3 +448,33 @@ def random_sample_instance(rng: np.random.Generator, topo, max_flows: int = 12):
         flows.append(Flow(fid, nodes[0], nodes[-1], rate, 10.0))
         paths[fid] = links_of_path(nodes)
     return tuple(flows), paths
+
+
+def reference_auto_plan(topo, paths_per_pair, mu_headroom):
+    """The auto LSP plan as it was first written: every path's links looked
+    up again at each step and every LSP built and checked by `build_lsp`."""
+    planned = []
+    for src in sorted(topo.edge_nodes):
+        for dst in sorted(topo.edge_nodes):
+            if src == dst:
+                continue
+            paths = enumerate_simple_paths(topo, src, dst, limit=paths_per_pair)
+            if not paths:
+                raise ConfigError(f"edge pair ({src},{dst}) has no route")
+            for nodes in paths:
+                bottleneck = min(topo.link_lookup(a, b).bandwidth
+                                 for a, b in links_of_path(nodes))
+                planned.append((nodes, bottleneck / len(paths)))
+    link_sum = {}
+    for nodes, raw in planned:
+        for pair in links_of_path(nodes):
+            link_sum[pair] = link_sum.get(pair, 0.0) + raw
+    lsps = []
+    for lsp_id, (nodes, raw) in enumerate(planned):
+        factor = 1.0
+        for pair in links_of_path(nodes):
+            budget = mu_headroom * topo.link_lookup(*pair).bandwidth
+            if link_sum[pair] > budget:
+                factor = min(factor, budget / link_sum[pair])
+        lsps.append(build_lsp(topo, nodes, raw * factor, lsp_id))
+    return lsps

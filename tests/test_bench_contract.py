@@ -65,3 +65,13 @@ def test_slot_probe_spans_every_checked_slot_once():
     assert len(probe.spans) == 3 * (cfg.slots - 1)
     assert all(start <= end for start, end in probe.spans)
     assert all(end <= start for (_, end), (start, _) in zip(probe.spans, probe.spans[1:]))
+
+
+def test_comparison_reaches_every_layer_ref8_mix_requires():
+    # ref8-mix times `hybridte compare`; the benchmark exits when a pass never
+    # calls one of these names, so a comparison must still call each of them.
+    cfg = ht.load_scenario(os.path.join(ROOT, "scenarios", "scenario3.json"))
+    tracer = probes.Tracer()
+    with probes.patched(tracer.wrappers()):
+        orchestrator.run_comparison(cfg)
+    assert sorted(n for n in workloads._BUILDERS["ref8-mix"][1] if tracer.calls[n] == 0) == []

@@ -18,20 +18,29 @@ def path_map(*pairs):
     return {fid: links_of_path(nodes) for fid, nodes in pairs}
 
 
+def check_delivered(topo, flows, paths, expected):
+    """The oracle delivers `expected` per flow, and the sample's throughput
+    and loss are their sum and the rest of the offered rate."""
+    delivered = oracles.reference_delivered(flows, paths, topo, offered_loads(flows, paths))
+    assert delivered == pytest.approx(expected)
+    s = ht.compute_sample(1, flows, paths, topo)
+    assert s.throughput == pytest.approx(sum(expected.values()))
+    assert s.packet_loss == pytest.approx(sum(f.rate for f in flows) - sum(expected.values()))
+    return s
+
+
 def test_no_overload_delivers_everything(topo):
     flows = (ht.Flow(0, 0, 1, 40.0, 9.0), ht.Flow(1, 0, 2, 30.0, 9.0))
     paths = path_map((0, (0, 4, 1)), (1, (0, 5, 7, 2)))
-    delivered = ht.delivered_rates(flows, paths, topo)
-    assert delivered == {0: 40.0, 1: 30.0}
+    s = check_delivered(topo, flows, paths, {0: 40.0, 1: 30.0})
+    assert (s.throughput, s.packet_loss) == (70.0, 0.0)
 
 
 def test_bottleneck_scales_flows_proportionally(topo):
     # 120 offered on the 100-wide link 0->4: every flow keeps 5/6 of its rate
     flows = (ht.Flow(0, 0, 1, 80.0, 9.0), ht.Flow(1, 0, 2, 40.0, 9.0))
     paths = path_map((0, (0, 4, 1)), (1, (0, 4, 6, 2)))
-    delivered = ht.delivered_rates(flows, paths, topo)
-    assert delivered[0] == pytest.approx(80.0 * 100.0 / 120.0)
-    assert delivered[1] == pytest.approx(40.0 * 100.0 / 120.0)
+    check_delivered(topo, flows, paths, {0: 80.0 * 100.0 / 120.0, 1: 40.0 * 100.0 / 120.0})
 
 
 def test_worst_link_governs(topo):
@@ -39,11 +48,8 @@ def test_worst_link_governs(topo):
     flows = (ht.Flow(0, 0, 1, 60.0, 9.0), ht.Flow(1, 0, 2, 60.0, 9.0),
              ht.Flow(2, 1, 2, 80.0, 9.0))
     paths = path_map((0, (0, 4, 1)), (1, (0, 4, 6, 2)), (2, (1, 4, 6, 2)))
-    delivered = ht.delivered_rates(flows, paths, topo)
-    # link (0,4): 120 -> 5/6; link (4,6): 140 -> 5/7; flow 1 takes 5/7
-    assert delivered[0] == pytest.approx(60.0 * 5 / 6)
-    assert delivered[1] == pytest.approx(60.0 * 5 / 7)
-    assert delivered[2] == pytest.approx(80.0 * 5 / 7)
+    # link (0,4): 120 -> 5/6; link (4,6): 140 -> 5/7; flow 1 takes 5/7, not 5/6
+    check_delivered(topo, flows, paths, {0: 60.0 * 5 / 6, 1: 60.0 * 5 / 7, 2: 80.0 * 5 / 7})
 
 
 def test_sample_aggregates(topo):
@@ -115,8 +121,6 @@ def test_missing_link_is_a_key_error(topo):
         ht.compute_sample(1, flows, paths, topo)
     with pytest.raises(KeyError, match=r"nonexistent link \(0, 6\)"):
         ht.compute_sample(1, flows, paths, topo, offered_loads(flows, paths))
-    with pytest.raises(KeyError, match=r"nonexistent link \(0, 6\)"):
-        ht.delivered_rates(flows, paths, topo)
 
 
 def test_sample_matches_the_reference_sums():
@@ -133,8 +137,6 @@ def test_sample_matches_the_reference_sums():
         assert loads == oracles.reference_offered_loads(flows, paths)
         assert ht.compute_sample(i, flows, paths, topo) == expect
         assert ht.compute_sample(i, flows, paths, topo, loads) == expect
-        assert ht.delivered_rates(flows, paths, topo) == oracles.reference_delivered(
-            flows, paths, topo, loads)
         bandwidth = {(ln.src, ln.dst): ln.bandwidth for ln in topo.links}
         seen["empty"] += not flows
         seen["idle"] += len(loads) < len(bandwidth)

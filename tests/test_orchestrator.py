@@ -3,7 +3,9 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 
+import numpy as np
 import pytest
 
 import hybridte as ht
@@ -11,6 +13,9 @@ from hybridte import orchestrator
 from hybridte.errors import ConfigError, ParseError, ValidationError
 from hybridte.orchestrator import SCHEMES, load_lsp_plan_file
 from hybridte.rerouting import RoutingMode
+
+import oracles
+from test_recreation import ring14
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -301,14 +306,96 @@ def test_repeated_instances_are_not_solved_again(tmp_path, monkeypatch, scheme):
             assert retry == (lp / f"slot{e['slot']:03d}_reroute.json").read_bytes()
 
 
-def test_comparison_runs_identical_traffic():
+def test_comparison_runs_identical_traffic(monkeypatch):
+    sampled = []
+    sample = orchestrator.compute_sample
+    monkeypatch.setattr(orchestrator, "compute_sample",
+                        lambda t, flows, *args: sampled.append(flows) or sample(t, flows, *args))
     cfg = ht.load_scenario(scenario_path("scenario2.json"))
     results = ht.run_comparison(cfg)
     assert [r.scheme for r in results] == list(SCHEMES)
+    # Every scheme samples the same flows at the same rates in every slot.
+    per_scheme = [sampled[k * cfg.slots:(k + 1) * cfg.slots] for k in range(len(SCHEMES))]
+    assert per_scheme[0] == per_scheme[1] == per_scheme[2]
     for t in range(cfg.slots):
-        offered = [r.samples[t].throughput + r.samples[t].packet_loss
-                   for r in results]
-        assert max(offered) - min(offered) < 1e-9
+        offered = {r.samples[t].throughput + r.samples[t].packet_loss for r in results}
+        assert len(offered) == 1
+
+
+def result_fields(r):
+    return (r.scheme, r.seed, r.samples, r.events, r.config_echo)
+
+
+@pytest.mark.parametrize("name", [f"scenario{n}.json" for n in (1, 2, 3, 4)])
+def test_comparison_equals_separate_runs(name):
+    # The shared set-up must give each scheme exactly what its own run builds.
+    for seed in range(5):
+        cfg = dataclasses.replace(ht.load_scenario(scenario_path(name)), seed=seed)
+        alone = [ht.run_scenario(dataclasses.replace(cfg, scheme=s, dump_dir=None))
+                 for s in SCHEMES]
+        assert list(map(result_fields, ht.run_comparison(cfg))) == list(map(result_fields, alone))
+
+
+def test_file_plan_comparison_equals_separate_runs(tmp_path):
+    cfg = dataclasses.replace(ht.load_scenario(write_mini_files(tmp_path)),
+                              dump_dir=str(tmp_path / "lp"))
+    alone = [ht.run_scenario(dataclasses.replace(cfg, scheme=s, dump_dir=None)) for s in SCHEMES]
+    assert list(map(result_fields, ht.run_comparison(cfg))) == list(map(result_fields, alone))
+    assert not (tmp_path / "lp").exists()  # a comparison writes no dumps
+
+
+def test_comparison_with_a_failing_plan_raises_as_a_run_does(tmp_path):
+    # The plan has no LSP from 1 to 0, so the initial placement fails.
+    cfg = ht.load_scenario(write_mini_files(tmp_path, plan=(([0, 2, 1], 8.0),)))
+    with pytest.raises(ConfigError) as lone:
+        ht.run_scenario(dataclasses.replace(cfg, scheme="ffr"))
+    with pytest.raises(ConfigError) as compared:
+        ht.run_comparison(cfg)
+    assert "matches no planned LSP" in str(lone.value)
+    assert str(compared.value) == str(lone.value)
+
+
+def count_calls(monkeypatch, names):
+    """Wrap orchestrator functions by name; returns the Counter of their calls
+    and the `setup` argument of every run_scenario call."""
+    calls, setups = Counter(), []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "run_scenario":
+                setups.append(kwargs.get("setup"))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(orchestrator, name, counting(name, getattr(orchestrator, name)))
+    return calls, setups
+
+
+SET_UP_NAMES = ("load_topology_file", "generate_flows", "build_auto_lsp_plan",
+                "initial_assignment")
+
+
+def test_comparison_builds_its_set_up_once(monkeypatch):
+    calls, setups = count_calls(monkeypatch, SET_UP_NAMES + ("run_scenario", "grow_flows"))
+    cfg = ht.load_scenario(scenario_path("scenario3.json"))
+    ht.run_comparison(cfg)
+    assert calls == Counter({**dict.fromkeys(SET_UP_NAMES, 1), "run_scenario": 3,
+                             "grow_flows": 3 * (cfg.slots - 1)})
+    # One set-up object, which no scheme changed.
+    assert setups[0] is setups[1] is setups[2]
+    assert setups[0] == orchestrator._set_up(cfg, planned=True)
+
+
+@pytest.mark.parametrize("scheme, planned", [("shortest_path", 0), ("ffr", 1), ("exact", 1)])
+def test_a_run_builds_its_own_set_up(monkeypatch, scheme, planned):
+    calls, setups = count_calls(monkeypatch, SET_UP_NAMES + ("run_scenario",))
+    cfg = dataclasses.replace(ht.load_scenario(scenario_path("scenario3.json")), scheme=scheme)
+    orchestrator.run_scenario(cfg)
+    assert calls == Counter({"load_topology_file": 1, "generate_flows": 1, "run_scenario": 1,
+                             "build_auto_lsp_plan": planned, "initial_assignment": planned})
+    assert setups == [None]
 
 
 def test_auto_plan_reservations_fit_headroom():
@@ -333,6 +420,29 @@ def test_auto_plan_is_deterministic():
     assert a == b
     ids = [l.id for l in a]
     assert ids == list(range(len(a)))
+
+
+def test_auto_plan_matches_the_reference_plan():
+    # Equal LSPs, capacities and delays bit for bit, and the same error where
+    # the headroom leaves no capacity to reserve.
+    rng = np.random.default_rng(5)
+    topologies = [ht.reference_topology(), ring14()]
+    for _ in range(30):
+        topo = oracles.random_topology(rng)
+        topologies.append(topo)
+        # The same graph with float delays, whose sums depend on their order.
+        topologies.append(ht.NetworkTopology(topo.node_count, tuple(
+            dataclasses.replace(ln, delay=float(rng.uniform(0.1, 3.0))) for ln in topo.links),
+            topo.edge_nodes))
+    for topo in topologies:
+        for k in (1, 2, 3):
+            for mu in (0.3, 0.9, 1.0):
+                assert ht.build_auto_lsp_plan(topo, k, mu) == oracles.reference_auto_plan(
+                    topo, k, mu)
+    for mu in (0.0, -0.5):
+        for plan in (ht.build_auto_lsp_plan, oracles.reference_auto_plan):
+            with pytest.raises(ValidationError, match="capacity must be positive"):
+                plan(ht.reference_topology(), 2, mu)
 
 
 def test_initial_assignment_balances_and_validates():

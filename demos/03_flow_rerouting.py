@@ -41,11 +41,10 @@ print("audit: no violations")
 
 # Unreserved mode additionally bounds the offered load on every physical
 # link by a headroom share of its bandwidth. With 90 usable units per link
-# that bound is slack and the answer is unchanged ...
-routing = ht.routes_of(lsps)
+# that bound is slack and the answer is unchanged. The links each flow
+# loads are those of its LSP ...
 relaxed = ReroutingProblem(flows=flows, lsps=lsps, fr_old=old,
-                           mode=RoutingMode.UNRESERVED, mu=0.9,
-                           routing=routing, topology=topo)
+                           mode=RoutingMode.UNRESERVED, mu=0.9, topology=topo)
 assert ht.solve_flow_rerouting(relaxed).changes == 1
 
 # ... but with only 8 usable units per link, the reserved repair above is
@@ -53,8 +52,7 @@ assert ht.solve_flow_rerouting(relaxed).changes == 1
 # links. The solver moves the 4-unit flow instead - a different single
 # change that puts exactly 8 units on the loaded plane.
 squeezed = ReroutingProblem(flows=flows, lsps=lsps, fr_old=old,
-                            mode=RoutingMode.UNRESERVED, mu=0.08,
-                            routing=routing, topology=topo)
+                            mode=RoutingMode.UNRESERVED, mu=0.08, topology=topo)
 solution = ht.solve_flow_rerouting(squeezed)
 print(f"\nunreserved mode with 8-unit link headroom: changes={solution.changes}")
 for fid, lid in solution.assignment.items():
@@ -63,4 +61,4 @@ assert solution.changes == 1
 assert solution.assignment[1] == 1 and solution.assignment[2] == 0
 assert ht.audit_flow_assignment(flows, lsps, solution.assignment,
                                 mode="unreserved", mu=0.08,
-                                routing=routing, topo=topo) == []
+                                routing=squeezed.routing, topo=topo) == []

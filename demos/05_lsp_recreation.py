@@ -13,7 +13,7 @@ topo = ht.reference_topology()
 # on a 100-unit link. With 90 usable, at most two such paths may stay.
 old_paths = ([0, 4, 1], [0, 4, 6, 2], [0, 4, 6, 3])
 lsps = tuple(ht.build_lsp(topo, p, 40.0, i) for i, p in enumerate(old_paths))
-routing = ht.routes_of(lsps)
+routing = tuple(l.links for l in lsps)  # the old routing, in request order
 
 requests = tuple(
     LspRequest(l.src, l.dst, l.capacity, delay_budget=6.0) for l in lsps

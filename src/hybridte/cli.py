@@ -8,8 +8,8 @@ import dataclasses
 import sys
 
 from .errors import HybridTeError
-from .orchestrator import (load_scenario, run_comparison, run_scenario, write_comparison,
-                           write_run_result)
+from .orchestrator import (SCHEMES, load_scenario, run_comparison, run_scenario,
+                           write_comparison, write_run_result)
 from .topology import reference_topology, serialize_topology
 
 
@@ -24,8 +24,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="scenario JSON file")
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run.add_argument("--scheme", choices=("exact", "ffr", "shortest_path"),
-                     default=None, help="override the scenario scheme")
+    run.add_argument("--scheme", choices=SCHEMES, default=None,
+                     help="override the scenario scheme")
     run.add_argument("--dump-lp", action="store_true",
                      help="dump every optimization instance under OUT/lp")
 

@@ -1,4 +1,4 @@
-"""Label-switched paths and their routing, the links of each LSP by id."""
+"""Label-switched paths: reserved tunnels along simple paths of the topology."""
 
 from __future__ import annotations
 
@@ -34,25 +34,12 @@ def build_lsp(topo: NetworkTopology, path: list[int] | tuple[int, ...], capacity
         raise InvalidPathError(f"path {list(path)} repeats a node")
     if not 0 < capacity < math.inf:  # also catches NaN, which JSON input can carry
         raise ValidationError("capacity must be positive and finite")
+    links = links_of_path(path)
     delay = 0.0
-    for a, b in links_of_path(tuple(path)):
+    for a, b in links:
         ln = topo.link_lookup(a, b)
         if ln is None:
             raise InvalidPathError(f"no link from {a} to {b}")
         delay += ln.delay
-    return Lsp(
-        id=lsp_id,
-        src=path[0],
-        dst=path[-1],
-        links=links_of_path(tuple(path)),
-        capacity=capacity,
-        prop_delay=delay,
-    )
-
-
-def routes_of(lsps) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Every LSP's links, indexed by LSP id; the ids must be 0..n-1."""
-    ordered = sorted(lsps, key=lambda l: l.id)
-    if [l.id for l in ordered] != list(range(len(ordered))):
-        raise ValidationError("LSP ids must be 0..n-1 without gaps")
-    return tuple(l.links for l in ordered)
+    return Lsp(id=lsp_id, src=path[0], dst=path[-1], links=links, capacity=capacity,
+               prop_delay=delay)

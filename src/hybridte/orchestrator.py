@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 
 from .baseline import shortest_path_route
-from .errors import ConfigError, Infeasible, ParseError, ValidationError, check_keys, check_types
+from .errors import ConfigError, Infeasible, ParseError, check_keys, check_types
 from .ffr import ffr, find_proper_lsps
 from .lsp import Lsp, build_lsp
 from .metrics import MetricsSample, compute_sample, offered_loads, write_metrics_csv
@@ -85,7 +85,7 @@ _SCENARIO_KEYS = frozenset({"topology", "traffic", "slots", "scheme", "rerouting
                             "seed"})
 
 
-_PLAN_KEYS = frozenset({"kind", "paths_per_pair", "path"})
+_PLAN_KEYS = frozenset(f.name for f in dataclasses.fields(LspPlanSpec))
 _TRAFFIC_KEYS = frozenset(f.name for f in dataclasses.fields(TrafficConfig)) - {"seed"}
 
 
@@ -167,16 +167,12 @@ def build_auto_lsp_plan(topo: NetworkTopology, paths_per_pair: int = 2,
             link_sum[pair] = link_sum.get(pair, 0.0) + raw
     lsps = []
     for lsp_id, (nodes, links, raw) in enumerate(planned):
-        factor, delay = 1.0, 0.0  # delay summed link by link, as build_lsp does
+        factor = 1.0
         for pair in links:
-            ln = topo.by_pair[pair]
-            delay += ln.delay
-            budget = mu_headroom * ln.bandwidth
+            budget = mu_headroom * topo.by_pair[pair].bandwidth
             if link_sum[pair] > budget:
                 factor = min(factor, budget / link_sum[pair])
-        if not raw * factor > 0:  # a headroom of 0 or less reserves nothing
-            raise ValidationError("capacity must be positive and finite")
-        lsps.append(Lsp(lsp_id, nodes[0], nodes[-1], links, raw * factor, delay))
+        lsps.append(build_lsp(topo, nodes, raw * factor, lsp_id))
     return lsps
 
 
@@ -219,18 +215,6 @@ def initial_assignment(flows, lsps) -> dict[int, int]:
     return assignment
 
 
-class _Dumper:
-    def __init__(self, dump_dir: str | None):
-        self.dir = dump_dir
-        if dump_dir:
-            os.makedirs(dump_dir, exist_ok=True)
-
-    def write(self, name: str, text: str):
-        if self.dir:
-            with open(os.path.join(self.dir, name), "w", encoding="utf-8") as fp:
-                fp.write(text)
-
-
 def _delay_budgets(flows, lsps, assignment) -> dict[int, float]:
     budgets = {l.id: math.inf for l in lsps}
     for f in flows:
@@ -267,7 +251,8 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
     assignment = dict(shared)  # each scheme's own copy of the shared initial assignment
     events = [f"slot=0 event=init scheme={cfg.scheme} seed={cfg.seed} flows={len(flows)}"]
     samples: list[MetricsSample] = []
-    dumper = _Dumper(cfg.dump_dir)
+    if cfg.dump_dir:
+        os.makedirs(cfg.dump_dir, exist_ok=True)
 
     if cfg.scheme == "shortest_path":
         paths = {f.id: links_of_path(shortest_path_route(f, topo)) for f in flows}
@@ -303,7 +288,9 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
                               render(problem, sol))
         _, sol, detail, text = last[kind]
         events.append(event + detail)
-        dumper.write(dump_name, text)
+        if cfg.dump_dir:
+            with open(os.path.join(cfg.dump_dir, dump_name), "w", encoding="utf-8") as fp:
+                fp.write(text)
         return sol
 
     def run_flow_level(t: int, retry: bool) -> bool:
@@ -313,8 +300,7 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
         if cfg.scheme == "exact":
             problem = ReroutingProblem(
                 flows=tuple(flows), lsps=tuple(lsps), fr_old=assignment,
-                mode=cfg.rerouting_mode, mu=cfg.mu_headroom,
-                routing=tuple(l.links for l in lsps), topology=topo,
+                mode=cfg.rerouting_mode, mu=cfg.mu_headroom, topology=topo,
             )
             sol = solve_once(
                 "reroute", (problem.flows, problem.lsps, assignment), problem,
@@ -346,8 +332,8 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
             f"slot={t} event=recreate", f"slot{t:03d}_recreation.json")
         if rsol is None:
             return
-        lsps = [l if links == l.links else dataclasses.replace(
-                    l, links=links, prop_delay=sum(topo.link_lookup(*p).delay for p in links))
+        lsps = [l if links == l.links else
+                build_lsp(topo, (l.src, *(b for _, b in links)), l.capacity, l.id)
                 for l, links in zip(lsps, rsol.routing)]
 
     paths = flow_paths()  # keyed by flow id, which growth keeps
@@ -380,24 +366,22 @@ def run_comparison(cfg: ScenarioConfig) -> list[RunResult]:
             for s in SCHEMES]
 
 
-def write_run_result(result: RunResult, out_dir: str) -> None:
+def _write_outputs(out_dir: str, entries: list, events: list[str], echo: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"),
-                      [(result.scheme, s) for s in result.samples])
+    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), entries)
     with open(os.path.join(out_dir, "events.log"), "w", encoding="utf-8") as fp:
-        fp.write("\n".join(result.events) + "\n")
+        fp.write("\n".join(events) + "\n")
     with open(os.path.join(out_dir, "config.echo"), "w", encoding="utf-8") as fp:
-        fp.write(json.dumps(result.config_echo, indent=2, sort_keys=True) + "\n")
+        fp.write(json.dumps(echo, indent=2, sort_keys=True) + "\n")
+
+
+def write_run_result(result: RunResult, out_dir: str) -> None:
+    _write_outputs(out_dir, [(result.scheme, s) for s in result.samples], result.events,
+                   result.config_echo)
 
 
 def write_comparison(results: list[RunResult], out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    entries = [(r.scheme, s) for r in results for s in r.samples]
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), entries)
-    lines = [line for r in results for line in r.events]
-    with open(os.path.join(out_dir, "events.log"), "w", encoding="utf-8") as fp:
-        fp.write("\n".join(lines) + "\n")
-    echo = dict(results[0].config_echo)
-    echo["scheme"] = [r.scheme for r in results]
-    with open(os.path.join(out_dir, "config.echo"), "w", encoding="utf-8") as fp:
-        fp.write(json.dumps(echo, indent=2, sort_keys=True) + "\n")
+    """One output set for every scheme; config.echo lists the schemes under `scheme`."""
+    _write_outputs(out_dir, [(r.scheme, s) for r in results for s in r.samples],
+                   [line for r in results for line in r.events],
+                   dict(results[0].config_echo, scheme=[r.scheme for r in results]))

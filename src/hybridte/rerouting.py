@@ -38,9 +38,13 @@ class ReroutingProblem:
     fr_old: dict[int, int]
     mode: RoutingMode = RoutingMode.RESERVED
     mu: float = 0.9
-    routing: tuple | None = None
     topology: NetworkTopology | None = None
     node_budget: int = 500_000
+
+    @property
+    def routing(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """The LSP routing: each LSP id mapped to its links."""
+        return {l.id: l.links for l in self.lsps}
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +67,8 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
             raise ValidationError(f"flow {f.id} missing from the old assignment")
     old = {f.id: problem.fr_old[f.id] for f in problem.flows}
     unreserved = problem.mode == RoutingMode.UNRESERVED
-    if unreserved and (problem.routing is None or problem.topology is None):
-        raise ValidationError("unreserved mode needs an LSP routing and a topology")
+    if unreserved and problem.topology is None:
+        raise ValidationError("unreserved mode needs a topology")
     lsps = sorted(problem.lsps, key=lambda x: x.id)
     candidates: dict[int, list[int]] = {}
     for f in problem.flows:
@@ -80,8 +84,6 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
         for ln in problem.topology.links:
             capacity[(ln.src, ln.dst)] = problem.mu * ln.bandwidth
         for l in problem.lsps:
-            if not 0 <= l.id < len(problem.routing) or problem.routing[l.id] != l.links:
-                raise ValidationError(f"the routing disagrees with the links of LSP {l.id}")
             for pair in l.links:
                 if pair not in capacity:
                     raise ValidationError(f"LSP {l.id} uses nonexistent link {pair}")

@@ -20,7 +20,7 @@ import numpy as np
 from hybridte import rerouting
 from hybridte.bnb import BudgetExhausted
 from hybridte.errors import ConfigError, Infeasible
-from hybridte.lsp import build_lsp, routes_of
+from hybridte.lsp import build_lsp
 from hybridte.metrics import MetricsSample
 from hybridte.recreation import LspRequest, enumerate_simple_paths
 from hybridte.topology import Link, NetworkTopology, links_of_path
@@ -261,8 +261,7 @@ def random_rerouting_instance(rng: np.random.Generator, max_flows: int = 5,
     )
     fr_old = {f.id: int(rng.integers(n_l)) for f in flows}
     mode = "unreserved" if rng.uniform() < 0.4 else "reserved"
-    routing = routes_of(lsps)
-    return topo, flows, lsps, fr_old, mode, routing
+    return topo, flows, lsps, fr_old, mode, tuple(l.links for l in lsps)
 
 
 def random_multipair_rerouting_instance(rng: np.random.Generator, max_flows: int = 2,
@@ -299,7 +298,7 @@ def random_multipair_rerouting_instance(rng: np.random.Generator, max_flows: int
     for f in flows:
         own = [l.id for l in lsps if (l.src, l.dst) == (f.src, f.dst)]
         fr_old[f.id] = own[int(rng.integers(len(own)))]
-    return topo, flows, lsps, fr_old, routes_of(lsps)
+    return topo, flows, lsps, fr_old, tuple(l.links for l in lsps)
 
 
 def random_recreation_instance(rng: np.random.Generator, max_requests: int = 3):

@@ -76,8 +76,7 @@ def test_criterion_1_exact_objectives_match_exhaustive_search():
         topo, flows, lsps, fr_old, mode, routing = oracles.random_rerouting_instance(rng)
         expect = oracles.best_rerouting(flows, lsps, fr_old, mode, 0.9, routing, topo)
         problem = ReroutingProblem(flows=flows, lsps=lsps, fr_old=fr_old,
-                                   mode=RoutingMode(mode), mu=0.9,
-                                   routing=routing, topology=topo)
+                                   mode=RoutingMode(mode), mu=0.9, topology=topo)
         try:
             sol = solve_flow_rerouting(problem)
         except Infeasible as exc:
@@ -132,8 +131,7 @@ def test_criterion_2_thousand_runs_zero_audit_violations():
     for k in range(400):
         topo, flows, lsps, fr_old, mode, routing = oracles.random_rerouting_instance(rng)
         problem = ReroutingProblem(flows=flows, lsps=lsps, fr_old=fr_old,
-                                   mode=RoutingMode(mode), mu=0.9,
-                                   routing=routing, topology=topo)
+                                   mode=RoutingMode(mode), mu=0.9, topology=topo)
         runs += 1
         try:
             sol = solve_flow_rerouting(problem)

@@ -55,22 +55,20 @@ def test_unencodable_scalars_raise_like_json():
 
 def test_random_single_pair_rerouting_dumps():
     for seed in range(60):
-        topo, flows, lsps, fr_old, _, routing = oracles.random_rerouting_instance(
+        topo, flows, lsps, fr_old, _, _ = oracles.random_rerouting_instance(
             np.random.default_rng(seed))
         for mode in RoutingMode:
-            problem = ht.ReroutingProblem(flows, lsps, fr_old, mode, routing=routing,
-                                          topology=topo)
+            problem = ht.ReroutingProblem(flows, lsps, fr_old, mode, topology=topo)
             check_rerouting(problem)
             check_rerouting(problem, solved(ht.solve_flow_rerouting, problem))
 
 
 def test_random_multipair_rerouting_dumps():
     for seed in range(60):
-        topo, flows, lsps, fr_old, routing = oracles.random_multipair_rerouting_instance(
+        topo, flows, lsps, fr_old, _ = oracles.random_multipair_rerouting_instance(
             np.random.default_rng(seed))
         for mode in RoutingMode:
-            problem = ht.ReroutingProblem(flows, lsps, fr_old, mode, routing=routing,
-                                          topology=topo)
+            problem = ht.ReroutingProblem(flows, lsps, fr_old, mode, topology=topo)
             check_rerouting(problem)
             check_rerouting(problem, solved(ht.solve_flow_rerouting, problem))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hybridte as ht
+from hybridte.errors import ValidationError
 
 import oracles
 
@@ -106,6 +107,19 @@ def test_placed_flows_always_satisfy_constraints():
         assert ht.audit_flow_assignment(placed, lsps, res.assignment,
                                         capacities=caps) == []
         assert set(res.recreation_requests) == {f.id for f in flows} - res.placed
+
+
+@pytest.mark.parametrize("message", ["duplicate LSP ids",
+                                     "flow 1 missing from the old assignment",
+                                     "flow 1 rides an unknown LSP"])
+def test_bad_inputs_are_rejected(topo, message):
+    lsps = parallel_lsps(topo)
+    flows = (ht.Flow(0, 0, 1, 4.0, 4.0), ht.Flow(1, 0, 1, 5.0, 4.0))
+    lsps, old = {"duplicate LSP ids": (lsps + lsps[:1], {0: 0, 1: 1}),
+                 "flow 1 missing from the old assignment": (lsps, {0: 0}),
+                 "flow 1 rides an unknown LSP": (lsps, {0: 0, 1: 7})}[message]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ht.ffr(flows, lsps, old, topo)
 
 
 def test_larger_flows_take_priority(topo):

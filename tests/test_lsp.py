@@ -35,12 +35,12 @@ def test_build_lsp_rejects_bad_capacity(topo):
 
 
 def test_routing_tensor(topo):
-    lsps = [ht.build_lsp(topo, [0, 4, 1], 5.0, 0), ht.build_lsp(topo, [0, 5, 7, 2], 5.0, 1)]
-    routing = ht.routes_of(lsps)
-    assert routing[1] == ((0, 5), (5, 7), (7, 2))
-
-
-def test_routing_requires_dense_ids(topo):
-    lsps = [ht.build_lsp(topo, [0, 4, 1], 5.0, 0), ht.build_lsp(topo, [0, 5, 1], 5.0, 2)]
-    with pytest.raises(ValidationError):
-        ht.routes_of(lsps)
+    # The re-routing problem's routing is read from its LSPs, keyed by id;
+    # the ids need not be 0..n-1.
+    lsps = (ht.build_lsp(topo, [0, 4, 1], 5.0, 0), ht.build_lsp(topo, [0, 5, 7, 2], 5.0, 3))
+    problem = ht.ReroutingProblem(flows=(), lsps=lsps, fr_old={})
+    assert problem.routing == {0: ((0, 4), (4, 1)), 3: ((0, 5), (5, 7), (7, 2))}
+    with pytest.raises(AttributeError):
+        problem.routing = {}
+    with pytest.raises(TypeError):
+        ht.ReroutingProblem(flows=(), lsps=lsps, fr_old={}, routing=problem.routing)

@@ -476,6 +476,11 @@ def test_lsp_plan_file_is_strict(tmp_path):
         (tmp_path / "plan.json").write_text(json.dumps(bad))
         with pytest.raises(ParseError):
             load_lsp_plan_file(str(tmp_path / "plan.json"), topo)
+    with pytest.raises(ParseError, match="^cannot read LSP plan .*missing.json"):
+        load_lsp_plan_file(str(tmp_path / "missing.json"), topo)
+    (tmp_path / "plan.json").write_text("{nope")
+    with pytest.raises(ParseError, match="^LSP plan .* is not valid JSON"):
+        load_lsp_plan_file(str(tmp_path / "plan.json"), topo)
     (tmp_path / "plan.json").write_text(json.dumps({"lsps": [{**entry, "capacity": 8}]}))
     assert load_lsp_plan_file(str(tmp_path / "plan.json"), topo)[0].capacity == 8
     # Python's json reads NaN and Infinity; the capacity check rejects both.
@@ -496,6 +501,18 @@ def test_scenario_loader_errors(tmp_path):
     incomplete.write_text(json.dumps({"topology": "t.json"}))
     with pytest.raises(ParseError):
         ht.load_scenario(str(incomplete))
+    traffic = {k: v for k, v in MINI_TRAFFIC.items() if k != "demand_fraction"}
+    for doc, message in (
+            ([], "scenario document must be a JSON object"),
+            ({"traffic": MINI_TRAFFIC}, "scenario missing key 'topology'"),
+            ({"topology": "t.json", "traffic": MINI_TRAFFIC, "rerouting_mode": "sideways"},
+             "scenario field malformed: 'sideways' is not a valid RoutingMode"),
+            ({"topology": "t.json", "traffic": traffic},
+             "scenario field malformed: .*missing 1 required positional argument: "
+             "'demand_fraction'")):
+        incomplete.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            ht.load_scenario(str(incomplete))
 
 
 def test_scenario_config_validation(tmp_path):
@@ -511,6 +528,15 @@ def test_scenario_config_validation(tmp_path):
     path = write_mini_files(tmp_path, seed=-1)
     with pytest.raises(ConfigError):
         ht.load_scenario(path)
+    for bad, message in (
+            ({"rerouting_interval": 0}, "rerouting_interval must be at least 1"),
+            ({"lsp_plan": {"kind": "static"}}, "lsp_plan.kind must be 'auto' or 'file'"),
+            ({"lsp_plan": {"kind": "auto", "paths_per_pair": 0}},
+             "paths_per_pair must be at least 1"),
+            ({"lsp_plan": {"kind": "file"}}, "file LSP plan needs a path")):
+        path = write_mini_files(tmp_path, **bad)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ht.load_scenario(path)
     for bad in ({"mu_triger": 0.5}, {"slots": True}, {"seed": True},
                 {"rerouting_interval": True}, {"slots": 2.5}, {"rerouting_interval": 2.5}):
         path = write_mini_files(tmp_path, **bad)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -44,15 +45,14 @@ def test_resolving_own_output_changes_nothing(topo):
     for _ in range(40):
         topo_r, flows, lsps, fr_old, mode, routing = oracles.random_rerouting_instance(rng)
         problem = ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=fr_old,
-                                      mode=RoutingMode(mode), routing=routing,
-                                      topology=topo_r)
+                                      mode=RoutingMode(mode), topology=topo_r)
         try:
             sol = ht.solve_flow_rerouting(problem)
         except Infeasible:
             continue
         again = ht.solve_flow_rerouting(ht.ReroutingProblem(
             flows=flows, lsps=lsps, fr_old=sol.assignment, mode=RoutingMode(mode),
-            routing=routing, topology=topo_r))
+            topology=topo_r))
         assert again.changes == 0
         assert again.assignment == sol.assignment
 
@@ -64,8 +64,7 @@ def test_matches_exhaustive_enumeration_and_lex_tiebreak():
         topo_r, flows, lsps, fr_old, mode, routing = oracles.random_rerouting_instance(rng)
         expect = oracles.best_rerouting(flows, lsps, fr_old, mode, 0.9, routing, topo_r)
         problem = ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=fr_old,
-                                      mode=RoutingMode(mode), mu=0.9,
-                                      routing=routing, topology=topo_r)
+                                      mode=RoutingMode(mode), mu=0.9, topology=topo_r)
         if expect is None:
             with pytest.raises(Infeasible):
                 ht.solve_flow_rerouting(problem)
@@ -122,31 +121,45 @@ def test_unreserved_mode_respects_link_headroom(topo):
             ht.build_lsp(topo, [0, 4, 6, 3, 7, 2], 50.0, 1),
             ht.build_lsp(topo, [0, 5, 7, 2], 50.0, 2))
     flows = (ht.Flow(0, 0, 2, 48.0, 9.0), ht.Flow(1, 0, 2, 48.0, 9.0))
-    routing = ht.routes_of(lsps)
     old = {0: 0, 1: 1}
     reserved = ht.solve_flow_rerouting(ht.ReroutingProblem(
         flows=flows, lsps=lsps, fr_old=old, mode=RoutingMode.RESERVED))
     assert reserved.changes == 0
     unreserved = ht.solve_flow_rerouting(ht.ReroutingProblem(
         flows=flows, lsps=lsps, fr_old=old, mode=RoutingMode.UNRESERVED,
-        mu=0.9, routing=routing, topology=topo))
+        mu=0.9, topology=topo))
     assert unreserved.changes == 1
     # flow 0 keeps its LSP, flow 1 leaves the shared link
     assert unreserved.assignment == {0: 0, 1: 2}
 
 
 def test_unreserved_mode_requires_routing(topo):
+    # The link routing comes from the LSPs, but the links' headroom needs a topology.
     flows, lsps = two_lsp_instance(topo)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^unreserved mode needs a topology$"):
         ht.solve_flow_rerouting(ht.ReroutingProblem(
             flows=flows, lsps=lsps, fr_old={0: 0, 1: 0},
             mode=RoutingMode.UNRESERVED))
-    # The routing must be the LSPs' own: not swapped, and not missing one.
-    for routing in (ht.routes_of(lsps)[::-1], ht.routes_of(lsps)[:1]):
-        with pytest.raises(ValidationError):
-            ht.solve_flow_rerouting(ht.ReroutingProblem(
-                flows=flows, lsps=lsps, fr_old={0: 0, 1: 0},
-                mode=RoutingMode.UNRESERVED, routing=routing, topology=topo))
+
+
+@pytest.mark.parametrize("message", ["duplicate flow ids", "duplicate LSP ids",
+                                     "flow 1 missing from the old assignment",
+                                     "LSP 2 uses nonexistent link (0, 6)"])
+def test_bad_inputs_are_rejected(topo, message):
+    flows, lsps = two_lsp_instance(topo)
+    old, mode = {0: 0, 1: 0}, RoutingMode.RESERVED
+    if message == "duplicate flow ids":
+        flows += flows[:1]
+    elif message == "duplicate LSP ids":
+        lsps += lsps[:1]
+    elif message.startswith("flow 1"):
+        old = {0: 0}
+    else:  # a hand-made LSP over a link the topology lacks
+        lsps += (ht.Lsp(2, 0, 1, ((0, 6), (6, 1)), 5.0, 2.0),)
+        mode = RoutingMode.UNRESERVED
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ht.solve_flow_rerouting(ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=old,
+                                                    mode=mode, topology=topo))
 
 
 def deceptive_instance(topo):
@@ -237,13 +250,13 @@ PINNED = {
 def pinned_instance(generator, max_flows, seed, mode, **overrides):
     rng = np.random.default_rng(seed)
     if generator == "multi":
-        topo_r, flows, lsps, fr_old, routing = oracles.random_multipair_rerouting_instance(
+        topo_r, flows, lsps, fr_old, _ = oracles.random_multipair_rerouting_instance(
             rng, max_flows, 3)
     else:
-        topo_r, flows, lsps, fr_old, _, routing = oracles.random_rerouting_instance(
+        topo_r, flows, lsps, fr_old, _, _ = oracles.random_rerouting_instance(
             rng, max_flows, 4)
     return ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=fr_old, mode=RoutingMode(mode),
-                               routing=routing, topology=topo_r, **overrides)
+                               topology=topo_r, **overrides)
 
 
 def test_search_trajectory_is_pinned():
@@ -287,8 +300,7 @@ def test_multi_pair_instances_match_exhaustive_enumeration():
         for mode in ("reserved", "unreserved"):
             expect = oracles.best_rerouting(flows, lsps, fr_old, mode, 0.9, routing, topo_r)
             problem = ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=fr_old,
-                                          mode=RoutingMode(mode), mu=0.9,
-                                          routing=routing, topology=topo_r)
+                                          mode=RoutingMode(mode), mu=0.9, topology=topo_r)
             if expect is None:
                 with pytest.raises(Infeasible) as exc:
                     ht.solve_flow_rerouting(problem)
@@ -313,12 +325,12 @@ def test_unreserved_pairs_that_overload_a_shared_link_are_searched_jointly(topo)
             ht.build_lsp(topo, [1, 4, 6, 2], 60.0, 2), ht.build_lsp(topo, [1, 5, 7, 2], 60.0, 3))
     flows = (ht.Flow(0, 0, 2, 50.0, 9.0), ht.Flow(1, 1, 2, 50.0, 9.0))
     old = {0: 0, 1: 2}
-    routing = ht.routes_of(lsps)
+    routing = tuple(l.links for l in lsps)
     reserved = ht.solve_flow_rerouting(ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=old))
     assert (reserved.assignment, reserved.changes) == (old, 0)
     sol = ht.solve_flow_rerouting(ht.ReroutingProblem(
         flows=flows, lsps=lsps, fr_old=old, mode=RoutingMode.UNRESERVED, mu=0.9,
-        routing=routing, topology=topo))
+        topology=topo))
     expect = oracles.best_rerouting(flows, lsps, old, "unreserved", 0.9, routing, topo)
     assert expect == (1, {0: 0, 1: 3})
     assert (sol.changes, sol.assignment, sol.optimal) == (*expect, True)
@@ -377,13 +389,13 @@ def test_tie_break_matches_the_flow_by_flow_rebuild():
     seen = {"infeasible": 0, "unmoved": 0, "moved": 0}
     for k in range(1000):
         if k % 2:
-            topo_r, flows, lsps, fr_old, routing = oracles.random_multipair_rerouting_instance(
+            topo_r, flows, lsps, fr_old, _ = oracles.random_multipair_rerouting_instance(
                 rng, 4, 4)
         else:
-            topo_r, flows, lsps, fr_old, _, routing = oracles.random_rerouting_instance(rng, 5, 4)
+            topo_r, flows, lsps, fr_old, _, _ = oracles.random_rerouting_instance(rng, 5, 4)
         for mode in RoutingMode:
             problem = ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=fr_old, mode=mode,
-                                          routing=routing, topology=topo_r)
+                                          topology=topo_r)
             got = outcome(ht.solve_flow_rerouting, problem)
             assert got == outcome(oracles.flow_by_flow_rerouting, problem), (k, mode)
             seen["infeasible" if got[0] == "infeasible" else

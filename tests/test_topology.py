@@ -97,6 +97,8 @@ def test_shortest_delay_unreachable():
     '{"nodes": true, "edge_nodes": [0], "links": [{"src": 0, "dst": 1, "bandwidth": 1, "delay": 1}]}',
     '{"nodes": 3, "edge_nodes": [0], "links": [], "name": "lab"}',
     '{"nodes": 3, "edge_nodes": [0, 0, 1], "links": [{"src": 0, "dst": 1, "bandwidth": 1, "delay": 1}]}',
+    '{"nodes": 3, "edge_nodes": [0], "links": {"src": 0, "dst": 1, "bandwidth": 1, "delay": 1}}',
+    '{"nodes": 3, "edge_nodes": [0], "links": [[0, 1, 1, 1]]}',
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -132,6 +133,9 @@ def test_target_flow_count(topo):
     dict(delay_stretch=math.inf),
     # numpy rejects a negative seed with its own ValueError
     dict(seed=-1),
+    dict(target_flow_count=-1),
+    # p = 1 / (0.01 x 3 x 8 nodes) > 1 is no geometric parameter
+    dict(flow_intensity=0.01),
 ])
 def test_config_validation(topo, bad):
     with pytest.raises(ConfigError):
@@ -139,6 +143,16 @@ def test_config_validation(topo, bad):
     if "growth_max" in bad:
         with pytest.raises(ConfigError):
             ht.grow_flows((), bad["growth_max"], 0)
+
+
+def test_edge_node_that_reaches_no_other_is_an_error():
+    # Edge node 2 has links in but none out.
+    links = [{"src": a, "dst": b, "bandwidth": 10, "delay": 1}
+             for a, b in ((0, 1), (1, 0), (0, 2), (1, 2))]
+    topo = ht.load_topology(json.dumps({"nodes": 3, "edge_nodes": [0, 1, 2], "links": links}))
+    with pytest.raises(ht.UnreachableError,
+                       match="^edge node 2 cannot reach any other edge node$"):
+        ht.generate_flows(topo, cfg())
 
 
 def test_intensity_governs_population(topo):

@@ -39,9 +39,6 @@ def audit_flow_assignment(flows, lsps, assignment, mode: str = "reserved",
     if problems:
         return problems
 
-    if not np.all(fr.sum(axis=1) == 1):
-        problems.append("assignment matrix has a row sum other than 1")
-
     rates = np.array([f.rate for f in flows])
     caps = np.zeros(n_l)
     delays = np.zeros(n_l)

@@ -35,6 +35,13 @@ def pairs(links, ind: str) -> str:
                             for a, b in links), ind)
 
 
+def lsp_record(l) -> str:
+    """One LSP's entry in a re-routing dump's `lsps` list."""
+    return (f'    {{\n      "capacity": {scalar(l.capacity)},\n      "dst": {scalar(l.dst)},\n'
+            f'      "id": {scalar(l.id)},\n      "links": {pairs(l.links, "      ")},\n'
+            f'      "prop_delay": {scalar(l.prop_delay)},\n      "src": {scalar(l.src)}\n    }}')
+
+
 def routes(routing, ind: str) -> str:
     """A list of routes, each a list of link pairs, closed at indent `ind`."""
     i1 = ind + "  "

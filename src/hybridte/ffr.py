@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .lsp import Lsp
+from .lsp import Lsp, lsps_by_pair
 from .topology import NetworkTopology
 from .traffic import Flow
 
@@ -40,10 +40,7 @@ def check_congestion(lsp: Lsp, flow: Flow, topo: NetworkTopology,
                      load: dict[tuple[int, int], float], mu: float, free: float) -> bool:
     """True when the flow fits after widening the LSP with the headroom left
     on its most loaded link; `load` is the offered rate per directed link."""
-    residual = min(
-        mu * topo.link_lookup(*pair).bandwidth - load.get(pair, 0.0)
-        for pair in lsp.links
-    )
+    residual = min(mu * topo.by_pair[pair].bandwidth - load.get(pair, 0.0) for pair in lsp.links)
     return free + residual >= flow.rate
 
 
@@ -58,6 +55,10 @@ def ffr(flows, lsps, fr_old: dict[int, int], topo: NetworkTopology,
             raise ValidationError(f"flow {f.id} missing from the old assignment")
         if fr_old[f.id] not in by_id:
             raise ValidationError(f"flow {f.id} rides an unknown LSP")
+    missing = [(l.id, pair) for l in lsps for pair in l.links if pair not in topo.by_pair]
+    if missing:
+        raise ValidationError("LSP {} uses nonexistent link {}".format(*missing[0]))
+    pair_lsps = lsps_by_pair(lsps)
     free = {l.id: l.capacity for l in lsps}
     link_load: dict[tuple[int, int], float] = {}
     assignment: dict[int, int] = {}
@@ -73,7 +74,7 @@ def ffr(flows, lsps, fr_old: dict[int, int], topo: NetworkTopology,
 
     for f in sorted(flows, key=lambda f: (-f.rate, f.id)):
         exams += len(lsps)
-        proper = find_proper_lsps(f, lsps, free)
+        proper = find_proper_lsps(f, pair_lsps.get((f.src, f.dst), ()), free)
         old_id = fr_old[f.id]
         proper.sort(key=lambda l: l.id != old_id)
         chosen = None

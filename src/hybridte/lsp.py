@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
+from .dumps import lsp_record
 from .errors import InvalidPathError, ValidationError
 from .topology import NetworkTopology, links_of_path
 
@@ -23,6 +25,16 @@ class Lsp:
     links: tuple[tuple[int, int], ...]
     capacity: float
     prop_delay: float
+
+    dump_record = cached_property(lsp_record)  # rendered once per object
+
+
+def lsps_by_pair(lsps) -> dict[tuple[int, int], list[Lsp]]:
+    """The LSPs grouped by (src, dst), in input order within each pair."""
+    groups: dict[tuple[int, int], list[Lsp]] = {}
+    for l in lsps:
+        groups.setdefault((l.src, l.dst), []).append(l)
+    return groups
 
 
 def build_lsp(topo: NetworkTopology, path: list[int] | tuple[int, ...], capacity: float,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .baseline import shortest_path_route
 from .errors import ConfigError, Infeasible, ParseError, check_keys, check_types
 from .ffr import ffr, find_proper_lsps
-from .lsp import Lsp, build_lsp
+from .lsp import Lsp, build_lsp, lsps_by_pair
 from .metrics import MetricsSample, compute_sample, offered_loads, write_metrics_csv
 from .recreation import (LspRequest, RecreationProblem, enumerate_simple_paths,
                          recreation_to_json, solve_lsp_recreation)
@@ -202,9 +202,10 @@ def initial_assignment(flows, lsps) -> dict[int, int]:
     """Worst-fit initial placement: largest flows first onto the roomiest
     admissible LSP. Raises when some flow has no admissible LSP at all."""
     free = {l.id: l.capacity for l in lsps}
+    pair_lsps = lsps_by_pair(lsps)
     assignment: dict[int, int] = {}
     for f in sorted(flows, key=lambda f: (-f.rate, f.id)):
-        proper = find_proper_lsps(f, lsps, free)
+        proper = find_proper_lsps(f, pair_lsps.get((f.src, f.dst), ()), free)
         if not proper:
             raise ConfigError(
                 f"flow {f.id} ({f.src}->{f.dst}, delay bound {f.max_delay:.3g}) "

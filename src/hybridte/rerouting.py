@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bnb import BudgetExhausted, Search
-from .dumps import block, id_map, pairs, scalar
+from .dumps import block, id_map, scalar
 from .errors import Infeasible, ValidationError
+from .lsp import lsps_by_pair
 from .topology import NetworkTopology
 
 
@@ -70,10 +71,10 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     if unreserved and problem.topology is None:
         raise ValidationError("unreserved mode needs a topology")
     lsps = sorted(problem.lsps, key=lambda x: x.id)
+    pair_lsps = lsps_by_pair(lsps)
     candidates: dict[int, list[int]] = {}
     for f in problem.flows:
-        cands = [l.id for l in lsps
-                 if l.src == f.src and l.dst == f.dst and l.prop_delay <= f.max_delay]
+        cands = [l.id for l in pair_lsps.get((f.src, f.dst), ()) if l.prop_delay <= f.max_delay]
         if not cands:
             raise Infeasible(f"flow {f.id} has no admissible LSP", proven=True)
         candidates[f.id] = cands
@@ -166,11 +167,7 @@ def rerouting_to_json(problem: ReroutingProblem, solution: ReroutingSolution | N
         f'      "max_delay": {scalar(f.max_delay)},\n      "rate": {scalar(f.rate)},\n'
         f'      "src": {scalar(f.src)}\n    }}'
         for f in sorted(problem.flows, key=lambda f: f.id))
-    lsps = ",\n".join(
-        f'    {{\n      "capacity": {scalar(l.capacity)},\n      "dst": {scalar(l.dst)},\n'
-        f'      "id": {scalar(l.id)},\n      "links": {pairs(l.links, "      ")},\n'
-        f'      "prop_delay": {scalar(l.prop_delay)},\n      "src": {scalar(l.src)}\n    }}'
-        for l in sorted(problem.lsps, key=lambda l: l.id))
+    lsps = ",\n".join(l.dump_record for l in sorted(problem.lsps, key=lambda l: l.id))
     text = (f'{{\n  "flows": {block(flows, "  ")},\n  "lsps": {block(lsps, "  ")},\n'
             f'  "mode": "{problem.mode.value}",\n  "mu": {scalar(problem.mu)},\n'
             f'  "node_budget": {scalar(problem.node_budget)},\n'

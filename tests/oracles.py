@@ -1,15 +1,19 @@
 """Brute-force reference implementations, random instance generators, the
 reference rendering of `--dump-lp` instances, the reference re-routing
-tie-break, the reference metrics sample and the reference auto LSP plan.
+tie-break, the reference metrics sample, the reference auto LSP plan and
+the full-scan LSP lookups.
 
 Everything here is deliberately naive: exhaustive enumeration and plain
 Python sums, so solver results can be checked against an implementation
-with no shared logic. The one exception is `flow_by_flow_rerouting`, which
-keeps the re-routing solver's former tie-break on the shared B&B kernel.
+with no shared logic. The exceptions are `flow_by_flow_rerouting`, which
+keeps the re-routing solver's former tie-break on the shared B&B kernel, and
+the full-scan lookups, which keep the solvers' former scan of every LSP for
+every flow.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -20,11 +24,13 @@ import numpy as np
 from hybridte import rerouting
 from hybridte.bnb import BudgetExhausted
 from hybridte.errors import ConfigError, Infeasible
+from hybridte.ffr import FfrResult, check_congestion, find_proper_lsps
 from hybridte.lsp import build_lsp
 from hybridte.metrics import MetricsSample
+from hybridte.orchestrator import build_auto_lsp_plan
 from hybridte.recreation import LspRequest, enumerate_simple_paths
 from hybridte.topology import Link, NetworkTopology, links_of_path
-from hybridte.traffic import Flow
+from hybridte.traffic import Flow, TrafficConfig, generate_flows
 
 
 def within(value: float, bound: float) -> bool:
@@ -477,3 +483,99 @@ def reference_auto_plan(topo, paths_per_pair, mu_headroom):
                 factor = min(factor, budget / link_sum[pair])
         lsps.append(build_lsp(topo, nodes, raw * factor, lsp_id))
     return lsps
+
+
+def full_scan_ffr(flows, lsps, fr_old, topo, mu=0.9):
+    """`ffr` as it was before the LSPs were grouped by endpoint pair: every
+    flow's candidates come from a scan of every LSP."""
+    by_id = {l.id: l for l in lsps}
+    free = {l.id: l.capacity for l in lsps}
+    link_load = {}
+    assignment, augmentations, requests, placed = {}, {}, [], set()
+    exams = 0
+
+    def occupy(lsp, rate):
+        free[lsp.id] -= rate
+        for pair in lsp.links:
+            link_load[pair] = link_load.get(pair, 0.0) + rate
+
+    for f in sorted(flows, key=lambda f: (-f.rate, f.id)):
+        exams += len(lsps)
+        proper = find_proper_lsps(f, lsps, free)
+        old_id = fr_old[f.id]
+        proper.sort(key=lambda l: l.id != old_id)
+        chosen = None
+        for l in proper:
+            exams += 1
+            if free[l.id] >= f.rate:
+                chosen = l
+                break
+        if chosen is None:
+            for l in proper:
+                exams += 1 + len(l.links)
+                if check_congestion(l, f, topo, link_load, mu, free[l.id]):
+                    grant = f.rate - free[l.id]
+                    free[l.id] += grant
+                    augmentations[l.id] = augmentations.get(l.id, 0.0) + grant
+                    chosen = l
+                    break
+        if chosen is not None:
+            occupy(chosen, f.rate)
+            assignment[f.id] = chosen.id
+            placed.add(f.id)
+        else:
+            requests.append(f.id)
+            assignment[f.id] = old_id
+            occupy(by_id[old_id], f.rate)
+    return FfrResult(assignment, tuple(sorted(requests)), augmentations, exams,
+                     frozenset(placed))
+
+
+def full_scan_initial_assignment(flows, lsps):
+    """`initial_assignment` with every flow's candidates scanned from every
+    LSP; returns the assignment, or the ConfigError's message."""
+    free = {l.id: l.capacity for l in lsps}
+    assignment = {}
+    for f in sorted(flows, key=lambda f: (-f.rate, f.id)):
+        proper = find_proper_lsps(f, lsps, free)
+        if not proper:
+            return (f"flow {f.id} ({f.src}->{f.dst}, delay bound {f.max_delay:.3g}) "
+                    "matches no planned LSP")
+        assignment[f.id] = proper[0].id
+        free[proper[0].id] -= f.rate
+    return assignment
+
+
+class _FullScan:
+    """Stands in for the endpoint-pair index: each lookup scans every LSP."""
+
+    def __init__(self, lsps):
+        self.lsps = list(lsps)
+
+    def get(self, pair, default=()):
+        return [l for l in self.lsps if (l.src, l.dst) == pair]
+
+
+def full_scan_rerouting(problem):
+    """`solve_flow_rerouting` with its candidates built, as before, by testing
+    every LSP's endpoints and delay for every flow."""
+    with mock.patch.object(rerouting, "lsps_by_pair", _FullScan):
+        return rerouting.solve_flow_rerouting(problem)
+
+
+def shuffled_plan_instance(rng: np.random.Generator, topo, paths_per_pair: int = 2):
+    """An auto LSP plan on `topo` with flows generated over it, placed by
+    `full_scan_initial_assignment`. The LSP ids are then shuffled and the plan
+    listed in random order, so endpoint pairs interleave in both, and each
+    flow's rate is scaled by a factor from 1 to 3, so that some flows must
+    move, widen an LSP or park. Returns (flows, lsps, fr_old)."""
+    cfg = TrafficConfig(demand_fraction=0.08, flow_intensity=0.6, max_flows_per_source=10,
+                        growth_max=0.1, intensity_scale=3.0, seed=int(rng.integers(1 << 30)))
+    flows = generate_flows(topo, cfg)
+    plan = build_auto_lsp_plan(topo, paths_per_pair, 0.9)
+    fr_old = full_scan_initial_assignment(flows, plan)
+    new_id = [int(v) for v in rng.permutation(len(plan))]
+    lsps = tuple(dataclasses.replace(plan[int(i)], id=new_id[int(i)])
+                 for i in rng.permutation(len(plan)))
+    flows = tuple(f._replace(rate=f.rate * float(rng.uniform(1.0, 3.0))) for f in flows)
+    return flows, lsps, {fid: new_id[lid] for fid, lid in fr_old.items()}

@@ -8,6 +8,8 @@ import importlib.util
 import os
 import sys
 
+import pytest
+
 import hybridte as ht
 from hybridte import orchestrator
 from hybridte.rerouting import RoutingMode
@@ -67,11 +69,20 @@ def test_slot_probe_spans_every_checked_slot_once():
     assert all(end <= start for (_, end), (start, _) in zip(probe.spans, probe.spans[1:]))
 
 
-def test_comparison_reaches_every_layer_ref8_mix_requires():
-    # ref8-mix times `hybridte compare`; the benchmark exits when a pass never
-    # calls one of these names, so a comparison must still call each of them.
-    cfg = ht.load_scenario(os.path.join(ROOT, "scenarios", "scenario3.json"))
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_workload_pool_reaches_every_required_layer(tmp_path, name):
+    # The benchmark exits when a pass over a workload's pool never calls one
+    # of its required names, or when a captured solver result fails the audit.
+    wl = workloads.build(name, ROOT, str(tmp_path), seed=1)
     tracer = probes.Tracer()
+    tracer.capture = True
     with probes.patched(tracer.wrappers()):
-        orchestrator.run_comparison(cfg)
-    assert sorted(n for n in workloads._BUILDERS["ref8-mix"][1] if tracer.calls[n] == 0) == []
+        for run in wl.pool:
+            tracer.run_tag = run.tag
+            if run.compare:
+                orchestrator.run_comparison(run.cfg)
+            else:
+                orchestrator.run_scenario(run.cfg)
+    assert sorted(n for n in wl.must_call if tracer.calls[n] == 0) == []
+    assert tracer.reroutings + tracer.recreations
+    assert probes.audit_captures(tracer) == set()

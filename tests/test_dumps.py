@@ -2,6 +2,7 @@
 (`oracles.rerouting_dump`, `oracles.recreation_dump`): the text must match
 byte for byte."""
 
+import dataclasses
 import enum
 import json
 import math
@@ -112,3 +113,30 @@ def test_recreation_edge_cases():
     assert budgets == ['"delay_budget": null,', '"delay_budget": -Infinity,',
                        '"delay_budget": NaN,', '"delay_budget": 4.0,']
     check_recreation(ht.RecreationProblem((), topo))
+
+
+def test_lsp_records_are_rendered_once_per_object():
+    topo = ht.reference_topology()
+    lsp = ht.build_lsp(topo, [0, 4, 1], 5.0, 0)
+    facts = (lsp, hash(lsp), repr(lsp), dataclasses.asdict(lsp))
+    problem = ht.ReroutingProblem((Flow(0, 0, 1, 1.0, 9.0),), (lsp,), {0: 0})
+    text = rerouting_to_json(problem)
+    assert rerouting_to_json(problem) == text == oracles.rerouting_dump(problem)
+    assert vars(lsp)["dump_record"] in text  # kept on the object after the first render
+    assert (lsp, hash(lsp), repr(lsp), dataclasses.asdict(lsp)) == facts
+    # A copy is a new object with its own record.
+    wider = dataclasses.replace(lsp, capacity=7.5)
+    check_rerouting(dataclasses.replace(problem, lsps=(wider,)))
+    assert '"capacity": 7.5' in wider.dump_record and '"capacity": 5.0' in lsp.dump_record
+    # Equal LSPs whose figures are of different types, or zeros of different
+    # signs, render differently in one process.
+    pairs = [(Lsp(1, 0, 1, ((0, 1),), 1, 0.0), Lsp(1, 0, 1, ((0, 1),), 1.0, -0.0)),
+             (Lsp(2, 0, 1, ((0, 1),), True, 1), Lsp(2, 0, 1, ((0, 1),), 1.0, 1.0))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        for l in (a, b, a):
+            check_rerouting(ht.ReroutingProblem((), (l,), {}))
+    assert '"capacity": 1,' in pairs[0][0].dump_record
+    assert '"capacity": 1.0,' in pairs[0][1].dump_record
+    assert '"prop_delay": -0.0,' in pairs[0][1].dump_record
+    assert '"capacity": true,' in pairs[1][0].dump_record

@@ -1,10 +1,15 @@
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import hybridte as ht
 from hybridte.errors import ValidationError
+from hybridte.orchestrator import initial_assignment
 
 import oracles
+from test_recreation import ring14
 
 
 @pytest.fixture
@@ -111,14 +116,18 @@ def test_placed_flows_always_satisfy_constraints():
 
 @pytest.mark.parametrize("message", ["duplicate LSP ids",
                                      "flow 1 missing from the old assignment",
-                                     "flow 1 rides an unknown LSP"])
+                                     "flow 1 rides an unknown LSP",
+                                     "LSP 0 uses nonexistent link (0, 99)"])
 def test_bad_inputs_are_rejected(topo, message):
     lsps = parallel_lsps(topo)
     flows = (ht.Flow(0, 0, 1, 4.0, 4.0), ht.Flow(1, 0, 1, 5.0, 4.0))
     lsps, old = {"duplicate LSP ids": (lsps + lsps[:1], {0: 0, 1: 1}),
                  "flow 1 missing from the old assignment": (lsps, {0: 0}),
-                 "flow 1 rides an unknown LSP": (lsps, {0: 0, 1: 7})}[message]
-    with pytest.raises(ValidationError, match=f"^{message}$"):
+                 "flow 1 rides an unknown LSP": (lsps, {0: 0, 1: 7}),
+                 # a hand-made LSP over a link the topology lacks
+                 "LSP 0 uses nonexistent link (0, 99)":
+                     ((ht.Lsp(0, 0, 1, ((0, 99),), 1.0, 1.0), lsps[1]), {0: 0, 1: 1})}[message]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         ht.ffr(flows, lsps, old, topo)
 
 
@@ -128,3 +137,50 @@ def test_larger_flows_take_priority(topo):
     flows = (ht.Flow(0, 0, 1, 2.0, 4.0), ht.Flow(1, 0, 1, 6.0, 4.0))
     res = ht.ffr(flows, lsps, {0: 0, 1: 0}, topo)
     assert res.assignment == {0: 1, 1: 0}
+
+
+def shuffled_instances():
+    """Instances whose LSP ids are shuffled and whose endpoint pairs interleave
+    in the LSP list: random multi-pair instances listed in random order, and
+    auto plans on the reference topology and the 14-node ring."""
+    rng = np.random.default_rng(83)
+    for _ in range(150):
+        topo, flows, lsps, fr_old, _ = oracles.random_multipair_rerouting_instance(
+            rng, max_flows=6, max_lsps=4)
+        yield topo, flows, tuple(lsps[int(i)] for i in rng.permutation(len(lsps))), fr_old
+    for topo in (ht.reference_topology(), ring14()) * 8:
+        yield (topo, *oracles.shuffled_plan_instance(rng, topo))
+
+
+def test_ffr_matches_the_full_scan():
+    seen = Counter()
+    for topo, flows, lsps, fr_old in shuffled_instances():
+        res = ht.ffr(flows, lsps, fr_old, topo)
+        ref = oracles.full_scan_ffr(flows, lsps, fr_old, topo)
+        assert res.assignment == ref.assignment
+        assert list(res.assignment) == list(ref.assignment)
+        assert res.examinations == ref.examinations
+        assert res.recreation_requests == ref.recreation_requests
+        assert res.augmentations == ref.augmentations
+        assert res.placed == ref.placed
+        seen.update(moved=res.assignment != fr_old, widened=bool(res.augmentations),
+                    parked=bool(res.recreation_requests))
+    assert min(seen.values()) > 0
+
+
+def test_initial_assignment_matches_the_full_scan():
+    unplaced = placed = 0
+    for i, (_, flows, lsps, _) in enumerate(shuffled_instances()):
+        if i % 2:  # a tighter bound on some flows, which then may fit no LSP
+            flows = tuple(f._replace(max_delay=f.max_delay * 0.3) if f.id % 7 == 3 else f
+                          for f in flows)
+        ref = oracles.full_scan_initial_assignment(flows, lsps)
+        if isinstance(ref, str):
+            unplaced += 1
+            with pytest.raises(ht.ConfigError, match=f"^{re.escape(ref)}$"):
+                initial_assignment(flows, lsps)
+        else:
+            got = initial_assignment(flows, lsps)
+            assert got == ref and list(got) == list(ref)
+            placed += 1
+    assert unplaced and placed

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hybridte.errors import Infeasible, ValidationError
 from hybridte.rerouting import RoutingMode, rerouting_to_json
 
 import oracles
+from test_ffr import shuffled_instances
 
 
 @pytest.fixture
@@ -401,3 +403,22 @@ def test_tie_break_matches_the_flow_by_flow_rebuild():
             seen["infeasible" if got[0] == "infeasible" else
                  "moved" if got[1] else "unmoved"] += 1
     assert min(seen.values()) >= 200, seen
+
+
+def rerouting_outcome(solve, problem):
+    try:
+        sol = solve(problem)
+    except Infeasible as exc:
+        return str(exc), exc.proven
+    return sol.assignment, list(sol.assignment), sol.changes, sol.optimal, sol.nodes_explored
+
+
+def test_candidates_match_the_full_scan():
+    kinds = Counter()
+    for topo, flows, lsps, fr_old in shuffled_instances():
+        for mode in RoutingMode:
+            problem = ht.ReroutingProblem(flows, lsps, fr_old, mode, topology=topo)
+            got = rerouting_outcome(ht.solve_flow_rerouting, problem)
+            assert got == rerouting_outcome(oracles.full_scan_rerouting, problem)
+            kinds[len(got)] += 1
+    assert kinds[2] and kinds[5]

@@ -50,11 +50,11 @@ class Search:
         for r in resources:
             self.load[r] -= demand
 
-    def run(self, order, demand, options, best_cost: float = math.inf,
-            first: bool = False) -> dict | None:
+    def run(self, order, demand, options) -> dict | None:
         """Find the cheapest assignment of the items of `order`, branched in
-        that order, that costs less than `best_cost`; with `first`, stop at
-        the first assignment below it instead.
+        that order, from empty loads. Only a strictly cheaper leaf replaces
+        the incumbent, so of the cheapest assignments the first in branching
+        order is kept.
 
         Returns that assignment (item -> option value), or None.
         Raises BudgetExhausted once the node budget is spent; `best` and
@@ -65,20 +65,21 @@ class Search:
         for k in range(n - 1, -1, -1):
             bound[k] = bound[k + 1] + min(o[0] for o in options[order[k]])
         chosen: dict = {}
+        self.load = dict.fromkeys(self.load, 0.0)
         self.best = None
-        self.best_cost = best_cost
+        self.best_cost = math.inf
 
-        def dfs(k: int, cost: int) -> bool:
+        def dfs(k: int, cost: int):
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExhausted
             # Every node is entered with cost + bound[k] < best_cost (the root
-            # by the check below, children by the option check), so it needs
-            # no bound check of its own.
+            # as best_cost starts infinite, children by the option check), so
+            # it needs no bound check of its own.
             if k == n:
                 self.best_cost = cost
                 self.best = dict(chosen)
-                return first
+                return
             item = order[k]
             need = demand[item]
             for step, resources, value in options[item]:
@@ -87,13 +88,9 @@ class Search:
                     continue
                 self.place(resources, need)
                 chosen[item] = value
-                stop = dfs(k + 1, cost + step)
+                dfs(k + 1, cost + step)
                 del chosen[item]
                 self.remove(resources, need)
-                if stop:
-                    return True
-            return False
 
-        if bound[0] < best_cost:
-            dfs(0, 0)
+        dfs(0, 0)
         return self.best

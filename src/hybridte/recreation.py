@@ -115,6 +115,10 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     enumerating candidate paths: 0 is a lower bound on any routing's cost.
     Its node count, n + 1, is the kernel's first descent, so the shortcut
     applies only when the node budget allows that descent."""
+    if not 0 < problem.mu <= 1:
+        raise ValidationError("mu must lie in (0, 1]")
+    if problem.path_limit < 1:
+        raise ValidationError("path_limit must be at least 1")
     topo = problem.topology
     n = len(problem.requests)
     old = problem.lr_old or ()

@@ -4,7 +4,10 @@ Given the current assignment, find a new one that satisfies per-LSP capacity,
 per-flow delay bounds and endpoint matching (plus per-link headroom in
 unreserved mode) while moving as few flows as possible. Ties between optimal
 assignments are broken toward the lexicographically smallest LSP-id vector in
-flow-id order, so equal inputs always produce the identical solution.
+flow-id order, so equal inputs always produce the identical solution. One
+kernel run finds both: it branches flows in id order and each flow's LSPs in id
+order, and only a strictly cheaper leaf replaces its incumbent, so the first
+optimum it meets, the one it keeps, is that smallest vector.
 
 Every LSP serves one (src, dst) pair, so each pair's flows are searched on their
 own, in sorted pair order, on one node counter. In reserved mode the pairs share
@@ -57,7 +60,14 @@ class ReroutingSolution:
 
 
 def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
-    """Solve one re-routing instance; raises Infeasible when no assignment exists."""
+    """Solve one re-routing instance; raises Infeasible when no assignment exists.
+
+    All searches share one node counter. When the pair answers overload a
+    shared link in unreserved mode, the joint search starts with the nodes
+    the pair searches already spent, so a budget that does not cover both
+    gives an unproven incumbent or an unproven Infeasible."""
+    if not 0 < problem.mu <= 1:
+        raise ValidationError("mu must lie in (0, 1]")
     flows = {f.id: f for f in problem.flows}
     if len(flows) != len(problem.flows):
         raise ValidationError("duplicate flow ids")
@@ -91,9 +101,7 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
             resources[l.id] = (l.id, *l.links)
     search = Search(capacity, problem.node_budget)
     rate = {fid: f.rate for fid, f in flows.items()}
-    # Staying put is tried first; the sort is stable, so moves follow in id order.
-    options = {fid: sorted(((int(lid != old[fid]), resources[lid], lid) for lid in cands),
-                           key=lambda o: o[0])
+    options = {fid: [(int(lid != old[fid]), resources[lid], lid) for lid in cands]
                for fid, cands in candidates.items()}
     by_pair: dict[tuple[int, int], list[int]] = {}
     for f in problem.flows:
@@ -106,13 +114,9 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     return ReroutingSolution(dict(sorted(assignment.items())), changes, optimal, search.nodes)
 
 
-def _clear(search: Search):
-    search.load = dict.fromkeys(search.load, 0.0)
-
-
 def _fits_together(search: Search, assignment: dict[int, int], rate, resources) -> bool:
     """Whether every flow fits on its LSP's resources with all others placed."""
-    _clear(search)
+    search.load = dict.fromkeys(search.load, 0.0)
     for fid, lid in assignment.items():
         if not search.fits(resources[lid], rate[fid]):
             return False
@@ -121,17 +125,15 @@ def _fits_together(search: Search, assignment: dict[int, int], rate, resources) 
 
 
 def _solve(search: Search, parts, rate, options) -> tuple[dict[int, int], int, bool]:
-    """Minimum-change assignment of every part's flows, each part searched on
-    its own from empty loads. Returns (assignment, changes, optimal); raises
+    """Minimum-change assignment and tie-break of every part's flows, each part
+    searched on its own. Returns (assignment, changes, optimal); raises
     Infeasible when a part has none or the budget runs out before each has one."""
     found: dict[int, int] = {}
-    costs = []
+    changes = 0
     optimal = True
     for part in parts:
-        _clear(search)
-        seq = sorted(part, key=lambda fid: (-rate[fid], fid))
         try:
-            if search.run(seq, rate, options) is None:
+            if search.run(sorted(part), rate, options) is None:
                 raise Infeasible("no assignment satisfies capacity and delay", proven=True)
         except BudgetExhausted:
             # Keep the incumbent; a later part finds the budget spent at its
@@ -141,23 +143,8 @@ def _solve(search: Search, parts, rate, options) -> tuple[dict[int, int], int, b
                                  proven=False) from None
             optimal = False
         found.update(search.best)
-        costs.append((seq, int(search.best_cost)))
-    changes = sum(cost for _, cost in costs)
-    if not optimal:
-        return found, changes, False
-
-    # The first assignment within a part's proven cost that a search in flow-id
-    # order, trying LSPs in id order, finds is the part's lexicographic minimum.
-    by_id = {fid: sorted(opts, key=lambda o: o[2]) for fid, opts in options.items()}
-    try:
-        for seq, target in costs:
-            _clear(search)
-            found.update(search.run(sorted(seq), rate, by_id, target + 1, first=True))
-    except BudgetExhausted:
-        # Cost optimality is already proven; the parts not yet tie-broken when
-        # the budget runs out keep the first optimum found.
-        pass
-    return found, changes, True
+        changes += int(search.best_cost)
+    return found, changes, optimal
 
 
 def rerouting_to_json(problem: ReroutingProblem, solution: ReroutingSolution | None = None) -> str:

@@ -1,14 +1,11 @@
 """Brute-force reference implementations, random instance generators, the
-reference rendering of `--dump-lp` instances, the reference re-routing
-tie-break, the reference metrics sample, the reference auto LSP plan and
-the full-scan LSP lookups.
+reference rendering of `--dump-lp` instances, the reference metrics sample,
+the reference auto LSP plan and the full-scan LSP lookups.
 
 Everything here is deliberately naive: exhaustive enumeration and plain
 Python sums, so solver results can be checked against an implementation
-with no shared logic. The exceptions are `flow_by_flow_rerouting`, which
-keeps the re-routing solver's former tie-break on the shared B&B kernel, and
-the full-scan lookups, which keep the solvers' former scan of every LSP for
-every flow.
+with no shared logic. The exceptions are the full-scan lookups, which keep
+the solvers' former scan of every LSP for every flow.
 """
 
 from __future__ import annotations
@@ -22,8 +19,7 @@ from unittest import mock
 import numpy as np
 
 from hybridte import rerouting
-from hybridte.bnb import BudgetExhausted
-from hybridte.errors import ConfigError, Infeasible
+from hybridte.errors import ConfigError
 from hybridte.ffr import FfrResult, check_congestion, find_proper_lsps
 from hybridte.lsp import build_lsp
 from hybridte.metrics import MetricsSample
@@ -106,78 +102,39 @@ def best_rerouting(flows, lsps, fr_old, mode="reserved", mu=0.9,
                    routing=None, topo=None):
     """Exhaustive minimum-change assignment; returns (changes, mapping) where
     the mapping is the lexicographically smallest optimum in flow-id order,
-    or None when nothing is feasible."""
+    or None when nothing is feasible.
+
+    Assignments are enumerated by how many flows they move, fewest first, so
+    the enumeration ends at the optimum. Before that, each endpoint pair's
+    flows are enumerated alone: a pair that fits in no way on its own does
+    not fit beside the others either."""
     flows = sorted(flows, key=lambda f: f.id)
     # Only an LSP with the flow's endpoints can carry it; listing those alone
     # keeps multi-pair instances small enough to enumerate.
     choices = [sorted(l.id for l in lsps if (l.src, l.dst) == (f.src, f.dst)) for f in flows]
-    best = None
-    for combo in itertools.product(*choices):
-        assign = {f.id: lid for f, lid in zip(flows, combo)}
-        if not rerouting_feasible(flows, lsps, assign, mode, mu, routing, topo):
-            continue
-        changes = sum(1 for f in flows if assign[f.id] != fr_old[f.id])
-        key = (changes, combo)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None
-    changes, combo = best
-    return changes, {f.id: lid for f, lid in zip(flows, combo)}
 
+    def fits(indices, combo):
+        assign = {flows[i].id: lid for i, lid in zip(indices, combo)}
+        return rerouting_feasible([flows[i] for i in indices], lsps, assign, mode, mu,
+                                  routing, topo)
 
-def flow_by_flow_rerouting(problem):
-    """`solve_flow_rerouting` with its former tie-break, which rebuilds each
-    part's optimum flow id by flow id: it commits the smallest LSP id that
-    still allows a completion within the part's proven cost, checking each
-    candidate with one first-completion kernel run."""
-    with mock.patch.object(rerouting, "_solve", _flow_by_flow_solve):
-        return rerouting.solve_flow_rerouting(problem)
-
-
-def _flow_by_flow_solve(search, parts, rate, options):
-    found = {}
-    costs = []
-    optimal = True
-    for part in parts:
-        rerouting._clear(search)
-        seq = sorted(part, key=lambda fid: (-rate[fid], fid))
-        try:
-            if search.run(seq, rate, options) is None:
-                raise Infeasible("no assignment satisfies capacity and delay", proven=True)
-        except BudgetExhausted:
-            if search.best is None:
-                raise Infeasible("node budget exhausted before any assignment was found",
-                                 proven=False) from None
-            optimal = False
-        found.update(search.best)
-        costs.append((seq, int(search.best_cost)))
-    changes = sum(cost for _, cost in costs)
-    if not optimal:
-        return found, changes, False
-    try:
-        for seq, target in costs:
-            rerouting._clear(search)
-            fixed = {}
-            spent = 0
-            for fid in sorted(seq):
-                rest = [g for g in seq if g > fid]
-                for step, res, lid in sorted(options[fid], key=lambda o: o[2]):
-                    if not search.fits(res, rate[fid]):
-                        continue
-                    search.place(res, rate[fid])
-                    if search.run(rest, rate, options, target - spent - step + 1,
-                                  first=True) is not None:
-                        break
-                    search.remove(res, rate[fid])
-                else:
-                    raise RuntimeError("tie-break reconstruction lost a proven-feasible instance")
-                fixed[fid] = lid
-                spent += step
-            found.update(fixed)
-    except BudgetExhausted:
-        pass
-    return found, changes, True
+    for pair in {(f.src, f.dst) for f in flows}:
+        own = [i for i, f in enumerate(flows) if (f.src, f.dst) == pair]
+        if not any(fits(own, combo) for combo in itertools.product(*(choices[i] for i in own))):
+            return None
+    everyone = range(len(flows))
+    for changes in range(len(flows) + 1):
+        best = None
+        for movers in itertools.combinations(everyone, changes):
+            # A mover takes any LSP but its old one; every other flow keeps it.
+            options = [[lid for lid in choices[i] if (lid != fr_old[flows[i].id]) == (i in movers)]
+                       for i in everyone]
+            for combo in itertools.product(*options):
+                if (best is None or combo < best) and fits(everyone, combo):
+                    best = combo
+        if best is not None:
+            return changes, {f.id: lid for f, lid in zip(flows, best)}
+    return None
 
 
 def best_recreation(requests, topo, lr_old, mu=0.9):

@@ -255,7 +255,7 @@ def run_with_dumps(tmp_path, name, scheme, mode):
 
 @pytest.mark.parametrize("name, scheme, mode, files, sha256", [
     ("scenario3.json", "exact", RoutingMode.UNRESERVED, 8,
-     "982b6e414ec7ce4876ffcf8ed0d2ea881067ea56a5d51669c69af64746c32f00"),
+     "c48c4803c525a7b197d73ce4af4d8558d9351db5712be33abc12542a4963698b"),
     ("scenario4.json", "exact", RoutingMode.RESERVED, 49,
      "ada7f3c0e6eccbfc71e8d3a251f2389d734ccb2012d8db12a8cffb08da227545"),
     ("scenario4.json", "ffr", RoutingMode.RESERVED, 16,

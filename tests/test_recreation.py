@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +239,23 @@ def test_nan_capacity_is_rejected(square):
         with pytest.raises(ValidationError):
             ht.solve_lsp_recreation(ht.RecreationProblem(
                 requests=(ht.LspRequest(0, 3, math.nan, 4.0),), topology=square, lr_old=lr_old))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("mu", math.nan, "mu must lie in (0, 1]"),
+    ("mu", 0.0, "mu must lie in (0, 1]"),
+    ("mu", 5.0, "mu must lie in (0, 1]"),
+    ("path_limit", 0, "path_limit must be at least 1"),
+])
+def test_bad_headroom_and_path_limit_are_rejected(square, field, value, message):
+    # An 18-unit request on links of bandwidth 10: a NaN headroom compares false
+    # against every load and would route it. The check comes before the
+    # kept-old-routing shortcut too.
+    for lr_old in (None, (UP,)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ht.solve_lsp_recreation(ht.RecreationProblem(
+                requests=(ht.LspRequest(0, 3, 18.0),), topology=square, lr_old=lr_old,
+                **{field: value}))
 
 
 def test_determinism(square):

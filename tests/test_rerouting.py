@@ -1,11 +1,14 @@
 import json
+import math
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import hybridte as ht
+from hybridte import rerouting
 from hybridte.errors import Infeasible, ValidationError
 from hybridte.rerouting import RoutingMode, rerouting_to_json
 
@@ -164,6 +167,20 @@ def test_bad_inputs_are_rejected(topo, message):
                                                     mode=mode, topology=topo))
 
 
+@pytest.mark.parametrize("mode", list(RoutingMode))
+@pytest.mark.parametrize("mu", [math.nan, 0.0, -0.5, 1.5])
+def test_headroom_outside_the_unit_interval_is_rejected(mode, mu):
+    # Three 6-unit flows on one LSP over links of bandwidth 10: a NaN headroom
+    # compares false against every load, so it would admit all 18 units.
+    topo = ht.reference_topology(bandwidth=10.0)
+    lsps = (ht.build_lsp(topo, [0, 4, 1], 20.0, 0),)
+    flows = tuple(ht.Flow(i, 0, 1, 6.0, 4.0) for i in range(3))
+    with pytest.raises(ValidationError, match=r"^mu must lie in \(0, 1\]$"):
+        ht.solve_flow_rerouting(ht.ReroutingProblem(flows=flows, lsps=lsps,
+                                                    fr_old=dict.fromkeys(range(3), 0),
+                                                    mode=mode, mu=mu, topology=topo))
+
+
 def deceptive_instance(topo):
     # Flow 0's old LSP is too small, and taking the first replacement in id
     # order blocks flow 1, so the first assignment found moves both flows;
@@ -230,22 +247,22 @@ def test_dump_is_deterministic_and_complete(topo):
 # instances have a single endpoint pair; the "multi" ones have 2-3, and in
 # unreserved mode seeds 1795 and 1945 need the joint search.
 PINNED = {
-    ("one", 8, 149, "reserved"): ((0, 0, 3, 0, 0, 2, 2), 5, True, 61),
-    ("one", 8, 149, "unreserved"): ((0, 0, 3, 0, 0, 2, 2), 5, True, 61),
+    ("one", 8, 149, "reserved"): ((0, 0, 3, 0, 0, 2, 2), 5, True, 122),
+    ("one", 8, 149, "unreserved"): ((0, 0, 3, 0, 0, 2, 2), 5, True, 122),
     ("one", 8, 625, "reserved"): ((1, 0, 1, 2, 2, 2, 0), 2, True, 24),
-    ("one", 8, 625, "unreserved"): ((1, 0, 1, 2, 1, 2, 0), 3, True, 47),
-    ("one", 6, 684, "reserved"): ((0, 2, 1, 1, 3), 1, True, 21),
-    ("one", 6, 684, "unreserved"): ((0, 1, 3, 0, 3), 2, True, 24),
-    ("one", 8, 1448, "reserved"): ((2, 0, 3, 1, 2, 1), 1, True, 21),
-    ("one", 8, 1448, "unreserved"): ((2, 0, 3, 3, 2, 1), 1, True, 33),
-    ("one", 4, 1211, "reserved"): ((3, 3, 1, 2), 0, True, 10),
-    ("one", 4, 1211, "unreserved"): ((3, 1, 0, 1), 3, True, 26),
-    ("multi", 4, 1795, "reserved"): ((1, 3, 3, 4, 6, 0, 0, 3, 6, 4, 6), 2, True, 39),
-    ("multi", 4, 1795, "unreserved"): ((3, 1, 3, 4, 6, 2, 0, 3, 6, 4, 6), 2, True, 154),
-    ("multi", 4, 1945, "reserved"): ((4, 5, 3, 3, 2, 0, 0), 2, True, 37),
-    ("multi", 4, 1945, "unreserved"): ((1, 5, 3, 3, 2, 0, 0), 3, True, 80),
-    ("multi", 4, 2495, "reserved"): ((1, 4, 1, 7, 3, 2, 6, 6, 0, 0), 3, True, 33),
-    ("multi", 4, 2495, "unreserved"): ((4, 1, 1, 7, 3, 2, 6, 6, 0, 0), 3, True, 35),
+    ("one", 8, 625, "unreserved"): ((1, 0, 1, 2, 1, 2, 0), 3, True, 45),
+    ("one", 6, 684, "reserved"): ((0, 2, 1, 1, 3), 1, True, 13),
+    ("one", 6, 684, "unreserved"): ((0, 1, 3, 0, 3), 2, True, 17),
+    ("one", 8, 1448, "reserved"): ((2, 0, 3, 1, 2, 1), 1, True, 35),
+    ("one", 8, 1448, "unreserved"): ((2, 0, 3, 3, 2, 1), 1, True, 43),
+    ("one", 4, 1211, "reserved"): ((3, 3, 1, 2), 0, True, 15),
+    ("one", 4, 1211, "unreserved"): ((3, 1, 0, 1), 3, True, 22),
+    ("multi", 4, 1795, "reserved"): ((1, 3, 3, 4, 6, 0, 0, 3, 6, 4, 6), 2, True, 32),
+    ("multi", 4, 1795, "unreserved"): ((3, 1, 3, 4, 6, 2, 0, 3, 6, 4, 6), 2, True, 127),
+    ("multi", 4, 1945, "reserved"): ((4, 5, 3, 3, 2, 0, 0), 2, True, 28),
+    ("multi", 4, 1945, "unreserved"): ((1, 5, 3, 3, 2, 0, 0), 3, True, 68),
+    ("multi", 4, 2495, "reserved"): ((1, 4, 1, 7, 3, 2, 6, 6, 0, 0), 3, True, 32),
+    ("multi", 4, 2495, "unreserved"): ((4, 1, 1, 7, 3, 2, 6, 6, 0, 0), 3, True, 33),
 }
 
 
@@ -269,25 +286,19 @@ def test_search_trajectory_is_pinned():
         assert got == expect, key
 
 
-def test_budget_spent_in_tie_break_keeps_proven_cost():
-    # One node short of a full solve: the first phase proves the optimum,
-    # and the budget runs out in the tie-break run, one node before its leaf.
-    full = ht.solve_flow_rerouting(pinned_instance("one", 8, 149, "unreserved"))
-    budget = full.nodes_explored - 1
-    problem = pinned_instance("one", 8, 149, "unreserved", node_budget=budget)
-    sol = ht.solve_flow_rerouting(problem)
-    expect = oracles.best_rerouting(problem.flows, problem.lsps, problem.fr_old, "unreserved",
-                                    problem.mu, problem.routing, problem.topology)
-    assert sol.changes == full.changes == expect[0]
-    assert sol.optimal is True
-    assert sol.nodes_explored == budget + 1
-    # The first optimum found is returned, not the lexicographically smallest.
-    assert full.assignment == expect[1]
-    assert sol.assignment != full.assignment
-    assert sum(problem.fr_old[f] != i for f, i in sol.assignment.items()) == sol.changes
-    assert ht.audit_flow_assignment(problem.flows, problem.lsps, sol.assignment,
-                                    mode="unreserved", mu=problem.mu, routing=problem.routing,
-                                    topo=problem.topology) == []
+def test_one_node_short_of_a_full_solve_is_never_optimal():
+    # The budget runs out at the search's last node, so its answer is not
+    # proven, whatever the incumbent then holds.
+    for key in PINNED:
+        full = ht.solve_flow_rerouting(pinned_instance(*key))
+        problem = pinned_instance(*key, node_budget=full.nodes_explored - 1)
+        try:
+            sol = ht.solve_flow_rerouting(problem)
+        except Infeasible as exc:
+            assert not exc.proven, key
+            continue
+        assert not sol.optimal, key
+        assert sol.nodes_explored == full.nodes_explored, key
 
 
 def test_multi_pair_instances_match_exhaustive_enumeration():
@@ -338,11 +349,39 @@ def test_unreserved_pairs_that_overload_a_shared_link_are_searched_jointly(topo)
     assert (sol.changes, sol.assignment, sol.optimal) == (*expect, True)
 
 
+def test_joint_search_starts_with_the_budget_the_pairs_spent():
+    # The pair answers of this instance overload a shared link, so the joint
+    # search runs after the pair searches, on the same node counter. A budget
+    # that covers the joint search alone but not both is cut short before the
+    # joint search finds any assignment; one that covers both proves it.
+    problem = pinned_instance("multi", 4, 1945, "unreserved")
+    checked_at = []
+    fits_together = rerouting._fits_together
+
+    def spy(search, *args):
+        checked_at.append(search.nodes)
+        return fits_together(search, *args)
+
+    with mock.patch.object(rerouting, "_fits_together", spy):
+        full = ht.solve_flow_rerouting(problem)
+    pairs = checked_at[0]
+    joint = full.nodes_explored - pairs
+    assert (pairs, joint, full.optimal) == (28, 40, True)
+    with pytest.raises(Infeasible) as exc:
+        ht.solve_flow_rerouting(pinned_instance("multi", 4, 1945, "unreserved",
+                                                node_budget=joint))
+    assert not exc.value.proven
+    sol = ht.solve_flow_rerouting(pinned_instance("multi", 4, 1945, "unreserved",
+                                                  node_budget=pairs + joint))
+    assert (sol.assignment, sol.changes, sol.optimal) == (full.assignment, full.changes, True)
+
+
 def test_node_budget_is_shared_by_every_pair():
     # Every budget up to a full solve, on a 3-pair instance whose unreserved
     # form also needs the joint search: the one node counter never runs more
-    # than one node past the budget, a proven cost is the true optimum, and an
-    # exhausted budget yields an unproven incumbent or an unproven Infeasible.
+    # than one node past the budget, a proven answer is the true optimum and its
+    # lexicographic tie-break, and an exhausted budget yields an unproven
+    # incumbent or an unproven Infeasible.
     for mode in ("reserved", "unreserved"):
         problem = pinned_instance("multi", 4, 1945, mode)
         expect = oracles.best_rerouting(problem.flows, problem.lsps, problem.fr_old, mode,
@@ -366,14 +405,10 @@ def test_node_budget_is_shared_by_every_pair():
                 assert sol.nodes_explored == budget + 1 and sol.changes >= expect[0]
                 outcomes.add("incumbent")
                 continue
-            assert sol.changes == expect[0]
-            if sol.nodes_explored <= budget:
-                assert sol.assignment == expect[1]
-                outcomes.add("solved")
-            else:
-                outcomes.add("tie-break cut short")
-        assert outcomes == {"unproven infeasible", "incumbent", "tie-break cut short",
-                            "solved"}, mode
+            assert sol.nodes_explored <= budget
+            assert (sol.changes, sol.assignment) == expect
+            outcomes.add("solved")
+        assert outcomes == {"unproven infeasible", "incumbent", "solved"}, mode
 
 
 def outcome(solve, problem):
@@ -384,9 +419,10 @@ def outcome(solve, problem):
     return sol.assignment, sol.changes, sol.optimal
 
 
-def test_tie_break_matches_the_flow_by_flow_rebuild():
-    # One kernel run per part must find what rebuilding the optimum flow id by
-    # flow id finds, on single- and multi-pair instances in both modes.
+def test_one_run_per_pair_matches_exhaustive_enumeration():
+    # One kernel run per part, over flows and LSPs in id order, must find the
+    # exhaustive optimum and its lexicographic tie-break, on single- and
+    # multi-pair instances in both modes.
     rng = np.random.default_rng(41)
     seen = {"infeasible": 0, "unmoved": 0, "moved": 0}
     for k in range(1000):
@@ -399,9 +435,14 @@ def test_tie_break_matches_the_flow_by_flow_rebuild():
             problem = ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=fr_old, mode=mode,
                                           topology=topo_r)
             got = outcome(ht.solve_flow_rerouting, problem)
-            assert got == outcome(oracles.flow_by_flow_rerouting, problem), (k, mode)
-            seen["infeasible" if got[0] == "infeasible" else
-                 "moved" if got[1] else "unmoved"] += 1
+            expect = oracles.best_rerouting(flows, lsps, fr_old, mode.value, problem.mu,
+                                            problem.routing, topo_r)
+            if expect is None:
+                assert got == ("infeasible", True), (k, mode)
+                seen["infeasible"] += 1
+                continue
+            assert got == (expect[1], expect[0], True), (k, mode)
+            seen["moved" if expect[0] else "unmoved"] += 1
     assert min(seen.values()) >= 200, seen
 
 

@@ -47,6 +47,8 @@ def check_congestion(lsp: Lsp, flow: Flow, topo: NetworkTopology,
 def ffr(flows, lsps, fr_old: dict[int, int], topo: NetworkTopology,
         mu: float = 0.9) -> FfrResult:
     """One greedy re-routing round; never raises on congestion, it reports it."""
+    if not 0 < mu <= 1:
+        raise ValidationError("mu must lie in (0, 1]")
     by_id = {l.id: l for l in lsps}
     if len(by_id) != len(lsps):
         raise ValidationError("duplicate LSP ids")

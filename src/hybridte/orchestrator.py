@@ -250,8 +250,15 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
     """Run one scheme over the configured slots; a comparison passes its shared `setup`."""
     topo, flows, lsps, shared = setup or _set_up(cfg, planned=cfg.scheme != "shortest_path")
     assignment = dict(shared)  # each scheme's own copy of the shared initial assignment
-    events = [f"slot=0 event=init scheme={cfg.scheme} seed={cfg.seed} flows={len(flows)}"]
+    events: list[str] = []
     samples: list[MetricsSample] = []
+
+    def log(t: int, kind: str, **fields) -> None:
+        """Append `slot=<t> event=<kind> scheme=<scheme>` and then ` key=value` per field."""
+        events.append(f"slot={t} event={kind} scheme={cfg.scheme}"
+                      + "".join([f" {k}={v}" for k, v in fields.items()]))
+
+    log(0, "init", seed=cfg.seed, flows=len(flows))
     if cfg.dump_dir:
         os.makedirs(cfg.dump_dir, exist_ok=True)
 
@@ -263,74 +270,61 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
             samples.append(compute_sample(t, flows, paths, topo))
         return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
 
-    events.append(f"slot=0 event=plan scheme={cfg.scheme} lsps={len(lsps)}")
+    log(0, "plan", lsps=len(lsps))
 
     def flow_paths():
         return {f.id: lsps[assignment[f.id]].links for f in flows}
 
-    # One-entry memo per solver kind (D. Michie, Nature 218:19-22, 1968). Both
-    # solvers are deterministic, and mode, mu, topology, path_limit and
-    # node_budget are fixed for the run, so a call whose varying inputs equal
-    # the last call's reuses its solution, event text and dump text, without
-    # solving or rendering again.
-    last: dict[str, tuple] = {}
+    # One-entry memo per problem type (D. Michie, Nature 218:19-22, 1968). Both solvers are
+    # deterministic, so a call whose problem equals the last one of its type reuses that
+    # call's solution, event fields and dump text, without solving or rendering again.
+    last: dict[type, tuple] = {}
 
-    def solve_once(kind: str, key: tuple, problem, solve, render, summary, event, dump_name):
+    def solve_once(t: int, tag: str, problem, solve, render, cost: str, dump_name: str):
         """Log and dump one solver call; returns its solution, None when infeasible."""
-        if kind not in last or last[kind][0] != key:
+        entry = last.get(type(problem))
+        if entry is None or entry[0] != problem:
             try:
                 sol = solve(problem)
             except Infeasible as exc:
                 # Only the flag is kept: the exception would hold the solver's frames.
-                last[kind] = (key, None, f"_infeasible scheme={cfg.scheme} proven={exc.proven}",
-                              render(problem))
+                entry = (problem, None, {"proven": exc.proven}, render(problem))
             else:
-                last[kind] = (key, sol, f" scheme={cfg.scheme} {summary(sol)}",
-                              render(problem, sol))
-        _, sol, detail, text = last[kind]
-        events.append(event + detail)
+                entry = (problem, sol, {cost: getattr(sol, cost), "optimal": sol.optimal},
+                         render(problem, sol))
+            last[type(problem)] = entry
+        _, sol, fields, text = entry
+        log(t, tag if sol is not None else tag + "_infeasible", **fields)
         if cfg.dump_dir:
             with open(os.path.join(cfg.dump_dir, dump_name), "w", encoding="utf-8") as fp:
                 fp.write(text)
         return sol
 
-    def run_flow_level(t: int, retry: bool) -> bool:
+    def run_flow_level(t: int, tag: str) -> bool:
         """One flow-level round; returns True when escalation is needed."""
         nonlocal assignment
-        tag = "reroute_retry" if retry else "reroute"
         if cfg.scheme == "exact":
-            problem = ReroutingProblem(
-                flows=tuple(flows), lsps=tuple(lsps), fr_old=assignment,
-                mode=cfg.rerouting_mode, mu=cfg.mu_headroom, topology=topo,
-            )
-            sol = solve_once(
-                "reroute", (problem.flows, problem.lsps, assignment), problem,
-                solve_flow_rerouting, rerouting_to_json,
-                lambda s: f"changes={s.changes} optimal={s.optimal}",
-                f"slot={t} event={tag}", f"slot{t:03d}_{tag}.json")
-            if sol is None:
-                return True
-            assignment = sol.assignment
-            return False
+            problem = ReroutingProblem(flows=tuple(flows), lsps=tuple(lsps), fr_old=assignment,
+                                       mode=cfg.rerouting_mode, mu=cfg.mu_headroom, topology=topo)
+            sol = solve_once(t, tag, problem, solve_flow_rerouting, rerouting_to_json,
+                             "changes", f"slot{t:03d}_{tag}.json")
+            if sol is not None:
+                assignment = sol.assignment
+            return sol is None
         res = ffr(flows, lsps, assignment, topo, mu=cfg.mu_headroom)
-        changed = sum(assignment.get(f) != i for f, i in res.assignment.items())
-        events.append(f"slot={t} event={tag} scheme=ffr changes={changed} "
-                      f"parked={len(res.recreation_requests)} "
-                      f"examinations={res.examinations}")
+        log(t, tag, changes=sum(assignment.get(f) != i for f, i in res.assignment.items()),
+            parked=len(res.recreation_requests), examinations=res.examinations)
         assignment = res.assignment
         return bool(res.recreation_requests)
 
     def run_recreation(t: int):
         nonlocal lsps
         budgets = _delay_budgets(flows, lsps, assignment)
-        requests = tuple(LspRequest(l.src, l.dst, l.capacity, budgets[l.id]) for l in lsps)
-        routing = tuple(l.links for l in lsps)
-        problem = RecreationProblem(requests=requests, topology=topo,
-                                    lr_old=routing, mu=cfg.mu_headroom)
-        rsol = solve_once(
-            "recreate", (requests, routing), problem, solve_lsp_recreation, recreation_to_json,
-            lambda s: f"changed_entries={s.changed_entries} optimal={s.optimal}",
-            f"slot={t} event=recreate", f"slot{t:03d}_recreation.json")
+        problem = RecreationProblem(
+            requests=tuple(LspRequest(l.src, l.dst, l.capacity, budgets[l.id]) for l in lsps),
+            topology=topo, lr_old=tuple(l.links for l in lsps), mu=cfg.mu_headroom)
+        rsol = solve_once(t, "recreate", problem, solve_lsp_recreation, recreation_to_json,
+                          "changed_entries", f"slot{t:03d}_recreation.json")
         if rsol is None:
             return
         lsps = [l if links == l.links else
@@ -347,13 +341,11 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
                             for pair, load in loads.items()), default=0.0)
             periodic = t % cfg.rerouting_interval == 0
             trigger = max_util > cfg.mu_trigger or periodic
-            events.append(f"slot={t} event=check scheme={cfg.scheme} "
-                          f"max_util={max_util:.6f} periodic={periodic} "
-                          f"trigger={trigger}")
+            log(t, "check", max_util=f"{max_util:.6f}", periodic=periodic, trigger=trigger)
             if trigger:
-                if run_flow_level(t, retry=False):
+                if run_flow_level(t, "reroute"):
                     run_recreation(t)
-                    run_flow_level(t, retry=True)
+                    run_flow_level(t, "reroute_retry")
                 paths, loads = flow_paths(), None
         samples.append(compute_sample(t, flows, paths, topo, loads))
     return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))

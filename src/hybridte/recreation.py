@@ -27,7 +27,7 @@ class LspRequest:
     delay_budget: float = math.inf
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RecreationProblem:
     requests: tuple
     topology: NetworkTopology
@@ -69,15 +69,19 @@ def _enumerate(topo: NetworkTopology, src: int, dst: int, delay_budget: float,
     return out, False
 
 
+def _check_endpoints(topo: NetworkTopology, src: int, dst: int, where: str = "") -> None:
+    if not (0 <= src < topo.node_count and 0 <= dst < topo.node_count):
+        raise ValidationError(f"{where}endpoints out of range")
+    if src == dst:
+        raise ValidationError(f"{where}source and destination must differ")
+
+
 def enumerate_simple_paths(topo: NetworkTopology, src: int, dst: int,
                            delay_budget: float = math.inf,
                            limit: int = 200) -> list[tuple[int, ...]]:
     """Simple src->dst paths within the delay budget, ordered by
     (total delay, hop count, node sequence), at most `limit` of them."""
-    if not (0 <= src < topo.node_count and 0 <= dst < topo.node_count):
-        raise ValidationError("endpoints out of range")
-    if src == dst:
-        raise ValidationError("source and destination must differ")
+    _check_endpoints(topo, src, dst)
     if limit < 1:
         raise ValidationError("limit must be at least 1")
     return _enumerate(topo, src, dst, delay_budget, limit)[0]
@@ -90,8 +94,6 @@ def _old_routing_feasible(problem: RecreationProblem, old: tuple, headroom: dict
     topo = problem.topology
     search = Search(headroom, problem.node_budget)
     for req, route in zip(problem.requests, old):
-        if not req.capacity > 0:
-            return False  # the full solver raises on capacities <= 0
         node, seen, delay = req.src, {req.src}, 0.0
         for pair in route:
             ln = topo.link_lookup(*pair)
@@ -120,6 +122,10 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     if problem.path_limit < 1:
         raise ValidationError("path_limit must be at least 1")
     topo = problem.topology
+    for i, req in enumerate(problem.requests):
+        _check_endpoints(topo, req.src, req.dst, f"request {i}: ")
+        if not req.capacity > 0:
+            raise ValidationError(f"request {i}: capacity must be positive")
     n = len(problem.requests)
     old = problem.lr_old or ()
     headroom = {(l.src, l.dst): problem.mu * l.bandwidth for l in topo.links}
@@ -129,8 +135,6 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     any_truncated = False
     options: list[list[tuple]] = []
     for i, req in enumerate(problem.requests):
-        if not req.capacity > 0:
-            raise ValidationError(f"request {i}: capacity must be positive")
         paths, truncated = _enumerate(topo, req.src, req.dst, req.delay_budget,
                                       problem.path_limit)
         any_truncated = any_truncated or truncated

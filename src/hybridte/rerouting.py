@@ -35,7 +35,7 @@ class RoutingMode(str, Enum):
     UNRESERVED = "unreserved"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ReroutingProblem:
     flows: tuple
     lsps: tuple
@@ -76,18 +76,10 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     for f in problem.flows:
         if f.id not in problem.fr_old:
             raise ValidationError(f"flow {f.id} missing from the old assignment")
-    old = {f.id: problem.fr_old[f.id] for f in problem.flows}
     unreserved = problem.mode == RoutingMode.UNRESERVED
     if unreserved and problem.topology is None:
         raise ValidationError("unreserved mode needs a topology")
     lsps = sorted(problem.lsps, key=lambda x: x.id)
-    pair_lsps = lsps_by_pair(lsps)
-    candidates: dict[int, list[int]] = {}
-    for f in problem.flows:
-        cands = [l.id for l in pair_lsps.get((f.src, f.dst), ()) if l.prop_delay <= f.max_delay]
-        if not cands:
-            raise Infeasible(f"flow {f.id} has no admissible LSP", proven=True)
-        candidates[f.id] = cands
     # An LSP loads its own capacity and, in unreserved mode, every link it crosses.
     capacity = {l.id: l.capacity for l in lsps}
     resources = {l.id: (l.id,) for l in lsps}
@@ -99,13 +91,18 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
                 if pair not in capacity:
                     raise ValidationError(f"LSP {l.id} uses nonexistent link {pair}")
             resources[l.id] = (l.id, *l.links)
-    search = Search(capacity, problem.node_budget)
-    rate = {fid: f.rate for fid, f in flows.items()}
-    options = {fid: [(int(lid != old[fid]), resources[lid], lid) for lid in cands]
-               for fid, cands in candidates.items()}
+    pair_lsps = lsps_by_pair(lsps)
+    options: dict[int, list[tuple]] = {}
     by_pair: dict[tuple[int, int], list[int]] = {}
     for f in problem.flows:
+        old = problem.fr_old[f.id]
+        options[f.id] = [(int(l.id != old), resources[l.id], l.id)
+                         for l in pair_lsps.get((f.src, f.dst), ()) if l.prop_delay <= f.max_delay]
+        if not options[f.id]:
+            raise Infeasible(f"flow {f.id} has no admissible LSP", proven=True)
         by_pair.setdefault((f.src, f.dst), []).append(f.id)
+    search = Search(capacity, problem.node_budget)
+    rate = {fid: f.rate for fid, f in flows.items()}
     parts = [by_pair[pair] for pair in sorted(by_pair)]
     assignment, changes, optimal = _solve(search, parts, rate, options)
     if unreserved and len(parts) > 1 and not _fits_together(search, assignment, rate, resources):

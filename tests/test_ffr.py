@@ -1,3 +1,4 @@
+import math
 import re
 from collections import Counter
 
@@ -129,6 +130,15 @@ def test_bad_inputs_are_rejected(topo, message):
                      ((ht.Lsp(0, 0, 1, ((0, 99),), 1.0, 1.0), lsps[1]), {0: 0, 1: 1})}[message]
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         ht.ffr(flows, lsps, old, topo)
+
+
+@pytest.mark.parametrize("mu", [math.nan, 0.0, -1.0, 5.0])
+def test_headroom_outside_the_unit_interval_is_rejected(topo, mu):
+    # mu = 5 would widen LSP 0 by borrowing five times a link's bandwidth; the
+    # others would park every flow.
+    flows = (ht.Flow(0, 0, 1, 4.0, 4.0), ht.Flow(1, 0, 1, 9.0, 4.0))
+    with pytest.raises(ValidationError, match=r"^mu must lie in \(0, 1\]$"):
+        ht.ffr(flows, parallel_lsps(topo, cap0=6.0), {0: 0, 1: 0}, topo, mu=mu)
 
 
 def test_larger_flows_take_priority(topo):

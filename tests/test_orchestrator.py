@@ -184,20 +184,19 @@ def test_dumped_instances_are_canonical_json(tmp_path):
 
 def record_solver_calls(monkeypatch):
     """Wrap both solvers in the orchestrator's namespace; returns the list of
-    (kind, varying inputs) of every call, in call order."""
+    (kind, problem) of every call, in call order."""
     calls = []
 
-    def recording(kind, solve, key):
+    def recording(kind, solve):
         def wrapper(problem):
-            calls.append((kind, key(problem)))
+            calls.append((kind, problem))
             return solve(problem)
         return wrapper
 
-    monkeypatch.setattr(orchestrator, "solve_flow_rerouting", recording(
-        "reroute", orchestrator.solve_flow_rerouting,
-        lambda p: (p.flows, p.lsps, dict(p.fr_old), p.routing)))
-    monkeypatch.setattr(orchestrator, "solve_lsp_recreation", recording(
-        "recreate", orchestrator.solve_lsp_recreation, lambda p: (p.requests, p.lr_old)))
+    monkeypatch.setattr(orchestrator, "solve_flow_rerouting",
+                        recording("reroute", orchestrator.solve_flow_rerouting))
+    monkeypatch.setattr(orchestrator, "solve_lsp_recreation",
+                        recording("recreate", orchestrator.solve_lsp_recreation))
     return calls
 
 
@@ -225,7 +224,7 @@ def test_recreation_that_moves_an_lsp_rebuilds_it(tmp_path, monkeypatch):
     # The rebuilt LSPs make the retry a new instance, so the solver runs again.
     assert [kind for kind, _ in calls[:3]] == ["reroute", "recreate", "reroute"]
     (_, first), _, (_, retry) = calls[:3]
-    assert retry[1] != first[1]  # the LSPs
+    assert retry.lsps != first.lsps
 
 
 def test_infeasible_recreation_keeps_the_run_going(tmp_path):
@@ -284,6 +283,17 @@ def test_comparison_metrics_are_pinned(tmp_path, name, seed, sha256):
     assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("name, sha256", [
+    ("scenario1.json", "b27258d0b1c11b62d939836d5c9c374565d731d33c2d53854bd89df8aa464dae"),
+    ("scenario3.json", "76bdd412725c74e13f30d46e5a9f19f4d1bac34701aa08eab16a0d2a70848cd9"),
+])
+def test_comparison_events_are_pinned(tmp_path, name, sha256):
+    # Recorded before every event line went through one formatting helper; the
+    # comparison holds the shortest_path and ffr event lines too.
+    ht.write_comparison(ht.run_comparison(ht.load_scenario(scenario_path(name))), str(tmp_path))
+    assert hashlib.sha256((tmp_path / "events.log").read_bytes()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("scheme", ["exact", "ffr"])
 def test_repeated_instances_are_not_solved_again(tmp_path, monkeypatch, scheme):
     calls = record_solver_calls(monkeypatch)
@@ -291,8 +301,8 @@ def test_repeated_instances_are_not_solved_again(tmp_path, monkeypatch, scheme):
                               dump_dir=str(tmp_path / "lp"))
     events = parse_events(ht.run_scenario(cfg).events)
     for kind in ("reroute", "recreate"):
-        keys = [key for k, key in calls if k == kind]
-        assert all(a != b for a, b in zip(keys, keys[1:])), kind
+        problems = [problem for k, problem in calls if k == kind]
+        assert all(a != b for a, b in zip(problems, problems[1:])), kind
     recreations = [e for e in events if e["event"] == "recreate"]
     assert 0 < sum(k == "recreate" for k, _ in calls) < len(recreations)
     if scheme == "exact":

@@ -258,6 +258,36 @@ def test_bad_headroom_and_path_limit_are_rejected(square, field, value, message)
                 **{field: value}))
 
 
+@pytest.mark.parametrize("bad, message", [
+    (ht.LspRequest(2, 2, 5.0), "request 1: source and destination must differ"),
+    (ht.LspRequest(99, 3, 5.0), "request 1: endpoints out of range"),
+    (ht.LspRequest(-1, 3, 5.0), "request 1: endpoints out of range"),
+    (ht.LspRequest(0, 99, 5.0), "request 1: endpoints out of range"),
+    (ht.LspRequest(0, 3, -1.0), "request 1: capacity must be positive"),
+])
+def test_bad_requests_are_rejected_first(square, bad, message):
+    # Every request is checked before the kept-routing shortcut (an empty old
+    # route once "routed" 2 -> 2) and before request 0's Infeasible: its delay
+    # budget admits no path.
+    for first, lr_old in ((ht.LspRequest(0, 3, 6.0), None), (ht.LspRequest(0, 3, 6.0), (UP, ())),
+                          (ht.LspRequest(0, 3, 6.0, 0.5), None)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ht.solve_lsp_recreation(ht.RecreationProblem(
+                requests=(first, bad), topology=square, lr_old=lr_old))
+
+
+def test_problems_compare_by_value():
+    # Equal fields make equal problems, so the orchestrator's memo can compare them.
+    def problem(**overrides):
+        topo = ring14()
+        return ht.RecreationProblem(requests=(ht.LspRequest(0, 7, 5.0),), topology=topo,
+                                    lr_old=(links_of_path(tuple(range(8))),), **overrides)
+
+    assert problem() == problem()
+    assert problem(mu=0.8) != problem()
+    assert problem(node_budget=10) != problem()
+
+
 def test_determinism(square):
     reqs = (ht.LspRequest(0, 3, 6.0, 10.0), ht.LspRequest(0, 3, 6.0, 10.0))
     old = (((0, 1), (1, 3)), ((0, 1), (1, 3)))

@@ -159,12 +159,28 @@ def test_bad_inputs_are_rejected(topo, message):
         lsps += lsps[:1]
     elif message.startswith("flow 1"):
         old = {0: 0}
-    else:  # a hand-made LSP over a link the topology lacks
+    else:  # a hand-made LSP over a link the topology lacks, beside a flow (0 -> 2) with no LSP
         lsps += (ht.Lsp(2, 0, 1, ((0, 6), (6, 1)), 5.0, 2.0),)
+        flows, old = flows + (ht.Flow(2, 0, 2, 1.0, 9.0),), {0: 0, 1: 0, 2: 0}
         mode = RoutingMode.UNRESERVED
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         ht.solve_flow_rerouting(ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old=old,
                                                     mode=mode, topology=topo))
+
+
+def test_problems_compare_by_value():
+    # Equal fields make equal problems, so the orchestrator's memo can compare them.
+    def problem(**overrides):
+        topo = ht.reference_topology()
+        flows, lsps = two_lsp_instance(topo)
+        return ht.ReroutingProblem(flows=flows, lsps=lsps, fr_old={0: 0, 1: 0},
+                                   topology=topo, **overrides)
+
+    assert problem() == problem()
+    assert problem(mu=0.8) != problem()
+    assert problem(node_budget=10) != problem()
+    with pytest.raises(TypeError):
+        hash(problem())  # fr_old is a dict
 
 
 @pytest.mark.parametrize("mode", list(RoutingMode))

@@ -246,8 +246,10 @@ def _set_up(cfg: ScenarioConfig, planned: bool) -> tuple:
     return topo, flows, tuple(lsps), initial_assignment(flows, lsps)
 
 
-def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResult:
-    """Run one scheme over the configured slots; a comparison passes its shared `setup`."""
+def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
+                 memo: dict | None = None) -> RunResult:
+    """Run one scheme over the configured slots; a comparison passes its shared `setup`
+    and its growth `memo` (see `grow_flows`)."""
     topo, flows, lsps, shared = setup or _set_up(cfg, planned=cfg.scheme != "shortest_path")
     assignment = dict(shared)  # each scheme's own copy of the shared initial assignment
     events: list[str] = []
@@ -266,7 +268,7 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
         paths = {f.id: links_of_path(shortest_path_route(f, topo)) for f in flows}
         for t in range(cfg.slots):
             if t >= 1:
-                flows = grow_flows(flows, cfg.traffic.growth_max, (cfg.seed, t))
+                flows = grow_flows(flows, cfg.traffic.growth_max, (cfg.seed, t), memo)
             samples.append(compute_sample(t, flows, paths, topo))
         return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
 
@@ -335,7 +337,7 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
     for t in range(cfg.slots):
         loads = None  # compute_sample sums them: slot 0, or the paths changed
         if t >= 1:
-            flows = grow_flows(flows, cfg.traffic.growth_max, (cfg.seed, t))
+            flows = grow_flows(flows, cfg.traffic.growth_max, (cfg.seed, t), memo)
             loads = offered_loads(flows, paths)
             max_util = max((load / topo.by_pair[pair].bandwidth
                             for pair, load in loads.items()), default=0.0)
@@ -353,9 +355,12 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
 
 def run_comparison(cfg: ScenarioConfig) -> list[RunResult]:
     """Run every scheme from one topology, slot-0 traffic draw, LSP plan and initial
-    assignment; each grows the traffic per slot from the same seeds. Writes no dumps."""
-    setup = _set_up(cfg, planned=True)
-    return [run_scenario(dataclasses.replace(cfg, scheme=s, dump_dir=None), setup=setup)
+    assignment, and grow each slot's traffic once: a growth memo that lives for this
+    call hands the later schemes the tuple the first one grew (see `grow_flows`), so
+    it holds the comparison's traffic trace, O(slots x flows). Writes no dumps."""
+    setup, memo = _set_up(cfg, planned=True), {}
+    return [run_scenario(dataclasses.replace(cfg, scheme=s, dump_dir=None), setup=setup,
+                         memo=memo)
             for s in SCHEMES]
 
 

@@ -169,12 +169,17 @@ def recreation_to_json(problem: RecreationProblem, solution: RecreationSolution 
         f'{"null" if r.delay_budget == math.inf else scalar(r.delay_budget)},\n'
         f'      "dst": {scalar(r.dst)},\n      "id": {i},\n      "src": {scalar(r.src)}\n    }}'
         for i, r in enumerate(problem.requests))
+    old = problem.lr_old or ()
+    old_text = routes(old, "  ")
     text = (f'{{\n  "mu": {scalar(problem.mu)},\n  "node_budget": {scalar(problem.node_budget)},\n'
-            f'  "old_routing": {routes(problem.lr_old or (), "  ")},\n'
+            f'  "old_routing": {old_text},\n'
             f'  "path_limit": {scalar(problem.path_limit)},\n  "requests": {block(requests, "  ")}')
     if solution is not None:
+        # A routing that keeps the old one is its text one level deeper.
+        routing = (old_text.replace("\n", "\n  ") if solution.routing == old
+                   else routes(solution.routing, "    "))
         text += (f',\n  "solution": {{\n    "changed_entries": {scalar(solution.changed_entries)},\n'
                  f'    "nodes_explored": {scalar(solution.nodes_explored)},\n'
                  f'    "optimal": {scalar(solution.optimal)},\n'
-                 f'    "routing": {routes(solution.routing, "    ")}\n  }}')
+                 f'    "routing": {routing}\n  }}')
     return text + ',\n  "type": "lsp_recreation"\n}\n'

@@ -71,11 +71,14 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     flows = {f.id: f for f in problem.flows}
     if len(flows) != len(problem.flows):
         raise ValidationError("duplicate flow ids")
-    if len({l.id for l in problem.lsps}) != len(problem.lsps):
+    lsp_ids = {l.id for l in problem.lsps}
+    if len(lsp_ids) != len(problem.lsps):
         raise ValidationError("duplicate LSP ids")
     for f in problem.flows:
         if f.id not in problem.fr_old:
             raise ValidationError(f"flow {f.id} missing from the old assignment")
+        if problem.fr_old[f.id] not in lsp_ids:
+            raise ValidationError(f"flow {f.id} rides an unknown LSP")
     unreserved = problem.mode == RoutingMode.UNRESERVED
     if unreserved and problem.topology is None:
         raise ValidationError("unreserved mode needs a topology")
@@ -91,18 +94,27 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
                 if pair not in capacity:
                     raise ValidationError(f"LSP {l.id} uses nonexistent link {pair}")
             resources[l.id] = (l.id, *l.links)
+    search = Search(capacity, problem.node_budget)
     pair_lsps = lsps_by_pair(lsps)
-    options: dict[int, list[tuple]] = {}
+    rate = {fid: f.rate for fid, f in flows.items()}
     by_pair: dict[tuple[int, int], list[int]] = {}
+    for f in problem.flows:
+        by_pair.setdefault((f.src, f.dst), []).append(f.id)
+    for pair in sorted(by_pair):
+        # A pair's flows that sum above its LSPs' limits overload one of them whatever
+        # the assignment. The margin keeps rounding in both sums from rejecting an
+        # instance the search solves; a negative limit takes nothing, so adds no room.
+        room = sum(max(search.limit[l.id], 0.0) for l in pair_lsps.get(pair, ()))
+        if sum(rate[fid] for fid in by_pair[pair]) > room * (1 + 1e-12):
+            raise Infeasible(f"flows {pair[0]}->{pair[1]} exceed the capacity of their LSPs",
+                             proven=True)
+    options: dict[int, list[tuple]] = {}
     for f in problem.flows:
         old = problem.fr_old[f.id]
         options[f.id] = [(int(l.id != old), resources[l.id], l.id)
                          for l in pair_lsps.get((f.src, f.dst), ()) if l.prop_delay <= f.max_delay]
         if not options[f.id]:
             raise Infeasible(f"flow {f.id} has no admissible LSP", proven=True)
-        by_pair.setdefault((f.src, f.dst), []).append(f.id)
-    search = Search(capacity, problem.node_budget)
-    rate = {fid: f.rate for fid, f in flows.items()}
     parts = [by_pair[pair] for pair in sorted(by_pair)]
     assignment, changes, optimal = _solve(search, parts, rate, options)
     if unreserved and len(parts) > 1 and not _fits_together(search, assignment, rate, resources):

@@ -130,13 +130,26 @@ def generate_flows(topo: NetworkTopology, cfg: TrafficConfig) -> tuple[Flow, ...
     )
 
 
-def grow_flows(flows, growth_max: float, seed) -> tuple[Flow, ...]:
-    """Scale each rate by (1 + u), u uniform on [0, growth_max), one draw per flow."""
+def grow_flows(flows, growth_max: float, seed, memo: dict | None = None) -> tuple[Flow, ...]:
+    """Scale each rate by (1 + u), u uniform on [0, growth_max), one draw per flow.
+
+    With a `memo`, the result is kept under `seed` together with its input. A
+    later call with that seed, the very same `flows` object (`is`) and the
+    same growth_max returns the kept tuple without drawing; any other input
+    is grown afresh and replaces the entry."""
     if not 0 <= growth_max < math.inf:
         raise ConfigError("growth_max must be nonnegative and finite")
+    if memo is not None:
+        entry = memo.get(seed)
+        if entry is not None and entry[0] is flows and entry[1] == growth_max:
+            return entry[2]
     if growth_max > 0:
         draws = np.random.default_rng(seed).uniform(0.0, growth_max, len(flows)).tolist()
     else:
         draws = [0.0] * len(flows)
-    return tuple([Flow(f.id, f.src, f.dst, f.rate * (1.0 + u), f.max_delay)
-                  for f, u in zip(flows, draws)])
+    # tuple.__new__ skips the frame of Flow's generated __new__.
+    grown = tuple([tuple.__new__(Flow, (i, src, dst, rate * (1.0 + u), max_delay))
+                   for (i, src, dst, rate, max_delay), u in zip(flows, draws)])
+    if memo is not None:
+        memo[seed] = (flows, growth_max, grown)
+    return grown

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hybridte as ht
+from hybridte import recreation
 from hybridte.dumps import scalar
 from hybridte.lsp import Lsp
 from hybridte.recreation import recreation_to_json
@@ -82,6 +83,33 @@ def test_random_recreation_dumps():
             problem = ht.RecreationProblem(requests, topo, old, mu)
             check_recreation(problem)
             check_recreation(problem, solved(ht.solve_lsp_recreation, problem))
+
+
+def test_a_kept_routing_reuses_the_old_routing_text(monkeypatch):
+    # A solution that keeps the old routing is written from the old routing's
+    # text one level deeper, so only the old routing is rendered.
+    rendered = []
+    routes = recreation.routes
+    monkeypatch.setattr(recreation, "routes",
+                        lambda routing, ind: rendered.append(routing) or routes(routing, ind))
+    kept = 0
+    for seed in range(60):
+        topo, requests, lr_old, mu = oracles.random_recreation_instance(
+            np.random.default_rng(seed))
+        sol = solved(ht.solve_lsp_recreation, ht.RecreationProblem(requests, topo, lr_old, mu))
+        if sol is None:
+            continue
+        problem = ht.RecreationProblem(requests, topo, sol.routing, mu)
+        again = ht.solve_lsp_recreation(problem)
+        assert again.routing == problem.lr_old
+        rendered.clear()
+        check_recreation(problem, again)
+        assert rendered == [problem.lr_old]
+        kept += 1
+    assert kept >= 20
+    for lr_old in (None, ()):
+        check_recreation(ht.RecreationProblem((), ht.reference_topology(), lr_old),
+                         ht.RecreationSolution((), 0, True, 1))
 
 
 def test_rerouting_edge_cases():

@@ -332,6 +332,22 @@ def test_comparison_runs_identical_traffic(monkeypatch):
         assert len(offered) == 1
 
 
+def test_comparison_grows_the_traffic_once(monkeypatch):
+    sampled, seeds = [], []
+    sample, default_rng = orchestrator.compute_sample, np.random.default_rng
+    monkeypatch.setattr(orchestrator, "compute_sample",
+                        lambda t, flows, *args: sampled.append(flows) or sample(t, flows, *args))
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: seeds.append(seed) or default_rng(seed))
+    cfg = ht.load_scenario(scenario_path("scenario2.json"))
+    ht.run_comparison(cfg)
+    # ffr and exact get the very tuple that shortest_path grew, slot by slot.
+    per_scheme = [sampled[k * cfg.slots:(k + 1) * cfg.slots] for k in range(len(SCHEMES))]
+    assert all(sp is ffr is exact for sp, ffr, exact in zip(*per_scheme))
+    # The slot-0 draw, then one growth draw per checked slot for all three schemes.
+    assert seeds == [cfg.seed] + [(cfg.seed, t) for t in range(1, cfg.slots)]
+
+
 def result_fields(r):
     return (r.scheme, r.seed, r.samples, r.events, r.config_echo)
 

@@ -149,6 +149,7 @@ def test_unreserved_mode_requires_routing(topo):
 
 @pytest.mark.parametrize("message", ["duplicate flow ids", "duplicate LSP ids",
                                      "flow 1 missing from the old assignment",
+                                     "flow 0 rides an unknown LSP",
                                      "LSP 2 uses nonexistent link (0, 6)"])
 def test_bad_inputs_are_rejected(topo, message):
     flows, lsps = two_lsp_instance(topo)
@@ -159,6 +160,10 @@ def test_bad_inputs_are_rejected(topo, message):
         lsps += lsps[:1]
     elif message.startswith("flow 1"):
         old = {0: 0}
+    elif message.startswith("flow 0"):  # ffr rejects this input with the same message
+        old = {0: 7, 1: 0}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ht.ffr(flows, lsps, old, topo)
     else:  # a hand-made LSP over a link the topology lacks, beside a flow (0 -> 2) with no LSP
         lsps += (ht.Lsp(2, 0, 1, ((0, 6), (6, 1)), 5.0, 2.0),)
         flows, old = flows + (ht.Flow(2, 0, 2, 1.0, 9.0),), {0: 0, 1: 0, 2: 0}
@@ -460,6 +465,58 @@ def test_one_run_per_pair_matches_exhaustive_enumeration():
             assert got == (expect[1], expect[0], True), (k, mode)
             seen["moved" if expect[0] else "unmoved"] += 1
     assert min(seen.values()) >= 200, seen
+
+
+def scaled_pair(flows, pair, target):
+    """`flows` with the rates of `pair`'s flows scaled to sum to `target`, the
+    sum taken in flow-id order as the search and the oracle take it, and never
+    above `target`."""
+    own = sorted(f.id for f in flows if (f.src, f.dst) == pair)
+    rate = {f.id: f.rate for f in flows}
+    total = sum(rate[i] for i in own)
+    for i in own:
+        rate[i] *= target / total
+    while sum(rate[i] for i in own) > target:
+        rate[own[-1]] = math.nextafter(rate[own[-1]], 0.0)
+    return tuple(f._replace(rate=rate[f.id]) for f in flows)
+
+
+@pytest.mark.parametrize("mode", list(RoutingMode))
+def test_pair_capacity_bound_matches_exhaustive_enumeration(mode):
+    # The first flow's pair is scaled to just below, exactly at and just above
+    # the summed capacity plus tolerance of that pair's LSPs. Every outcome must
+    # be the oracle's. Above it the bound answers without a search; at it, an
+    # instance whose one LSP takes every flow of the pair is still solved.
+    rng = np.random.default_rng(53)
+    seen = Counter()
+    for _ in range(400):
+        topo_r, flows, lsps, fr_old, routing = oracles.random_multipair_rerouting_instance(
+            rng, 3, 2)
+        pair = (flows[0].src, flows[0].dst)
+        own = [l for l in lsps if (l.src, l.dst) == pair]
+        room = sum(l.capacity + 1e-9 * max(1.0, l.capacity) for l in own)
+        for scale in (1 - 1e-9, 1.0, 1 + 1e-9):
+            scaled = scaled_pair(flows, pair, room * scale)
+            problem = ht.ReroutingProblem(flows=scaled, lsps=lsps, fr_old=fr_old, mode=mode,
+                                          topology=topo_r)
+            expect = oracles.best_rerouting(scaled, lsps, fr_old, mode.value, problem.mu,
+                                            routing, topo_r)
+            if scale > 1:
+                assert expect is None
+                with mock.patch.object(rerouting.Search, "run",
+                                       side_effect=AssertionError("searched")):
+                    with pytest.raises(Infeasible, match="exceed the capacity") as exc:
+                        ht.solve_flow_rerouting(problem)
+                assert exc.value.proven
+                seen["above"] += 1
+                continue
+            got = outcome(ht.solve_flow_rerouting, problem)
+            if expect is None:
+                assert got == ("infeasible", True)
+                continue
+            assert got == (expect[1], expect[0], True)
+            seen["below" if scale < 1 else "at, one LSP" if len(own) == 1 else "at"] += 1
+    assert seen["above"] == 400 and min(seen["below"], seen["at, one LSP"]) >= 20, seen
 
 
 def rerouting_outcome(solve, problem):

@@ -96,6 +96,26 @@ def test_growth_draws_match_one_scalar_draw_per_flow(topo):
             assert ht.grow_flows(flows, growth_max, seed) == expect
 
 
+def test_memo_returns_the_kept_growth_for_the_same_input_only(topo):
+    flows = ht.generate_flows(topo, cfg())
+    memo = {}
+    grown = ht.grow_flows(flows, 0.10, (1, 1), memo)
+    assert grown == ht.grow_flows(flows, 0.10, (1, 1))
+    assert ht.grow_flows(flows, 0.10, (1, 1), memo) is grown
+    # An equal input that is another object is grown afresh, to the same rates.
+    copy = tuple(list(flows))
+    assert copy == flows and copy is not flows
+    again = ht.grow_flows(copy, 0.10, (1, 1), memo)
+    assert again == grown and again is not grown
+    assert memo[(1, 1)][0] is copy
+    # So is the same object under another growth_max or another seed.
+    assert ht.grow_flows(copy, 0.20, (1, 1), memo) == ht.grow_flows(copy, 0.20, (1, 1))
+    assert ht.grow_flows(copy, 0.20, (1, 1), memo) is memo[(1, 1)][2]
+    assert ht.grow_flows(copy, 0.20, (1, 2), memo) == ht.grow_flows(copy, 0.20, (1, 2))
+    assert sorted(memo) == [(1, 1), (1, 2)]
+    assert ht.grow_flows(flows, 0.0, (1, 3), memo) == flows
+
+
 def test_growth_mean_near_half_cap(topo):
     flows = ht.generate_flows(topo, cfg())
     ratios = []

@@ -12,7 +12,7 @@ from .errors import (ConfigError, HybridTeError, Infeasible, InvalidPathError,
                      ParseError, UnreachableError, ValidationError)
 from .ffr import FfrResult, check_congestion, ffr, find_proper_lsps
 from .lsp import Lsp, build_lsp
-from .metrics import MetricsSample, compute_sample, write_metrics_csv
+from .metrics import MetricsSample, compute_sample, link_index, write_metrics_csv
 from .orchestrator import (LspPlanSpec, RunResult, ScenarioConfig, build_auto_lsp_plan,
                            initial_assignment, load_scenario, run_comparison,
                            run_scenario, write_comparison, write_run_result)

@@ -7,7 +7,12 @@ a flow's delivered rate is capped by its worst link.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from typing import NamedTuple
+
+import numpy as np
 
 from .topology import NetworkTopology
 
@@ -21,45 +26,73 @@ class MetricsSample:
     packet_loss: float
 
 
-def offered_loads(flows, paths: dict[int, tuple[tuple[int, int], ...]]) -> dict[tuple[int, int], float]:
-    """Sum of flow rates crossing each directed link."""
-    loads: dict[tuple[int, int], float] = {}
-    for f in flows:
-        for pair in paths[f.id]:
-            loads[pair] = loads.get(pair, 0.0) + f.rate
-    return loads
+class LinkIndex(NamedTuple):
+    """Where a set of paths runs, as positions. Entry k is one (flow, link)
+    crossing: flows in order, each flow's links in path order."""
+    flow: np.ndarray       # flow position of each entry
+    link: np.ndarray       # topo.by_pair position of each entry
+    starts: np.ndarray     # first entry of each non-empty path
+    bandwidth: np.ndarray  # per link, topo.by_pair order
+    hops: int              # entries in all: the summed path lengths
 
 
-def _shares(topo: NetworkTopology, loads) -> dict[tuple[int, int], float]:
-    """bandwidth / load on each overloaded link; every other link passes all."""
-    by_pair = topo.by_pair
-    if not loads.keys() <= by_pair.keys():
-        raise KeyError(f"path uses nonexistent link {min(loads.keys() - by_pair.keys())}")
-    return {pair: by_pair[pair].bandwidth / load for pair, load in loads.items()
-            if load > by_pair[pair].bandwidth}
+def link_index(topo: NetworkTopology, flows,
+               paths: dict[int, tuple[tuple[int, int], ...]]) -> LinkIndex:
+    """Index `paths` (keyed by flow id) for `flows` in their order. The index holds
+    while neither the paths nor the order of the flows change; rates may."""
+    position = {pair: i for i, pair in enumerate(topo.by_pair)}
+    routes = [paths[f.id] for f in flows]
+    try:
+        link = [position[pair] for route in routes for pair in route]
+    except KeyError:
+        missing = {pair for route in routes for pair in route} - position.keys()
+        raise KeyError(f"path uses nonexistent link {min(missing)}") from None
+    lengths = np.array([len(route) for route in routes], dtype=np.intp)
+    first = np.cumsum(lengths) - lengths
+    return LinkIndex(flow=np.repeat(np.arange(len(routes)), lengths),
+                     link=np.array(link, dtype=np.intp), starts=first[lengths > 0],
+                     bandwidth=np.array([ln.bandwidth for ln in topo.by_pair.values()]),
+                     hops=len(link))
 
 
-def _delivered(flows, paths, shares) -> list[float]:
-    return [f.rate * min([shares.get(p, 1.0) for p in paths[f.id]], default=1.0) for f in flows]
+def _sum_left(values) -> float:
+    """Left-to-right float sum. The builtin `sum` compensates from Python 3.12 on and
+    `ndarray.sum` adds pairwise; either would move the last bits of metrics.csv."""
+    return reduce(operator.add, values, 0.0)
 
 
-def compute_sample(slot: int, flows, paths: dict[int, tuple[tuple[int, int], ...]],
-                   topo: NetworkTopology, loads=None) -> MetricsSample:
+def offered_loads(flows, index: LinkIndex) -> np.ndarray:
+    """Sum of flow rates crossing each link, in topo.by_pair order. `bincount`
+    adds its weights in input order, so each load is summed in flow order."""
+    rates = np.array([f.rate for f in flows])
+    return np.bincount(index.link, rates[index.flow], minlength=len(index.bandwidth))
+
+
+def compute_sample(slot: int, flows, index: LinkIndex, loads=None) -> MetricsSample:
     """Aggregate one slot's metrics over every flow and every directed link.
-    `loads` are offered_loads(flows, paths) when the caller has summed them."""
+    `loads` are offered_loads(flows, index) when the caller has summed them."""
     if loads is None:
-        loads = offered_loads(flows, paths)
-    shares = _shares(topo, loads)
-    offered = sum([f.rate for f in flows])
-    # With no link overloaded every flow delivers its whole rate: the same sum.
-    throughput = sum(_delivered(flows, paths, shares)) if shares else offered
-    hops = sum([len(paths[f.id]) for f in flows])
-    utils = [min(1.0, loads.get(pair, 0.0) / ln.bandwidth) for pair, ln in topo.by_pair.items()]
+        loads = offered_loads(flows, index)
+    rates = [f.rate for f in flows]
+    offered = _sum_left(rates)
+    bandwidth = index.bandwidth
+    over = loads > bandwidth
+    if np.count_nonzero(over):
+        # An overloaded link passes bandwidth / load of each flow crossing it, and a
+        # flow gets through at the share of its worst link.
+        share = np.ones(len(bandwidth))
+        share[over] = bandwidth[over] / loads[over]
+        worst = np.ones(len(rates))
+        worst[index.flow[index.starts]] = np.minimum.reduceat(share[index.link], index.starts)
+        throughput = _sum_left((np.array(rates) * worst).tolist())
+    else:
+        throughput = offered  # every flow delivers its whole rate: the same sum
+    utils = np.minimum(loads / bandwidth, 1.0).tolist()
     return MetricsSample(
         slot=slot,
         throughput=throughput,
-        avg_link_utilization=sum(utils) / len(utils) if utils else 0.0,
-        avg_path_length=hops / len(flows) if flows else 0.0,
+        avg_link_utilization=_sum_left(utils) / len(utils) if utils else 0.0,
+        avg_path_length=index.hops / len(rates) if rates else 0.0,
         packet_loss=offered - throughput,
     )
 

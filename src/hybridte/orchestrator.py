@@ -20,7 +20,8 @@ from .baseline import shortest_path_route
 from .errors import ConfigError, Infeasible, ParseError, check_keys, check_types
 from .ffr import ffr, find_proper_lsps
 from .lsp import Lsp, build_lsp, lsps_by_pair
-from .metrics import MetricsSample, compute_sample, offered_loads, write_metrics_csv
+from .metrics import (MetricsSample, compute_sample, link_index, offered_loads,
+                      write_metrics_csv)
 from .recreation import (LspRequest, RecreationProblem, enumerate_simple_paths,
                          recreation_to_json, solve_lsp_recreation)
 from .rerouting import (ReroutingProblem, RoutingMode, rerouting_to_json,
@@ -265,11 +266,15 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
         os.makedirs(cfg.dump_dir, exist_ok=True)
 
     if cfg.scheme == "shortest_path":
-        paths = {f.id: links_of_path(shortest_path_route(f, topo)) for f in flows}
+        routes: dict[tuple[int, int], tuple] = {}  # one route per endpoint pair
+        for f in flows:
+            if (f.src, f.dst) not in routes:
+                routes[f.src, f.dst] = links_of_path(shortest_path_route(f, topo))
+        index = link_index(topo, flows, {f.id: routes[f.src, f.dst] for f in flows})
         for t in range(cfg.slots):
             if t >= 1:
                 flows = grow_flows(flows, cfg.traffic.growth_max, (cfg.seed, t), memo)
-            samples.append(compute_sample(t, flows, paths, topo))
+            samples.append(compute_sample(t, flows, index))
         return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
 
     log(0, "plan", lsps=len(lsps))
@@ -333,14 +338,15 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
                 build_lsp(topo, (l.src, *(b for _, b in links)), l.capacity, l.id)
                 for l, links in zip(lsps, rsol.routing)]
 
-    paths = flow_paths()  # keyed by flow id, which growth keeps
+    # Growth keeps the flows' ids and order, so the index holds until a round moves a path.
+    paths = flow_paths()
+    index = link_index(topo, flows, paths)
     for t in range(cfg.slots):
         loads = None  # compute_sample sums them: slot 0, or the paths changed
         if t >= 1:
             flows = grow_flows(flows, cfg.traffic.growth_max, (cfg.seed, t), memo)
-            loads = offered_loads(flows, paths)
-            max_util = max((load / topo.by_pair[pair].bandwidth
-                            for pair, load in loads.items()), default=0.0)
+            loads = offered_loads(flows, index)
+            max_util = max((loads / index.bandwidth).tolist(), default=0.0)
             periodic = t % cfg.rerouting_interval == 0
             trigger = max_util > cfg.mu_trigger or periodic
             log(t, "check", max_util=f"{max_util:.6f}", periodic=periodic, trigger=trigger)
@@ -348,8 +354,10 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
                 if run_flow_level(t, "reroute"):
                     run_recreation(t)
                     run_flow_level(t, "reroute_retry")
-                paths, loads = flow_paths(), None
-        samples.append(compute_sample(t, flows, paths, topo, loads))
+                current = flow_paths()
+                if current != paths:
+                    paths, index, loads = current, link_index(topo, flows, current), None
+        samples.append(compute_sample(t, flows, index, loads))
     return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
 
 

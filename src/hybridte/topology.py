@@ -10,7 +10,9 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import ParseError, ValidationError, check_keys, check_types
 
@@ -67,7 +69,8 @@ class NetworkTopology:
 
     @property
     def mean_bandwidth(self) -> float:
-        return sum(l.bandwidth for l in self.links) / len(self.links)
+        # Summed left to right in links order: the builtin sum compensates from Python 3.12 on.
+        return reduce(operator.add, [l.bandwidth for l in self.links], 0.0) / len(self.links)
 
     def link_lookup(self, src: int, dst: int) -> Link | None:
         """Return the link src->dst, or None when absent."""

@@ -370,15 +370,24 @@ def reference_delivered(flows, paths, topo, loads):
     return out
 
 
+def sum_left(values):
+    """Float sum in a plain loop, left to right, the same on every Python version
+    (the builtin `sum` compensates from Python 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def reference_sample(slot, flows, paths, topo) -> MetricsSample:
     """One slot's metrics, summed link by link and flow by flow as the
     simulator summed them before it reused the trigger check's loads."""
     loads = reference_offered_loads(flows, paths)
     delivered = reference_delivered(flows, paths, topo, loads)
-    throughput = sum(delivered.values())
-    offered = sum(f.rate for f in flows)
+    throughput = sum_left(delivered.values())
+    offered = sum_left(f.rate for f in flows)
     utils = [min(1.0, loads.get((ln.src, ln.dst), 0.0) / ln.bandwidth) for ln in topo.links]
-    avg_util = sum(utils) / len(utils) if utils else 0.0
+    avg_util = sum_left(utils) / len(utils) if utils else 0.0
     avg_len = (sum(len(paths[f.id]) for f in flows) / len(flows)) if flows else 0.0
     return MetricsSample(slot=slot, throughput=throughput, avg_link_utilization=avg_util,
                          avg_path_length=avg_len, packet_loss=offered - throughput)

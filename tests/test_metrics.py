@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import hybridte as ht
-from hybridte.metrics import CSV_HEADER, metrics_csv_rows, offered_loads
+from hybridte.metrics import CSV_HEADER, link_index, metrics_csv_rows, offered_loads
 from hybridte.topology import links_of_path
 
 import oracles
@@ -18,12 +20,16 @@ def path_map(*pairs):
     return {fid: links_of_path(nodes) for fid, nodes in pairs}
 
 
+def sample(slot, flows, paths, topo):
+    return ht.compute_sample(slot, flows, link_index(topo, flows, paths))
+
+
 def check_delivered(topo, flows, paths, expected):
     """The oracle delivers `expected` per flow, and the sample's throughput
     and loss are their sum and the rest of the offered rate."""
-    delivered = oracles.reference_delivered(flows, paths, topo, offered_loads(flows, paths))
-    assert delivered == pytest.approx(expected)
-    s = ht.compute_sample(1, flows, paths, topo)
+    loads = oracles.reference_offered_loads(flows, paths)
+    assert oracles.reference_delivered(flows, paths, topo, loads) == pytest.approx(expected)
+    s = sample(1, flows, paths, topo)
     assert s.throughput == pytest.approx(sum(expected.values()))
     assert s.packet_loss == pytest.approx(sum(f.rate for f in flows) - sum(expected.values()))
     return s
@@ -55,21 +61,22 @@ def test_worst_link_governs(topo):
 def test_sample_aggregates(topo):
     flows = (ht.Flow(0, 0, 1, 50.0, 9.0), ht.Flow(1, 2, 3, 30.0, 9.0))
     paths = path_map((0, (0, 4, 1)), (1, (2, 6, 3)))
-    s = ht.compute_sample(4, flows, paths, topo)
+    index = link_index(topo, flows, paths)
+    s = ht.compute_sample(4, flows, index)
     assert s.slot == 4
     assert s.throughput == pytest.approx(80.0)
     assert s.packet_loss == pytest.approx(0.0)
     assert s.avg_path_length == pytest.approx(2.0)
     # 4 loaded links at 0.5 and 0.3, 16 idle, averaged over all 20
     assert s.avg_link_utilization == pytest.approx((2 * 0.5 + 2 * 0.3) / 20.0)
-    loads = offered_loads(flows, paths)
+    loads = dict(zip(topo.by_pair, offered_loads(flows, index)))
     assert loads[(0, 4)] == pytest.approx(50.0)
-    assert (4, 6) not in loads  # idle
+    assert loads[(4, 6)] == 0.0  # idle
 
 
 def test_utilization_caps_at_one(topo):
     flows = (ht.Flow(0, 0, 1, 250.0, 9.0),)
-    s = ht.compute_sample(0, flows, path_map((0, (0, 4, 1))), topo)
+    s = sample(0, flows, path_map((0, (0, 4, 1))), topo)
     assert s.avg_link_utilization == pytest.approx(2.0 / 20.0)
     assert s.throughput == pytest.approx(100.0)
     assert s.packet_loss == pytest.approx(150.0)
@@ -78,14 +85,14 @@ def test_utilization_caps_at_one(topo):
 def test_loss_equals_offered_minus_delivered(topo):
     flows = (ht.Flow(0, 0, 1, 130.0, 9.0), ht.Flow(1, 0, 1, 26.0, 9.0))
     paths = path_map((0, (0, 4, 1)), (1, (0, 5, 1)))
-    s = ht.compute_sample(0, flows, paths, topo)
+    s = sample(0, flows, paths, topo)
     assert s.throughput == pytest.approx(100.0 + 26.0)
     assert s.packet_loss == pytest.approx(30.0)
 
 
 def test_csv_schema_and_float_repr(topo):
     flows = (ht.Flow(0, 0, 1, 12.5, 9.0),)
-    s = ht.compute_sample(0, flows, path_map((0, (0, 4, 1))), topo)
+    s = sample(0, flows, path_map((0, (0, 4, 1))), topo)
     rows = metrics_csv_rows([("ffr", s)])
     assert rows[0] == CSV_HEADER == "slot,scheme,throughput,avg_util,avg_path_len,loss"
     cells = rows[1].split(",")
@@ -96,7 +103,7 @@ def test_csv_schema_and_float_repr(topo):
 
 def test_csv_file_round_trip(tmp_path, topo):
     flows = (ht.Flow(0, 0, 1, 12.5, 9.0),)
-    s = ht.compute_sample(0, flows, path_map((0, (0, 4, 1))), topo)
+    s = sample(0, flows, path_map((0, (0, 4, 1))), topo)
     out = tmp_path / "m.csv"
     ht.write_metrics_csv(str(out), [("exact", s)])
     text = out.read_text()
@@ -107,10 +114,12 @@ def test_csv_file_round_trip(tmp_path, topo):
 
 
 def test_empty_flows(topo):
-    s = ht.compute_sample(0, (), {}, topo)
+    s = sample(0, (), {}, topo)
     assert s.throughput == 0.0
     assert s.avg_path_length == 0.0
     assert s.avg_link_utilization == 0.0
+    # Every float column reads as a float, not the integer 0 of an empty sum.
+    assert metrics_csv_rows([("ffr", s)])[1] == "0,ffr,0.0,0.0,0.0,0.0"
 
 
 def test_missing_link_is_a_key_error(topo):
@@ -118,9 +127,7 @@ def test_missing_link_is_a_key_error(topo):
     flows = (ht.Flow(0, 0, 1, 5.0, 9.0), ht.Flow(1, 0, 2, 5.0, 9.0))
     paths = path_map((0, (0, 4, 1)), (1, (0, 6, 2)))
     with pytest.raises(KeyError, match=r"nonexistent link \(0, 6\)"):
-        ht.compute_sample(1, flows, paths, topo)
-    with pytest.raises(KeyError, match=r"nonexistent link \(0, 6\)"):
-        ht.compute_sample(1, flows, paths, topo, offered_loads(flows, paths))
+        link_index(topo, flows, paths)
 
 
 def test_sample_matches_the_reference_sums():
@@ -128,18 +135,40 @@ def test_sample_matches_the_reference_sums():
     # without an overloaded link must not move a single bit of metrics.csv.
     rng = np.random.default_rng(12)
     topologies = (ht.reference_topology(), ring14())
-    seen = {"empty": 0, "idle": 0, "overloaded": 0, "at_bandwidth": 0}
+    seen = {"empty": 0, "idle": 0, "overloaded": 0, "at_bandwidth": 0, "empty_path": 0}
     for i in range(1200):
         topo = topologies[i % 2]
         flows, paths = oracles.random_sample_instance(rng, topo)
         expect = oracles.reference_sample(i, flows, paths, topo)
-        loads = offered_loads(flows, paths)
-        assert loads == oracles.reference_offered_loads(flows, paths)
-        assert ht.compute_sample(i, flows, paths, topo) == expect
-        assert ht.compute_sample(i, flows, paths, topo, loads) == expect
+        index = link_index(topo, flows, paths)
+        loads = offered_loads(flows, index)
+        reference = oracles.reference_offered_loads(flows, paths)
+        assert loads.tolist() == [reference.get(pair, 0.0) for pair in topo.by_pair]
+        assert ht.compute_sample(i, flows, index) == expect
+        assert ht.compute_sample(i, flows, index, loads) == expect
         bandwidth = {(ln.src, ln.dst): ln.bandwidth for ln in topo.links}
         seen["empty"] += not flows
-        seen["idle"] += len(loads) < len(bandwidth)
-        seen["overloaded"] += any(load > bandwidth[p] for p, load in loads.items())
-        seen["at_bandwidth"] += any(load == bandwidth[p] for p, load in loads.items())
+        seen["idle"] += len(reference) < len(bandwidth)
+        seen["overloaded"] += any(load > bandwidth[p] for p, load in reference.items())
+        seen["at_bandwidth"] += any(load == bandwidth[p] for p, load in reference.items())
+        # A flow on an empty path delivers its whole rate and adds no hops.
+        seen["empty_path"] += any(not paths[f.id] for f in flows)
     assert min(seen.values()) >= 20, seen
+
+
+def ten_links(bandwidth):
+    """Four nodes joined by the first ten of their ordered pairs, one bandwidth for all."""
+    pairs = list(itertools.permutations(range(4), 2))[:10]
+    return ht.NetworkTopology(4, tuple(ht.Link(a, b, bandwidth, 1.0) for a, b in pairs),
+                              frozenset({0, 1}))
+
+
+def test_sums_run_left_to_right():
+    # Ten 0.1s added left to right make 0.9999999999999999; the builtin sum of
+    # Python 3.12 and numpy's pairwise ndarray.sum both make 1.0.
+    assert ten_links(0.1).mean_bandwidth == 0.9999999999999999 / 10
+    topo = ten_links(1.0)
+    flows = tuple(ht.Flow(i, a, b, 0.1, 9.0) for i, (a, b) in enumerate(topo.by_pair))
+    s = sample(3, flows, {f.id: ((f.src, f.dst),) for f in flows}, topo)
+    assert (s.throughput, s.packet_loss) == (0.9999999999999999, 0.0)
+    assert s.avg_link_utilization == 0.9999999999999999 / 10

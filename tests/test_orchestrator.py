@@ -316,6 +316,57 @@ def test_repeated_instances_are_not_solved_again(tmp_path, monkeypatch, scheme):
             assert retry == (lp / f"slot{e['slot']:03d}_reroute.json").read_bytes()
 
 
+def watch_link_index(monkeypatch):
+    """Wrap the index build, the trigger check's load sum and the sample. Returns a
+    function that runs a config and checks that the index is built at slot 0 and
+    again exactly in the slots whose rounds moved a path, and that every other slot
+    is sampled with the check's loads; it returns the number of slots that moved."""
+    built, summed, sampled = [], [], []
+    index, offered, sample = (orchestrator.link_index, orchestrator.offered_loads,
+                              orchestrator.compute_sample)
+    monkeypatch.setattr(orchestrator, "link_index", lambda *a: built.append(a) or index(*a))
+    monkeypatch.setattr(orchestrator, "offered_loads",
+                        lambda *a: summed.append(offered(*a)) or summed[-1])
+    monkeypatch.setattr(orchestrator, "compute_sample",
+                        lambda t, flows, idx, loads=None:
+                        sampled.append((t, loads)) or sample(t, flows, idx, loads))
+
+    def run(cfg):
+        built.clear(), summed.clear(), sampled.clear()
+        events = parse_events(ht.run_scenario(cfg).events)
+        # Each LSP of a pair has its own route in these plans, so a slot's paths
+        # change exactly when one of its rounds moves a flow or re-routes an LSP.
+        moved = {e["slot"] for e in events
+                 if e.get("changes", "0") != "0" or e.get("changed_entries", "0") != "0"}
+        assert len(built) == 1 + len(moved)
+        assert [t for t, _ in sampled] == list(range(cfg.slots))
+        for t, loads in sampled:
+            if t == 0 or t in moved:
+                assert loads is None, t
+            else:
+                assert loads is summed[t - 1], t
+        return len(moved)
+
+    return run
+
+
+@pytest.mark.parametrize("scheme", ["ffr", "exact"])
+def test_link_index_is_rebuilt_exactly_when_paths_change(monkeypatch, tmp_path, scheme):
+    run = watch_link_index(monkeypatch)
+    scenario1 = dataclasses.replace(ht.load_scenario(scenario_path("scenario1.json")),
+                                    scheme=scheme)
+    # exact moves no flow on scenario1; on the mini network with two routes per
+    # pair and four flows per source, growth makes it move some.
+    plan = (([0, 2, 1], 16.0), ([0, 3, 1], 16.0), ([1, 2, 0], 16.0), ([1, 3, 0], 16.0))
+    mini = dataclasses.replace(ht.load_scenario(write_mini_files(
+        tmp_path, plan=plan,
+        traffic={**MINI_TRAFFIC, "max_flows_per_source": 4, "target_flow_count": 8})),
+        scheme=scheme)
+    moved = [run(dataclasses.replace(cfg, seed=seed)) for cfg in (scenario1, mini)
+             for seed in range(8)]
+    assert sum(moved) >= 2, moved
+
+
 def test_comparison_runs_identical_traffic(monkeypatch):
     sampled = []
     sample = orchestrator.compute_sample

@@ -61,20 +61,20 @@ def _sum_left(values) -> float:
     return reduce(operator.add, values, 0.0)
 
 
-def offered_loads(flows, index: LinkIndex) -> np.ndarray:
+def offered_loads(rates: np.ndarray, index: LinkIndex) -> np.ndarray:
     """Sum of flow rates crossing each link, in topo.by_pair order. `bincount`
     adds its weights in input order, so each load is summed in flow order."""
-    rates = np.array([f.rate for f in flows])
     return np.bincount(index.link, rates[index.flow], minlength=len(index.bandwidth))
 
 
-def compute_sample(slot: int, flows, index: LinkIndex, loads=None) -> MetricsSample:
-    """Aggregate one slot's metrics over every flow and every directed link.
-    `loads` are offered_loads(flows, index) when the caller has summed them."""
+def compute_sample(slot: int, rates: np.ndarray, index: LinkIndex, loads=None) -> MetricsSample:
+    """Aggregate one slot's metrics over every flow's rate (in the index's flow order)
+    and every directed link. `loads` are offered_loads(rates, index) when the caller
+    has summed them."""
     if loads is None:
-        loads = offered_loads(flows, index)
-    rates = [f.rate for f in flows]
-    offered = _sum_left(rates)
+        loads = offered_loads(rates, index)
+    n = len(rates)
+    offered = _sum_left(rates.tolist())
     bandwidth = index.bandwidth
     over = loads > bandwidth
     if np.count_nonzero(over):
@@ -82,9 +82,9 @@ def compute_sample(slot: int, flows, index: LinkIndex, loads=None) -> MetricsSam
         # flow gets through at the share of its worst link.
         share = np.ones(len(bandwidth))
         share[over] = bandwidth[over] / loads[over]
-        worst = np.ones(len(rates))
+        worst = np.ones(n)
         worst[index.flow[index.starts]] = np.minimum.reduceat(share[index.link], index.starts)
-        throughput = _sum_left((np.array(rates) * worst).tolist())
+        throughput = _sum_left((rates * worst).tolist())
     else:
         throughput = offered  # every flow delivers its whole rate: the same sum
     utils = np.minimum(loads / bandwidth, 1.0).tolist()
@@ -92,7 +92,7 @@ def compute_sample(slot: int, flows, index: LinkIndex, loads=None) -> MetricsSam
         slot=slot,
         throughput=throughput,
         avg_link_utilization=_sum_left(utils) / len(utils) if utils else 0.0,
-        avg_path_length=index.hops / len(rates) if rates else 0.0,
+        avg_path_length=index.hops / n if n else 0.0,
         packet_loss=offered - throughput,
     )
 

@@ -16,6 +16,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .baseline import shortest_path_route
 from .errors import ConfigError, Infeasible, ParseError, check_keys, check_types
 from .ffr import ffr, find_proper_lsps
@@ -27,7 +29,7 @@ from .recreation import (LspRequest, RecreationProblem, enumerate_simple_paths,
 from .rerouting import (ReroutingProblem, RoutingMode, rerouting_to_json,
                         solve_flow_rerouting)
 from .topology import NetworkTopology, links_of_path, load_topology_file
-from .traffic import TrafficConfig, generate_flows, grow_flows
+from .traffic import TrafficConfig, flows_at, generate_flows, grow_flows
 
 SCHEMES = ("shortest_path", "ffr", "exact")
 
@@ -226,32 +228,41 @@ def _delay_budgets(flows, lsps, assignment) -> dict[int, float]:
 
 
 def _config_echo(cfg: ScenarioConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
-    doc["rerouting_mode"] = cfg.rerouting_mode.value
+    """`dataclasses.asdict(cfg)` with the mode's value, built without its deep copies:
+    every field below the top level is an immutable scalar."""
+    doc = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    doc.update(traffic=dict(vars(cfg.traffic)), lsp_plan=dict(vars(cfg.lsp_plan)),
+               rerouting_mode=cfg.rerouting_mode.value)
     return doc
 
 
 def _set_up(cfg: ScenarioConfig, planned: bool) -> tuple:
-    """Validate `cfg` and build a run's inputs before slot 1: topology, slot-0 flows and,
-    when `planned`, the LSP plan and initial assignment. A comparison's schemes share them."""
+    """Validate `cfg` and build a run's inputs before slot 1: topology, slot-0 flows and
+    their rate vector and, when `planned`, the LSP plan and initial assignment. A
+    comparison's schemes share them."""
     cfg.validate()
     topo = load_topology_file(cfg.topology_path)
     flows = generate_flows(topo, dataclasses.replace(cfg.traffic, seed=cfg.seed))
+    rates = np.array([f.rate for f in flows])
+    rates.flags.writeable = False  # shared by a comparison's schemes and its growth memo
     if not planned:
-        return topo, flows, (), {}
+        return topo, flows, rates, (), {}
     if cfg.lsp_plan.kind == "auto":
         lsps = build_auto_lsp_plan(topo, cfg.lsp_plan.paths_per_pair, cfg.mu_headroom)
     else:
         lsps = load_lsp_plan_file(cfg.lsp_plan.path, topo)
     # Both plan builders number LSPs by position, so lsps[i].id == i.
-    return topo, flows, tuple(lsps), initial_assignment(flows, lsps)
+    return topo, flows, rates, tuple(lsps), initial_assignment(flows, lsps)
 
 
 def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
                  memo: dict | None = None) -> RunResult:
     """Run one scheme over the configured slots; a comparison passes its shared `setup`
-    and its growth `memo` (see `grow_flows`)."""
-    topo, flows, lsps, shared = setup or _set_up(cfg, planned=cfg.scheme != "shortest_path")
+    and its growth `memo` (see `grow_flows`). A slot's traffic is its rate vector beside
+    the slot-0 `flows`, whose ids, order, endpoints and delay bounds never change; Flow
+    records at the slot's rates are built only for a re-routing round."""
+    planned = cfg.scheme != "shortest_path"
+    topo, flows, rates, lsps, shared = setup or _set_up(cfg, planned)
     assignment = dict(shared)  # each scheme's own copy of the shared initial assignment
     events: list[str] = []
     samples: list[MetricsSample] = []
@@ -273,8 +284,8 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
         index = link_index(topo, flows, {f.id: routes[f.src, f.dst] for f in flows})
         for t in range(cfg.slots):
             if t >= 1:
-                flows = grow_flows(flows, cfg.traffic.growth_max, (cfg.seed, t), memo)
-            samples.append(compute_sample(t, flows, index))
+                rates = grow_flows(rates, cfg.traffic.growth_max, (cfg.seed, t), memo)
+            samples.append(compute_sample(t, rates, index))
         return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
 
     log(0, "plan", lsps=len(lsps))
@@ -307,18 +318,18 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
                 fp.write(text)
         return sol
 
-    def run_flow_level(t: int, tag: str) -> bool:
-        """One flow-level round; returns True when escalation is needed."""
+    def run_flow_level(t: int, tag: str, now: tuple) -> bool:
+        """One flow-level round over the slot's flows `now`; True when escalation is needed."""
         nonlocal assignment
         if cfg.scheme == "exact":
-            problem = ReroutingProblem(flows=tuple(flows), lsps=tuple(lsps), fr_old=assignment,
+            problem = ReroutingProblem(flows=now, lsps=tuple(lsps), fr_old=assignment,
                                        mode=cfg.rerouting_mode, mu=cfg.mu_headroom, topology=topo)
             sol = solve_once(t, tag, problem, solve_flow_rerouting, rerouting_to_json,
                              "changes", f"slot{t:03d}_{tag}.json")
             if sol is not None:
                 assignment = sol.assignment
             return sol is None
-        res = ffr(flows, lsps, assignment, topo, mu=cfg.mu_headroom)
+        res = ffr(now, lsps, assignment, topo, mu=cfg.mu_headroom)
         log(t, tag, changes=sum(assignment.get(f) != i for f, i in res.assignment.items()),
             parked=len(res.recreation_requests), examinations=res.examinations)
         assignment = res.assignment
@@ -338,34 +349,35 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
                 build_lsp(topo, (l.src, *(b for _, b in links)), l.capacity, l.id)
                 for l, links in zip(lsps, rsol.routing)]
 
-    # Growth keeps the flows' ids and order, so the index holds until a round moves a path.
+    # Growth changes only the rates, so the index holds until a round moves a path.
     paths = flow_paths()
     index = link_index(topo, flows, paths)
     for t in range(cfg.slots):
         loads = None  # compute_sample sums them: slot 0, or the paths changed
         if t >= 1:
-            flows = grow_flows(flows, cfg.traffic.growth_max, (cfg.seed, t), memo)
-            loads = offered_loads(flows, index)
+            rates = grow_flows(rates, cfg.traffic.growth_max, (cfg.seed, t), memo)
+            loads = offered_loads(rates, index)
             max_util = max((loads / index.bandwidth).tolist(), default=0.0)
             periodic = t % cfg.rerouting_interval == 0
             trigger = max_util > cfg.mu_trigger or periodic
             log(t, "check", max_util=f"{max_util:.6f}", periodic=periodic, trigger=trigger)
             if trigger:
-                if run_flow_level(t, "reroute"):
+                now = flows_at(flows, rates)
+                if run_flow_level(t, "reroute", now):
                     run_recreation(t)
-                    run_flow_level(t, "reroute_retry")
+                    run_flow_level(t, "reroute_retry", now)
                 current = flow_paths()
                 if current != paths:
                     paths, index, loads = current, link_index(topo, flows, current), None
-        samples.append(compute_sample(t, flows, index, loads))
+        samples.append(compute_sample(t, rates, index, loads))
     return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
 
 
 def run_comparison(cfg: ScenarioConfig) -> list[RunResult]:
     """Run every scheme from one topology, slot-0 traffic draw, LSP plan and initial
     assignment, and grow each slot's traffic once: a growth memo that lives for this
-    call hands the later schemes the tuple the first one grew (see `grow_flows`), so
-    it holds the comparison's traffic trace, O(slots x flows). Writes no dumps."""
+    call hands the later schemes the rate vector the first one grew (see `grow_flows`),
+    so it holds the comparison's traffic trace, O(slots x flows). Writes no dumps."""
     setup, memo = _set_up(cfg, planned=True), {}
     return [run_scenario(dataclasses.replace(cfg, scheme=s, dump_dir=None), setup=setup,
                          memo=memo)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bnb import BudgetExhausted, Search
 from .dumps import block, routes, scalar
@@ -19,8 +20,7 @@ from .errors import Infeasible, ValidationError
 from .topology import NetworkTopology, links_of_path
 
 
-@dataclass(frozen=True)
-class LspRequest:
+class LspRequest(NamedTuple):
     src: int
     dst: int
     capacity: float

@@ -130,26 +130,32 @@ def generate_flows(topo: NetworkTopology, cfg: TrafficConfig) -> tuple[Flow, ...
     )
 
 
-def grow_flows(flows, growth_max: float, seed, memo: dict | None = None) -> tuple[Flow, ...]:
+def grow_flows(rates: np.ndarray, growth_max: float, seed, memo: dict | None = None) -> np.ndarray:
     """Scale each rate by (1 + u), u uniform on [0, growth_max), one draw per flow.
 
-    With a `memo`, the result is kept under `seed` together with its input. A
-    later call with that seed, the very same `flows` object (`is`) and the
-    same growth_max returns the kept tuple without drawing; any other input
-    is grown afresh and replaces the entry."""
+    `rates` is a slot's rate vector, in the order of the slot-0 flows; the
+    result is read-only, and a growth_max of 0 returns `rates` itself. With a
+    `memo`, the result is kept under `seed` together with its input. A later
+    call with that seed, the very same `rates` object (`is`) and the same
+    growth_max returns the kept vector without drawing; any other input is
+    grown afresh and replaces the entry."""
     if not 0 <= growth_max < math.inf:
         raise ConfigError("growth_max must be nonnegative and finite")
     if memo is not None:
         entry = memo.get(seed)
-        if entry is not None and entry[0] is flows and entry[1] == growth_max:
+        if entry is not None and entry[0] is rates and entry[1] == growth_max:
             return entry[2]
+    grown = rates
     if growth_max > 0:
-        draws = np.random.default_rng(seed).uniform(0.0, growth_max, len(flows)).tolist()
-    else:
-        draws = [0.0] * len(flows)
-    # tuple.__new__ skips the frame of Flow's generated __new__.
-    grown = tuple([tuple.__new__(Flow, (i, src, dst, rate * (1.0 + u), max_delay))
-                   for (i, src, dst, rate, max_delay), u in zip(flows, draws)])
+        grown = rates * (1.0 + np.random.default_rng(seed).uniform(0.0, growth_max, len(rates)))
+        grown.flags.writeable = False
     if memo is not None:
-        memo[seed] = (flows, growth_max, grown)
+        memo[seed] = (rates, growth_max, grown)
     return grown
+
+
+def flows_at(flows, rates: np.ndarray) -> tuple[Flow, ...]:
+    """`flows` (slot 0) with each rate replaced by its entry of the slot's `rates`."""
+    # tuple.__new__ skips the frame of Flow's generated __new__.
+    return tuple([tuple.__new__(Flow, (i, src, dst, rate, max_delay))
+                  for (i, src, dst, _, max_delay), rate in zip(flows, rates.tolist())])

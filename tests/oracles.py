@@ -345,6 +345,12 @@ def recreation_dump(problem, solution=None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def reference_growth(flows, growth_max, seed) -> list[float]:
+    """Each flow's rate grown by its own scalar draw, in flow order: rate * (1 + u)."""
+    rng = np.random.default_rng(seed)
+    return [f.rate * (1.0 + float(rng.uniform(0.0, growth_max))) for f in flows]
+
+
 def reference_offered_loads(flows, paths):
     """Sum of flow rates crossing each directed link."""
     loads = {}

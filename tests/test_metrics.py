@@ -20,8 +20,12 @@ def path_map(*pairs):
     return {fid: links_of_path(nodes) for fid, nodes in pairs}
 
 
+def rates_of(flows):
+    return np.array([f.rate for f in flows])
+
+
 def sample(slot, flows, paths, topo):
-    return ht.compute_sample(slot, flows, link_index(topo, flows, paths))
+    return ht.compute_sample(slot, rates_of(flows), link_index(topo, flows, paths))
 
 
 def check_delivered(topo, flows, paths, expected):
@@ -62,14 +66,14 @@ def test_sample_aggregates(topo):
     flows = (ht.Flow(0, 0, 1, 50.0, 9.0), ht.Flow(1, 2, 3, 30.0, 9.0))
     paths = path_map((0, (0, 4, 1)), (1, (2, 6, 3)))
     index = link_index(topo, flows, paths)
-    s = ht.compute_sample(4, flows, index)
+    s = ht.compute_sample(4, rates_of(flows), index)
     assert s.slot == 4
     assert s.throughput == pytest.approx(80.0)
     assert s.packet_loss == pytest.approx(0.0)
     assert s.avg_path_length == pytest.approx(2.0)
     # 4 loaded links at 0.5 and 0.3, 16 idle, averaged over all 20
     assert s.avg_link_utilization == pytest.approx((2 * 0.5 + 2 * 0.3) / 20.0)
-    loads = dict(zip(topo.by_pair, offered_loads(flows, index)))
+    loads = dict(zip(topo.by_pair, offered_loads(rates_of(flows), index)))
     assert loads[(0, 4)] == pytest.approx(50.0)
     assert loads[(4, 6)] == 0.0  # idle
 
@@ -140,12 +144,12 @@ def test_sample_matches_the_reference_sums():
         topo = topologies[i % 2]
         flows, paths = oracles.random_sample_instance(rng, topo)
         expect = oracles.reference_sample(i, flows, paths, topo)
-        index = link_index(topo, flows, paths)
-        loads = offered_loads(flows, index)
+        index, rates = link_index(topo, flows, paths), rates_of(flows)
+        loads = offered_loads(rates, index)
         reference = oracles.reference_offered_loads(flows, paths)
         assert loads.tolist() == [reference.get(pair, 0.0) for pair in topo.by_pair]
-        assert ht.compute_sample(i, flows, index) == expect
-        assert ht.compute_sample(i, flows, index, loads) == expect
+        assert ht.compute_sample(i, rates, index) == expect
+        assert ht.compute_sample(i, rates, index, loads) == expect
         bandwidth = {(ln.src, ln.dst): ln.bandwidth for ln in topo.links}
         seen["empty"] += not flows
         seen["idle"] += len(reference) < len(bandwidth)

@@ -150,9 +150,10 @@ def test_recreation_fires_at_the_replayed_overflow_slot(tmp_path):
     # replay the growth stream to find the first slot where a flow outgrows
     # its only admissible LSP
     overflow_slot = None
+    rates = np.array([f.rate for f in flows])
     for t in range(1, cfg.slots):
-        flows = ht.grow_flows(flows, cfg.traffic.growth_max, (cfg.seed, t))
-        if overflow_slot is None and any(f.rate > 8.0 for f in flows):
+        rates = ht.grow_flows(rates, cfg.traffic.growth_max, (cfg.seed, t))
+        if overflow_slot is None and np.any(rates > 8.0):
             overflow_slot = t
     assert overflow_slot is not None, "pick a seed whose flows overflow in range"
 
@@ -328,8 +329,8 @@ def watch_link_index(monkeypatch):
     monkeypatch.setattr(orchestrator, "offered_loads",
                         lambda *a: summed.append(offered(*a)) or summed[-1])
     monkeypatch.setattr(orchestrator, "compute_sample",
-                        lambda t, flows, idx, loads=None:
-                        sampled.append((t, loads)) or sample(t, flows, idx, loads))
+                        lambda t, rates, idx, loads=None:
+                        sampled.append((t, loads)) or sample(t, rates, idx, loads))
 
     def run(cfg):
         built.clear(), summed.clear(), sampled.clear()
@@ -367,11 +368,49 @@ def test_link_index_is_rebuilt_exactly_when_paths_change(monkeypatch, tmp_path, 
     assert sum(moved) >= 2, moved
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_flow_records_are_built_only_for_rounds(monkeypatch, scheme):
+    # Quiet slots keep their traffic as a rate vector. Flow records at the slot's
+    # rates are built once per triggered slot, for its rounds, and never for the
+    # baseline, which has no rounds.
+    built, sampled = [], []
+    build, sample = orchestrator.flows_at, orchestrator.compute_sample
+    monkeypatch.setattr(orchestrator, "flows_at", lambda flows, rates: built.append(
+        (len(sampled), build(flows, rates))) or built[-1][1])
+    monkeypatch.setattr(orchestrator, "compute_sample",
+                        lambda t, *args: sampled.append(t) or sample(t, *args))
+    rounds = 0
+    for name in ("scenario1.json", "scenario3.json"):
+        for seed in range(5):
+            cfg = dataclasses.replace(ht.load_scenario(scenario_path(name)), scheme=scheme,
+                                      seed=seed)
+            built.clear(), sampled.clear()
+            events = parse_events(ht.run_scenario(cfg).events)
+            triggered = [e["slot"] for e in events
+                         if e["event"] == "check" and e["trigger"] == "True"]
+            assert [t for t, _ in built] == triggered
+            # Each slot's records, from the slot-0 flows and the per-flow growth formula.
+            topo = ht.load_topology_file(cfg.topology_path)
+            flows = ht.generate_flows(topo, dataclasses.replace(cfg.traffic, seed=seed))
+            expect = {0: flows}
+            for t in range(1, cfg.slots):
+                rates = oracles.reference_growth(expect[t - 1], cfg.traffic.growth_max,
+                                                 (seed, t))
+                expect[t] = tuple(ht.Flow(f.id, f.src, f.dst, rate, f.max_delay)
+                                  for f, rate in zip(flows, rates))
+            for t, records in built:
+                assert records == expect[t], (name, seed, t)
+                assert all(type(f) is ht.Flow for f in records)
+            rounds += len(built)
+    assert (rounds == 0) == (scheme == "shortest_path"), rounds
+
+
 def test_comparison_runs_identical_traffic(monkeypatch):
     sampled = []
     sample = orchestrator.compute_sample
     monkeypatch.setattr(orchestrator, "compute_sample",
-                        lambda t, flows, *args: sampled.append(flows) or sample(t, flows, *args))
+                        lambda t, rates, *args: sampled.append(rates.tolist())
+                        or sample(t, rates, *args))
     cfg = ht.load_scenario(scenario_path("scenario2.json"))
     results = ht.run_comparison(cfg)
     assert [r.scheme for r in results] == list(SCHEMES)
@@ -387,12 +426,12 @@ def test_comparison_grows_the_traffic_once(monkeypatch):
     sampled, seeds = [], []
     sample, default_rng = orchestrator.compute_sample, np.random.default_rng
     monkeypatch.setattr(orchestrator, "compute_sample",
-                        lambda t, flows, *args: sampled.append(flows) or sample(t, flows, *args))
+                        lambda t, rates, *args: sampled.append(rates) or sample(t, rates, *args))
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed=None: seeds.append(seed) or default_rng(seed))
     cfg = ht.load_scenario(scenario_path("scenario2.json"))
     ht.run_comparison(cfg)
-    # ffr and exact get the very tuple that shortest_path grew, slot by slot.
+    # ffr and exact get the very rate vector that shortest_path grew, slot by slot.
     per_scheme = [sampled[k * cfg.slots:(k + 1) * cfg.slots] for k in range(len(SCHEMES))]
     assert all(sp is ffr is exact for sp, ffr, exact in zip(*per_scheme))
     # The slot-0 draw, then one growth draw per checked slot for all three schemes.
@@ -462,7 +501,14 @@ def test_comparison_builds_its_set_up_once(monkeypatch):
                              "grow_flows": 3 * (cfg.slots - 1)})
     # One set-up object, which no scheme changed.
     assert setups[0] is setups[1] is setups[2]
-    assert setups[0] == orchestrator._set_up(cfg, planned=True)
+    topo, flows, rates, lsps, assignment = setups[0]
+    fresh = orchestrator._set_up(cfg, planned=True)
+    assert (topo, flows, lsps, assignment) == fresh[:2] + fresh[3:]
+    assert np.array_equal(rates, fresh[2]) and rates.dtype == fresh[2].dtype
+    # The slot-0 rates are the flows' own, and no caller can write into them.
+    assert rates.tolist() == [f.rate for f in flows]
+    with pytest.raises(ValueError):
+        rates[0] = 0.0
 
 
 @pytest.mark.parametrize("scheme, planned", [("shortest_path", 0), ("ffr", 1), ("exact", 1)])
@@ -663,6 +709,26 @@ def test_config_echo_is_complete_and_serializable():
         assert key in echo, key
     assert echo["scheme"] == "ffr"
     assert json.loads(text) == echo
+
+
+def test_config_echo_equals_the_asdict_echo():
+    # The echo is built field by field; it must equal what dataclasses.asdict
+    # gives, and write the same config.echo text.
+    def asdict_echo(cfg):
+        doc = dataclasses.asdict(cfg)
+        doc["rerouting_mode"] = cfg.rerouting_mode.value
+        return doc
+
+    for name in ("scenario1", "scenario2", "scenario3", "scenario4", "degenerate"):
+        cfg = ht.load_scenario(scenario_path(f"{name}.json"))
+        for c in (cfg, dataclasses.replace(cfg, scheme="exact", dump_dir="lp",
+                                           rerouting_mode=RoutingMode.UNRESERVED)):
+            echo, expect = orchestrator._config_echo(c), asdict_echo(c)
+            assert echo == expect
+            assert (json.dumps(echo, indent=2, sort_keys=True)
+                    == json.dumps(expect, indent=2, sort_keys=True))
+            assert type(echo["traffic"]) is dict and type(echo["lsp_plan"]) is dict
+            assert type(echo["rerouting_mode"]) is str
 
 
 def test_shipped_scenarios_load():

@@ -67,61 +67,76 @@ def test_truncated_geometric_zero_support():
     assert np.mean(draws) == pytest.approx(oracles.trunc_geom_mean(0.5, 0, 3), rel=0.05)
 
 
+def rates_of(flows):
+    return np.array([f.rate for f in flows])
+
+
 def test_growth_bounds_and_determinism(topo):
-    flows = ht.generate_flows(topo, cfg())
-    grown = ht.grow_flows(flows, 0.10, (1, 1))
-    again = ht.grow_flows(flows, 0.10, (1, 1))
-    assert grown == again
-    for before, after in zip(flows, grown):
-        ratio = after.rate / before.rate
-        assert 1.0 <= ratio < 1.10
-        assert after.max_delay == before.max_delay
-        assert (after.src, after.dst, after.id) == (before.src, before.dst, before.id)
+    rates = rates_of(ht.generate_flows(topo, cfg()))
+    before = rates.tolist()
+    grown = ht.grow_flows(rates, 0.10, (1, 1))
+    again = ht.grow_flows(rates, 0.10, (1, 1))
+    assert grown.tolist() == again.tolist()
+    assert grown.dtype == np.float64 and grown.shape == rates.shape
+    ratio = grown / rates
+    assert np.all((1.0 <= ratio) & (ratio < 1.10))
+    assert rates.tolist() == before  # the input is left as it was
 
 
 def test_zero_growth_is_identity(topo):
-    flows = ht.generate_flows(topo, cfg())
-    assert ht.grow_flows(flows, 0.0, (1, 1)) == flows
+    rates = rates_of(ht.generate_flows(topo, cfg()))
+    assert ht.grow_flows(rates, 0.0, (1, 1)) is rates
 
 
 def test_growth_draws_match_one_scalar_draw_per_flow(topo):
+    # Bit for bit: the vector growth is the per-flow formula rate * (1 + u),
+    # one scalar draw per flow in flow order.
     flows = ht.generate_flows(topo, cfg())
     for seed in ((1, 1), (3, 7), 11):
         for growth_max in (0.0, 0.02, 0.5):
-            rng = np.random.default_rng(seed)
-            expect = tuple(
-                ht.Flow(f.id, f.src, f.dst, f.rate * (1.0 + (
-                    float(rng.uniform(0.0, growth_max)) if growth_max > 0 else 0.0)), f.max_delay)
-                for f in flows)
-            assert ht.grow_flows(flows, growth_max, seed) == expect
+            expect = oracles.reference_growth(flows, growth_max, seed)
+            assert ht.grow_flows(rates_of(flows), growth_max, seed).tolist() == expect
+            empty = ht.grow_flows(np.array([]), growth_max, seed)
+            assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
+def test_grown_rates_are_read_only(topo):
+    rates = rates_of(ht.generate_flows(topo, cfg()))
+    for grown in (ht.grow_flows(rates, 0.10, (1, 1)), ht.grow_flows(rates, 0.10, (1, 1), {})):
+        with pytest.raises(ValueError):
+            grown[0] = 1.0
+        with pytest.raises(ValueError):
+            grown *= 2.0
 
 
 def test_memo_returns_the_kept_growth_for_the_same_input_only(topo):
-    flows = ht.generate_flows(topo, cfg())
+    rates = rates_of(ht.generate_flows(topo, cfg()))
     memo = {}
-    grown = ht.grow_flows(flows, 0.10, (1, 1), memo)
-    assert grown == ht.grow_flows(flows, 0.10, (1, 1))
-    assert ht.grow_flows(flows, 0.10, (1, 1), memo) is grown
+    grown = ht.grow_flows(rates, 0.10, (1, 1), memo)
+    assert grown.tolist() == ht.grow_flows(rates, 0.10, (1, 1)).tolist()
+    assert ht.grow_flows(rates, 0.10, (1, 1), memo) is grown
     # An equal input that is another object is grown afresh, to the same rates.
-    copy = tuple(list(flows))
-    assert copy == flows and copy is not flows
+    copy = rates.copy()
+    assert copy.tolist() == rates.tolist() and copy is not rates
     again = ht.grow_flows(copy, 0.10, (1, 1), memo)
-    assert again == grown and again is not grown
+    assert again.tolist() == grown.tolist() and again is not grown
     assert memo[(1, 1)][0] is copy
     # So is the same object under another growth_max or another seed.
-    assert ht.grow_flows(copy, 0.20, (1, 1), memo) == ht.grow_flows(copy, 0.20, (1, 1))
+    assert (ht.grow_flows(copy, 0.20, (1, 1), memo).tolist()
+            == ht.grow_flows(copy, 0.20, (1, 1)).tolist())
     assert ht.grow_flows(copy, 0.20, (1, 1), memo) is memo[(1, 1)][2]
-    assert ht.grow_flows(copy, 0.20, (1, 2), memo) == ht.grow_flows(copy, 0.20, (1, 2))
+    assert (ht.grow_flows(copy, 0.20, (1, 2), memo).tolist()
+            == ht.grow_flows(copy, 0.20, (1, 2)).tolist())
     assert sorted(memo) == [(1, 1), (1, 2)]
-    assert ht.grow_flows(flows, 0.0, (1, 3), memo) == flows
+    assert ht.grow_flows(rates, 0.0, (1, 3), memo) is rates
 
 
 def test_growth_mean_near_half_cap(topo):
-    flows = ht.generate_flows(topo, cfg())
+    rates = rates_of(ht.generate_flows(topo, cfg()))
     ratios = []
     for t in range(400):
-        grown = ht.grow_flows(flows, 0.10, (9, t))
-        ratios.extend(g.rate / f.rate - 1.0 for f, g in zip(flows, grown))
+        grown = ht.grow_flows(rates, 0.10, (9, t))
+        ratios.extend((grown / rates - 1.0).tolist())
     assert np.mean(ratios) == pytest.approx(0.05, abs=0.005)
 
 
@@ -162,7 +177,7 @@ def test_config_validation(topo, bad):
         ht.generate_flows(topo, cfg(**bad))
     if "growth_max" in bad:
         with pytest.raises(ConfigError):
-            ht.grow_flows((), bad["growth_max"], 0)
+            ht.grow_flows(np.array([]), bad["growth_max"], 0)
 
 
 def test_edge_node_that_reaches_no_other_is_an_error():

@@ -10,8 +10,8 @@ from .audit import audit_flow_assignment, audit_lsp_routing
 from .baseline import shortest_path_route
 from .errors import (ConfigError, HybridTeError, Infeasible, InvalidPathError,
                      ParseError, UnreachableError, ValidationError)
-from .ffr import FfrResult, check_congestion, ffr, find_proper_lsps
-from .lsp import Lsp, build_lsp
+from .ffr import FfrResult, ffr
+from .lsp import Lsp, LspPlan, build_lsp
 from .metrics import MetricsSample, compute_sample, link_index, write_metrics_csv
 from .orchestrator import (LspPlanSpec, RunResult, ScenarioConfig, build_auto_lsp_plan,
                            initial_assignment, load_scenario, run_comparison,

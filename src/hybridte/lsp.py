@@ -29,12 +29,40 @@ class Lsp:
     dump_record = cached_property(lsp_record)  # rendered once per object
 
 
-def lsps_by_pair(lsps) -> dict[tuple[int, int], list[Lsp]]:
-    """The LSPs grouped by (src, dst), in input order within each pair."""
-    groups: dict[tuple[int, int], list[Lsp]] = {}
-    for l in lsps:
-        groups.setdefault((l.src, l.dst), []).append(l)
-    return groups
+class LspPlan(tuple):
+    """A run's LSPs in id order, checked once when built: unique ids and, given a
+    `topology`, links that it has. Like `tuple(t)`, `LspPlan(plan)` is `plan` itself,
+    as is `LspPlan(plan, topology)` for the topology it was checked against. A plan
+    compares as the tuple of its LSPs, so an unchanged one compares by one identity
+    test. `by_id` maps ids to LSPs, `pairs` each (src, dst) to its LSPs in id order."""
+
+    def __new__(cls, lsps, topology: NetworkTopology | None = None):
+        if isinstance(lsps, LspPlan) and topology in (None, lsps.topology):
+            return lsps
+        plan = super().__new__(cls, sorted(lsps, key=lambda l: l.id))
+        by_id = {l.id: l for l in plan}
+        if len(by_id) != len(plan):
+            raise ValidationError("duplicate LSP ids")
+        missing = [(l.id, pair) for l in lsps for pair in l.links  # first listed, first named
+                   if topology is not None and pair not in topology.by_pair]
+        if missing:
+            raise ValidationError("LSP {} uses nonexistent link {}".format(*missing[0]))
+        pairs: dict[tuple[int, int], tuple[Lsp, ...]] = {}
+        for l in plan:
+            pairs[l.src, l.dst] = pairs.get((l.src, l.dst), ()) + (l,)
+        vars(plan).update(topology=topology, by_id=by_id, pairs=pairs, _admissible={})
+        return plan
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen LspPlan")
+
+    def admissible(self, src: int, dst: int, max_delay: float) -> tuple[Lsp, ...]:
+        """The LSPs from `src` to `dst` within the delay bound, in id order, found once."""
+        key = (src, dst, max_delay)
+        if key not in self._admissible:
+            self._admissible[key] = tuple(l for l in self.pairs.get((src, dst), ())
+                                          if l.prop_delay <= max_delay)
+        return self._admissible[key]
 
 
 def build_lsp(topo: NetworkTopology, path: list[int] | tuple[int, ...], capacity: float,

@@ -20,8 +20,8 @@ import numpy as np
 
 from .baseline import shortest_path_route
 from .errors import ConfigError, Infeasible, ParseError, check_keys, check_types
-from .ffr import ffr, find_proper_lsps
-from .lsp import Lsp, build_lsp, lsps_by_pair
+from .ffr import ffr
+from .lsp import Lsp, LspPlan, build_lsp
 from .metrics import (MetricsSample, compute_sample, link_index, offered_loads,
                       write_metrics_csv)
 from .recreation import (LspRequest, RecreationProblem, enumerate_simple_paths,
@@ -202,20 +202,21 @@ def load_lsp_plan_file(path: str, topo: NetworkTopology) -> list[Lsp]:
 
 
 def initial_assignment(flows, lsps) -> dict[int, int]:
-    """Worst-fit initial placement: largest flows first onto the roomiest
-    admissible LSP. Raises when some flow has no admissible LSP at all."""
-    free = {l.id: l.capacity for l in lsps}
-    pair_lsps = lsps_by_pair(lsps)
+    """Worst-fit initial placement over the plan `lsps` (or a plan made of them): largest
+    flows first onto the roomiest admissible LSP. Raises when one has none at all."""
+    plan = LspPlan(lsps)
+    free = {l.id: l.capacity for l in plan}
     assignment: dict[int, int] = {}
     for f in sorted(flows, key=lambda f: (-f.rate, f.id)):
-        proper = find_proper_lsps(f, pair_lsps.get((f.src, f.dst), ()), free)
+        proper = plan.admissible(f.src, f.dst, f.max_delay)
         if not proper:
             raise ConfigError(
                 f"flow {f.id} ({f.src}->{f.dst}, delay bound {f.max_delay:.3g}) "
                 "matches no planned LSP"
             )
-        assignment[f.id] = proper[0].id
-        free[proper[0].id] -= f.rate
+        lid = min(proper, key=lambda l: (-free[l.id], l.id)).id
+        assignment[f.id] = lid
+        free[lid] -= f.rate
     return assignment
 
 
@@ -238,8 +239,8 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 
 def _set_up(cfg: ScenarioConfig, planned: bool) -> tuple:
     """Validate `cfg` and build a run's inputs before slot 1: topology, slot-0 flows and
-    their rate vector and, when `planned`, the LSP plan and initial assignment. A
-    comparison's schemes share them."""
+    their rate vector and, when `planned`, the LSP plan, checked against the topology
+    once, and the initial assignment. A comparison's schemes share them."""
     cfg.validate()
     topo = load_topology_file(cfg.topology_path)
     flows = generate_flows(topo, dataclasses.replace(cfg.traffic, seed=cfg.seed))
@@ -251,8 +252,9 @@ def _set_up(cfg: ScenarioConfig, planned: bool) -> tuple:
         lsps = build_auto_lsp_plan(topo, cfg.lsp_plan.paths_per_pair, cfg.mu_headroom)
     else:
         lsps = load_lsp_plan_file(cfg.lsp_plan.path, topo)
-    # Both plan builders number LSPs by position, so lsps[i].id == i.
-    return topo, flows, rates, tuple(lsps), initial_assignment(flows, lsps)
+    # Both plan builders number LSPs by position, so plan[i].id == i.
+    plan = LspPlan(lsps, topo)
+    return topo, flows, rates, plan, initial_assignment(flows, plan)
 
 
 def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
@@ -322,7 +324,7 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
         """One flow-level round over the slot's flows `now`; True when escalation is needed."""
         nonlocal assignment
         if cfg.scheme == "exact":
-            problem = ReroutingProblem(flows=now, lsps=tuple(lsps), fr_old=assignment,
+            problem = ReroutingProblem(flows=now, lsps=lsps, fr_old=assignment,
                                        mode=cfg.rerouting_mode, mu=cfg.mu_headroom, topology=topo)
             sol = solve_once(t, tag, problem, solve_flow_rerouting, rerouting_to_json,
                              "changes", f"slot{t:03d}_{tag}.json")
@@ -343,11 +345,11 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
             topology=topo, lr_old=tuple(l.links for l in lsps), mu=cfg.mu_headroom)
         rsol = solve_once(t, "recreate", problem, solve_lsp_recreation, recreation_to_json,
                           "changed_entries", f"slot{t:03d}_recreation.json")
-        if rsol is None:
-            return
-        lsps = [l if links == l.links else
-                build_lsp(topo, (l.src, *(b for _, b in links)), l.capacity, l.id)
-                for l, links in zip(lsps, rsol.routing)]
+        if rsol is None or rsol.routing == problem.lr_old:
+            return  # the plan stays the very same object
+        lsps = LspPlan([l if links == l.links else
+                        build_lsp(topo, (l.src, *(b for _, b in links)), l.capacity, l.id)
+                        for l, links in zip(lsps, rsol.routing)], topo)
 
     # Growth changes only the rates, so the index holds until a round moves a path.
     paths = flow_paths()

@@ -15,7 +15,8 @@ nothing, so their optima together are the optimum and its lexicographic minimum.
 In unreserved mode they share links: each pair is solved against the full link
 headroom, a relaxation (Geoffrion, Math. Programming Study 2, 1974) whose answers
 are optimal and lexicographically smallest whenever they fit the links together.
-When they do not, all flows are searched jointly.
+When they do not, all flows are searched jointly. The pairs' LSPs and each flow's
+admissible ones are read from the run's plan (`lsp.LspPlan`), built once per plan.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from enum import Enum
 from .bnb import BudgetExhausted, Search
 from .dumps import block, id_map, scalar
 from .errors import Infeasible, ValidationError
-from .lsp import lsps_by_pair
+from .lsp import LspPlan
 from .topology import NetworkTopology
 
 
@@ -66,37 +67,28 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     shared link in unreserved mode, the joint search starts with the nodes
     the pair searches already spent, so a budget that does not cover both
     gives an unproven incumbent or an unproven Infeasible."""
+    unreserved = problem.mode == RoutingMode.UNRESERVED
+    # First, as where the caller built the plan; links matter only in unreserved mode.
+    plan = LspPlan(problem.lsps, problem.topology if unreserved else None)
     if not 0 < problem.mu <= 1:
         raise ValidationError("mu must lie in (0, 1]")
-    flows = {f.id: f for f in problem.flows}
-    if len(flows) != len(problem.flows):
+    rate = {f.id: f.rate for f in problem.flows}
+    if len(rate) != len(problem.flows):
         raise ValidationError("duplicate flow ids")
-    lsp_ids = {l.id for l in problem.lsps}
-    if len(lsp_ids) != len(problem.lsps):
-        raise ValidationError("duplicate LSP ids")
     for f in problem.flows:
         if f.id not in problem.fr_old:
             raise ValidationError(f"flow {f.id} missing from the old assignment")
-        if problem.fr_old[f.id] not in lsp_ids:
+        if problem.fr_old[f.id] not in plan.by_id:
             raise ValidationError(f"flow {f.id} rides an unknown LSP")
-    unreserved = problem.mode == RoutingMode.UNRESERVED
     if unreserved and problem.topology is None:
         raise ValidationError("unreserved mode needs a topology")
-    lsps = sorted(problem.lsps, key=lambda x: x.id)
     # An LSP loads its own capacity and, in unreserved mode, every link it crosses.
-    capacity = {l.id: l.capacity for l in lsps}
-    resources = {l.id: (l.id,) for l in lsps}
+    capacity = {l.id: l.capacity for l in plan}
+    resources = {l.id: (l.id, *l.links) if unreserved else (l.id,) for l in plan}
     if unreserved:
         for ln in problem.topology.links:
             capacity[(ln.src, ln.dst)] = problem.mu * ln.bandwidth
-        for l in problem.lsps:
-            for pair in l.links:
-                if pair not in capacity:
-                    raise ValidationError(f"LSP {l.id} uses nonexistent link {pair}")
-            resources[l.id] = (l.id, *l.links)
     search = Search(capacity, problem.node_budget)
-    pair_lsps = lsps_by_pair(lsps)
-    rate = {fid: f.rate for fid, f in flows.items()}
     by_pair: dict[tuple[int, int], list[int]] = {}
     for f in problem.flows:
         by_pair.setdefault((f.src, f.dst), []).append(f.id)
@@ -104,7 +96,7 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
         # A pair's flows that sum above its LSPs' limits overload one of them whatever
         # the assignment. The margin keeps rounding in both sums from rejecting an
         # instance the search solves; a negative limit takes nothing, so adds no room.
-        room = sum(max(search.limit[l.id], 0.0) for l in pair_lsps.get(pair, ()))
+        room = sum(max(search.limit[l.id], 0.0) for l in plan.pairs.get(pair, ()))
         if sum(rate[fid] for fid in by_pair[pair]) > room * (1 + 1e-12):
             raise Infeasible(f"flows {pair[0]}->{pair[1]} exceed the capacity of their LSPs",
                              proven=True)
@@ -112,14 +104,14 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     for f in problem.flows:
         old = problem.fr_old[f.id]
         options[f.id] = [(int(l.id != old), resources[l.id], l.id)
-                         for l in pair_lsps.get((f.src, f.dst), ()) if l.prop_delay <= f.max_delay]
+                         for l in plan.admissible(f.src, f.dst, f.max_delay)]
         if not options[f.id]:
             raise Infeasible(f"flow {f.id} has no admissible LSP", proven=True)
     parts = [by_pair[pair] for pair in sorted(by_pair)]
     assignment, changes, optimal = _solve(search, parts, rate, options)
     if unreserved and len(parts) > 1 and not _fits_together(search, assignment, rate, resources):
         # The pairs overload a shared link together: search all flows jointly.
-        assignment, changes, optimal = _solve(search, [list(flows)], rate, options)
+        assignment, changes, optimal = _solve(search, [list(rate)], rate, options)
     return ReroutingSolution(dict(sorted(assignment.items())), changes, optimal, search.nodes)
 
 

@@ -14,13 +14,13 @@ import dataclasses
 import itertools
 import json
 import math
-from unittest import mock
 
 import numpy as np
 
 from hybridte import rerouting
-from hybridte.errors import ConfigError
-from hybridte.ffr import FfrResult, check_congestion, find_proper_lsps
+from hybridte.bnb import Search
+from hybridte.errors import ConfigError, Infeasible
+from hybridte.ffr import FfrResult
 from hybridte.lsp import build_lsp
 from hybridte.metrics import MetricsSample
 from hybridte.orchestrator import build_auto_lsp_plan
@@ -457,6 +457,24 @@ def reference_auto_plan(topo, paths_per_pair, mu_headroom):
     return lsps
 
 
+def find_proper_lsps(flow, lsps, free):
+    """Admissible LSPs for the flow (endpoints and delay bound), scanned from
+    every LSP and sorted by free capacity descending, then by id."""
+    proper = [
+        l for l in lsps
+        if l.src == flow.src and l.dst == flow.dst and l.prop_delay <= flow.max_delay
+    ]
+    proper.sort(key=lambda l: (-free[l.id], l.id))
+    return proper
+
+
+def check_congestion(lsp, flow, topo, load, mu, free):
+    """True when the flow fits after widening the LSP with the headroom left
+    on its most loaded link; `load` is the offered rate per directed link."""
+    residual = min(mu * topo.by_pair[pair].bandwidth - load.get(pair, 0.0) for pair in lsp.links)
+    return free + residual >= flow.rate
+
+
 def full_scan_ffr(flows, lsps, fr_old, topo, mu=0.9):
     """`ffr` as it was before the LSPs were grouped by endpoint pair: every
     flow's candidates come from a scan of every LSP."""
@@ -518,21 +536,41 @@ def full_scan_initial_assignment(flows, lsps):
     return assignment
 
 
-class _FullScan:
-    """Stands in for the endpoint-pair index: each lookup scans every LSP."""
-
-    def __init__(self, lsps):
-        self.lsps = list(lsps)
-
-    def get(self, pair, default=()):
-        return [l for l in self.lsps if (l.src, l.dst) == pair]
-
-
 def full_scan_rerouting(problem):
-    """`solve_flow_rerouting` with its candidates built, as before, by testing
-    every LSP's endpoints and delay for every flow."""
-    with mock.patch.object(rerouting, "lsps_by_pair", _FullScan):
-        return rerouting.solve_flow_rerouting(problem)
+    """`solve_flow_rerouting` on a valid instance, with each pair's capacity and each
+    flow's candidates found by scanning every LSP's endpoints and delay bound, as
+    before the LSP plan. The searches run on the solver's own part loop."""
+    lsps = sorted(problem.lsps, key=lambda l: l.id)
+    unreserved = problem.mode == rerouting.RoutingMode.UNRESERVED
+    capacity = {l.id: l.capacity for l in lsps}
+    resources = {l.id: (l.id,) for l in lsps}
+    if unreserved:
+        for ln in problem.topology.links:
+            capacity[(ln.src, ln.dst)] = problem.mu * ln.bandwidth
+        resources = {l.id: (l.id, *l.links) for l in lsps}
+    search = Search(capacity, problem.node_budget)
+    rate = {f.id: f.rate for f in problem.flows}
+    pairs = sorted({(f.src, f.dst) for f in problem.flows})
+    parts = [[f.id for f in problem.flows if (f.src, f.dst) == pair] for pair in pairs]
+    for (src, dst), part in zip(pairs, parts):
+        room = sum(max(search.limit[l.id], 0.0) for l in lsps if (l.src, l.dst) == (src, dst))
+        if sum(rate[fid] for fid in part) > room * (1 + 1e-12):
+            raise Infeasible(f"flows {src}->{dst} exceed the capacity of their LSPs",
+                             proven=True)
+    options = {}
+    for f in problem.flows:
+        old = problem.fr_old[f.id]
+        options[f.id] = [(int(l.id != old), resources[l.id], l.id) for l in lsps
+                         if (l.src, l.dst) == (f.src, f.dst) and l.prop_delay <= f.max_delay]
+        if not options[f.id]:
+            raise Infeasible(f"flow {f.id} has no admissible LSP", proven=True)
+    assignment, changes, optimal = rerouting._solve(search, parts, rate, options)
+    if unreserved and len(parts) > 1 and not rerouting._fits_together(
+            search, assignment, rate, resources):
+        assignment, changes, optimal = rerouting._solve(
+            search, [[f.id for f in problem.flows]], rate, options)
+    return rerouting.ReroutingSolution(dict(sorted(assignment.items())), changes, optimal,
+                                       search.nodes)
 
 
 def shuffled_plan_instance(rng: np.random.Generator, topo, paths_per_pair: int = 2):

@@ -28,10 +28,10 @@ def test_find_proper_lsps_filters_and_sorts(topo):
             ht.build_lsp(topo, [0, 4, 6, 3, 7, 5, 1], 9.0, 2),  # too slow
             ht.build_lsp(topo, [2, 6, 3], 9.0, 3))              # wrong endpoints
     flow = ht.Flow(0, 0, 1, 2.0, 3.0)
-    proper = ht.find_proper_lsps(flow, lsps, {l.id: l.capacity for l in lsps})
+    proper = oracles.find_proper_lsps(flow, lsps, {l.id: l.capacity for l in lsps})
     assert [l.id for l in proper] == [1, 0]
     free = {0: 9.0, 1: 1.0, 2: 0.0, 3: 0.0}
-    assert [l.id for l in ht.find_proper_lsps(flow, lsps, free)] == [0, 1]
+    assert [l.id for l in oracles.find_proper_lsps(flow, lsps, free)] == [0, 1]
 
 
 def test_check_congestion_arithmetic(topo):
@@ -39,15 +39,15 @@ def test_check_congestion_arithmetic(topo):
     flow = ht.Flow(0, 0, 1, 6.0, 9.0)
     # free 5, zero residual headroom: does not fit
     load = {(0, 4): 90.0, (4, 1): 90.0}
-    assert not ht.check_congestion(lsp, flow, topo, load, mu=0.9, free=5.0)
+    assert not oracles.check_congestion(lsp, flow, topo, load, mu=0.9, free=5.0)
     # free 5, residual 0.5 on the tightest link: still short of 6
     load = {(0, 4): 89.5, (4, 1): 50.0}
-    assert not ht.check_congestion(lsp, flow, topo, load, mu=0.9, free=5.0)
+    assert not oracles.check_congestion(lsp, flow, topo, load, mu=0.9, free=5.0)
     # free 5, residual exactly 1: free + residual meets the rate
     load = {(0, 4): 89.0, (4, 1): 50.0}
-    assert ht.check_congestion(lsp, flow, topo, load, mu=0.9, free=5.0)
+    assert oracles.check_congestion(lsp, flow, topo, load, mu=0.9, free=5.0)
     # unloaded links default to zero load
-    assert ht.check_congestion(lsp, flow, topo, {}, mu=0.9, free=0.0)
+    assert oracles.check_congestion(lsp, flow, topo, {}, mu=0.9, free=0.0)
 
 
 def test_unchanged_when_everything_still_fits(topo):
@@ -164,7 +164,10 @@ def shuffled_instances():
 
 def test_ffr_matches_the_full_scan():
     seen = Counter()
-    for topo, flows, lsps, fr_old in shuffled_instances():
+    for i, (topo, flows, lsps, fr_old) in enumerate(shuffled_instances()):
+        if i % 2:  # a tighter bound on some flows, which then fit fewer LSPs or none
+            flows = tuple(f._replace(max_delay=f.max_delay * 0.5) if f.id % 7 == 3 else f
+                          for f in flows)
         res = ht.ffr(flows, lsps, fr_old, topo)
         ref = oracles.full_scan_ffr(flows, lsps, fr_old, topo)
         assert res.assignment == ref.assignment

@@ -11,6 +11,7 @@ import pytest
 import hybridte as ht
 from hybridte import orchestrator
 from hybridte.errors import ConfigError, ParseError, ValidationError
+from hybridte.lsp import LspPlan
 from hybridte.orchestrator import SCHEMES, load_lsp_plan_file
 from hybridte.rerouting import RoutingMode
 
@@ -201,6 +202,41 @@ def record_solver_calls(monkeypatch):
     return calls
 
 
+def watch_plans(monkeypatch):
+    """Keep every LSP plan built from now on, in build order, and the LSPs that each
+    `ffr` and exact re-routing round is handed. Returns both lists; the second holds
+    (scheme, lsps) pairs."""
+    built, read = [], []
+    new, ffr, solve = LspPlan.__new__, orchestrator.ffr, orchestrator.solve_flow_rerouting
+
+    def building(cls, *args):
+        plan = new(cls, *args)
+        if all(plan is not p for p in built):  # not a plan handed back as it is
+            built.append(plan)
+        return plan
+
+    monkeypatch.setattr(LspPlan, "__new__", staticmethod(building))
+    monkeypatch.setattr(orchestrator, "ffr", lambda flows, lsps, *args, **kwargs:
+                        read.append(("ffr", lsps)) or ffr(flows, lsps, *args, **kwargs))
+    monkeypatch.setattr(orchestrator, "solve_flow_rerouting", lambda problem:
+                        read.append(("exact", problem.lsps)) or solve(problem))
+    return built, read
+
+
+def test_a_comparison_builds_one_plan_for_its_schemes(monkeypatch):
+    # scenario4's rounds escalate, but its re-creations keep every route (an auto
+    # plan always fits), so every round of both planned schemes reads the set-up's plan.
+    built, read = watch_plans(monkeypatch)
+    results = ht.run_comparison(ht.load_scenario(scenario_path("scenario4.json")))
+    recreations = [e for r in results for e in parse_events(r.events)
+                   if e["event"] == "recreate"]
+    assert {e["scheme"] for e in recreations} == {"ffr", "exact"}
+    assert all(e["changed_entries"] == "0" for e in recreations)
+    assert len(built) == 1
+    assert {scheme for scheme, _ in read} == {"ffr", "exact"}
+    assert all(lsps is built[0] for _, lsps in read)
+
+
 def run_contested_plan(tmp_path, plan):
     # Flows big enough that the flow-level step fails from slot 1 on, on
     # links whose headroom is 9 units, with every solver instance dumped.
@@ -214,8 +250,13 @@ def run_contested_plan(tmp_path, plan):
 def test_recreation_that_moves_an_lsp_rebuilds_it(tmp_path, monkeypatch):
     # Two 5-unit LSPs share link 0->2, so re-creation moves one of them.
     calls = record_solver_calls(monkeypatch)
+    built, _ = watch_plans(monkeypatch)
     plan = (([0, 2, 1], 5.0), ([0, 2, 1], 5.0), ([1, 2, 0], 4.0))
     events = parse_events(run_contested_plan(tmp_path, plan).events)
+    # One plan at set-up, then one per re-creation that moves a route and none for one
+    # that keeps them all.
+    recreations = [e["changed_entries"] for e in events if e["event"] == "recreate"]
+    assert "0" in recreations and len(built) == 1 + sum(c != "0" for c in recreations)
     first = next(e for e in events if e["event"].startswith("recreate"))
     assert (first["slot"], first["event"], first["changed_entries"]) == (1, "recreate", "4")
     # The retry runs on the rebuilt LSP: new links and their delay.
@@ -226,6 +267,7 @@ def test_recreation_that_moves_an_lsp_rebuilds_it(tmp_path, monkeypatch):
     assert [kind for kind, _ in calls[:3]] == ["reroute", "recreate", "reroute"]
     (_, first), _, (_, retry) = calls[:3]
     assert retry.lsps != first.lsps
+    assert first.lsps is built[0] and retry.lsps is built[1]
 
 
 def test_infeasible_recreation_keeps_the_run_going(tmp_path):

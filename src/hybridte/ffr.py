@@ -52,10 +52,15 @@ def ffr(flows, lsps, fr_old: dict[int, int], topo: NetworkTopology,
 
     for f in sorted(flows, key=lambda f: (-f.rate, f.id)):
         exams += len(plan)
-        old_id = fr_old[f.id]  # tried first, then the roomiest
-        proper = sorted(plan.admissible(f.src, f.dst, f.max_delay),
-                        key=lambda l: (l.id != old_id, -free[l.id], l.id))
+        old = plan.by_id[fr_old[f.id]]  # tried first, then the roomiest
         chosen = None
+        if ((old.src, old.dst) == (f.src, f.dst) and old.prop_delay <= f.max_delay
+                and free[old.id] >= f.rate):
+            proper, chosen = (), old  # it fits at once: no candidates to list and sort
+            exams += 1
+        else:
+            proper = sorted(plan.admissible(f.src, f.dst, f.max_delay),
+                            key=lambda l: (l.id != old.id, -free[l.id], l.id))
         for l in proper:
             exams += 1
             if free[l.id] >= f.rate:
@@ -81,8 +86,8 @@ def ffr(flows, lsps, fr_old: dict[int, int], topo: NetworkTopology,
             # Congestion stays where it was: the flow keeps its old LSP and
             # the caller is told to request fresh paths.
             requests.append(f.id)
-            assignment[f.id] = old_id
-            occupy(plan.by_id[old_id], f.rate)
+            assignment[f.id] = old.id
+            occupy(old, f.rate)
 
     return FfrResult(
         assignment=assignment,

@@ -3,9 +3,10 @@
 Slot 0 places the initial flows and records a sample. From slot 1 on, rates
 grow, and a re-routing round runs whenever the most loaded link crosses the
 trigger threshold or the periodic interval comes up. A failed flow-level
-round escalates once per slot to LSP re-creation followed by a retry; if
-that fails too, the previous assignment stays and congestion shows up in the
-metrics.
+round escalates once per slot to LSP re-creation, followed by a retry only
+when the re-creation moved a route (on a kept plan the retry would repeat round
+one's answer); if that fails too, the previous assignment stays and congestion
+shows up in the metrics.
 """
 
 from __future__ import annotations
@@ -337,19 +338,25 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
         assignment = res.assignment
         return bool(res.recreation_requests)
 
-    def run_recreation(t: int):
-        nonlocal lsps
-        budgets = _delay_budgets(flows, lsps, assignment)
-        problem = RecreationProblem(
-            requests=tuple(LspRequest(l.src, l.dst, l.capacity, budgets[l.id]) for l in lsps),
-            topology=topo, lr_old=tuple(l.links for l in lsps), mu=cfg.mu_headroom)
+    built = (None, None, None)  # (plan, assignment, problem) of the last re-creation
+
+    def run_recreation(t: int) -> bool:
+        """One re-creation round; True when it moved a route and so rebuilt the plan."""
+        nonlocal lsps, built
+        if built[0] is not lsps or built[1] != assignment:
+            budgets = _delay_budgets(flows, lsps, assignment)
+            built = (lsps, assignment, RecreationProblem(
+                requests=tuple(LspRequest(l.src, l.dst, l.capacity, budgets[l.id]) for l in lsps),
+                topology=topo, lr_old=tuple(l.links for l in lsps), mu=cfg.mu_headroom))
+        problem = built[2]
         rsol = solve_once(t, "recreate", problem, solve_lsp_recreation, recreation_to_json,
                           "changed_entries", f"slot{t:03d}_recreation.json")
         if rsol is None or rsol.routing == problem.lr_old:
-            return  # the plan stays the very same object
+            return False  # the plan stays the very same object
         lsps = LspPlan([l if links == l.links else
                         build_lsp(topo, (l.src, *(b for _, b in links)), l.capacity, l.id)
                         for l, links in zip(lsps, rsol.routing)], topo)
+        return True
 
     # Growth changes only the rates, so the index holds until a round moves a path.
     paths = flow_paths()
@@ -365,8 +372,8 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
             log(t, "check", max_util=f"{max_util:.6f}", periodic=periodic, trigger=trigger)
             if trigger:
                 now = flows_at(flows, rates)
-                if run_flow_level(t, "reroute", now):
-                    run_recreation(t)
+                # A kept plan leaves round one's answer, which a retry would only repeat.
+                if run_flow_level(t, "reroute", now) and run_recreation(t):
                     run_flow_level(t, "reroute_retry", now)
                 current = flow_paths()
                 if current != paths:

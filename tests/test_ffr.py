@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hybridte as ht
 from hybridte.errors import ValidationError
@@ -152,14 +154,16 @@ def test_larger_flows_take_priority(topo):
 def shuffled_instances():
     """Instances whose LSP ids are shuffled and whose endpoint pairs interleave
     in the LSP list: random multi-pair instances listed in random order, and
-    auto plans on the reference topology and the 14-node ring."""
+    auto plans on the reference topology and the 14-node ring, with 2 paths per
+    pair as shipped and with 3 and 4, so that a flow has several others to sort."""
     rng = np.random.default_rng(83)
     for _ in range(150):
         topo, flows, lsps, fr_old, _ = oracles.random_multipair_rerouting_instance(
             rng, max_flows=6, max_lsps=4)
         yield topo, flows, tuple(lsps[int(i)] for i in rng.permutation(len(lsps))), fr_old
-    for topo in (ht.reference_topology(), ring14()) * 8:
-        yield (topo, *oracles.shuffled_plan_instance(rng, topo))
+    for paths, times in ((2, 8), (3, 2), (4, 2)):
+        for topo in (ht.reference_topology(), ring14()) * times:
+            yield (topo, *oracles.shuffled_plan_instance(rng, topo, paths_per_pair=paths))
 
 
 def test_ffr_matches_the_full_scan():
@@ -197,3 +201,40 @@ def test_initial_assignment_matches_the_full_scan():
             assert got == ref and list(got) == list(ref)
             placed += 1
     assert unplaced and placed
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["multipair", "ref8", "ring14"]),
+       paths=st.integers(2, 4), tighten=st.floats(0.3, 1.0),
+       mu=st.floats(0.3, 1.0, exclude_min=True))
+def test_a_round_from_its_own_answer_repeats_it(seed, kind, paths, tighten, mu):
+    # The orchestrator runs no retry after a re-creation that kept the plan, because a
+    # round started from the last round's answer gives that answer again: every flow
+    # meets its old LSP first under the same free capacities and link loads. Some delay
+    # bounds are tightened, so some old LSPs are no longer admissible.
+    rng = np.random.default_rng(seed)
+    if kind == "multipair":
+        topo, flows, lsps, fr_old, _ = oracles.random_multipair_rerouting_instance(
+            rng, max_flows=6, max_lsps=paths)
+    else:
+        topo = ht.reference_topology() if kind == "ref8" else ring14()
+        flows, lsps, fr_old = oracles.shuffled_plan_instance(rng, topo, paths_per_pair=paths)
+    flows = tuple(f._replace(max_delay=f.max_delay * tighten) if rng.random() < 0.3 else f
+                  for f in flows)
+    first = ht.ffr(flows, lsps, fr_old, topo, mu)
+    again = ht.ffr(flows, lsps, first.assignment, topo, mu)
+    assert list(again.assignment.items()) == list(first.assignment.items())
+    assert again.recreation_requests == first.recreation_requests
+    assert list(again.augmentations.items()) == list(first.augmentations.items())
+    assert again.placed == first.placed
+
+
+def test_an_old_lsp_of_another_pair_is_not_kept(topo):
+    # The old LSP fits the flow but joins other endpoints, so the flow moves to the
+    # roomiest LSP of its own pair, as the full scan moves it.
+    lsps = parallel_lsps(topo, cap0=6.0) + (ht.build_lsp(topo, [2, 6, 3], 9.0, 2),)
+    flows = (ht.Flow(0, 0, 1, 2.0, 4.0),)
+    res = ht.ffr(flows, lsps, {0: 2}, topo)
+    assert res.assignment == {0: 1} and res.placed == {0}
+    assert res.examinations == oracles.full_scan_ffr(flows, lsps, {0: 2}, topo).examinations

@@ -237,12 +237,13 @@ def test_a_comparison_builds_one_plan_for_its_schemes(monkeypatch):
     assert all(lsps is built[0] for _, lsps in read)
 
 
-def run_contested_plan(tmp_path, plan):
+def run_contested_plan(tmp_path, plan, scheme="exact"):
     # Flows big enough that the flow-level step fails from slot 1 on, on
     # links whose headroom is 9 units, with every solver instance dumped.
     traffic = {"demand_fraction": 0.3, "flow_intensity": 0.8, "max_flows_per_source": 2,
                "growth_max": 0.10, "delay_stretch": 2.0}
-    path = write_mini_files(tmp_path, bandwidth=10.0, plan=plan, seed=1, traffic=traffic)
+    path = write_mini_files(tmp_path, bandwidth=10.0, plan=plan, seed=1, traffic=traffic,
+                            scheme=scheme)
     cfg = dataclasses.replace(ht.load_scenario(path), dump_dir=str(tmp_path / "lp"))
     return ht.run_scenario(cfg)
 
@@ -271,20 +272,131 @@ def test_recreation_that_moves_an_lsp_rebuilds_it(tmp_path, monkeypatch):
 
 
 def test_infeasible_recreation_keeps_the_run_going(tmp_path):
-    # Three 6-unit LSPs from 0 to 1 over two paths: no routing fits.
+    # Three 6-unit LSPs from 0 to 1 over two paths: no routing fits. The plan stays,
+    # so no retry follows: it would repeat the slot's first round.
     plan = (([0, 2, 1], 6.0),) * 3 + (([1, 2, 0], 4.0),)
     result = run_contested_plan(tmp_path, plan)
     events = parse_events(result.events)
     assert [e["event"] for e in events if e["slot"] == 1] == [
-        "check", "reroute_infeasible", "recreate_infeasible", "reroute_retry_infeasible"]
+        "check", "reroute_infeasible", "recreate_infeasible"]
     assert next(e for e in events if e["event"] == "recreate_infeasible")["proven"] == "True"
     assert "solution" not in json.loads((tmp_path / "lp" / "slot001_recreation.json").read_text())
+    assert not (tmp_path / "lp" / "slot001_reroute_retry.json").exists()
     assert [s.slot for s in result.samples] == list(range(12))
+
+
+def watch_rounds(monkeypatch):
+    """Wrap the slot's flow records, `ffr` and the exact problem build. Returns a
+    function that, given the events of the run since the last call, maps each
+    triggered slot to its flow-level rounds, memo hits included: an `ffr` round as
+    its (inputs, result) pair, an exact round as its problem."""
+    slots = []
+    build, ffr, problem = orchestrator.flows_at, orchestrator.ffr, orchestrator.ReroutingProblem
+    monkeypatch.setattr(orchestrator, "flows_at", lambda *a: slots.append([]) or build(*a))
+
+    def greedy(*args, mu):
+        slots[-1].append(((*args, mu), ffr(*args, mu=mu)))
+        return slots[-1][-1][1]
+
+    monkeypatch.setattr(orchestrator, "ffr", greedy)
+    monkeypatch.setattr(orchestrator, "ReroutingProblem",
+                        lambda **kw: slots[-1].append(problem(**kw)) or slots[-1][-1])
+
+    def rounds(events):
+        triggered = [e["slot"] for e in events if e["event"] == "check" and e["trigger"] == "True"]
+        assert len(slots) == len(triggered)
+        by_slot = dict(zip(triggered, slots))
+        slots.clear()
+        return by_slot
+
+    return rounds
+
+
+CONTESTED_PLANS = {"infeasible": (([0, 2, 1], 6.0),) * 3 + (([1, 2, 0], 4.0),),
+                   "moving": (([0, 2, 1], 5.0), ([0, 2, 1], 5.0), ([1, 2, 0], 4.0))}
+
+
+@pytest.mark.parametrize("source, scheme", [("scenario4.json", "ffr"), ("scenario4.json", "exact"),
+                                            ("infeasible", "exact"), ("moving", "exact")])
+def test_a_kept_plan_gets_no_retry(tmp_path, monkeypatch, source, scheme):
+    # scenario4's re-creations keep every route, the "infeasible" plan's find none,
+    # and the "moving" plan's move a route at some slots and keep them at others
+    # (on the mini plans ffr widens an LSP instead, and never escalates).
+    rounds = watch_rounds(monkeypatch)
+    if source in CONTESTED_PLANS:
+        result = run_contested_plan(tmp_path, CONTESTED_PLANS[source], scheme)
+    else:
+        result = ht.run_scenario(dataclasses.replace(
+            ht.load_scenario(scenario_path(source)), scheme=scheme, dump_dir=str(tmp_path / "lp")))
+    events = parse_events(result.events)
+    recreations = {e["slot"]: e for e in events if e["event"].startswith("recreate")}
+    kept = {t for t, e in recreations.items() if e.get("changed_entries", "0") == "0"}
+    assert kept
+    for t, slot_rounds in rounds(events).items():
+        retries = [e for e in events if e["slot"] == t and e["event"].startswith("reroute_retry")]
+        # A retry line, a second round and a retry dump come with a moved route, and only then.
+        assert len(retries) == (t in recreations and t not in kept), t
+        assert len(slot_rounds) == 1 + len(retries), t
+        assert (tmp_path / "lp" / f"slot{t:03d}_reroute_retry.json").exists() == bool(retries)
+
+
+@pytest.mark.parametrize("mode", list(RoutingMode))
+def test_a_skipped_ffr_retry_would_repeat_round_one(monkeypatch, mode):
+    # Re-run by hand each retry that a kept plan skipped: started from round one's
+    # answer, ffr gives that answer again and parks the same flows.
+    rounds = watch_rounds(monkeypatch)
+    skipped = 0
+    for name in (f"scenario{n}.json" for n in (1, 2, 3, 4)):
+        for seed in range(3):
+            cfg = dataclasses.replace(ht.load_scenario(scenario_path(name)), scheme="ffr",
+                                      rerouting_mode=mode, seed=seed)
+            for slot_rounds in rounds(parse_events(ht.run_scenario(cfg).events)).values():
+                (flows, lsps, _, topo, mu), first = slot_rounds[0]
+                if first.recreation_requests and len(slot_rounds) == 1:
+                    skipped += 1
+                    again = ht.ffr(flows, lsps, first.assignment, topo, mu=mu)
+                    assert list(again.assignment.items()) == list(first.assignment.items())
+                    assert again.recreation_requests == first.recreation_requests
+    assert skipped > 10, skipped
+
+
+@pytest.mark.parametrize("source", ["scenario4.json", "mini"])
+def test_a_repeated_recreation_reuses_its_problem(tmp_path, monkeypatch, source):
+    # An escalation on the plan and assignment of the last one reuses that re-creation
+    # problem and does not sum its delay budgets again. Each dumped problem is the one
+    # built afresh from the slot's plan and its first round's assignment. On the mini
+    # plan a flow moves onto an empty LSP between two escalations, which gives that
+    # LSP a delay budget, so the assignment must be part of the reuse test.
+    rounds = watch_rounds(monkeypatch)
+    budgets, _ = count_calls(monkeypatch, ["_delay_budgets"])
+    if source == "mini":
+        path = write_mini_files(
+            tmp_path, bandwidth=20.0, seed=96, scheme="ffr",
+            plan=(([0, 3, 1], 4.0), ([1, 2, 0], 8.75), ([1, 2, 0], 3.45), ([1, 3, 0], 2.1)),
+            traffic={**MINI_TRAFFIC, "demand_fraction": 0.265, "max_flows_per_source": 3})
+    else:
+        path = scenario_path(source)
+    cfg = dataclasses.replace(ht.load_scenario(path), scheme="ffr", dump_dir=str(tmp_path / "lp"))
+    events = parse_events(ht.run_scenario(cfg).events)
+    first_rounds = {t: slot_rounds[0] for t, slot_rounds in rounds(events).items()}
+    recreated = [e["slot"] for e in events if e["event"].startswith("recreate")]
+    assert 0 < budgets["_delay_budgets"] < len(recreated)
+    for t in recreated:
+        (flows, lsps, _, topo, mu), first = first_rounds[t]
+        budget = {l.id: min((f.max_delay for f in flows if first.assignment[f.id] == l.id),
+                            default=math.inf) for l in lsps}
+        fresh = ht.RecreationProblem(
+            requests=tuple(ht.LspRequest(l.src, l.dst, l.capacity, budget[l.id]) for l in lsps),
+            topology=topo, lr_old=tuple(l.links for l in lsps), mu=mu)
+        doc = json.loads((tmp_path / "lp" / f"slot{t:03d}_recreation.json").read_text())
+        doc.pop("solution", None)
+        assert doc == json.loads(orchestrator.recreation_to_json(fresh)), t
 
 
 def run_with_dumps(tmp_path, name, scheme, mode):
     """Run a shipped scenario with every solver instance dumped and return
-    (files, sha256) over events.log and the lp/ files, in name order."""
+    (files, sha256) over events.log and the lp/ files, in name order, and a
+    listing of each file's own sha256."""
     cfg = dataclasses.replace(ht.load_scenario(scenario_path(name)), scheme=scheme,
                               rerouting_mode=mode, dump_dir=str(tmp_path / "lp"))
     ht.write_run_result(ht.run_scenario(cfg), str(tmp_path))
@@ -292,20 +404,23 @@ def run_with_dumps(tmp_path, name, scheme, mode):
     digest = hashlib.sha256()
     for n in names:
         digest.update(n.encode() + b"\0" + (tmp_path / n).read_bytes() + b"\0")
-    return len(names), digest.hexdigest()
+    listing = "".join(f"\n{hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()}  {n}"
+                      for n in names)
+    return (len(names), digest.hexdigest()), listing
 
 
 @pytest.mark.parametrize("name, scheme, mode, files, sha256", [
-    ("scenario3.json", "exact", RoutingMode.UNRESERVED, 8,
-     "c48c4803c525a7b197d73ce4af4d8558d9351db5712be33abc12542a4963698b"),
-    ("scenario4.json", "exact", RoutingMode.RESERVED, 49,
-     "ada7f3c0e6eccbfc71e8d3a251f2389d734ccb2012d8db12a8cffb08da227545"),
+    ("scenario3.json", "exact", RoutingMode.UNRESERVED, 6,
+     "c8aa064b0d050aaab0c39a285f55a1a24182a25dd68a5f6f2088f748672ab887"),
+    ("scenario4.json", "exact", RoutingMode.RESERVED, 33,
+     "5dee8e154801961b2ae7f57e5919cb512b1b8a4f1d2dc9e5fcfbb390f2c1da58"),
     ("scenario4.json", "ffr", RoutingMode.RESERVED, 16,
-     "5c881ea57ab382c4764f0a33bb5675997e77a0af2baa369bca3184f28e79c53b"),
+     "c672fda0aec3491e248a9d36ef01a0dc500fecb3627c800efd48ce082d65c205"),
 ])
 def test_outputs_are_pinned(tmp_path, name, scheme, mode, files, sha256):
-    # Recorded before repeated solver instances reused their answers.
-    assert run_with_dumps(tmp_path, name, scheme, mode) == (files, sha256)
+    # Recorded when a re-creation that keeps the plan stopped being followed by a retry.
+    got, listing = run_with_dumps(tmp_path, name, scheme, mode)
+    assert got == (files, sha256), listing
 
 
 @pytest.mark.parametrize("name, seed, sha256", [
@@ -328,10 +443,11 @@ def test_comparison_metrics_are_pinned(tmp_path, name, seed, sha256):
 
 @pytest.mark.parametrize("name, sha256", [
     ("scenario1.json", "b27258d0b1c11b62d939836d5c9c374565d731d33c2d53854bd89df8aa464dae"),
-    ("scenario3.json", "76bdd412725c74e13f30d46e5a9f19f4d1bac34701aa08eab16a0d2a70848cd9"),
+    ("scenario3.json", "858404e9ac0671524a422e7e8f8b617a3ec47a2e2d4ec2e23c2168e77969918b"),
 ])
 def test_comparison_events_are_pinned(tmp_path, name, sha256):
-    # Recorded before every event line went through one formatting helper; the
+    # Recorded before every event line went through one formatting helper, and for
+    # scenario3 again when a kept plan stopped being followed by a retry; the
     # comparison holds the shortest_path and ffr event lines too.
     ht.write_comparison(ht.run_comparison(ht.load_scenario(scenario_path(name))), str(tmp_path))
     assert hashlib.sha256((tmp_path / "events.log").read_bytes()).hexdigest() == sha256
@@ -349,14 +465,12 @@ def test_repeated_instances_are_not_solved_again(tmp_path, monkeypatch, scheme):
     recreations = [e for e in events if e["event"] == "recreate"]
     assert 0 < sum(k == "recreate" for k, _ in calls) < len(recreations)
     if scheme == "exact":
-        # Every retry follows a re-creation that kept every route, so it is the
-        # slot's first instance again and only that one is solved.
+        # Every re-creation keeps every route, so no retry follows: it would be the
+        # slot's first instance again. Only that one is solved, and only it is dumped.
         assert all(e["changed_entries"] == "0" for e in recreations)
         assert sum(k == "reroute" for k, _ in calls) == len(recreations)
-        lp = tmp_path / "lp"
-        for e in recreations:
-            retry = (lp / f"slot{e['slot']:03d}_reroute_retry.json").read_bytes()
-            assert retry == (lp / f"slot{e['slot']:03d}_reroute.json").read_bytes()
+        assert not any(e["event"].startswith("reroute_retry") for e in events)
+        assert not any(n.endswith("_reroute_retry.json") for n in os.listdir(tmp_path / "lp"))
 
 
 def watch_link_index(monkeypatch):

@@ -22,14 +22,20 @@ def cap_tol(cap: float) -> float:
     return 1e-9 * max(1.0, abs(cap))
 
 
+def limits(capacity: dict) -> dict:
+    """Each resource's capacity plus its slack: the load it takes."""
+    return {r: cap + cap_tol(cap) for r, cap in capacity.items()}
+
+
 class Search:
     """Resource loads, one node counter shared by every `run`, and the best
     assignment of the latest `run`.
 
-    Resources are keyed by LSP id or by (src, dst) link pair."""
+    Resources are keyed by LSP id or by (src, dst) link pair. A caller that
+    keeps `limits(capacity)` passes it as `limit`."""
 
-    def __init__(self, capacity: dict, node_budget: int):
-        self.limit = {r: cap + cap_tol(cap) for r, cap in capacity.items()}
+    def __init__(self, capacity: dict, node_budget: int, limit: dict | None = None):
+        self.limit = limits(capacity) if limit is None else limit
         self.load = dict.fromkeys(capacity, 0.0)
         self.nodes = 0
         self.budget = node_budget

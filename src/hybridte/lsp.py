@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from .bnb import limits
 from .dumps import lsp_record
 from .errors import InvalidPathError, ValidationError
 from .topology import NetworkTopology, links_of_path
@@ -34,7 +35,8 @@ class LspPlan(tuple):
     `topology`, links that it has. Like `tuple(t)`, `LspPlan(plan)` is `plan` itself,
     as is `LspPlan(plan, topology)` for the topology it was checked against. A plan
     compares as the tuple of its LSPs, so an unchanged one compares by one identity
-    test. `by_id` maps ids to LSPs, `pairs` each (src, dst) to its LSPs in id order."""
+    test. `by_id` maps ids to LSPs, `pairs` each (src, dst) to its LSPs in id order.
+    Lookups and solver tables are built once per plan, on first use."""
 
     def __new__(cls, lsps, topology: NetworkTopology | None = None):
         if isinstance(lsps, LspPlan) and topology in (None, lsps.topology):
@@ -50,7 +52,8 @@ class LspPlan(tuple):
         pairs: dict[tuple[int, int], tuple[Lsp, ...]] = {}
         for l in plan:
             pairs[l.src, l.dst] = pairs.get((l.src, l.dst), ()) + (l,)
-        vars(plan).update(topology=topology, by_id=by_id, pairs=pairs, _admissible={})
+        vars(plan).update(topology=topology, by_id=by_id, pairs=pairs, _admissible={},
+                         _tables={})
         return plan
 
     def __setattr__(self, name, value):
@@ -63,6 +66,21 @@ class LspPlan(tuple):
             self._admissible[key] = tuple(l for l in self.pairs.get((src, dst), ())
                                           if l.prop_delay <= max_delay)
         return self._admissible[key]
+
+    def search_tables(self, mu: float, unreserved: bool) -> tuple[dict, dict, dict]:
+        """Re-routing's resource capacities, their `bnb.limits` and each LSP's resources
+        under headroom `mu`, built once per (mu, mode). An LSP loads its own capacity and,
+        in unreserved mode, every link it crosses, each link holding `mu` times its
+        bandwidth in the plan's topology."""
+        key = (mu, unreserved)
+        if key not in self._tables:
+            capacity = {l.id: l.capacity for l in self}
+            resources = {l.id: (l.id, *l.links) if unreserved else (l.id,) for l in self}
+            if unreserved:
+                for ln in self.topology.links:
+                    capacity[(ln.src, ln.dst)] = mu * ln.bandwidth
+            self._tables[key] = capacity, limits(capacity), resources
+        return self._tables[key]
 
 
 def build_lsp(topo: NetworkTopology, path: list[int] | tuple[int, ...], capacity: float,

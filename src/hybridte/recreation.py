@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bnb import BudgetExhausted, Search
-from .dumps import block, routes, scalar
+from .dumps import request_records, routes, scalar
 from .errors import Infeasible, ValidationError
 from .topology import NetworkTopology, links_of_path
 
@@ -164,16 +164,12 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
 
 def recreation_to_json(problem: RecreationProblem, solution: RecreationSolution | None = None) -> str:
     """Deterministic JSON dump of one instance (and optionally its solution)."""
-    requests = ",\n".join(
-        f'    {{\n      "capacity": {scalar(r.capacity)},\n      "delay_budget": '
-        f'{"null" if r.delay_budget == math.inf else scalar(r.delay_budget)},\n'
-        f'      "dst": {scalar(r.dst)},\n      "id": {i},\n      "src": {scalar(r.src)}\n    }}'
-        for i, r in enumerate(problem.requests))
     old = problem.lr_old or ()
     old_text = routes(old, "  ")
     text = (f'{{\n  "mu": {scalar(problem.mu)},\n  "node_budget": {scalar(problem.node_budget)},\n'
             f'  "old_routing": {old_text},\n'
-            f'  "path_limit": {scalar(problem.path_limit)},\n  "requests": {block(requests, "  ")}')
+            f'  "path_limit": {scalar(problem.path_limit)},\n'
+            f'  "requests": {request_records(problem.requests)}')
     if solution is not None:
         # A routing that keeps the old one is its text one level deeper.
         routing = (old_text.replace("\n", "\n  ") if solution.routing == old

@@ -15,8 +15,9 @@ nothing, so their optima together are the optimum and its lexicographic minimum.
 In unreserved mode they share links: each pair is solved against the full link
 headroom, a relaxation (Geoffrion, Math. Programming Study 2, 1974) whose answers
 are optimal and lexicographically smallest whenever they fit the links together.
-When they do not, all flows are searched jointly. The pairs' LSPs and each flow's
-admissible ones are read from the run's plan (`lsp.LspPlan`), built once per plan.
+When they do not, all flows are searched jointly. The pairs' LSPs, each flow's
+admissible ones and the search's capacity tables are read from the run's plan
+(`lsp.LspPlan`), built once per plan (the tables once per headroom and mode).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bnb import BudgetExhausted, Search
-from .dumps import block, id_map, scalar
+from .dumps import flow_records, id_map, lsp_records, scalar
 from .errors import Infeasible, ValidationError
 from .lsp import LspPlan
 from .topology import NetworkTopology
@@ -82,13 +83,8 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
             raise ValidationError(f"flow {f.id} rides an unknown LSP")
     if unreserved and problem.topology is None:
         raise ValidationError("unreserved mode needs a topology")
-    # An LSP loads its own capacity and, in unreserved mode, every link it crosses.
-    capacity = {l.id: l.capacity for l in plan}
-    resources = {l.id: (l.id, *l.links) if unreserved else (l.id,) for l in plan}
-    if unreserved:
-        for ln in problem.topology.links:
-            capacity[(ln.src, ln.dst)] = problem.mu * ln.bandwidth
-    search = Search(capacity, problem.node_budget)
+    capacity, limit, resources = plan.search_tables(problem.mu, unreserved)
+    search = Search(capacity, problem.node_budget, limit)
     by_pair: dict[tuple[int, int], list[int]] = {}
     for f in problem.flows:
         by_pair.setdefault((f.src, f.dst), []).append(f.id)
@@ -150,13 +146,7 @@ def _solve(search: Search, parts, rate, options) -> tuple[dict[int, int], int, b
 
 def rerouting_to_json(problem: ReroutingProblem, solution: ReroutingSolution | None = None) -> str:
     """Deterministic JSON dump of one instance (and optionally its solution)."""
-    flows = ",\n".join(
-        f'    {{\n      "dst": {scalar(f.dst)},\n      "id": {scalar(f.id)},\n'
-        f'      "max_delay": {scalar(f.max_delay)},\n      "rate": {scalar(f.rate)},\n'
-        f'      "src": {scalar(f.src)}\n    }}'
-        for f in sorted(problem.flows, key=lambda f: f.id))
-    lsps = ",\n".join(l.dump_record for l in sorted(problem.lsps, key=lambda l: l.id))
-    text = (f'{{\n  "flows": {block(flows, "  ")},\n  "lsps": {block(lsps, "  ")},\n'
+    text = (f'{{\n  "flows": {flow_records(problem.flows)},\n  "lsps": {lsp_records(problem.lsps)},\n'
             f'  "mode": "{problem.mode.value}",\n  "mu": {scalar(problem.mu)},\n'
             f'  "node_budget": {scalar(problem.node_budget)},\n'
             f'  "old_assignment": {id_map(problem.fr_old, "  ")}')

@@ -6,12 +6,14 @@ import dataclasses
 import enum
 import json
 import math
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import hybridte as ht
-from hybridte import recreation
+from hybridte import dumps, orchestrator, recreation
 from hybridte.dumps import scalar
 from hybridte.lsp import Lsp
 from hybridte.recreation import recreation_to_json
@@ -19,6 +21,7 @@ from hybridte.rerouting import ReroutingSolution, RoutingMode, rerouting_to_json
 from hybridte.traffic import Flow
 
 import oracles
+from test_orchestrator import SCENARIO_DIR
 
 
 def solved(solve, problem):
@@ -168,3 +171,131 @@ def test_lsp_records_are_rendered_once_per_object():
     assert '"capacity": 1.0,' in pairs[0][1].dump_record
     assert '"prop_delay": -0.0,' in pairs[0][1].dump_record
     assert '"capacity": true,' in pairs[1][0].dump_record
+
+
+# -- the fragment caches in `hybridte.dumps` --
+
+class Node(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    FIVE = 5
+
+
+# Values equal in pairs or triples (0 == 0.0 == -0.0 == False, 1 == 1.0 == True,
+# 5 == 5.0) but written differently. Each cache must tell them apart.
+EQUAL_BUT_APART = [0, 0.0, -0.0, False, Node.ZERO, np.float64(0.0), np.float64(-0.0),
+                   1, 1.0, True, Node.ONE, np.float64(1.0), 5, 5.0, Node.FIVE, math.nan,
+                   math.inf]
+
+
+def caches():
+    found = [v for v in vars(dumps).values() if hasattr(v, "cache_clear")]
+    assert len(found) == 4  # a new cache is cleared and overflowed below too
+    return found
+
+
+def edge_case_problems():
+    """Problems that differ only in one value taken from EQUAL_BUT_APART, in each
+    field of a flow (so also in an id-map key) or of a re-creation request, and in
+    node ids of the old and the solved routing."""
+    topo = ht.reference_topology()
+    lsp = Lsp(0, 0, 1, ((0, 4), (4, 1)), 8.0, 2.0)
+    for v in EQUAL_BUT_APART:
+        for field in Flow._fields:
+            flow = Flow(7, 2, 3, 1.5, 4.0)._replace(**{field: v})
+            yield ht.ReroutingProblem((flow, Flow(2, 0, 1, 0.5, 6.0)), (lsp,),
+                                      {flow.id: 0, 2: 0}, mu=0.5)
+        for field in ht.LspRequest._fields:
+            request = ht.LspRequest(2, 3, 5.0, 4.0)._replace(**{field: v})
+            routing = (((v, 4), (4, 1)), ((2, 6), (6, v)))
+            yield ht.RecreationProblem((ht.LspRequest(0, 2, 5), request), topo, routing)
+            yield ht.RecreationProblem((request,), topo, ((), ((v, 1),)))
+
+
+def check_with_and_without_a_solution(problem):
+    if isinstance(problem, ht.ReroutingProblem):
+        check_rerouting(problem)
+        check_rerouting(problem, ReroutingSolution(dict(problem.fr_old), 0, True, 1))
+    else:
+        check_recreation(problem)
+        check_recreation(problem, ht.RecreationSolution(problem.lr_old[::-1], 2, False, 3))
+
+
+def test_equal_values_of_other_types_or_signs_render_apart_in_one_process():
+    problems = list(edge_case_problems())
+    for cold in (True, False):
+        for order in (problems, problems[::-1]):
+            if cold:
+                for cache in caches():
+                    cache.cache_clear()
+            for problem in order:
+                check_with_and_without_a_solution(problem)
+    # What a cache keyed by value alone gets wrong: -0.0 and 5 written as the
+    # 0.0 and 5.0 they equal, when rendered after them.
+    for first, then in ((0.0, -0.0), (5.0, 5), (1, True), (1.0, Node.ONE)):
+        for field in ("max_delay", "rate", "id", "src"):
+            for v in (first, then):
+                check_rerouting(ht.ReroutingProblem(
+                    (Flow(7, 2, 3, 1.5, 4.0)._replace(**{field: v}),), (), {}))
+        for field in ("capacity", "delay_budget", "src"):
+            for v in (first, then):
+                check_recreation(ht.RecreationProblem(
+                    (ht.LspRequest(2, 3, 5.0, 4.0)._replace(**{field: v}),), None))
+
+
+def captured_scenario_renders(monkeypatch, tmp_path):
+    """Every render of `scenario1`-`4` `exact` runs with dumps at seeds 0-2, reserved
+    and unreserved: (renderer, args, text), checked against the written files."""
+    renders = []
+    for name in ("rerouting_to_json", "recreation_to_json"):
+        render = getattr(orchestrator, name)
+
+        def recording(*args, render=render):
+            renders.append((render, args, render(*args)))
+            return renders[-1][2]
+
+        monkeypatch.setattr(orchestrator, name, recording)
+    written = set()
+    for n in (1, 2, 3, 4):
+        cfg = ht.load_scenario(os.path.join(SCENARIO_DIR, f"scenario{n}.json"))
+        for seed in range(3):
+            for mode in RoutingMode:
+                out = tmp_path / f"s{n}-{seed}-{mode.value}"
+                ht.run_scenario(dataclasses.replace(cfg, seed=seed, scheme="exact",
+                                                    rerouting_mode=mode, dump_dir=str(out)))
+                written |= {path.read_text() for path in out.iterdir()}
+    assert {text for _, _, text in renders} == written
+    return renders
+
+
+def oracle_text(render, args):
+    oracle = oracles.rerouting_dump if render is rerouting_to_json else oracles.recreation_dump
+    return oracle(*args)
+
+
+def test_cold_and_overflowed_caches_render_what_json_writes(monkeypatch, tmp_path):
+    renders = captured_scenario_renders(monkeypatch, tmp_path)
+    kinds = Counter(render for render, _, _ in renders)
+    assert kinds[rerouting_to_json] >= 100 and kinds[recreation_to_json] >= 10, kinds
+    for render, args, text in renders:
+        assert text == oracle_text(render, args)
+    for cache in caches():
+        cache.cache_clear()
+        for render, args, text in renders:
+            assert render(*args) == text
+    # Overflow every cache with distinct keys, then render everything again.
+    size = max(cache.cache_info().maxsize for cache in caches())
+    topo = ht.reference_topology()
+    flows = tuple(Flow(i, i % 4, (i + 1) % 4, 0.5 + i, 3.0 + i) for i in range(size + 9))
+    for k in range(1, 80):  # distinct sets of flow ids fill the id maps' key orders
+        check_rerouting(ht.ReroutingProblem(flows[::k], (), {f.id: 0 for f in flows[::k]}),
+                        ReroutingSolution({f.id: 1 for f in flows[::k]}, 0, True, 1))
+    requests = tuple(ht.LspRequest(i % 4, (i + 1) % 4, 1.0 + i, 9.0 + i) for i in range(size + 9))
+    routing = tuple(((i, i + 1), (i + 1, i + 2)) for i in range(size + 9))
+    check_recreation(ht.RecreationProblem(requests, topo, routing),
+                     ht.RecreationSolution(routing[::-1], 0, True, 1))
+    for cache in caches():
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize, (cache, info)
+    for render, args, text in renders:
+        assert render(*args) == text

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import hybridte as ht
-from hybridte import rerouting
+from hybridte import lsp, rerouting
 from hybridte.errors import Infeasible, ValidationError
+from hybridte.lsp import LspPlan
 from hybridte.rerouting import RoutingMode, rerouting_to_json
 
 import oracles
@@ -536,3 +537,22 @@ def test_candidates_match_the_full_scan():
             assert got == rerouting_outcome(oracles.full_scan_rerouting, problem)
             kinds[len(got)] += 1
     assert kinds[2] and kinds[5]
+
+
+def test_search_tables_are_built_once_per_plan_headroom_and_mode(monkeypatch):
+    built = []
+    limits = lsp.limits
+    monkeypatch.setattr(lsp, "limits", lambda capacity: built.append(len(capacity))
+                        or limits(capacity))
+    topo = ht.reference_topology()
+    flows, lsps, fr_old = oracles.shuffled_plan_instance(np.random.default_rng(7), topo)
+    for _ in range(2):  # a new plan of the same LSPs builds its own tables
+        plan = LspPlan(lsps, topo)
+        for mode in RoutingMode:
+            for mu in (0.9, 0.5, 0.9, 0.5):
+                problem = ht.ReroutingProblem(flows, plan, fr_old, mode, mu, topology=topo)
+                got = rerouting_outcome(ht.solve_flow_rerouting, problem)
+                assert got == rerouting_outcome(oracles.full_scan_rerouting, problem)
+        assert plan.search_tables(0.9, True) is plan.search_tables(0.9, True)
+    n, links = len(lsps), len(topo.links)
+    assert built == [n, n, n + links, n + links] * 2

@@ -17,14 +17,10 @@ class BudgetExhausted(Exception):
     """The search visited more nodes than its budget allows."""
 
 
-def cap_tol(cap: float) -> float:
-    """Absolute slack under which a load still counts as within `cap`."""
-    return 1e-9 * max(1.0, abs(cap))
-
-
 def limits(capacity: dict) -> dict:
-    """Each resource's capacity plus its slack: the load it takes."""
-    return {r: cap + cap_tol(cap) for r, cap in capacity.items()}
+    """Each resource's capacity plus the absolute slack under which a load
+    still counts as within it: the load it takes."""
+    return {r: cap + 1e-9 * max(1.0, abs(cap)) for r, cap in capacity.items()}
 
 
 class Search:

@@ -87,16 +87,15 @@ def enumerate_simple_paths(topo: NetworkTopology, src: int, dst: int,
     return _enumerate(topo, src, dst, delay_budget, limit)[0]
 
 
-def _old_routing_feasible(problem: RecreationProblem, old: tuple, headroom: dict) -> bool:
+def _old_routing_feasible(problem: RecreationProblem, old: tuple, search: Search) -> bool:
     """Whether each request's old route is a simple src->dst path within its
-    delay budget and the routes, placed one after another, keep every link
-    within the reservation headroom."""
-    topo = problem.topology
-    search = Search(headroom, problem.node_budget)
+    delay budget and the routes, placed one after another on `search`, keep
+    every link within the reservation headroom."""
+    by_pair = problem.topology.by_pair
     for req, route in zip(problem.requests, old):
         node, seen, delay = req.src, {req.src}, 0.0
         for pair in route:
-            ln = topo.link_lookup(*pair)
+            ln = by_pair.get(pair)
             if ln is None or ln.src != node or ln.dst in seen:
                 return False
             delay += ln.delay  # summed in path order, as _enumerate does
@@ -128,9 +127,11 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
             raise ValidationError(f"request {i}: capacity must be positive")
     n = len(problem.requests)
     old = problem.lr_old or ()
-    headroom = {(l.src, l.dst): problem.mu * l.bandwidth for l in topo.links}
+    # One search, so one set of limits, for the kept-routing check and the kernel run.
+    search = Search({(l.src, l.dst): problem.mu * l.bandwidth for l in topo.links},
+                    problem.node_budget)
     if (len(old) >= n and n < problem.node_budget
-            and _old_routing_feasible(problem, old, headroom)):
+            and _old_routing_feasible(problem, old, search)):
         return RecreationSolution(tuple(old[:n]), 0, True, n + 1)
     any_truncated = False
     options: list[list[tuple]] = []
@@ -145,7 +146,6 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
         options.append(sorted(((len(old_links.symmetric_difference(links)), links, links)
                                for links in map(links_of_path, paths)), key=lambda o: o[0]))
 
-    search = Search(headroom, problem.node_budget)
     order = sorted(range(n), key=lambda i: (len(options[i]), i))
     aborted = False
     try:

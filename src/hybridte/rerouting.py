@@ -10,7 +10,10 @@ order, and only a strictly cheaper leaf replaces its incumbent, so the first
 optimum it meets, the one it keeps, is that smallest vector.
 
 Every LSP serves one (src, dst) pair, so each pair's flows are searched on their
-own, in sorted pair order, on one node counter. In reserved mode the pairs share
+own, in sorted pair order, on one node counter. A pair whose flows all still fit
+on their old LSPs keeps them without search, in the len(part) + 1 nodes of the
+kernel's descent along them, when the budget covers those: no pair costs less
+than 0, and only keeping every flow costs 0. In reserved mode the pairs share
 nothing, so their optima together are the optimum and its lexicographic minimum.
 In unreserved mode they share links: each pair is solved against the full link
 headroom, a relaxation (Geoffrion, Math. Programming Study 2, 1974) whose answers
@@ -64,10 +67,11 @@ class ReroutingSolution:
 def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     """Solve one re-routing instance; raises Infeasible when no assignment exists.
 
-    All searches share one node counter. When the pair answers overload a
-    shared link in unreserved mode, the joint search starts with the nodes
-    the pair searches already spent, so a budget that does not cover both
-    gives an unproven incumbent or an unproven Infeasible."""
+    A pair whose flows all still fit on their old LSPs keeps them in len(part) + 1 nodes,
+    budget permitting; the others are searched, all on one node counter. When the
+    pair answers overload a shared link in unreserved mode, the joint search starts
+    with the nodes the pair searches already spent, so a budget that does not cover
+    both gives an unproven incumbent or an unproven Infeasible."""
     unreserved = problem.mode == RoutingMode.UNRESERVED
     # First, as where the caller built the plan; links matter only in unreserved mode.
     plan = LspPlan(problem.lsps, problem.topology if unreserved else None)
@@ -96,18 +100,16 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
         if sum(rate[fid] for fid in by_pair[pair]) > room * (1 + 1e-12):
             raise Infeasible(f"flows {pair[0]}->{pair[1]} exceed the capacity of their LSPs",
                              proven=True)
-    options: dict[int, list[tuple]] = {}
-    for f in problem.flows:
-        old = problem.fr_old[f.id]
-        options[f.id] = [(int(l.id != old), resources[l.id], l.id)
-                         for l in plan.admissible(f.src, f.dst, f.max_delay)]
-        if not options[f.id]:
-            raise Infeasible(f"flow {f.id} has no admissible LSP", proven=True)
+    admissible = {f.id: plan.admissible(f.src, f.dst, f.max_delay) for f in problem.flows}
+    for fid, lsps in admissible.items():
+        if not lsps:
+            raise Infeasible(f"flow {fid} has no admissible LSP", proven=True)
     parts = [by_pair[pair] for pair in sorted(by_pair)]
-    assignment, changes, optimal = _solve(search, parts, rate, options)
+    tables = rate, problem.fr_old, admissible, resources
+    assignment, changes, optimal = _solve(search, parts, *tables)
     if unreserved and len(parts) > 1 and not _fits_together(search, assignment, rate, resources):
         # The pairs overload a shared link together: search all flows jointly.
-        assignment, changes, optimal = _solve(search, [list(rate)], rate, options)
+        assignment, changes, optimal = _solve(search, [list(rate)], *tables)
     return ReroutingSolution(dict(sorted(assignment.items())), changes, optimal, search.nodes)
 
 
@@ -121,16 +123,34 @@ def _fits_together(search: Search, assignment: dict[int, int], rate, resources) 
     return True
 
 
-def _solve(search: Search, parts, rate, options) -> tuple[dict[int, int], int, bool]:
-    """Minimum-change assignment and tie-break of every part's flows, each part
-    searched on its own. Returns (assignment, changes, optimal); raises
-    Infeasible when a part has none or the budget runs out before each has one."""
+def _stays(search: Search, part, rate, old, admissible, resources) -> bool:
+    """Whether each flow of `part` can stay: its old LSP admits it and, in id order, fits."""
+    search.load = dict.fromkeys(search.load, 0.0)
+    for fid in part:
+        lid = old[fid]
+        if lid not in [l.id for l in admissible[fid]] or not search.fits(resources[lid], rate[fid]):
+            return False
+        search.place(resources[lid], rate[fid])
+    return True
+
+
+def _solve(search: Search, parts, rate, old, admissible, resources) -> tuple[dict, int, bool]:
+    """Minimum-change assignment and tie-break of every part's flows, each kept
+    (`_stays`) or searched on its own. Returns (assignment, changes, optimal);
+    raises Infeasible when a part has none or the budget runs out before each has one."""
     found: dict[int, int] = {}
     changes = 0
     optimal = True
-    for part in parts:
+    for part in map(sorted, parts):
+        if (search.nodes + len(part) + 1 <= search.budget
+                and _stays(search, part, rate, old, admissible, resources)):
+            search.nodes += len(part) + 1
+            found.update((fid, old[fid]) for fid in part)
+            continue
+        options = {fid: [(int(l.id != old[fid]), resources[l.id], l.id) for l in admissible[fid]]
+                   for fid in part}
         try:
-            if search.run(sorted(part), rate, options) is None:
+            if search.run(part, rate, options) is None:
                 raise Infeasible("no assignment satisfies capacity and delay", proven=True)
         except BudgetExhausted:
             # Keep the incumbent; a later part finds the budget spent at its

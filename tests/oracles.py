@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from hybridte import rerouting
-from hybridte.bnb import Search
+from hybridte.bnb import BudgetExhausted, Search
 from hybridte.errors import ConfigError, Infeasible
 from hybridte.ffr import FfrResult
 from hybridte.lsp import build_lsp
@@ -536,10 +536,12 @@ def full_scan_initial_assignment(flows, lsps):
     return assignment
 
 
-def full_scan_rerouting(problem):
+def full_scan_rerouting(problem, solve=None):
     """`solve_flow_rerouting` on a valid instance, with each pair's capacity and each
     flow's candidates found by scanning every LSP's endpoints and delay bound, as
-    before the LSP plan. The searches run on the solver's own part loop."""
+    before the LSP plan. The searches run on `solve`, a part loop with the
+    signature of `rerouting._solve`, which it defaults to."""
+    solve = solve or rerouting._solve
     lsps = sorted(problem.lsps, key=lambda l: l.id)
     unreserved = problem.mode == rerouting.RoutingMode.UNRESERVED
     capacity = {l.id: l.capacity for l in lsps}
@@ -557,20 +559,47 @@ def full_scan_rerouting(problem):
         if sum(rate[fid] for fid in part) > room * (1 + 1e-12):
             raise Infeasible(f"flows {src}->{dst} exceed the capacity of their LSPs",
                              proven=True)
-    options = {}
+    admissible = {}
     for f in problem.flows:
-        old = problem.fr_old[f.id]
-        options[f.id] = [(int(l.id != old), resources[l.id], l.id) for l in lsps
-                         if (l.src, l.dst) == (f.src, f.dst) and l.prop_delay <= f.max_delay]
-        if not options[f.id]:
+        admissible[f.id] = [l for l in lsps
+                            if (l.src, l.dst) == (f.src, f.dst) and l.prop_delay <= f.max_delay]
+        if not admissible[f.id]:
             raise Infeasible(f"flow {f.id} has no admissible LSP", proven=True)
-    assignment, changes, optimal = rerouting._solve(search, parts, rate, options)
+    tables = rate, problem.fr_old, admissible, resources
+    assignment, changes, optimal = solve(search, parts, *tables)
     if unreserved and len(parts) > 1 and not rerouting._fits_together(
             search, assignment, rate, resources):
-        assignment, changes, optimal = rerouting._solve(
-            search, [[f.id for f in problem.flows]], rate, options)
+        assignment, changes, optimal = solve(search, [[f.id for f in problem.flows]], *tables)
     return rerouting.ReroutingSolution(dict(sorted(assignment.items())), changes, optimal,
                                        search.nodes)
+
+
+def kernel_parts(search, parts, rate, old, admissible, resources, spent=None):
+    """`rerouting._solve` with no shortcut: the kernel searches every part, even one
+    whose flows all stay on their old LSPs. When `spent` is a list, each searched
+    part appends (its size, the nodes it took, its cost or None)."""
+    found = {}
+    changes = 0
+    optimal = True
+    for part in parts:
+        options = {fid: [(int(l.id != old[fid]), resources[l.id], l.id) for l in admissible[fid]]
+                   for fid in part}
+        start = search.nodes
+        try:
+            if search.run(sorted(part), rate, options) is None:
+                if spent is not None:
+                    spent.append((len(part), search.nodes - start, None))
+                raise Infeasible("no assignment satisfies capacity and delay", proven=True)
+        except BudgetExhausted:
+            if search.best is None:
+                raise Infeasible("node budget exhausted before any assignment was found",
+                                 proven=False) from None
+            optimal = False
+        if spent is not None:
+            spent.append((len(part), search.nodes - start, search.best_cost))
+        found.update(search.best)
+        changes += int(search.best_cost)
+    return found, changes, optimal
 
 
 def shuffled_plan_instance(rng: np.random.Generator, topo, paths_per_pair: int = 2):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hybridte as ht
-from hybridte import recreation
+from hybridte import bnb, recreation
 from hybridte.errors import Infeasible, ValidationError
 from hybridte.recreation import recreation_to_json
 from hybridte.topology import Link, NetworkTopology, links_of_path
@@ -423,3 +423,19 @@ def test_kept_routing_matches_the_search(monkeypatch):
         else:
             searched += 1
     assert kept >= 50 and searched >= 50
+
+
+def test_a_call_builds_its_headroom_limits_once(monkeypatch, square):
+    # The kept-routing check and the search share one set of limits, so a call
+    # builds them once whether it keeps the old routing or searches.
+    built = []
+    limits = bnb.limits
+    monkeypatch.setattr(bnb, "limits", lambda capacity: built.append(len(capacity))
+                        or limits(capacity))
+    kept = ht.RecreationProblem(requests=(_square_pair(),) * 2, topology=square,
+                                lr_old=(UP, DOWN))
+    moved = ht.RecreationProblem(requests=(_square_pair(),) * 2, topology=square,
+                                 lr_old=(UP, UP))
+    assert _outcome(kept) == ((UP, DOWN), 0, True, 3)
+    assert _outcome(moved)[1:3] == (4, True)
+    assert built == [len(square.links)] * 2

@@ -39,13 +39,15 @@ assert ht.generate_flows(topo, cfg) == flows
 
 # Grow the population over ten slots and watch total demand climb. Growth
 # works on the rate vector, entry i being flow i's rate; ids, endpoints and
-# delay bounds stay those of slot 0.
+# delay bounds stay those of slot 0. The factors of every slot after slot 0
+# are drawn up front, one row per slot.
 print("\nslot  total offered rate")
 rates = np.array([f.rate for f in flows])
+growth = ht.growth_block(cfg.growth_max, cfg.seed, 11, len(flows))
 cur = rates
 for t in range(11):
     if t:
-        cur = ht.grow_flows(cur, cfg.growth_max, (cfg.seed, t))
+        cur = ht.grow_flows(cur, growth[t - 1])
     print(f"{t:4d}  {cur.sum():10.2f}")
 
 # Across many growth draws the mean per-slot factor approaches growth_max/2.

@@ -22,6 +22,6 @@ from .rerouting import (ReroutingProblem, ReroutingSolution, RoutingMode,
                         solve_flow_rerouting)
 from .topology import (Link, NetworkTopology, links_of_path, load_topology,
                        load_topology_file, reference_topology, serialize_topology)
-from .traffic import Flow, TrafficConfig, generate_flows, grow_flows
+from .traffic import Flow, TrafficConfig, generate_flows, grow_flows, growth_block
 
 __version__ = "0.1.0"

@@ -52,6 +52,26 @@ class Search:
         for r in resources:
             self.load[r] -= demand
 
+    def fits_all(self, items) -> bool:
+        """Whether `(resources, demand)` items, placed one after another from empty
+        loads, each fit beside those placed before it."""
+        self.load = dict.fromkeys(self.load, 0.0)
+        for resources, demand in items:
+            if not self.fits(resources, demand):
+                return False
+            self.place(resources, demand)
+        return True
+
+    def keep(self, items) -> bool:
+        """Whether the answer of cost 0 that places the list of `(resources, demand)`
+        `items` can be kept without search: the items fit together and the budget
+        covers the len(items) + 1 nodes of `run`'s first descent along them, which
+        are then counted. No leaf costs less than 0, so `run` would keep it too."""
+        if self.nodes + len(items) + 1 > self.budget or not self.fits_all(items):
+            return False
+        self.nodes += len(items) + 1
+        return True
+
     def run(self, order, demand, options) -> dict | None:
         """Find the cheapest assignment of the items of `order`, branched in
         that order, from empty loads. Only a strictly cheaper leaf replaces

@@ -30,7 +30,7 @@ from .recreation import (LspRequest, RecreationProblem, enumerate_simple_paths,
 from .rerouting import (ReroutingProblem, RoutingMode, rerouting_to_json,
                         solve_flow_rerouting)
 from .topology import NetworkTopology, links_of_path, load_topology_file
-from .traffic import TrafficConfig, flows_at, generate_flows, grow_flows
+from .traffic import TrafficConfig, flows_at, generate_flows, grow_flows, growth_block
 
 SCHEMES = ("shortest_path", "ffr", "exact")
 
@@ -239,33 +239,34 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 
 
 def _set_up(cfg: ScenarioConfig, planned: bool) -> tuple:
-    """Validate `cfg` and build a run's inputs before slot 1: topology, slot-0 flows and
-    their rate vector and, when `planned`, the LSP plan, checked against the topology
-    once, and the initial assignment. A comparison's schemes share them."""
+    """Validate `cfg` and build a run's inputs before slot 1: topology, slot-0 flows, their
+    rate vector, every later slot's growth factors (`growth_block`) and, when `planned`,
+    the LSP plan, checked against the topology once, and the initial assignment. A
+    comparison's schemes share them, so they grow the same traffic."""
     cfg.validate()
     topo = load_topology_file(cfg.topology_path)
     flows = generate_flows(topo, dataclasses.replace(cfg.traffic, seed=cfg.seed))
     rates = np.array([f.rate for f in flows])
-    rates.flags.writeable = False  # shared by a comparison's schemes and its growth memo
+    rates.flags.writeable = False  # shared by a comparison's schemes
+    growth = growth_block(cfg.traffic.growth_max, cfg.seed, cfg.slots, len(flows))
     if not planned:
-        return topo, flows, rates, (), {}
+        return topo, flows, rates, growth, (), {}
     if cfg.lsp_plan.kind == "auto":
         lsps = build_auto_lsp_plan(topo, cfg.lsp_plan.paths_per_pair, cfg.mu_headroom)
     else:
         lsps = load_lsp_plan_file(cfg.lsp_plan.path, topo)
     # Both plan builders number LSPs by position, so plan[i].id == i.
     plan = LspPlan(lsps, topo)
-    return topo, flows, rates, plan, initial_assignment(flows, plan)
+    return topo, flows, rates, growth, plan, initial_assignment(flows, plan)
 
 
-def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
-                 memo: dict | None = None) -> RunResult:
-    """Run one scheme over the configured slots; a comparison passes its shared `setup`
-    and its growth `memo` (see `grow_flows`). A slot's traffic is its rate vector beside
-    the slot-0 `flows`, whose ids, order, endpoints and delay bounds never change; Flow
-    records at the slot's rates are built only for a re-routing round."""
+def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResult:
+    """Run one scheme over the configured slots; a comparison passes its shared `setup`.
+    A slot's traffic is its rate vector beside the slot-0 `flows`, whose ids, order,
+    endpoints and delay bounds never change; Flow records at the slot's rates are built
+    only for a re-routing round."""
     planned = cfg.scheme != "shortest_path"
-    topo, flows, rates, lsps, shared = setup or _set_up(cfg, planned)
+    topo, flows, rates, growth, lsps, shared = setup or _set_up(cfg, planned)
     assignment = dict(shared)  # each scheme's own copy of the shared initial assignment
     events: list[str] = []
     samples: list[MetricsSample] = []
@@ -287,7 +288,7 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
         index = link_index(topo, flows, {f.id: routes[f.src, f.dst] for f in flows})
         for t in range(cfg.slots):
             if t >= 1:
-                rates = grow_flows(rates, cfg.traffic.growth_max, (cfg.seed, t), memo)
+                rates = grow_flows(rates, growth[t - 1])
             samples.append(compute_sample(t, rates, index))
         return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
 
@@ -364,7 +365,7 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
     for t in range(cfg.slots):
         loads = None  # compute_sample sums them: slot 0, or the paths changed
         if t >= 1:
-            rates = grow_flows(rates, cfg.traffic.growth_max, (cfg.seed, t), memo)
+            rates = grow_flows(rates, growth[t - 1])
             loads = offered_loads(rates, index)
             max_util = max((loads / index.bandwidth).tolist(), default=0.0)
             periodic = t % cfg.rerouting_interval == 0
@@ -383,13 +384,10 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None,
 
 
 def run_comparison(cfg: ScenarioConfig) -> list[RunResult]:
-    """Run every scheme from one topology, slot-0 traffic draw, LSP plan and initial
-    assignment, and grow each slot's traffic once: a growth memo that lives for this
-    call hands the later schemes the rate vector the first one grew (see `grow_flows`),
-    so it holds the comparison's traffic trace, O(slots x flows). Writes no dumps."""
-    setup, memo = _set_up(cfg, planned=True), {}
-    return [run_scenario(dataclasses.replace(cfg, scheme=s, dump_dir=None), setup=setup,
-                         memo=memo)
+    """Run every scheme from one set-up: topology, slot-0 traffic, growth factors, LSP
+    plan and initial assignment. Writes no dumps."""
+    setup = _set_up(cfg, planned=True)
+    return [run_scenario(dataclasses.replace(cfg, scheme=s, dump_dir=None), setup=setup)
             for s in SCHEMES]
 
 

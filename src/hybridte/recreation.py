@@ -87,10 +87,9 @@ def enumerate_simple_paths(topo: NetworkTopology, src: int, dst: int,
     return _enumerate(topo, src, dst, delay_budget, limit)[0]
 
 
-def _old_routing_feasible(problem: RecreationProblem, old: tuple, search: Search) -> bool:
+def _old_routes_valid(problem: RecreationProblem, old: tuple) -> bool:
     """Whether each request's old route is a simple src->dst path within its
-    delay budget and the routes, placed one after another on `search`, keep
-    every link within the reservation headroom."""
+    delay budget."""
     by_pair = problem.topology.by_pair
     for req, route in zip(problem.requests, old):
         node, seen, delay = req.src, {req.src}, 0.0
@@ -103,9 +102,8 @@ def _old_routing_feasible(problem: RecreationProblem, old: tuple, search: Search
                 return False
             node = ln.dst
             seen.add(node)
-        if node != req.dst or not search.fits(route, req.capacity):
+        if node != req.dst:
             return False
-        search.place(route, req.capacity)
     return True
 
 
@@ -113,9 +111,8 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     """Solve one re-creation instance; raises Infeasible when no routing exists.
 
     A still-feasible old routing is returned as is, at cost 0, without
-    enumerating candidate paths: 0 is a lower bound on any routing's cost.
-    Its node count, n + 1, is the kernel's first descent, so the shortcut
-    applies only when the node budget allows that descent."""
+    enumerating candidate paths, when the node budget allows the kernel's
+    first descent along it (`Search.keep`)."""
     if not 0 < problem.mu <= 1:
         raise ValidationError("mu must lie in (0, 1]")
     if problem.path_limit < 1:
@@ -130,9 +127,9 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     # One search, so one set of limits, for the kept-routing check and the kernel run.
     search = Search({(l.src, l.dst): problem.mu * l.bandwidth for l in topo.links},
                     problem.node_budget)
-    if (len(old) >= n and n < problem.node_budget
-            and _old_routing_feasible(problem, old, search)):
-        return RecreationSolution(tuple(old[:n]), 0, True, n + 1)
+    if (len(old) >= n and _old_routes_valid(problem, old)
+            and search.keep([(route, req.capacity) for req, route in zip(problem.requests, old)])):
+        return RecreationSolution(tuple(old[:n]), 0, True, search.nodes)
     any_truncated = False
     options: list[list[tuple]] = []
     for i, req in enumerate(problem.requests):

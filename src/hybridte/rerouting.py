@@ -107,44 +107,24 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     parts = [by_pair[pair] for pair in sorted(by_pair)]
     tables = rate, problem.fr_old, admissible, resources
     assignment, changes, optimal = _solve(search, parts, *tables)
-    if unreserved and len(parts) > 1 and not _fits_together(search, assignment, rate, resources):
+    if unreserved and len(parts) > 1 and not search.fits_all(
+            [(resources[lid], rate[fid]) for fid, lid in assignment.items()]):
         # The pairs overload a shared link together: search all flows jointly.
         assignment, changes, optimal = _solve(search, [list(rate)], *tables)
     return ReroutingSolution(dict(sorted(assignment.items())), changes, optimal, search.nodes)
 
 
-def _fits_together(search: Search, assignment: dict[int, int], rate, resources) -> bool:
-    """Whether every flow fits on its LSP's resources with all others placed."""
-    search.load = dict.fromkeys(search.load, 0.0)
-    for fid, lid in assignment.items():
-        if not search.fits(resources[lid], rate[fid]):
-            return False
-        search.place(resources[lid], rate[fid])
-    return True
-
-
-def _stays(search: Search, part, rate, old, admissible, resources) -> bool:
-    """Whether each flow of `part` can stay: its old LSP admits it and, in id order, fits."""
-    search.load = dict.fromkeys(search.load, 0.0)
-    for fid in part:
-        lid = old[fid]
-        if lid not in [l.id for l in admissible[fid]] or not search.fits(resources[lid], rate[fid]):
-            return False
-        search.place(resources[lid], rate[fid])
-    return True
-
-
 def _solve(search: Search, parts, rate, old, admissible, resources) -> tuple[dict, int, bool]:
-    """Minimum-change assignment and tie-break of every part's flows, each kept
-    (`_stays`) or searched on its own. Returns (assignment, changes, optimal);
-    raises Infeasible when a part has none or the budget runs out before each has one."""
+    """Minimum-change assignment and tie-break of every part's flows, each searched on
+    its own or kept (`Search.keep`) when its old LSPs admit its flows and, in id order,
+    fit them. Returns (assignment, changes, optimal); raises Infeasible when a part has
+    none or the budget runs out before each has one."""
     found: dict[int, int] = {}
     changes = 0
     optimal = True
     for part in map(sorted, parts):
-        if (search.nodes + len(part) + 1 <= search.budget
-                and _stays(search, part, rate, old, admissible, resources)):
-            search.nodes += len(part) + 1
+        if (all(old[fid] in [l.id for l in admissible[fid]] for fid in part)
+                and search.keep([(resources[old[fid]], rate[fid]) for fid in part])):
             found.update((fid, old[fid]) for fid in part)
             continue
         options = {fid: [(int(l.id != old[fid]), resources[l.id], l.id) for l in admissible[fid]]

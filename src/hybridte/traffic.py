@@ -130,27 +130,24 @@ def generate_flows(topo: NetworkTopology, cfg: TrafficConfig) -> tuple[Flow, ...
     )
 
 
-def grow_flows(rates: np.ndarray, growth_max: float, seed, memo: dict | None = None) -> np.ndarray:
-    """Scale each rate by (1 + u), u uniform on [0, growth_max), one draw per flow.
-
-    `rates` is a slot's rate vector, in the order of the slot-0 flows; the
-    result is read-only, and a growth_max of 0 returns `rates` itself. With a
-    `memo`, the result is kept under `seed` together with its input. A later
-    call with that seed, the very same `rates` object (`is`) and the same
-    growth_max returns the kept vector without drawing; any other input is
-    grown afresh and replaces the entry."""
+def growth_block(growth_max: float, seed: int, slots: int, n: int) -> np.ndarray:
+    """A run's growth factors, read-only: row t - 1 scales slot t's rates, each flow's
+    by (1 + u), u uniform on [0, growth_max), one draw per flow in slot-0 order from
+    the generator seeded (seed, t). A longer run's block starts with a shorter one's."""
     if not 0 <= growth_max < math.inf:
         raise ConfigError("growth_max must be nonnegative and finite")
-    if memo is not None:
-        entry = memo.get(seed)
-        if entry is not None and entry[0] is rates and entry[1] == growth_max:
-            return entry[2]
-    grown = rates
-    if growth_max > 0:
-        grown = rates * (1.0 + np.random.default_rng(seed).uniform(0.0, growth_max, len(rates)))
-        grown.flags.writeable = False
-    if memo is not None:
-        memo[seed] = (rates, growth_max, grown)
+    block = np.ones((slots - 1, n))
+    for t in range(1, slots):
+        block[t - 1] += np.random.default_rng((seed, t)).uniform(0.0, growth_max, n)
+    block.flags.writeable = False
+    return block
+
+
+def grow_flows(rates: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """A slot's rate vector, in the order of the slot-0 flows, scaled by its row of
+    `growth_block`; the result is read-only."""
+    grown = rates * factors
+    grown.flags.writeable = False
     return grown
 
 

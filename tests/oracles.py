@@ -1,6 +1,6 @@
 """Brute-force reference implementations, random instance generators, the
 reference rendering of `--dump-lp` instances, the reference metrics sample,
-the reference auto LSP plan and the full-scan LSP lookups.
+the reference auto LSP plan, the full-scan LSP lookups and the reference run.
 
 Everything here is deliberately naive: exhaustive enumeration and plain
 Python sums, so solver results can be checked against an implementation
@@ -18,14 +18,16 @@ import math
 import numpy as np
 
 from hybridte import rerouting
+from hybridte.baseline import shortest_path_route
 from hybridte.bnb import BudgetExhausted, Search
 from hybridte.errors import ConfigError, Infeasible
 from hybridte.ffr import FfrResult
 from hybridte.lsp import build_lsp
 from hybridte.metrics import MetricsSample
-from hybridte.orchestrator import build_auto_lsp_plan
-from hybridte.recreation import LspRequest, enumerate_simple_paths
-from hybridte.topology import Link, NetworkTopology, links_of_path
+from hybridte.orchestrator import build_auto_lsp_plan, load_lsp_plan_file
+from hybridte.recreation import (LspRequest, RecreationProblem, enumerate_simple_paths,
+                                 solve_lsp_recreation)
+from hybridte.topology import Link, NetworkTopology, links_of_path, load_topology_file
 from hybridte.traffic import Flow, TrafficConfig, generate_flows
 
 
@@ -567,11 +569,23 @@ def full_scan_rerouting(problem, solve=None):
             raise Infeasible(f"flow {f.id} has no admissible LSP", proven=True)
     tables = rate, problem.fr_old, admissible, resources
     assignment, changes, optimal = solve(search, parts, *tables)
-    if unreserved and len(parts) > 1 and not rerouting._fits_together(
-            search, assignment, rate, resources):
+    if unreserved and len(parts) > 1 and not fits_together(assignment, rate, resources,
+                                                           search.limit):
         assignment, changes, optimal = solve(search, [[f.id for f in problem.flows]], *tables)
     return rerouting.ReroutingSolution(dict(sorted(assignment.items())), changes, optimal,
                                        search.nodes)
+
+
+def fits_together(assignment, rate, resources, limit) -> bool:
+    """Whether every flow fits on its LSP's resources with all others placed: each
+    resource's load, summed in assignment order, stays within its `limit`."""
+    load = {}
+    for fid, lid in assignment.items():
+        for r in resources[lid]:
+            load[r] = load.get(r, 0.0) + rate[fid]
+            if load[r] > limit[r]:
+                return False
+    return True
 
 
 def kernel_parts(search, parts, rate, old, admissible, resources, spent=None):
@@ -618,3 +632,97 @@ def shuffled_plan_instance(rng: np.random.Generator, topo, paths_per_pair: int =
                  for i in rng.permutation(len(plan)))
     flows = tuple(f._replace(rate=f.rate * float(rng.uniform(1.0, 3.0))) for f in flows)
     return flows, lsps, {fid: new_id[lid] for fid, lid in fr_old.items()}
+
+
+def reference_run(cfg):
+    """`run_scenario` as a plain slot loop, without a shared set-up, a growth block, a
+    link index or a solver memo: each slot's flows grown by `reference_growth`, loads
+    and samples summed by `reference_sample`'s helpers, the full-scan placement and
+    `ffr`, and the real solvers, called afresh every round. Writes no dumps.
+    Returns (samples, events)."""
+    topo = load_topology_file(cfg.topology_path)
+    flows = generate_flows(topo, dataclasses.replace(cfg.traffic, seed=cfg.seed))
+    events = []
+
+    def log(t, kind, **fields):
+        events.append(" ".join([f"slot={t}", f"event={kind}", f"scheme={cfg.scheme}",
+                                *(f"{k}={v}" for k, v in fields.items())]))
+
+    log(0, "init", seed=cfg.seed, flows=len(flows))
+    if cfg.scheme == "shortest_path":
+        fixed = {f.id: links_of_path(shortest_path_route(f, topo)) for f in flows}
+        samples = [reference_sample(0, flows, fixed, topo)]
+        for t in range(1, cfg.slots):
+            rates = reference_growth(flows, cfg.traffic.growth_max, (cfg.seed, t))
+            flows = tuple(f._replace(rate=rate) for f, rate in zip(flows, rates))
+            samples.append(reference_sample(t, flows, fixed, topo))
+        return samples, events
+
+    if cfg.lsp_plan.kind == "auto":
+        lsps = reference_auto_plan(topo, cfg.lsp_plan.paths_per_pair, cfg.mu_headroom)
+    else:
+        lsps = load_lsp_plan_file(cfg.lsp_plan.path, topo)
+    assignment = full_scan_initial_assignment(flows, lsps)
+    if isinstance(assignment, str):
+        raise ConfigError(assignment)
+    log(0, "plan", lsps=len(lsps))
+
+    def paths():
+        by_id = {l.id: l for l in lsps}
+        return {f.id: by_id[assignment[f.id]].links for f in flows}
+
+    def flow_level(t, tag):
+        """One round; True when it asks for re-creation."""
+        nonlocal assignment
+        if cfg.scheme == "ffr":
+            res = full_scan_ffr(flows, lsps, assignment, topo, mu=cfg.mu_headroom)
+            log(t, tag, changes=sum(assignment[fid] != lid for fid, lid in res.assignment.items()),
+                parked=len(res.recreation_requests), examinations=res.examinations)
+            assignment = res.assignment
+            return bool(res.recreation_requests)
+        try:
+            sol = rerouting.solve_flow_rerouting(rerouting.ReroutingProblem(
+                flows=flows, lsps=tuple(lsps), fr_old=assignment, mode=cfg.rerouting_mode,
+                mu=cfg.mu_headroom, topology=topo))
+        except Infeasible as exc:
+            log(t, tag + "_infeasible", proven=exc.proven)
+            return True
+        log(t, tag, changes=sol.changes, optimal=sol.optimal)
+        assignment = sol.assignment
+        return False
+
+    def recreation(t):
+        """One re-creation round; True when it moved a route."""
+        nonlocal lsps
+        budgets = {l.id: math.inf for l in lsps}
+        for f in flows:
+            budgets[assignment[f.id]] = min(budgets[assignment[f.id]], f.max_delay)
+        problem = RecreationProblem(
+            requests=tuple(LspRequest(l.src, l.dst, l.capacity, budgets[l.id]) for l in lsps),
+            topology=topo, lr_old=tuple(l.links for l in lsps), mu=cfg.mu_headroom)
+        try:
+            sol = solve_lsp_recreation(problem)
+        except Infeasible as exc:
+            log(t, "recreate_infeasible", proven=exc.proven)
+            return False
+        log(t, "recreate", changed_entries=sol.changed_entries, optimal=sol.optimal)
+        if sol.routing == problem.lr_old:
+            return False
+        lsps = [build_lsp(topo, (l.src, *(b for _, b in links)), l.capacity, l.id)
+                for l, links in zip(lsps, sol.routing)]
+        return True
+
+    samples = [reference_sample(0, flows, paths(), topo)]
+    for t in range(1, cfg.slots):
+        rates = reference_growth(flows, cfg.traffic.growth_max, (cfg.seed, t))
+        flows = tuple(f._replace(rate=rate) for f, rate in zip(flows, rates))
+        utils = [load / topo.link_lookup(*pair).bandwidth
+                 for pair, load in reference_offered_loads(flows, paths()).items()]
+        max_util = max(utils, default=0.0)
+        periodic = t % cfg.rerouting_interval == 0
+        trigger = max_util > cfg.mu_trigger or periodic
+        log(t, "check", max_util=f"{max_util:.6f}", periodic=periodic, trigger=trigger)
+        if trigger and flow_level(t, "reroute") and recreation(t):
+            flow_level(t, "reroute_retry")
+        samples.append(reference_sample(t, flows, paths(), topo))
+    return samples, events

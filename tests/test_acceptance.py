@@ -217,8 +217,8 @@ def test_criterion_4_sampling_means_match_closed_forms():
 
     rates = np.ones(10_000)
     factors = []
-    for t in range(1, 11):
-        grown = ht.grow_flows(rates, 0.10, (404, t))
+    for row in ht.growth_block(0.10, 404, 11, len(rates)):
+        grown = ht.grow_flows(rates, row)
         factors.extend((grown / rates - 1.0).tolist())
     mean = float(np.mean(factors))
     if abs(mean - 0.05) > 0.005:

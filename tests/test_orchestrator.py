@@ -152,8 +152,9 @@ def test_recreation_fires_at_the_replayed_overflow_slot(tmp_path):
     # its only admissible LSP
     overflow_slot = None
     rates = np.array([f.rate for f in flows])
+    growth = ht.growth_block(cfg.traffic.growth_max, cfg.seed, cfg.slots, len(flows))
     for t in range(1, cfg.slots):
-        rates = ht.grow_flows(rates, cfg.traffic.growth_max, (cfg.seed, t))
+        rates = ht.grow_flows(rates, growth[t - 1])
         if overflow_slot is None and np.any(rates > 8.0):
             overflow_slot = t
     assert overflow_slot is not None, "pick a seed whose flows overflow in range"
@@ -237,15 +238,18 @@ def test_a_comparison_builds_one_plan_for_its_schemes(monkeypatch):
     assert all(lsps is built[0] for _, lsps in read)
 
 
-def run_contested_plan(tmp_path, plan, scheme="exact"):
+def contested_plan_config(tmp_path, plan, scheme="exact"):
     # Flows big enough that the flow-level step fails from slot 1 on, on
     # links whose headroom is 9 units, with every solver instance dumped.
     traffic = {"demand_fraction": 0.3, "flow_intensity": 0.8, "max_flows_per_source": 2,
                "growth_max": 0.10, "delay_stretch": 2.0}
     path = write_mini_files(tmp_path, bandwidth=10.0, plan=plan, seed=1, traffic=traffic,
                             scheme=scheme)
-    cfg = dataclasses.replace(ht.load_scenario(path), dump_dir=str(tmp_path / "lp"))
-    return ht.run_scenario(cfg)
+    return dataclasses.replace(ht.load_scenario(path), dump_dir=str(tmp_path / "lp"))
+
+
+def run_contested_plan(tmp_path, plan, scheme="exact"):
+    return ht.run_scenario(contested_plan_config(tmp_path, plan, scheme))
 
 
 def test_recreation_that_moves_an_lsp_rebuilds_it(tmp_path, monkeypatch):
@@ -589,11 +593,37 @@ def test_comparison_grows_the_traffic_once(monkeypatch):
                         lambda seed=None: seeds.append(seed) or default_rng(seed))
     cfg = ht.load_scenario(scenario_path("scenario2.json"))
     ht.run_comparison(cfg)
-    # ffr and exact get the very rate vector that shortest_path grew, slot by slot.
-    per_scheme = [sampled[k * cfg.slots:(k + 1) * cfg.slots] for k in range(len(SCHEMES))]
-    assert all(sp is ffr is exact for sp, ffr, exact in zip(*per_scheme))
+    # ffr and exact grow the rates that shortest_path grew, slot by slot.
+    per_scheme = [[rates.tolist() for rates in sampled[k * cfg.slots:(k + 1) * cfg.slots]]
+                  for k in range(len(SCHEMES))]
+    assert per_scheme[0] == per_scheme[1] == per_scheme[2]
     # The slot-0 draw, then one growth draw per checked slot for all three schemes.
     assert seeds == [cfg.seed] + [(cfg.seed, t) for t in range(1, cfg.slots)]
+
+
+def test_runs_and_comparisons_match_the_reference_run(tmp_path):
+    # Every scheme's run, alone and in a comparison, has the samples and events of
+    # a plain slot loop with no shared set-up, growth block, link index or memo.
+    cases = [dataclasses.replace(ht.load_scenario(scenario_path(f"scenario{n}.json")),
+                                 rerouting_mode=mode, seed=seed)
+             for n in (1, 2, 3, 4) for mode in RoutingMode for seed in range(3)]
+    for name, plan in CONTESTED_PLANS.items():
+        (tmp_path / name).mkdir()
+        contested = contested_plan_config(tmp_path / name, plan)
+        cases += [dataclasses.replace(contested, rerouting_mode=mode, dump_dir=None)
+                  for mode in RoutingMode]
+    kinds = Counter()
+    for cfg in cases:
+        for scheme, compared in zip(SCHEMES, ht.run_comparison(cfg)):
+            one = dataclasses.replace(cfg, scheme=scheme)
+            expect = oracles.reference_run(one)
+            alone = ht.run_scenario(one)
+            assert (alone.samples, alone.events) == expect, (cfg.topology_path, scheme)
+            assert (compared.samples, compared.events) == expect, (cfg.topology_path, scheme)
+            kinds.update(e["event"] for e in parse_events(expect[1]))
+    # The cases reach every kind of round, a moved route's retry included.
+    assert {"reroute", "reroute_infeasible", "recreate", "recreate_infeasible",
+            "reroute_retry_infeasible"} <= kinds.keys(), kinds
 
 
 def result_fields(r):
@@ -659,14 +689,18 @@ def test_comparison_builds_its_set_up_once(monkeypatch):
                              "grow_flows": 3 * (cfg.slots - 1)})
     # One set-up object, which no scheme changed.
     assert setups[0] is setups[1] is setups[2]
-    topo, flows, rates, lsps, assignment = setups[0]
+    topo, flows, rates, growth, lsps, assignment = setups[0]
     fresh = orchestrator._set_up(cfg, planned=True)
-    assert (topo, flows, lsps, assignment) == fresh[:2] + fresh[3:]
-    assert np.array_equal(rates, fresh[2]) and rates.dtype == fresh[2].dtype
-    # The slot-0 rates are the flows' own, and no caller can write into them.
+    assert (topo, flows, lsps, assignment) == fresh[:2] + fresh[4:]
+    for kept, new in zip((rates, growth), fresh[2:4]):
+        assert np.array_equal(kept, new) and kept.dtype == new.dtype
+    # The slot-0 rates are the flows' own, each checked slot has its row of growth
+    # factors, and no caller can write into either.
     assert rates.tolist() == [f.rate for f in flows]
-    with pytest.raises(ValueError):
-        rates[0] = 0.0
+    assert growth.shape == (cfg.slots - 1, len(flows))
+    for array in (rates, growth):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 @pytest.mark.parametrize("scheme, planned", [("shortest_path", 0), ("ffr", 1), ("exact", 1)])

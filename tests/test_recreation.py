@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hybridte as ht
-from hybridte import bnb, recreation
+from hybridte import bnb
 from hybridte.errors import Infeasible, ValidationError
 from hybridte.recreation import recreation_to_json
 from hybridte.topology import Link, NetworkTopology, links_of_path
@@ -408,7 +408,7 @@ def test_kept_routing_matches_the_search(monkeypatch):
     instances = [oracles.random_recreation_instance(rng) for _ in range(300)]
     got = [_outcome(ht.RecreationProblem(requests=reqs, topology=t, lr_old=lr_old, mu=mu))
            for t, reqs, lr_old, mu in instances]
-    monkeypatch.setattr(recreation, "_old_routing_feasible", lambda *args: False)
+    monkeypatch.setattr(bnb.Search, "keep", lambda *args: False)
     kept = searched = 0
     for (t, reqs, lr_old, mu), outcome in zip(instances, got):
         problem = ht.RecreationProblem(requests=reqs, topology=t, lr_old=lr_old, mu=mu)

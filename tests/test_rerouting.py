@@ -380,13 +380,14 @@ def test_joint_search_starts_with_the_budget_the_pairs_spent():
     # joint search finds any assignment; one that covers both proves it.
     problem = pinned_instance("multi", 4, 1945, "unreserved")
     checked_at = []
-    fits_together = rerouting._fits_together
+    fits_all = rerouting.Search.fits_all
 
-    def spy(search, *args):
-        checked_at.append(search.nodes)
-        return fits_together(search, *args)
+    def spy(search, items):
+        if len(items) == len(problem.flows):  # every flow placed: the link check
+            checked_at.append(search.nodes)
+        return fits_all(search, items)
 
-    with mock.patch.object(rerouting, "_fits_together", spy):
+    with mock.patch.object(rerouting.Search, "fits_all", spy):
         full = ht.solve_flow_rerouting(problem)
     pairs = checked_at[0]
     joint = full.nodes_explored - pairs

@@ -74,9 +74,9 @@ def rates_of(flows):
 def test_growth_bounds_and_determinism(topo):
     rates = rates_of(ht.generate_flows(topo, cfg()))
     before = rates.tolist()
-    grown = ht.grow_flows(rates, 0.10, (1, 1))
-    again = ht.grow_flows(rates, 0.10, (1, 1))
-    assert grown.tolist() == again.tolist()
+    block = ht.growth_block(0.10, 1, 2, len(rates))
+    assert block.tolist() == ht.growth_block(0.10, 1, 2, len(rates)).tolist()
+    grown = ht.grow_flows(rates, block[0])
     assert grown.dtype == np.float64 and grown.shape == rates.shape
     ratio = grown / rates
     assert np.all((1.0 <= ratio) & (ratio < 1.10))
@@ -85,58 +85,48 @@ def test_growth_bounds_and_determinism(topo):
 
 def test_zero_growth_is_identity(topo):
     rates = rates_of(ht.generate_flows(topo, cfg()))
-    assert ht.grow_flows(rates, 0.0, (1, 1)) is rates
+    block = ht.growth_block(0.0, 1, 4, len(rates))
+    assert block.shape == (3, len(rates)) and np.all(block == 1.0)
+    assert ht.grow_flows(rates, block[2]).tolist() == rates.tolist()
 
 
 def test_growth_draws_match_one_scalar_draw_per_flow(topo):
-    # Bit for bit: the vector growth is the per-flow formula rate * (1 + u),
-    # one scalar draw per flow in flow order.
+    # Bit for bit: row t - 1 of the block grows a slot's rates by the per-flow
+    # formula rate * (1 + u), one scalar draw per flow in flow order, seeded (seed, t).
     flows = ht.generate_flows(topo, cfg())
-    for seed in ((1, 1), (3, 7), 11):
+    for seed in (1, 3, 11):
         for growth_max in (0.0, 0.02, 0.5):
-            expect = oracles.reference_growth(flows, growth_max, seed)
-            assert ht.grow_flows(rates_of(flows), growth_max, seed).tolist() == expect
-            empty = ht.grow_flows(np.array([]), growth_max, seed)
+            block = ht.growth_block(growth_max, seed, 8, len(flows))
+            assert block.shape == (7, len(flows))
+            for t in range(1, 8):
+                expect = oracles.reference_growth(flows, growth_max, (seed, t))
+                assert ht.grow_flows(rates_of(flows), block[t - 1]).tolist() == expect
+            empty = ht.grow_flows(np.array([]), ht.growth_block(growth_max, seed, 8, 0)[0])
             assert empty.dtype == np.float64 and empty.shape == (0,)
+    assert ht.growth_block(0.02, 1, 1, len(flows)).shape == (0, len(flows))
 
 
 def test_grown_rates_are_read_only(topo):
     rates = rates_of(ht.generate_flows(topo, cfg()))
-    for grown in (ht.grow_flows(rates, 0.10, (1, 1)), ht.grow_flows(rates, 0.10, (1, 1), {})):
+    block = ht.growth_block(0.10, 1, 3, len(rates))
+    for grown in (block, block[1], ht.grow_flows(rates, block[0])):
         with pytest.raises(ValueError):
             grown[0] = 1.0
         with pytest.raises(ValueError):
             grown *= 2.0
 
 
-def test_memo_returns_the_kept_growth_for_the_same_input_only(topo):
-    rates = rates_of(ht.generate_flows(topo, cfg()))
-    memo = {}
-    grown = ht.grow_flows(rates, 0.10, (1, 1), memo)
-    assert grown.tolist() == ht.grow_flows(rates, 0.10, (1, 1)).tolist()
-    assert ht.grow_flows(rates, 0.10, (1, 1), memo) is grown
-    # An equal input that is another object is grown afresh, to the same rates.
-    copy = rates.copy()
-    assert copy.tolist() == rates.tolist() and copy is not rates
-    again = ht.grow_flows(copy, 0.10, (1, 1), memo)
-    assert again.tolist() == grown.tolist() and again is not grown
-    assert memo[(1, 1)][0] is copy
-    # So is the same object under another growth_max or another seed.
-    assert (ht.grow_flows(copy, 0.20, (1, 1), memo).tolist()
-            == ht.grow_flows(copy, 0.20, (1, 1)).tolist())
-    assert ht.grow_flows(copy, 0.20, (1, 1), memo) is memo[(1, 1)][2]
-    assert (ht.grow_flows(copy, 0.20, (1, 2), memo).tolist()
-            == ht.grow_flows(copy, 0.20, (1, 2)).tolist())
-    assert sorted(memo) == [(1, 1), (1, 2)]
-    assert ht.grow_flows(rates, 0.0, (1, 3), memo) is rates
+def test_a_longer_runs_block_starts_with_a_shorter_runs_rows(topo):
+    # Each row is drawn from its own slot's seed, so the slot count changes no row.
+    n = len(ht.generate_flows(topo, cfg()))
+    short, long = (ht.growth_block(0.10, 4, slots, n) for slots in (5, 20))
+    assert long[:4].tolist() == short.tolist()
 
 
 def test_growth_mean_near_half_cap(topo):
     rates = rates_of(ht.generate_flows(topo, cfg()))
-    ratios = []
-    for t in range(400):
-        grown = ht.grow_flows(rates, 0.10, (9, t))
-        ratios.extend((grown / rates - 1.0).tolist())
+    block = ht.growth_block(0.10, 9, 401, len(rates))
+    ratios = [(ht.grow_flows(rates, row) / rates - 1.0).tolist() for row in block]
     assert np.mean(ratios) == pytest.approx(0.05, abs=0.005)
 
 
@@ -177,7 +167,7 @@ def test_config_validation(topo, bad):
         ht.generate_flows(topo, cfg(**bad))
     if "growth_max" in bad:
         with pytest.raises(ConfigError):
-            ht.grow_flows(np.array([]), bad["growth_max"], 0)
+            ht.growth_block(bad["growth_max"], 0, 2, 0)
 
 
 def test_edge_node_that_reaches_no_other_is_an_error():

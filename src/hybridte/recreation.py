@@ -46,27 +46,42 @@ class RecreationSolution:
 
 
 def _enumerate(topo: NetworkTopology, src: int, dst: int, delay_budget: float,
-               limit: int) -> tuple[list[tuple[int, ...]], bool]:
-    # Best-first over partial paths keyed (delay, hops, node tuple); keys only
-    # grow along extensions, so complete paths pop out already ordered.
+               limit: int) -> list[tuple[int, ...]]:
+    # A* over partial paths (Hart, Nilsson & Raphael 1968), h(v) being v's delay
+    # distance to dst. Open paths are keyed by a lower bound on the delay of any
+    # completion, shrunk so that rounding in either sum cannot lift it above the
+    # completion's delay summed in path order. Complete paths wait in a second
+    # heap under their exact (delay, hops, nodes) key and are emitted once no
+    # open path can complete at or below their delay, so the order is that of a
+    # plain best-first search over partial paths.
+    h = topo.delay_distances_to(dst)
+    shrink = 1.0 - 4 * topo.node_count * 2.0 ** -53
+    if src not in h or h[src] * shrink > delay_budget:
+        return []
     out: list[tuple[int, ...]] = []
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (src,))]
-    while heap:
-        if len(out) >= limit:
-            return out, True
-        delay, hops, nodes = heapq.heappop(heap)
-        last = nodes[-1]
-        if last == dst:
-            out.append(nodes)
-            continue
-        for ln in topo.out_links(last):
-            if ln.dst in nodes:
+    done: list[tuple[float, int, tuple[int, ...]]] = []
+    opened = [(h[src] * shrink, 0.0, (src,))]
+    push, pop, out_links = heapq.heappush, heapq.heappop, topo.out_links
+    while opened:
+        while done and done[0][0] < opened[0][0]:
+            out.append(pop(done)[2])
+            if len(out) == limit:
+                return out
+        _, delay, nodes = pop(opened)
+        for ln in out_links(nodes[-1]):
+            v = ln.dst
+            if v in nodes:
                 continue
             nd = delay + ln.delay
-            if nd > delay_budget:
-                continue
-            heapq.heappush(heap, (nd, hops + 1, nodes + (ln.dst,)))
-    return out, False
+            if v == dst:
+                if nd <= delay_budget:
+                    push(done, (nd, len(nodes), nodes + (v,)))
+            elif v in h:
+                bound = (nd + h[v]) * shrink
+                if bound <= delay_budget:
+                    push(opened, (bound, nd, nodes + (v,)))
+    done.sort()
+    return out + [nodes for _, _, nodes in done[:limit - len(out)]]
 
 
 def _check_endpoints(topo: NetworkTopology, src: int, dst: int, where: str = "") -> None:
@@ -84,7 +99,9 @@ def enumerate_simple_paths(topo: NetworkTopology, src: int, dst: int,
     _check_endpoints(topo, src, dst)
     if limit < 1:
         raise ValidationError("limit must be at least 1")
-    return _enumerate(topo, src, dst, delay_budget, limit)[0]
+    if math.isnan(delay_budget):
+        raise ValidationError("delay budget must not be NaN")
+    return _enumerate(topo, src, dst, delay_budget, limit)
 
 
 def _old_routes_valid(problem: RecreationProblem, old: tuple) -> bool:
@@ -122,6 +139,8 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
         _check_endpoints(topo, req.src, req.dst, f"request {i}: ")
         if not req.capacity > 0:
             raise ValidationError(f"request {i}: capacity must be positive")
+        if math.isnan(req.delay_budget):
+            raise ValidationError(f"request {i}: delay budget must not be NaN")
     n = len(problem.requests)
     old = problem.lr_old or ()
     # One search, so one set of limits, for the kept-routing check and the kernel run.
@@ -133,12 +152,12 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     any_truncated = False
     options: list[list[tuple]] = []
     for i, req in enumerate(problem.requests):
-        paths, truncated = _enumerate(topo, req.src, req.dst, req.delay_budget,
-                                      problem.path_limit)
-        any_truncated = any_truncated or truncated
+        # One path past the limit tells whether the limit cut the list.
+        paths = _enumerate(topo, req.src, req.dst, req.delay_budget, problem.path_limit + 1)
+        any_truncated = any_truncated or len(paths) > problem.path_limit
+        del paths[problem.path_limit:]
         if not paths:
-            raise Infeasible(f"request {i}: no simple path within the delay budget",
-                             proven=not truncated)
+            raise Infeasible(f"request {i}: no simple path within the delay budget")
         old_links = set(old[i]) if i < len(old) else set()
         options.append(sorted(((len(old_links.symmetric_difference(links)), links, links)
                                for links in map(links_of_path, paths)), key=lambda o: o[0]))

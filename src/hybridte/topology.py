@@ -38,6 +38,8 @@ class NetworkTopology:
     edge_nodes: frozenset[int]
     by_pair: dict = field(init=False, repr=False, compare=False)  # (src, dst) -> Link, links order
     _out: dict = field(init=False, repr=False, compare=False)
+    _in: dict = field(init=False, repr=False, compare=False)
+    _dist_to: dict = field(init=False, repr=False, compare=False)  # dst -> delay_distances_to(dst)
 
     def __post_init__(self):
         if self.node_count < 2:
@@ -46,6 +48,7 @@ class NetworkTopology:
         object.__setattr__(self, "edge_nodes", frozenset(self.edge_nodes))
         by_pair: dict[tuple[int, int], Link] = {}
         out: dict[int, list[Link]] = {v: [] for v in range(self.node_count)}
+        into: dict[int, list[Link]] = {v: [] for v in range(self.node_count)}
         for ln in self.links:
             if not (0 <= ln.src < self.node_count and 0 <= ln.dst < self.node_count):
                 raise ValidationError(f"link ({ln.src},{ln.dst}) references unknown node")
@@ -59,6 +62,7 @@ class NetworkTopology:
                 raise ValidationError(f"link ({ln.src},{ln.dst}) needs a finite nonnegative delay")
             by_pair[(ln.src, ln.dst)] = ln
             out[ln.src].append(ln)
+            into[ln.dst].append(ln)
         for v in self.edge_nodes:
             if not (0 <= v < self.node_count):
                 raise ValidationError(f"edge node {v} out of range")
@@ -66,6 +70,8 @@ class NetworkTopology:
             raise ValidationError("topology needs at least one edge node")
         object.__setattr__(self, "by_pair", by_pair)
         object.__setattr__(self, "_out", {v: tuple(sorted(ls, key=lambda l: l.dst)) for v, ls in out.items()})
+        object.__setattr__(self, "_in", {v: tuple(ls) for v, ls in into.items()})  # by src
+        object.__setattr__(self, "_dist_to", {})
 
     @property
     def mean_bandwidth(self) -> float:
@@ -82,17 +88,30 @@ class NetworkTopology:
 
     def delay_distances(self, src: int) -> dict[int, float]:
         """Dijkstra distances by propagation delay from `src` to every reachable node."""
-        dist = {src: 0.0}
-        heap = [(0.0, src)]
+        return self._dijkstra(src, reverse=False)
+
+    def delay_distances_to(self, dst: int) -> dict[int, float]:
+        """Dijkstra distances by propagation delay to `dst` from every node that
+        reaches it, computed once per destination and shared: do not modify."""
+        if dst not in self._dist_to:
+            self._dist_to[dst] = self._dijkstra(dst, reverse=True)
+        return self._dist_to[dst]
+
+    def _dijkstra(self, start: int, reverse: bool) -> dict[int, float]:
+        # From `start` along out-links, or against in-links when `reverse`.
+        links = self._in if reverse else self._out
+        dist = {start: 0.0}
+        heap = [(0.0, start)]
         while heap:
             d, v = heapq.heappop(heap)
             if d > dist.get(v, math.inf):
                 continue
-            for ln in self.out_links(v):
+            for ln in links[v]:
+                w = ln.src if reverse else ln.dst
                 nd = d + ln.delay
-                if nd < dist.get(ln.dst, math.inf):
-                    dist[ln.dst] = nd
-                    heapq.heappush(heap, (nd, ln.dst))
+                if nd < dist.get(w, math.inf):
+                    dist[w] = nd
+                    heapq.heappush(heap, (nd, w))
         return dist
 
 

@@ -5,12 +5,14 @@ the reference auto LSP plan, the full-scan LSP lookups and the reference run.
 Everything here is deliberately naive: exhaustive enumeration and plain
 Python sums, so solver results can be checked against an implementation
 with no shared logic. The exceptions are the full-scan lookups, which keep
-the solvers' former scan of every LSP for every flow.
+the solvers' former scan of every LSP for every flow, and the best-first path
+enumerator, which keeps the re-creation solver's former search.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import json
 import math
@@ -53,6 +55,32 @@ def all_simple_paths(topo, src, dst, delay_budget=math.inf):
     walk(src, (src,), 0.0)
     found.sort()
     return [nodes for _, _, nodes in found]
+
+
+def best_first_paths(topo, src, dst, delay_budget=math.inf, limit=200):
+    """The first `limit` simple src->dst paths within the budget and whether the
+    list was cut, by a best-first search over partial paths keyed (delay, hops,
+    node tuple) with no sense of direction; keys only grow along extensions, so
+    complete paths pop out already ordered. The list is cut when any partial
+    path is left, even one that cannot finish."""
+    out = []
+    heap = [(0.0, 0, (src,))]
+    while heap:
+        if len(out) >= limit:
+            return out, True
+        delay, hops, nodes = heapq.heappop(heap)
+        last = nodes[-1]
+        if last == dst:
+            out.append(nodes)
+            continue
+        for ln in topo.out_links(last):
+            if ln.dst in nodes:
+                continue
+            nd = delay + ln.delay
+            if nd > delay_budget:
+                continue
+            heapq.heappush(heap, (nd, hops + 1, nodes + (ln.dst,)))
+    return out, False
 
 
 def min_hop_count(topo, src, dst):

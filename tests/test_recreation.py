@@ -1,14 +1,18 @@
+import dataclasses
 import json
 import math
 import re
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hybridte as ht
 from hybridte import bnb
 from hybridte.errors import Infeasible, ValidationError
-from hybridte.recreation import recreation_to_json
+from hybridte.recreation import _enumerate, recreation_to_json
 from hybridte.topology import Link, NetworkTopology, links_of_path
 
 import oracles
@@ -65,15 +69,20 @@ def test_enumeration_random_graphs():
                 == oracles.all_simple_paths(t, src, dst, budget))
 
 
-def ring14():
-    """Cores 6..13 in a bidirectional ring, edge e in 0..5 attached to cores
-    2e and 2e+1 (mod 8); unit delays, so many paths tie on delay."""
-    pairs = {(6 + c, 6 + (c + 1) % 8) for c in range(8)}
-    for e in range(6):
-        pairs |= {(e, 6 + (2 * e) % 8), (e, 6 + (2 * e + 1) % 8)}
+def ring(edges, cores):
+    """Cores edges..edges+cores-1 in a bidirectional ring, edge e in
+    0..edges-1 attached to cores 2e and 2e+1 (mod cores); unit delays, so many
+    paths tie on delay."""
+    pairs = {(edges + c, edges + (c + 1) % cores) for c in range(cores)}
+    for e in range(edges):
+        pairs |= {(e, edges + (2 * e) % cores), (e, edges + (2 * e + 1) % cores)}
     links = [Link(a, b, 100.0, 1.0) for a, b in pairs]
     links += [Link(b, a, 100.0, 1.0) for a, b in pairs]
-    return NetworkTopology(14, tuple(links), frozenset(range(6)))
+    return NetworkTopology(edges + cores, tuple(links), frozenset(range(edges)))
+
+
+def ring14():
+    return ring(6, 8)
 
 
 RING_PAIRS = ((0, 3), (0, 1), (5, 2))
@@ -95,7 +104,6 @@ def test_ring_enumeration_and_solver_match_oracle():
 
 
 def test_enumeration_matches_networkx_on_ring():
-    nx = pytest.importorskip("networkx")
     topo = ring14()
     graph = nx.DiGraph()
     graph.add_weighted_edges_from(((l.src, l.dst, l.delay) for l in topo.links), weight="delay")
@@ -109,6 +117,64 @@ def test_enumeration_matches_networkx_on_ring():
             got = ht.enumerate_simple_paths(topo, src, dst, budget, limit=10_000)
             assert len(got) == len(expect)
             assert set(got) == expect
+
+
+DELAY_MIXES = {"unit": (1.0,), "unit and zero": (1.0, 1.0, 0.0), "tenths": (0.1, 0.2, 0.3)}
+
+
+@st.composite
+def tie_heavy_enumerations(draw):
+    """A small random digraph whose delays tie often (or nearly, in sums of
+    tenths), two distinct endpoints, a budget and a path limit."""
+    n = draw(st.integers(3, 7))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.sets(st.tuples(node, node).filter(lambda p: p[0] != p[1]), min_size=1))
+    delays = DELAY_MIXES[draw(st.sampled_from(sorted(DELAY_MIXES)))]
+    links = tuple(Link(a, b, 10.0, draw(st.sampled_from(delays))) for a, b in sorted(pairs))
+    topo = NetworkTopology(n, links, frozenset({0}))
+    src = draw(node)
+    dst = draw(node.filter(lambda v: v != src))
+    # Budgets at a path's exact delay, at its rounded figure and in between.
+    sums = [sum(topo.by_pair[pair].delay for pair in links_of_path(p))
+            for p in oracles.all_simple_paths(topo, src, dst)]
+    budget = draw(st.sampled_from([math.inf, *sums, *(round(d, 1) for d in sums)])
+                  | st.floats(0.0, float(n), allow_nan=False))
+    limit = draw(st.integers(1, len(sums) + 1))
+    return topo, src, dst, budget, limit
+
+
+def digraph(*links):
+    """A topology of the given (src, dst, delay) links."""
+    return NetworkTopology(1 + max(max(a, b) for a, b, _ in links),
+                           tuple(Link(a, b, 10.0, d) for a, b, d in links), frozenset({0}))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(case=tie_heavy_enumerations())
+# 0 -> 1 -> 2 -> 3 sums to 0.6 in path order and to 0.6000000000000001 from the
+# far end, so an unshrunk bound would prune it under a budget of 0.6.
+@example(case=(digraph((0, 1, 0.2), (1, 2, 0.3), (2, 3, 0.1)), 0, 3, 0.6, 1))
+# The dead end 0 -> 1 sorts before the only path, 0 -> 2, but stays open after
+# it (its bound leads back through 0): the one path found must not read as cut.
+@example(case=(digraph((0, 1, 0.3), (0, 2, 0.3), (1, 0, 0.3)), 0, 2, math.inf, 1))
+def test_enumeration_matches_the_best_first_reference(case):
+    topo, src, dst, budget, limit = case
+    # A re-creation asks for one path past its limit to tell whether the limit cut the list.
+    paths = _enumerate(topo, src, dst, budget, limit + 1)
+    ref_paths, ref_truncated = oracles.best_first_paths(topo, src, dst, budget, limit)
+    assert paths == oracles.all_simple_paths(topo, src, dst, budget)[:limit + 1]
+    assert paths[:limit] == ref_paths
+    assert ref_truncated or len(paths) <= limit  # a cut list is now found only where one was
+
+
+@pytest.mark.parametrize("topo", [ring14(), ring(10, 16)], ids=["ring14", "ring26"])
+def test_ring_edge_pairs_match_the_best_first_reference(topo):
+    edges = sorted(topo.edge_nodes)
+    for src in edges:
+        for dst in edges:
+            if src != dst:
+                assert (_enumerate(topo, src, dst, math.inf, 2)
+                        == oracles.best_first_paths(topo, src, dst, math.inf, 2)[0])
 
 
 def _outcome(problem):
@@ -153,9 +219,34 @@ def test_enumeration_argument_validation(topo):
         ht.enumerate_simple_paths(topo, 0, 99)
     with pytest.raises(ValidationError):
         ht.enumerate_simple_paths(topo, 0, 2, limit=0)
+    with pytest.raises(ValidationError, match="^delay budget must not be NaN$"):
+        ht.enumerate_simple_paths(topo, 0, 2, delay_budget=math.nan)
 
 
 UP, DOWN = ((0, 1), (1, 3)), ((0, 2), (2, 3))  # the square's two routes from 0 to 3
+
+
+def pendant_square():
+    """The square with node 4 hanging off node 1 at delay 5: partial paths into
+    4 lead nowhere, yet stay within a budget of 7."""
+    links = [Link(a, b, 10.0, 1.0) for a, b in UP + DOWN]
+    links += [Link(b, a, 10.0, 1.0) for a, b in UP + DOWN]
+    links += [Link(1, 4, 10.0, 5.0), Link(4, 1, 10.0, 5.0)]
+    return NetworkTopology(5, tuple(links), frozenset({0, 3}))
+
+
+def test_a_list_of_exactly_path_limit_candidates_is_not_truncated():
+    # Both routes fit delay 7 and path_limit 2. A best-first search still holds the
+    # dead end 0 -> 1 -> 4 (delay 6) when it emits the second route, and reported a
+    # cut list, so the re-creation below was neither optimal nor proven infeasible.
+    topo = pendant_square()
+    assert oracles.best_first_paths(topo, 0, 3, 7.0, 2) == ([(0, 1, 3), (0, 2, 3)], True)
+    assert _enumerate(topo, 0, 3, 7.0, 3) == [(0, 1, 3), (0, 2, 3)]
+    fits = ht.RecreationProblem(requests=(ht.LspRequest(0, 3, 6.0, 7.0),) * 2, topology=topo,
+                                path_limit=2)
+    assert _outcome(fits) == ((UP, DOWN), 4, True, 3)
+    crowded = dataclasses.replace(fits, requests=(ht.LspRequest(0, 3, 6.0, 7.0),) * 3)
+    assert _outcome(crowded) == ("infeasible", True, "no routing satisfies the reservation headroom")
 
 
 def test_overloaded_link_forces_one_lsp_aside(square):
@@ -264,6 +355,7 @@ def test_bad_headroom_and_path_limit_are_rejected(square, field, value, message)
     (ht.LspRequest(-1, 3, 5.0), "request 1: endpoints out of range"),
     (ht.LspRequest(0, 99, 5.0), "request 1: endpoints out of range"),
     (ht.LspRequest(0, 3, -1.0), "request 1: capacity must be positive"),
+    (ht.LspRequest(0, 3, 5.0, math.nan), "request 1: delay budget must not be NaN"),
 ])
 def test_bad_requests_are_rejected_first(square, bad, message):
     # Every request is checked before the kept-routing shortcut (an empty old

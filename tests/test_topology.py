@@ -68,6 +68,37 @@ def test_delay_distances_match_hops_on_unit_delays():
             assert dist[dst] == oracles.min_hop_count(topo, src, dst)
 
 
+def test_distances_to_a_node_match_distances_from_each_node():
+    # Integer delays, so summing a path from either end gives the same float.
+    rng = np.random.default_rng(5)
+    for topo in [ht.reference_topology()] + [oracles.random_topology(rng) for _ in range(30)]:
+        for dst in range(topo.node_count):
+            expect = {src: d[dst] for src in range(topo.node_count)
+                      if dst in (d := topo.delay_distances(src))}
+            assert topo.delay_distances_to(dst) == expect
+
+
+def test_reverse_dijkstra_runs_once_per_destination_and_topology(monkeypatch):
+    calls = []
+    dijkstra = ht.NetworkTopology._dijkstra
+
+    def spy(self, start, reverse):
+        calls.append((id(self), start, reverse))
+        return dijkstra(self, start, reverse)
+
+    monkeypatch.setattr(ht.NetworkTopology, "_dijkstra", spy)
+    first, second = ht.reference_topology(), ht.reference_topology()
+    for topo in (first, second, first):
+        for dst in (2, 3, 2):
+            topo.delay_distances_to(dst)
+        topo.delay_distances(0)
+    reverse = [(topo, dst) for topo, dst, rev in calls if rev]
+    assert reverse == [(id(first), 2), (id(first), 3), (id(second), 2), (id(second), 3)]
+    assert len(calls) - len(reverse) == 3  # forward distances are not kept
+    # The kept distances take no part in equality or hashing.
+    assert first == ht.reference_topology() and hash(first) == hash(ht.reference_topology())
+
+
 def test_shortest_delay_unreachable():
     # Traffic generation raises UnreachableError for a destination left out here.
     topo = ht.load_topology(json.dumps({

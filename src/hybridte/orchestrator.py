@@ -297,25 +297,18 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
     def flow_paths():
         return {f.id: lsps[assignment[f.id]].links for f in flows}
 
-    # One-entry memo per problem type (D. Michie, Nature 218:19-22, 1968). Both solvers are
-    # deterministic, so a call whose problem equals the last one of its type reuses that
-    # call's solution, event fields and dump text, without solving or rendering again.
-    last: dict[type, tuple] = {}
+    def solved(problem, solve, render, cost: str) -> tuple:
+        """Solve and render `problem`: (solution, None when infeasible; event fields; dump text)."""
+        try:
+            sol = solve(problem)
+        except Infeasible as exc:
+            # Only the flag is kept: the exception would hold the solver's frames.
+            return None, {"proven": exc.proven}, render(problem)
+        return sol, {cost: getattr(sol, cost), "optimal": sol.optimal}, render(problem, sol)
 
-    def solve_once(t: int, tag: str, problem, solve, render, cost: str, dump_name: str):
-        """Log and dump one solver call; returns its solution, None when infeasible."""
-        entry = last.get(type(problem))
-        if entry is None or entry[0] != problem:
-            try:
-                sol = solve(problem)
-            except Infeasible as exc:
-                # Only the flag is kept: the exception would hold the solver's frames.
-                entry = (problem, None, {"proven": exc.proven}, render(problem))
-            else:
-                entry = (problem, sol, {cost: getattr(sol, cost), "optimal": sol.optimal},
-                         render(problem, sol))
-            last[type(problem)] = entry
-        _, sol, fields, text = entry
+    def report(t: int, tag: str, answer: tuple, dump_name: str):
+        """Log and dump one solver call's `answer`; returns its solution, None when infeasible."""
+        sol, fields, text = answer
         log(t, tag if sol is not None else tag + "_infeasible", **fields)
         if cfg.dump_dir:
             with open(os.path.join(cfg.dump_dir, dump_name), "w", encoding="utf-8") as fp:
@@ -328,8 +321,8 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
         if cfg.scheme == "exact":
             problem = ReroutingProblem(flows=now, lsps=lsps, fr_old=assignment,
                                        mode=cfg.rerouting_mode, mu=cfg.mu_headroom, topology=topo)
-            sol = solve_once(t, tag, problem, solve_flow_rerouting, rerouting_to_json,
-                             "changes", f"slot{t:03d}_{tag}.json")
+            answer = solved(problem, solve_flow_rerouting, rerouting_to_json, "changes")
+            sol = report(t, tag, answer, f"slot{t:03d}_{tag}.json")
             if sol is not None:
                 assignment = sol.assignment
             return sol is None
@@ -339,20 +332,21 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
         assignment = res.assignment
         return bool(res.recreation_requests)
 
-    built = (None, None, None)  # (plan, assignment, problem) of the last re-creation
+    # (plan, assignment, problem, answer) of the last re-creation, reused while both stand
+    built = (None, None, None, None)
 
     def run_recreation(t: int) -> bool:
         """One re-creation round; True when it moved a route and so rebuilt the plan."""
         nonlocal lsps, built
         if built[0] is not lsps or built[1] != assignment:
             budgets = _delay_budgets(flows, lsps, assignment)
-            built = (lsps, assignment, RecreationProblem(
+            problem = RecreationProblem(
                 requests=tuple(LspRequest(l.src, l.dst, l.capacity, budgets[l.id]) for l in lsps),
-                topology=topo, lr_old=tuple(l.links for l in lsps), mu=cfg.mu_headroom))
-        problem = built[2]
-        rsol = solve_once(t, "recreate", problem, solve_lsp_recreation, recreation_to_json,
-                          "changed_entries", f"slot{t:03d}_recreation.json")
-        if rsol is None or rsol.routing == problem.lr_old:
+                topology=topo, lr_old=tuple(l.links for l in lsps), mu=cfg.mu_headroom)
+            built = (lsps, assignment, problem,
+                     solved(problem, solve_lsp_recreation, recreation_to_json, "changed_entries"))
+        rsol = report(t, "recreate", built[3], f"slot{t:03d}_recreation.json")
+        if rsol is None or rsol.routing == built[2].lr_old:
             return False  # the plan stays the very same object
         lsps = LspPlan([l if links == l.links else
                         build_lsp(topo, (l.src, *(b for _, b in links)), l.capacity, l.id)

@@ -664,9 +664,10 @@ def shuffled_plan_instance(rng: np.random.Generator, topo, paths_per_pair: int =
 
 def reference_run(cfg):
     """`run_scenario` as a plain slot loop, without a shared set-up, a growth block, a
-    link index or a solver memo: each slot's flows grown by `reference_growth`, loads
-    and samples summed by `reference_sample`'s helpers, the full-scan placement and
-    `ffr`, and the real solvers, called afresh every round. Writes no dumps.
+    link index or a reused re-creation answer: each slot's flows grown by
+    `reference_growth`, loads and samples summed by `reference_sample`'s helpers, the
+    full-scan placement and `ffr`, and the real solvers, called afresh every round.
+    Writes no dumps.
     Returns (samples, events)."""
     topo = load_topology_file(cfg.topology_path)
     flows = generate_flows(topo, dataclasses.replace(cfg.traffic, seed=cfg.seed))

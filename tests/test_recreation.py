@@ -369,7 +369,8 @@ def test_bad_requests_are_rejected_first(square, bad, message):
 
 
 def test_problems_compare_by_value():
-    # Equal fields make equal problems, so the orchestrator's memo can compare them.
+    # A problem is a dataclass compared field by field: equal fields, built apart,
+    # make equal problems, and any field that differs makes them differ.
     def problem(**overrides):
         topo = ring14()
         return ht.RecreationProblem(requests=(ht.LspRequest(0, 7, 5.0),), topology=topo,

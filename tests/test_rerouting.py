@@ -177,7 +177,8 @@ def test_bad_inputs_are_rejected(topo, message):
 
 
 def test_problems_compare_by_value():
-    # Equal fields make equal problems, so the orchestrator's memo can compare them.
+    # A problem is a dataclass compared field by field: equal fields, built apart,
+    # make equal problems, and any field that differs makes them differ.
     def problem(**overrides):
         topo = ht.reference_topology()
         flows, lsps = two_lsp_instance(topo)

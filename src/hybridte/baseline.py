@@ -7,33 +7,26 @@ never moves afterwards.
 
 from __future__ import annotations
 
-import heapq
-
 from .errors import UnreachableError
 from .topology import NetworkTopology
 from .traffic import Flow
 
 
-def _min_hop_lex(topo: NetworkTopology, src: int, dst: int) -> tuple[int, ...]:
-    # Dijkstra on the key (hop count, node sequence); tuple comparison makes
-    # the lexicographic tie-break fall out of the heap order.
-    best: dict[int, tuple[int, tuple[int, ...]]] = {src: (0, (src,))}
-    heap: list[tuple[int, tuple[int, ...]]] = [(0, (src,))]
-    while heap:
-        hops, path = heapq.heappop(heap)
-        node = path[-1]
-        if (hops, path) != best.get(node, (None, None)):
-            continue
-        if node == dst:
-            return path
-        for ln in topo.out_links(node):
-            cand = (hops + 1, path + (ln.dst,))
-            if ln.dst not in best or cand < best[ln.dst]:
-                best[ln.dst] = cand
-                heapq.heappush(heap, cand)
-    raise UnreachableError(f"no route from {src} to {dst}")
-
-
 def shortest_path_route(flow: Flow, topo: NetworkTopology) -> tuple[int, ...]:
     """Minimum-hop node sequence for the flow, lexicographically smallest on ties."""
-    return _min_hop_lex(topo, flow.src, flow.dst)
+    # Breadth-first search. Each layer lists its nodes in the order of their paths, and
+    # out-links come sorted by destination, so the first path to reach a node has the
+    # fewest hops and, of those, is the lexicographically smallest.
+    paths = {flow.src: (flow.src,)}
+    layer = [flow.src]
+    while layer and flow.dst not in paths:
+        nxt = []
+        for node in layer:
+            for ln in topo.out_links(node):
+                if ln.dst not in paths:
+                    paths[ln.dst] = paths[node] + (ln.dst,)
+                    nxt.append(ln.dst)
+        layer = nxt
+    if flow.dst not in paths:
+        raise UnreachableError(f"no route from {flow.src} to {flow.dst}")
+    return paths[flow.dst]

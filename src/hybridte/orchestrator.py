@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import shortest_path_route
-from .errors import ConfigError, Infeasible, ParseError, check_keys, check_types
+from .errors import (ConfigError, Infeasible, ParseError, ValidationError, check_keys,
+                     check_types)
 from .ffr import ffr
 from .lsp import Lsp, LspPlan, build_lsp
 from .metrics import (MetricsSample, compute_sample, link_index, offered_loads,
@@ -73,6 +74,8 @@ class ScenarioConfig:
             raise ConfigError("paths_per_pair must be at least 1")
         if self.lsp_plan.kind == "file" and not self.lsp_plan.path:
             raise ConfigError("file LSP plan needs a path")
+        if self.lsp_plan.kind == "auto" and self.lsp_plan.path is not None:
+            raise ConfigError("auto LSP plan takes no path")
 
 
 @dataclass(eq=False)
@@ -89,13 +92,13 @@ _SCENARIO_KEYS = frozenset({"topology", "traffic", "slots", "scheme", "rerouting
                             "seed"})
 
 
-_PLAN_KEYS = frozenset(f.name for f in dataclasses.fields(LspPlanSpec))
+_PLAN_KEYS = {"auto": frozenset({"kind", "paths_per_pair"}), "file": frozenset({"kind", "path"})}
 _TRAFFIC_KEYS = frozenset(f.name for f in dataclasses.fields(TrafficConfig)) - {"seed"}
 
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Read a scenario JSON file; relative paths resolve against its directory.
-    Unknown keys (top level, `lsp_plan` and `traffic`, which takes no `seed`),
+    Unknown keys (top level, `traffic`, which takes no `seed`, and `lsp_plan`, per kind),
     non-integer counts and non-number thresholds are rejected, not defaulted."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
@@ -112,7 +115,10 @@ def load_scenario(path: str) -> ScenarioConfig:
     plan_doc = doc.get("lsp_plan", {})
     if not isinstance(plan_doc, dict):
         raise ParseError("scenario field 'lsp_plan' must be a JSON object")
-    check_keys(plan_doc, _PLAN_KEYS, "scenario lsp_plan")
+    kind = plan_doc.get("kind", "auto")
+    # Any other kind (a JSON list too, which is unhashable) takes no field; validate rejects it.
+    check_keys(plan_doc, _PLAN_KEYS[kind] if kind in ("auto", "file") else {"kind"},
+               f"scenario lsp_plan of kind {kind!r}")
     check_types(plan_doc, ("paths_per_pair",), int, "an integer", "scenario lsp_plan")
     traffic_doc = doc.get("traffic")
     if not isinstance(traffic_doc, dict):
@@ -206,6 +212,8 @@ def initial_assignment(flows, lsps) -> dict[int, int]:
     """Worst-fit initial placement over the plan `lsps` (or a plan made of them): largest
     flows first onto the roomiest admissible LSP. Raises when one has none at all."""
     plan = LspPlan(lsps)
+    if len({f.id for f in flows}) != len(flows):
+        raise ValidationError("duplicate flow ids")
     free = {l.id: l.capacity for l in plan}
     assignment: dict[int, int] = {}
     for f in sorted(flows, key=lambda f: (-f.rate, f.id)):
@@ -280,20 +288,6 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
     if cfg.dump_dir:
         os.makedirs(cfg.dump_dir, exist_ok=True)
 
-    if cfg.scheme == "shortest_path":
-        routes: dict[tuple[int, int], tuple] = {}  # one route per endpoint pair
-        for f in flows:
-            if (f.src, f.dst) not in routes:
-                routes[f.src, f.dst] = links_of_path(shortest_path_route(f, topo))
-        index = link_index(topo, flows, {f.id: routes[f.src, f.dst] for f in flows})
-        for t in range(cfg.slots):
-            if t >= 1:
-                rates = grow_flows(rates, growth[t - 1])
-            samples.append(compute_sample(t, rates, index))
-        return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
-
-    log(0, "plan", lsps=len(lsps))
-
     def flow_paths():
         return {f.id: lsps[assignment[f.id]].links for f in flows}
 
@@ -353,13 +347,22 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
                         for l, links in zip(lsps, rsol.routing)], topo)
         return True
 
+    if planned:
+        log(0, "plan", lsps=len(lsps))
+        paths = flow_paths()
+    else:
+        routes: dict[tuple[int, int], tuple] = {}  # one route per endpoint pair
+        for f in flows:
+            if (f.src, f.dst) not in routes:
+                routes[f.src, f.dst] = links_of_path(shortest_path_route(f, topo))
+        paths = {f.id: routes[f.src, f.dst] for f in flows}
     # Growth changes only the rates, so the index holds until a round moves a path.
-    paths = flow_paths()
     index = link_index(topo, flows, paths)
     for t in range(cfg.slots):
-        loads = None  # compute_sample sums them: slot 0, or the paths changed
+        loads = None  # compute_sample sums them: slot 0, an unplanned run, or the paths changed
         if t >= 1:
             rates = grow_flows(rates, growth[t - 1])
+        if t >= 1 and planned:
             loads = offered_loads(rates, index)
             max_util = max((loads / index.bandwidth).tolist(), default=0.0)
             periodic = t % cfg.rerouting_interval == 0

@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from hybridte import rerouting
-from hybridte.baseline import shortest_path_route
 from hybridte.bnb import BudgetExhausted, Search
 from hybridte.errors import ConfigError, Infeasible
 from hybridte.ffr import FfrResult
@@ -100,6 +99,12 @@ def min_hop_count(topo, src, dst):
         frontier = nxt
         hops += 1
     return None
+
+
+def min_hop_route(topo, src, dst):
+    """The lexicographically smallest of the simple src->dst paths with the fewest hops."""
+    hops = min_hop_count(topo, src, dst)
+    return min(p for p in all_simple_paths(topo, src, dst) if len(p) - 1 == hops)
 
 
 def rerouting_feasible(flows, lsps, assign, mode="reserved", mu=0.9,
@@ -679,7 +684,7 @@ def reference_run(cfg):
 
     log(0, "init", seed=cfg.seed, flows=len(flows))
     if cfg.scheme == "shortest_path":
-        fixed = {f.id: links_of_path(shortest_path_route(f, topo)) for f in flows}
+        fixed = {f.id: links_of_path(min_hop_route(topo, f.src, f.dst)) for f in flows}
         samples = [reference_sample(0, flows, fixed, topo)]
         for t in range(1, cfg.slots):
             rates = reference_growth(flows, cfg.traffic.growth_max, (cfg.seed, t))

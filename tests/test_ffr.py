@@ -120,16 +120,20 @@ def test_placed_flows_always_satisfy_constraints():
 @pytest.mark.parametrize("message", ["duplicate LSP ids",
                                      "flow 1 missing from the old assignment",
                                      "flow 1 rides an unknown LSP",
-                                     "LSP 0 uses nonexistent link (0, 99)"])
+                                     "LSP 0 uses nonexistent link (0, 99)",
+                                     "duplicate flow ids"])
 def test_bad_inputs_are_rejected(topo, message):
     lsps = parallel_lsps(topo)
     flows = (ht.Flow(0, 0, 1, 4.0, 4.0), ht.Flow(1, 0, 1, 5.0, 4.0))
-    lsps, old = {"duplicate LSP ids": (lsps + lsps[:1], {0: 0, 1: 1}),
-                 "flow 1 missing from the old assignment": (lsps, {0: 0}),
-                 "flow 1 rides an unknown LSP": (lsps, {0: 0, 1: 7}),
-                 # a hand-made LSP over a link the topology lacks
-                 "LSP 0 uses nonexistent link (0, 99)":
-                     ((ht.Lsp(0, 0, 1, ((0, 99),), 1.0, 1.0), lsps[1]), {0: 0, 1: 1})}[message]
+    flows, lsps, old = {
+        "duplicate LSP ids": (flows, lsps + lsps[:1], {0: 0, 1: 1}),
+        "flow 1 missing from the old assignment": (flows, lsps, {0: 0}),
+        "flow 1 rides an unknown LSP": (flows, lsps, {0: 0, 1: 7}),
+        # a hand-made LSP over a link the topology lacks
+        "LSP 0 uses nonexistent link (0, 99)":
+            (flows, (ht.Lsp(0, 0, 1, ((0, 99),), 1.0, 1.0), lsps[1]), {0: 0, 1: 1}),
+        # both would share one assignment entry and count as placed
+        "duplicate flow ids": ((flows[0], flows[1]._replace(id=0)), lsps, {0: 0})}[message]
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         ht.ffr(flows, lsps, old, topo)
 

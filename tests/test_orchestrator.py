@@ -350,8 +350,8 @@ def test_a_skipped_ffr_retry_would_repeat_round_one(monkeypatch, mode):
     # answer, ffr gives that answer again and parks the same flows.
     rounds = watch_rounds(monkeypatch)
     skipped = 0
-    for name in (f"scenario{n}.json" for n in (1, 2, 3, 4)):
-        for seed in range(3):
+    for name in ("scenario1.json", "scenario3.json"):  # 2 and 4 differ only in the seed
+        for seed in range(6):
             cfg = dataclasses.replace(ht.load_scenario(scenario_path(name)), scheme="ffr",
                                       rerouting_mode=mode, seed=seed)
             for slot_rounds in rounds(parse_events(ht.run_scenario(cfg).events)).values():
@@ -647,10 +647,11 @@ def result_fields(r):
     return (r.scheme, r.seed, r.samples, r.events, r.config_echo)
 
 
-@pytest.mark.parametrize("name", [f"scenario{n}.json" for n in (1, 2, 3, 4)])
+@pytest.mark.parametrize("name", ["scenario1.json", "scenario3.json"])
 def test_comparison_equals_separate_runs(name):
     # The shared set-up must give each scheme exactly what its own run builds.
-    for seed in range(5):
+    # Scenarios 2 and 4 are scenarios 1 and 3 with another seed, so only 1 and 3 run.
+    for seed in range(10):
         cfg = dataclasses.replace(ht.load_scenario(scenario_path(name)), seed=seed)
         alone = [ht.run_scenario(dataclasses.replace(cfg, scheme=s, dump_dir=None))
                  for s in SCHEMES]
@@ -663,6 +664,23 @@ def test_file_plan_comparison_equals_separate_runs(tmp_path):
     alone = [ht.run_scenario(dataclasses.replace(cfg, scheme=s, dump_dir=None)) for s in SCHEMES]
     assert list(map(result_fields, ht.run_comparison(cfg))) == list(map(result_fields, alone))
     assert not (tmp_path / "lp").exists()  # a comparison writes no dumps
+
+
+def test_an_auto_plan_needs_a_route_for_every_edge_pair(tmp_path):
+    # Edge node 3 only sends (3->1), so the auto plan finds no route for (0,3). Flows
+    # go only where their source can reach, so the baseline, which plans nothing, runs.
+    path = write_mini_files(tmp_path, lsp_plan={"kind": "auto"})
+    links = [{"src": a, "dst": b, "bandwidth": 100.0, "delay": 1.0}
+             for a, b in ((0, 2), (2, 0), (2, 1), (1, 2), (3, 1))]
+    (tmp_path / "topo.json").write_text(json.dumps({"nodes": 4, "edge_nodes": [0, 1, 3],
+                                                    "links": links}))
+    cfg = ht.load_scenario(path)
+    for run in (lambda: ht.run_scenario(dataclasses.replace(cfg, scheme="ffr")),
+                lambda: ht.run_comparison(cfg)):
+        with pytest.raises(ConfigError, match=r"^edge pair \(0,3\) has no route$"):
+            run()
+    baseline = ht.run_scenario(dataclasses.replace(cfg, scheme="shortest_path"))
+    assert len(baseline.samples) == cfg.slots
 
 
 def test_comparison_with_a_failing_plan_raises_as_a_run_does(tmp_path):
@@ -785,6 +803,8 @@ def test_initial_assignment_balances_and_validates():
     assert {a[0], a[1]} == {0, 1}
     with pytest.raises(ConfigError):
         ht.initial_assignment((ht.Flow(0, 2, 3, 1.0, 9.0),), lsps)
+    with pytest.raises(ValidationError, match="^duplicate flow ids$"):
+        ht.initial_assignment((flows[0], flows[1]._replace(id=0)), lsps)
 
 
 def test_lsp_plan_file_round_trip(tmp_path):
@@ -841,7 +861,19 @@ def test_scenario_loader_errors(tmp_path):
              "scenario field malformed: 'sideways' is not a valid RoutingMode"),
             ({"topology": "t.json", "traffic": traffic},
              "scenario field malformed: .*missing 1 required positional argument: "
-             "'demand_fraction'")):
+             "'demand_fraction'"),
+            # Each plan kind takes only its own field.
+            ({"topology": "t.json", "traffic": MINI_TRAFFIC,
+              "lsp_plan": {"kind": "auto", "path": "x.json"}},
+             r"scenario lsp_plan of kind 'auto' has unknown keys \['path'\]"),
+            ({"topology": "t.json", "traffic": MINI_TRAFFIC, "lsp_plan": {"path": "x.json"}},
+             r"scenario lsp_plan of kind 'auto' has unknown keys \['path'\]"),
+            ({"topology": "t.json", "traffic": MINI_TRAFFIC,
+              "lsp_plan": {"kind": "file", "path": "x.json", "paths_per_pair": 7}},
+             r"scenario lsp_plan of kind 'file' has unknown keys \['paths_per_pair'\]"),
+            ({"topology": "t.json", "traffic": MINI_TRAFFIC,
+              "lsp_plan": {"kind": "static", "paths_per_pair": 7}},
+             r"scenario lsp_plan of kind 'static' has unknown keys \['paths_per_pair'\]")):
         incomplete.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=f"^{message}$"):
             ht.load_scenario(str(incomplete))
@@ -863,12 +895,17 @@ def test_scenario_config_validation(tmp_path):
     for bad, message in (
             ({"rerouting_interval": 0}, "rerouting_interval must be at least 1"),
             ({"lsp_plan": {"kind": "static"}}, "lsp_plan.kind must be 'auto' or 'file'"),
+            ({"lsp_plan": {"kind": ["auto"]}}, "lsp_plan.kind must be 'auto' or 'file'"),
             ({"lsp_plan": {"kind": "auto", "paths_per_pair": 0}},
              "paths_per_pair must be at least 1"),
             ({"lsp_plan": {"kind": "file"}}, "file LSP plan needs a path")):
         path = write_mini_files(tmp_path, **bad)
         with pytest.raises(ConfigError, match=f"^{message}$"):
             ht.load_scenario(path)
+    # The loader rejects an auto plan's path as a key; a config built in code meets this.
+    auto = ht.LspPlanSpec("auto", path=str(tmp_path / "plan.json"))
+    with pytest.raises(ConfigError, match="^auto LSP plan takes no path$"):
+        dataclasses.replace(ht.load_scenario(write_mini_files(tmp_path)), lsp_plan=auto).validate()
     for bad in ({"mu_triger": 0.5}, {"slots": True}, {"seed": True},
                 {"rerouting_interval": True}, {"slots": 2.5}, {"rerouting_interval": 2.5}):
         path = write_mini_files(tmp_path, **bad)

@@ -647,12 +647,14 @@ def result_fields(r):
     return (r.scheme, r.seed, r.samples, r.events, r.config_echo)
 
 
-@pytest.mark.parametrize("name", ["scenario1.json", "scenario3.json"])
+@pytest.mark.parametrize("name", [f"scenario{n}.json" for n in (1, 2, 3, 4)])
 def test_comparison_equals_separate_runs(name):
     # The shared set-up must give each scheme exactly what its own run builds.
-    # Scenarios 2 and 4 are scenarios 1 and 3 with another seed, so only 1 and 3 run.
-    for seed in range(10):
-        cfg = dataclasses.replace(ht.load_scenario(scenario_path(name)), seed=seed)
+    # Scenarios 2 and 4 are scenarios 1 and 3 with the next seed, so stepping each
+    # file's seed by two gives every pair ten distinct configurations.
+    base = ht.load_scenario(scenario_path(name))
+    for seed in range(base.seed, base.seed + 10, 2):
+        cfg = dataclasses.replace(base, seed=seed)
         alone = [ht.run_scenario(dataclasses.replace(cfg, scheme=s, dump_dir=None))
                  for s in SCHEMES]
         assert list(map(result_fields, ht.run_comparison(cfg))) == list(map(result_fields, alone))

@@ -25,8 +25,9 @@ def audit_flow_assignment(flows, lsps, assignment, mode: str = "reserved",
     problems: list[str] = []
     flows = sorted(flows, key=lambda f: f.id)
     lsp_by_id = {l.id: l for l in lsps}
-    n_l = max(lsp_by_id) + 1 if lsp_by_id else 0
-    fr = np.zeros((len(flows), n_l), dtype=np.int64)
+    cols = list(lsp_by_id.values())  # column j of every matrix below is LSP cols[j]
+    col = {l.id: j for j, l in enumerate(cols)}
+    fr = np.zeros((len(flows), len(cols)), dtype=np.int64)
     for row, f in enumerate(flows):
         if f.id not in assignment:
             problems.append(f"flow {f.id}: not assigned to any LSP")
@@ -35,29 +36,25 @@ def audit_flow_assignment(flows, lsps, assignment, mode: str = "reserved",
         if lid not in lsp_by_id:
             problems.append(f"flow {f.id}: assigned to unknown LSP {lid}")
             continue
-        fr[row, lid] = 1
+        fr[row, col[lid]] = 1
     if problems:
         return problems
 
     rates = np.array([f.rate for f in flows])
-    caps = np.zeros(n_l)
-    delays = np.zeros(n_l)
-    for lid, l in lsp_by_id.items():
-        caps[lid] = capacities[lid] if capacities is not None else l.capacity
-        delays[lid] = l.prop_delay
+    caps = np.array([l.capacity if capacities is None else capacities[l.id] for l in cols])
+    delays = np.array([l.prop_delay for l in cols])
 
     for row, f in enumerate(flows):
-        lid = int(np.argmax(fr[row]))
-        l = lsp_by_id[lid]
+        l = cols[int(np.argmax(fr[row]))]
         if l.src != f.src or l.dst != f.dst:
             problems.append(f"flow {f.id}: endpoints ({f.src},{f.dst}) ride "
-                            f"LSP {lid} with endpoints ({l.src},{l.dst})")
+                            f"LSP {l.id} with endpoints ({l.src},{l.dst})")
 
     lsp_loads = rates @ fr
-    for lid in lsp_by_id:
-        if not _rel_ok(float(lsp_loads[lid]), float(caps[lid]), rtol):
-            problems.append(f"LSP {lid}: load {lsp_loads[lid]:.6g} exceeds "
-                            f"capacity {caps[lid]:.6g}")
+    for j, l in enumerate(cols):
+        if not _rel_ok(float(lsp_loads[j]), float(caps[j]), rtol):
+            problems.append(f"LSP {l.id}: load {lsp_loads[j]:.6g} exceeds "
+                            f"capacity {caps[j]:.6g}")
 
     path_delays = fr @ delays
     for row, f in enumerate(flows):
@@ -69,10 +66,10 @@ def audit_flow_assignment(flows, lsps, assignment, mode: str = "reserved",
         if routing is None or topo is None:
             problems.append("unreserved audit needs a routing and a topology")
             return problems
-        lr = np.zeros((topo.node_count, topo.node_count, n_l), dtype=np.int64)
-        for lid in lsp_by_id:
-            for a, b in routing[lid]:
-                lr[a, b, lid] = 1
+        lr = np.zeros((topo.node_count, topo.node_count, len(cols)), dtype=np.int64)
+        for j, l in enumerate(cols):
+            for a, b in routing[l.id]:
+                lr[a, b, j] = 1
         link_loads = lr @ lsp_loads
         for ln in topo.links:
             bound = mu * ln.bandwidth

@@ -32,13 +32,7 @@ def ffr(flows, lsps, fr_old: dict[int, int], topo: NetworkTopology,
     plan = LspPlan(lsps, topo)  # first, as where the caller built the plan
     if not 0 < mu <= 1:
         raise ValidationError("mu must lie in (0, 1]")
-    if len({f.id for f in flows}) != len(flows):
-        raise ValidationError("duplicate flow ids")
-    for f in flows:
-        if f.id not in fr_old:
-            raise ValidationError(f"flow {f.id} missing from the old assignment")
-        if fr_old[f.id] not in plan.by_id:
-            raise ValidationError(f"flow {f.id} rides an unknown LSP")
+    plan.check_flows(flows, fr_old)
     free = {l.id: l.capacity for l in plan}
     link_load: dict[tuple[int, int], float] = {}
     assignment: dict[int, int] = {}

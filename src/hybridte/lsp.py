@@ -59,6 +59,19 @@ class LspPlan(tuple):
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen LspPlan")
 
+    def check_flows(self, flows, fr_old: dict[int, int] | None = None) -> None:
+        """Raise ValidationError on duplicate flow ids and, given the old assignment
+        `fr_old`, on a flow that it misses or places on an LSP outside this plan."""
+        if len({f.id for f in flows}) != len(flows):
+            raise ValidationError("duplicate flow ids")
+        if fr_old is None:
+            return
+        for f in flows:
+            if f.id not in fr_old:
+                raise ValidationError(f"flow {f.id} missing from the old assignment")
+            if fr_old[f.id] not in self.by_id:
+                raise ValidationError(f"flow {f.id} rides an unknown LSP")
+
     def admissible(self, src: int, dst: int, max_delay: float) -> tuple[Lsp, ...]:
         """The LSPs from `src` to `dst` within the delay bound, in id order, found once."""
         key = (src, dst, max_delay)

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import shortest_path_route
-from .errors import (ConfigError, Infeasible, ParseError, ValidationError, check_keys,
-                     check_types)
+from .errors import ConfigError, Infeasible, ParseError, check_keys, check_types
 from .ffr import ffr
 from .lsp import Lsp, LspPlan, build_lsp
 from .metrics import (MetricsSample, compute_sample, link_index, offered_loads,
@@ -93,12 +92,12 @@ _SCENARIO_KEYS = frozenset({"topology", "traffic", "slots", "scheme", "rerouting
 
 
 _PLAN_KEYS = {"auto": frozenset({"kind", "paths_per_pair"}), "file": frozenset({"kind", "path"})}
-_TRAFFIC_KEYS = frozenset(f.name for f in dataclasses.fields(TrafficConfig)) - {"seed"}
+_TRAFFIC_KEYS = frozenset(f.name for f in dataclasses.fields(TrafficConfig))
 
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Read a scenario JSON file; relative paths resolve against its directory.
-    Unknown keys (top level, `traffic`, which takes no `seed`, and `lsp_plan`, per kind),
+    Unknown keys (top level, in `traffic`, and in `lsp_plan` per kind),
     non-integer counts and non-number thresholds are rejected, not defaulted."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
@@ -123,12 +122,8 @@ def load_scenario(path: str) -> ScenarioConfig:
     traffic_doc = doc.get("traffic")
     if not isinstance(traffic_doc, dict):
         raise ParseError("scenario field 'traffic' must be a JSON object")
-    # The run's traffic seed is the scenario seed, so the traffic object has none.
     check_keys(traffic_doc, _TRAFFIC_KEYS, "scenario traffic")
-    check_types(traffic_doc, ("max_flows_per_source", "min_flows_per_source"), int,
-                "an integer", "scenario traffic")
-    check_types(traffic_doc, ("target_flow_count",), (int, type(None)), "an integer or null",
-                "scenario traffic")
+    check_types(traffic_doc, ("max_flows_per_source",), int, "an integer", "scenario traffic")
     check_types(traffic_doc, ("demand_fraction", "flow_intensity", "growth_max",
                               "intensity_scale", "delay_stretch"), (int, float), "a number",
                 "scenario traffic")
@@ -212,8 +207,7 @@ def initial_assignment(flows, lsps) -> dict[int, int]:
     """Worst-fit initial placement over the plan `lsps` (or a plan made of them): largest
     flows first onto the roomiest admissible LSP. Raises when one has none at all."""
     plan = LspPlan(lsps)
-    if len({f.id for f in flows}) != len(flows):
-        raise ValidationError("duplicate flow ids")
+    plan.check_flows(flows)
     free = {l.id: l.capacity for l in plan}
     assignment: dict[int, int] = {}
     for f in sorted(flows, key=lambda f: (-f.rate, f.id)):
@@ -253,7 +247,7 @@ def _set_up(cfg: ScenarioConfig, planned: bool) -> tuple:
     comparison's schemes share them, so they grow the same traffic."""
     cfg.validate()
     topo = load_topology_file(cfg.topology_path)
-    flows = generate_flows(topo, dataclasses.replace(cfg.traffic, seed=cfg.seed))
+    flows = generate_flows(topo, cfg.traffic, cfg.seed)
     rates = np.array([f.rate for f in flows])
     rates.flags.writeable = False  # shared by a comparison's schemes
     growth = growth_block(cfg.traffic.growth_max, cfg.seed, cfg.slots, len(flows))

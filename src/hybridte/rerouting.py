@@ -77,16 +77,10 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     plan = LspPlan(problem.lsps, problem.topology if unreserved else None)
     if not 0 < problem.mu <= 1:
         raise ValidationError("mu must lie in (0, 1]")
-    rate = {f.id: f.rate for f in problem.flows}
-    if len(rate) != len(problem.flows):
-        raise ValidationError("duplicate flow ids")
-    for f in problem.flows:
-        if f.id not in problem.fr_old:
-            raise ValidationError(f"flow {f.id} missing from the old assignment")
-        if problem.fr_old[f.id] not in plan.by_id:
-            raise ValidationError(f"flow {f.id} rides an unknown LSP")
+    plan.check_flows(problem.flows, problem.fr_old)
     if unreserved and problem.topology is None:
         raise ValidationError("unreserved mode needs a topology")
+    rate = {f.id: f.rate for f in problem.flows}
     capacity, limit, resources = plan.search_tables(problem.mu, unreserved)
     search = Search(capacity, problem.node_budget, limit)
     by_pair: dict[tuple[int, int], list[int]] = {}

@@ -43,9 +43,6 @@ class TrafficConfig:
     growth_max: float
     intensity_scale: float = 1.0
     delay_stretch: float = 2.0
-    min_flows_per_source: int = 1
-    target_flow_count: int | None = None
-    seed: int = 0
 
     def validate(self, topo: NetworkTopology) -> None:
         if not 0 < self.demand_fraction < math.inf:  # also catches NaN, which JSON can carry
@@ -56,12 +53,6 @@ class TrafficConfig:
             raise ConfigError("growth_max must be nonnegative and finite")
         if not 1 <= self.delay_stretch < math.inf:
             raise ConfigError("delay_stretch must be at least 1 and finite")
-        if self.min_flows_per_source not in (0, 1):
-            raise ConfigError("min_flows_per_source must be 0 or 1")
-        if self.target_flow_count is not None and self.target_flow_count < 0:
-            raise ConfigError("target_flow_count must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
         p = self.geometric_p(topo)
         if not 0 < p <= 1:
             raise ConfigError(
@@ -85,7 +76,12 @@ def truncated_geometric(rng: np.random.Generator, p: float, lo: int, hi: int) ->
     return lo + int(np.searchsorted(cdf, rng.uniform(), side="right"))
 
 
-def _generate(topo: NetworkTopology, cfg: TrafficConfig, rng: np.random.Generator) -> tuple[Flow, ...]:
+def generate_flows(topo: NetworkTopology, cfg: TrafficConfig, seed: int) -> tuple[Flow, ...]:
+    """Generate one slot-zero flow population; deterministic in `seed`."""
+    cfg.validate(topo)
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    rng = np.random.default_rng(seed)
     p = cfg.geometric_p(topo)
     mean_rate = cfg.demand_fraction * topo.mean_bandwidth
     flows: list[Flow] = []
@@ -94,7 +90,7 @@ def _generate(topo: NetworkTopology, cfg: TrafficConfig, rng: np.random.Generato
         dests = [v for v in sorted(topo.edge_nodes) if v != src and v in dists]
         if not dests:
             raise UnreachableError(f"edge node {src} cannot reach any other edge node")
-        count = truncated_geometric(rng, p, cfg.min_flows_per_source, cfg.max_flows_per_source)
+        count = truncated_geometric(rng, p, 1, cfg.max_flows_per_source)
         for _ in range(count):
             dst = dests[int(rng.integers(len(dests)))]
             rate = float(rng.uniform(0.0, 2.0 * mean_rate))
@@ -110,24 +106,6 @@ def _generate(topo: NetworkTopology, cfg: TrafficConfig, rng: np.random.Generato
                 )
             )
     return tuple(flows)
-
-
-_TARGET_ATTEMPTS = 10_000
-
-
-def generate_flows(topo: NetworkTopology, cfg: TrafficConfig) -> tuple[Flow, ...]:
-    """Generate one slot-zero flow population; deterministic in cfg.seed."""
-    cfg.validate(topo)
-    if cfg.target_flow_count is None:
-        return _generate(topo, cfg, np.random.default_rng(cfg.seed))
-    for attempt in range(_TARGET_ATTEMPTS):
-        flows = _generate(topo, cfg, np.random.default_rng((cfg.seed, attempt)))
-        if len(flows) == cfg.target_flow_count:
-            return flows
-    raise ConfigError(
-        f"could not hit target_flow_count={cfg.target_flow_count} "
-        f"in {_TARGET_ATTEMPTS} attempts"
-    )
 
 
 def growth_block(growth_max: float, seed: int, slots: int, n: int) -> np.ndarray:

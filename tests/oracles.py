@@ -656,8 +656,8 @@ def shuffled_plan_instance(rng: np.random.Generator, topo, paths_per_pair: int =
     flow's rate is scaled by a factor from 1 to 3, so that some flows must
     move, widen an LSP or park. Returns (flows, lsps, fr_old)."""
     cfg = TrafficConfig(demand_fraction=0.08, flow_intensity=0.6, max_flows_per_source=10,
-                        growth_max=0.1, intensity_scale=3.0, seed=int(rng.integers(1 << 30)))
-    flows = generate_flows(topo, cfg)
+                        growth_max=0.1, intensity_scale=3.0)
+    flows = generate_flows(topo, cfg, int(rng.integers(1 << 30)))
     plan = build_auto_lsp_plan(topo, paths_per_pair, 0.9)
     fr_old = full_scan_initial_assignment(flows, plan)
     new_id = [int(v) for v in rng.permutation(len(plan))]
@@ -675,7 +675,7 @@ def reference_run(cfg):
     Writes no dumps.
     Returns (samples, events)."""
     topo = load_topology_file(cfg.topology_path)
-    flows = generate_flows(topo, dataclasses.replace(cfg.traffic, seed=cfg.seed))
+    flows = generate_flows(topo, cfg.traffic, cfg.seed)
     events = []
 
     def log(t, kind, **fields):

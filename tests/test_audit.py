@@ -63,6 +63,26 @@ def test_flow_assignment_audit_reports_each_violation(break_, expect):
     assert ht.audit_flow_assignment(**case, routing=routing) == expect
 
 
+def test_flow_assignment_audit_gives_each_lsp_id_its_own_column():
+    # Two 10-unit LSPs with ids -1 and 0: a column taken by raw id would put
+    # LSP -1 on LSP 0's column and report both at the sum of their loads.
+    topo = ht.reference_topology()
+    lsps = (ht.build_lsp(topo, [0, 4, 1], 10.0, -1), ht.build_lsp(topo, [0, 5, 1], 10.0, 0))
+    flows = (ht.Flow(0, 0, 1, 8.0, 4.0), ht.Flow(1, 0, 1, 8.0, 4.0))
+    routing = {l.id: l.links for l in lsps}
+
+    def audit(assignment, mode="unreserved", mu=0.9):
+        return ht.audit_flow_assignment(flows, lsps, assignment, mode=mode, mu=mu,
+                                        routing=routing, topo=topo)
+
+    for mode in ("reserved", "unreserved"):
+        assert audit({0: -1, 1: 0}, mode) == []
+        assert audit({0: -1, 1: -1}, mode) == ["LSP -1: load 16 exceeds capacity 10"]
+    # The link tensor keeps them apart too: each core link carries one flow.
+    assert audit({0: -1, 1: 0}, mu=0.05) == [f"link ({a},{b}): carried 8 exceeds headroom 5"
+                                             for a, b in ((0, 4), (0, 5), (4, 1), (5, 1))]
+
+
 # Request 0 asks for a 40-unit tunnel from 0 to 1 within delay 3; request 1
 # is a second, valid tunnel from 2 to 3.
 GOOD_ROUTE = ((0, 4), (4, 1))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -146,7 +147,7 @@ def test_recreation_fires_at_the_replayed_overflow_slot(tmp_path):
     path = write_mini_files(tmp_path)
     cfg = ht.load_scenario(path)
     topo = ht.load_topology_file(cfg.topology_path)
-    flows = ht.generate_flows(topo, dataclasses.replace(cfg.traffic, seed=cfg.seed))
+    flows = ht.generate_flows(topo, cfg.traffic, cfg.seed)
     assert len(flows) == 2 and {f.src for f in flows} == {0, 1}
     # replay the growth stream to find the first slot where a flow outgrows
     # its only admissible LSP
@@ -530,12 +531,12 @@ def test_link_index_is_rebuilt_exactly_when_paths_change(monkeypatch, tmp_path, 
     scenario1 = dataclasses.replace(ht.load_scenario(scenario_path("scenario1.json")),
                                     scheme=scheme)
     # exact moves no flow on scenario1; on the mini network with two routes per
-    # pair and four flows per source, growth makes it move some.
+    # pair and up to four flows per source, growth makes it move some.
     plan = (([0, 2, 1], 16.0), ([0, 3, 1], 16.0), ([1, 2, 0], 16.0), ([1, 3, 0], 16.0))
+    traffic = {**MINI_TRAFFIC, "max_flows_per_source": 4, "flow_intensity": 3.0,
+               "demand_fraction": 0.05}
     mini = dataclasses.replace(ht.load_scenario(write_mini_files(
-        tmp_path, plan=plan,
-        traffic={**MINI_TRAFFIC, "max_flows_per_source": 4, "target_flow_count": 8})),
-        scheme=scheme)
+        tmp_path, plan=plan, traffic=traffic)), scheme=scheme)
     moved = [run(dataclasses.replace(cfg, seed=seed)) for cfg in (scenario1, mini)
              for seed in range(8)]
     assert sum(moved) >= 2, moved
@@ -564,7 +565,7 @@ def test_flow_records_are_built_only_for_rounds(monkeypatch, scheme):
             assert [t for t, _ in built] == triggered
             # Each slot's records, from the slot-0 flows and the per-flow growth formula.
             topo = ht.load_topology_file(cfg.topology_path)
-            flows = ht.generate_flows(topo, dataclasses.replace(cfg.traffic, seed=seed))
+            flows = ht.generate_flows(topo, cfg.traffic, seed)
             expect = {0: flows}
             for t in range(1, cfg.slots):
                 rates = oracles.reference_growth(expect[t - 1], cfg.traffic.growth_max,
@@ -624,6 +625,17 @@ def test_runs_and_comparisons_match_the_reference_run(tmp_path):
         cases += [dataclasses.replace(cfg, rerouting_mode=mode, seed=seed)
                   for mode in RoutingMode for seed in range(6)]
         cases += [dataclasses.replace(still, rerouting_mode=mode) for mode in RoutingMode]
+    # Halving the bandwidth of every link at nodes 5 and 7 makes the core planes unequal,
+    # so the baseline's tie-break between equal-hop routes shows in its samples.
+    with open(scenario_path("reference_topology.json"), encoding="utf-8") as fp:
+        uneven = json.load(fp)
+    for link in uneven["links"]:
+        if {link["src"], link["dst"]} & {5, 7}:
+            link["bandwidth"] = 50.0
+    (tmp_path / "uneven.json").write_text(json.dumps(uneven))
+    cfg = dataclasses.replace(ht.load_scenario(scenario_path("scenario1.json")),
+                              topology_path=str(tmp_path / "uneven.json"))
+    cases += [dataclasses.replace(cfg, rerouting_mode=mode) for mode in RoutingMode]
     for name, plan in CONTESTED_PLANS.items():
         (tmp_path / name).mkdir()
         contested = contested_plan_config(tmp_path / name, plan)
@@ -921,20 +933,21 @@ def test_scenario_config_validation(tmp_path):
         path = write_mini_files(tmp_path, **bad)
         with pytest.raises(ParseError):
             ht.load_scenario(path)
-    # The traffic seed is the scenario seed, so the traffic object may not set one.
-    for bad in ({"seed": 3}, {"max_flows_per_source": True}, {"max_flows_per_source": 2.5},
-                {"min_flows_per_source": True}, {"min_flows_per_source": 0.5},
-                {"growth_max": True}, {"growth_max": "0.1"}, {"target_flow_count": 4.5},
-                {"demand_fractoin": 0.04}):
+    for bad in ({"max_flows_per_source": True}, {"max_flows_per_source": 2.5},
+                {"growth_max": True}, {"growth_max": "0.1"}, {"demand_fractoin": 0.04}):
         path = write_mini_files(tmp_path, traffic={**MINI_TRAFFIC, **bad})
         with pytest.raises(ParseError):
+            ht.load_scenario(path)
+    # A run's traffic seed is the scenario seed, and flow counts start at 1 per source.
+    for key, value in (("seed", 3), ("min_flows_per_source", 1), ("target_flow_count", 8)):
+        path = write_mini_files(tmp_path, traffic={**MINI_TRAFFIC, key: value})
+        with pytest.raises(ParseError, match=re.escape(f"has unknown keys ['{key}']")):
             ht.load_scenario(path)
     for bad in ([MINI_TRAFFIC], None):
         path = write_mini_files(tmp_path, traffic=bad)
         with pytest.raises(ParseError):
             ht.load_scenario(path)
-    path = write_mini_files(tmp_path, traffic={**MINI_TRAFFIC, "target_flow_count": None,
-                                               "growth_max": 0, "min_flows_per_source": 0})
+    path = write_mini_files(tmp_path, traffic={**MINI_TRAFFIC, "growth_max": 0})
     assert ht.load_scenario(path).traffic.growth_max == 0
 
 
@@ -948,15 +961,16 @@ def test_absent_scenario_keys_take_the_dataclass_defaults(tmp_path):
 
 
 def test_config_echo_is_complete_and_serializable():
-    cfg = ht.load_scenario(scenario_path("scenario1.json"))
-    result = ht.run_scenario(dataclasses.replace(cfg, slots=2))
-    echo = result.config_echo
-    text = json.dumps(echo, sort_keys=True)
-    for key in ("topology_path", "traffic", "slots", "scheme", "mu_trigger",
-                "mu_headroom", "rerouting_interval", "seed", "rerouting_mode"):
-        assert key in echo, key
-    assert echo["scheme"] == "ffr"
-    assert json.loads(text) == echo
+    # A run records the settings a scenario file can hold, and its seed once, at the top.
+    cfg = dataclasses.replace(ht.load_scenario(scenario_path("scenario1.json")), slots=2)
+    echo, other = (ht.run_scenario(dataclasses.replace(cfg, seed=seed)).config_echo
+                   for seed in (0, 3))
+    file_keys = orchestrator._SCENARIO_KEYS - {"topology"} | {"topology_path", "dump_dir"}
+    assert echo.keys() == file_keys
+    assert echo["traffic"].keys() == orchestrator._TRAFFIC_KEYS
+    assert (echo["scheme"], echo["seed"]) == ("ffr", 0)
+    assert dict(echo, seed=3) == other
+    assert json.loads(json.dumps(echo, sort_keys=True)) == echo
 
 
 def test_config_echo_equals_the_asdict_echo():

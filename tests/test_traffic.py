@@ -13,7 +13,7 @@ import oracles
 
 def cfg(**kw):
     base = dict(demand_fraction=0.08, flow_intensity=0.8, max_flows_per_source=10,
-                growth_max=0.02, intensity_scale=3.0, seed=1)
+                growth_max=0.02, intensity_scale=3.0)
     base.update(kw)
     return ht.TrafficConfig(**base)
 
@@ -24,15 +24,15 @@ def topo():
 
 
 def test_generation_is_deterministic(topo):
-    a = ht.generate_flows(topo, cfg())
-    b = ht.generate_flows(topo, cfg())
+    a = ht.generate_flows(topo, cfg(), 1)
+    b = ht.generate_flows(topo, cfg(), 1)
     assert a == b
-    c = ht.generate_flows(topo, cfg(seed=2))
+    c = ht.generate_flows(topo, cfg(), 2)
     assert c != a
 
 
 def test_flow_fields_well_formed(topo):
-    flows = ht.generate_flows(topo, cfg())
+    flows = ht.generate_flows(topo, cfg(), 1)
     mean_rate = 0.08 * topo.mean_bandwidth
     assert [f.id for f in flows] == list(range(len(flows)))
     for f in flows:
@@ -44,7 +44,7 @@ def test_flow_fields_well_formed(topo):
 
 def test_per_source_counts_within_support(topo):
     for seed in range(20):
-        flows = ht.generate_flows(topo, cfg(seed=seed))
+        flows = ht.generate_flows(topo, cfg(), seed)
         counts = {src: 0 for src in topo.edge_nodes}
         for f in flows:
             counts[f.src] += 1
@@ -72,7 +72,7 @@ def rates_of(flows):
 
 
 def test_growth_bounds_and_determinism(topo):
-    rates = rates_of(ht.generate_flows(topo, cfg()))
+    rates = rates_of(ht.generate_flows(topo, cfg(), 1))
     before = rates.tolist()
     block = ht.growth_block(0.10, 1, 2, len(rates))
     assert block.tolist() == ht.growth_block(0.10, 1, 2, len(rates)).tolist()
@@ -84,7 +84,7 @@ def test_growth_bounds_and_determinism(topo):
 
 
 def test_zero_growth_is_identity(topo):
-    rates = rates_of(ht.generate_flows(topo, cfg()))
+    rates = rates_of(ht.generate_flows(topo, cfg(), 1))
     block = ht.growth_block(0.0, 1, 4, len(rates))
     assert block.shape == (3, len(rates)) and np.all(block == 1.0)
     assert ht.grow_flows(rates, block[2]).tolist() == rates.tolist()
@@ -93,7 +93,7 @@ def test_zero_growth_is_identity(topo):
 def test_growth_draws_match_one_scalar_draw_per_flow(topo):
     # Bit for bit: row t - 1 of the block grows a slot's rates by the per-flow
     # formula rate * (1 + u), one scalar draw per flow in flow order, seeded (seed, t).
-    flows = ht.generate_flows(topo, cfg())
+    flows = ht.generate_flows(topo, cfg(), 1)
     for seed in (1, 3, 11):
         for growth_max in (0.0, 0.02, 0.5):
             block = ht.growth_block(growth_max, seed, 8, len(flows))
@@ -107,7 +107,7 @@ def test_growth_draws_match_one_scalar_draw_per_flow(topo):
 
 
 def test_grown_rates_are_read_only(topo):
-    rates = rates_of(ht.generate_flows(topo, cfg()))
+    rates = rates_of(ht.generate_flows(topo, cfg(), 1))
     block = ht.growth_block(0.10, 1, 3, len(rates))
     for grown in (block, block[1], ht.grow_flows(rates, block[0])):
         with pytest.raises(ValueError):
@@ -118,23 +118,16 @@ def test_grown_rates_are_read_only(topo):
 
 def test_a_longer_runs_block_starts_with_a_shorter_runs_rows(topo):
     # Each row is drawn from its own slot's seed, so the slot count changes no row.
-    n = len(ht.generate_flows(topo, cfg()))
+    n = len(ht.generate_flows(topo, cfg(), 1))
     short, long = (ht.growth_block(0.10, 4, slots, n) for slots in (5, 20))
     assert long[:4].tolist() == short.tolist()
 
 
 def test_growth_mean_near_half_cap(topo):
-    rates = rates_of(ht.generate_flows(topo, cfg()))
+    rates = rates_of(ht.generate_flows(topo, cfg(), 1))
     block = ht.growth_block(0.10, 9, 401, len(rates))
     ratios = [(ht.grow_flows(rates, row) / rates - 1.0).tolist() for row in block]
     assert np.mean(ratios) == pytest.approx(0.05, abs=0.005)
-
-
-def test_target_flow_count(topo):
-    flows = ht.generate_flows(topo, cfg(target_flow_count=20))
-    assert len(flows) == 20
-    with pytest.raises(ConfigError):
-        ht.generate_flows(topo, cfg(target_flow_count=1))  # below 4 sources x 1 flow
 
 
 @pytest.mark.parametrize("bad", [
@@ -145,7 +138,6 @@ def test_target_flow_count(topo):
     dict(delay_stretch=0.5),
     dict(flow_intensity=0.0),
     dict(intensity_scale=-2.0),
-    dict(min_flows_per_source=2),
     # NaN fails every comparison, so each check must be written to reject it
     dict(demand_fraction=math.nan),
     dict(growth_max=math.nan),
@@ -158,13 +150,13 @@ def test_target_flow_count(topo):
     dict(delay_stretch=math.inf),
     # numpy rejects a negative seed with its own ValueError
     dict(seed=-1),
-    dict(target_flow_count=-1),
     # p = 1 / (0.01 x 3 x 8 nodes) > 1 is no geometric parameter
     dict(flow_intensity=0.01),
 ])
 def test_config_validation(topo, bad):
+    knobs = {k: v for k, v in bad.items() if k != "seed"}
     with pytest.raises(ConfigError):
-        ht.generate_flows(topo, cfg(**bad))
+        ht.generate_flows(topo, cfg(**knobs), bad.get("seed", 1))
     if "growth_max" in bad:
         with pytest.raises(ConfigError):
             ht.growth_block(bad["growth_max"], 0, 2, 0)
@@ -177,13 +169,13 @@ def test_edge_node_that_reaches_no_other_is_an_error():
     topo = ht.load_topology(json.dumps({"nodes": 3, "edge_nodes": [0, 1, 2], "links": links}))
     with pytest.raises(ht.UnreachableError,
                        match="^edge node 2 cannot reach any other edge node$"):
-        ht.generate_flows(topo, cfg())
+        ht.generate_flows(topo, cfg(), 1)
 
 
 def test_intensity_governs_population(topo):
     # higher intensity -> smaller p -> more flows per source on average
-    few = np.mean([len(ht.generate_flows(topo, cfg(intensity_scale=0.2, seed=s)))
+    few = np.mean([len(ht.generate_flows(topo, cfg(intensity_scale=0.2), s))
                    for s in range(30)])
-    many = np.mean([len(ht.generate_flows(topo, cfg(intensity_scale=6.0, seed=s)))
+    many = np.mean([len(ht.generate_flows(topo, cfg(intensity_scale=6.0), s))
                     for s in range(30)])
     assert many > few

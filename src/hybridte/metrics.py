@@ -8,7 +8,6 @@ a flow's delivered rate is capped by its worst link.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
@@ -17,8 +16,7 @@ import numpy as np
 from .topology import NetworkTopology
 
 
-@dataclass(frozen=True)
-class MetricsSample:
+class MetricsSample(NamedTuple):
     slot: int
     throughput: float
     avg_link_utilization: float
@@ -67,34 +65,34 @@ def offered_loads(rates: np.ndarray, index: LinkIndex) -> np.ndarray:
     return np.bincount(index.link, rates[index.flow], minlength=len(index.bandwidth))
 
 
-def compute_sample(slot: int, rates: np.ndarray, index: LinkIndex, loads=None) -> MetricsSample:
+def compute_sample(slot: int, rates: np.ndarray, index: LinkIndex, loads=None,
+                   utils=None) -> MetricsSample:
     """Aggregate one slot's metrics over every flow's rate (in the index's flow order)
-    and every directed link. `loads` are offered_loads(rates, index) when the caller
-    has summed them."""
+    and every directed link. `loads` are offered_loads(rates, index) and `utils` their
+    list (loads / index.bandwidth).tolist(), when the caller has computed them."""
     if loads is None:
         loads = offered_loads(rates, index)
+    if utils is None:
+        utils = (loads / index.bandwidth).tolist()
     n = len(rates)
     offered = _sum_left(rates.tolist())
-    bandwidth = index.bandwidth
-    over = loads > bandwidth
-    if np.count_nonzero(over):
+    # Division by a positive finite bandwidth rounds monotonically, so a link's
+    # utilization exceeds 1 exactly when its load exceeds its bandwidth.
+    if max(utils, default=0.0) > 1.0:
         # An overloaded link passes bandwidth / load of each flow crossing it, and a
         # flow gets through at the share of its worst link.
+        bandwidth = index.bandwidth
+        over = loads > bandwidth
         share = np.ones(len(bandwidth))
         share[over] = bandwidth[over] / loads[over]
         worst = np.ones(n)
         worst[index.flow[index.starts]] = np.minimum.reduceat(share[index.link], index.starts)
         throughput = _sum_left((rates * worst).tolist())
+        utils = np.minimum(utils, 1.0).tolist()
     else:
         throughput = offered  # every flow delivers its whole rate: the same sum
-    utils = np.minimum(loads / bandwidth, 1.0).tolist()
-    return MetricsSample(
-        slot=slot,
-        throughput=throughput,
-        avg_link_utilization=_sum_left(utils) / len(utils) if utils else 0.0,
-        avg_path_length=index.hops / n if n else 0.0,
-        packet_loss=offered - throughput,
-    )
+    return MetricsSample(slot, throughput, _sum_left(utils) / len(utils) if utils else 0.0,
+                         index.hops / n if n else 0.0, offered - throughput)
 
 
 CSV_HEADER = "slot,scheme,throughput,avg_util,avg_path_len,loss"

@@ -273,12 +273,11 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
     events: list[str] = []
     samples: list[MetricsSample] = []
 
-    def log(t: int, kind: str, **fields) -> None:
-        """Append `slot=<t> event=<kind> scheme=<scheme>` and then ` key=value` per field."""
-        events.append(f"slot={t} event={kind} scheme={cfg.scheme}"
-                      + "".join([f" {k}={v}" for k, v in fields.items()]))
+    def log(t: int, kind: str, fields: str) -> None:
+        """Append `slot=<t> event=<kind> scheme=<scheme> <fields>`, fields `key=value ...`."""
+        events.append(f"slot={t} event={kind} scheme={cfg.scheme} {fields}")
 
-    log(0, "init", seed=cfg.seed, flows=len(flows))
+    log(0, "init", f"seed={cfg.seed} flows={len(flows)}")
     if cfg.dump_dir:
         os.makedirs(cfg.dump_dir, exist_ok=True)
 
@@ -291,13 +290,13 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
             sol = solve(problem)
         except Infeasible as exc:
             # Only the flag is kept: the exception would hold the solver's frames.
-            return None, {"proven": exc.proven}, render(problem)
-        return sol, {cost: getattr(sol, cost), "optimal": sol.optimal}, render(problem, sol)
+            return None, f"proven={exc.proven}", render(problem)
+        return sol, f"{cost}={getattr(sol, cost)} optimal={sol.optimal}", render(problem, sol)
 
     def report(t: int, tag: str, answer: tuple, dump_name: str):
         """Log and dump one solver call's `answer`; returns its solution, None when infeasible."""
         sol, fields, text = answer
-        log(t, tag if sol is not None else tag + "_infeasible", **fields)
+        log(t, tag if sol is not None else tag + "_infeasible", fields)
         if cfg.dump_dir:
             with open(os.path.join(cfg.dump_dir, dump_name), "w", encoding="utf-8") as fp:
                 fp.write(text)
@@ -315,8 +314,8 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
                 assignment = sol.assignment
             return sol is None
         res = ffr(now, lsps, assignment, topo, mu=cfg.mu_headroom)
-        log(t, tag, changes=sum(assignment.get(f) != i for f, i in res.assignment.items()),
-            parked=len(res.recreation_requests), examinations=res.examinations)
+        log(t, tag, f"changes={sum(assignment.get(f) != i for f, i in res.assignment.items())}"
+                    f" parked={len(res.recreation_requests)} examinations={res.examinations}")
         assignment = res.assignment
         return bool(res.recreation_requests)
 
@@ -342,7 +341,7 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
         return True
 
     if planned:
-        log(0, "plan", lsps=len(lsps))
+        log(0, "plan", f"lsps={len(lsps)}")
         paths = flow_paths()
     else:
         routes: dict[tuple[int, int], tuple] = {}  # one route per endpoint pair
@@ -353,15 +352,16 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
     # Growth changes only the rates, so the index holds until a round moves a path.
     index = link_index(topo, flows, paths)
     for t in range(cfg.slots):
-        loads = None  # compute_sample sums them: slot 0, an unplanned run, or the paths changed
+        loads = utils = None  # compute_sample computes both: slot 0, unplanned, moved paths
         if t >= 1:
             rates = grow_flows(rates, growth[t - 1])
         if t >= 1 and planned:
             loads = offered_loads(rates, index)
-            max_util = max((loads / index.bandwidth).tolist(), default=0.0)
+            utils = (loads / index.bandwidth).tolist()
+            max_util = max(utils, default=0.0)
             periodic = t % cfg.rerouting_interval == 0
             trigger = max_util > cfg.mu_trigger or periodic
-            log(t, "check", max_util=f"{max_util:.6f}", periodic=periodic, trigger=trigger)
+            log(t, "check", f"max_util={max_util:.6f} periodic={periodic} trigger={trigger}")
             if trigger:
                 now = flows_at(flows, rates)
                 # A kept plan leaves round one's answer, which a retry would only repeat.
@@ -369,8 +369,9 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
                     run_flow_level(t, "reroute_retry", now)
                 current = flow_paths()
                 if current != paths:
-                    paths, index, loads = current, link_index(topo, flows, current), None
-        samples.append(compute_sample(t, rates, index, loads))
+                    paths, index = current, link_index(topo, flows, current)
+                    loads = utils = None
+        samples.append(compute_sample(t, rates, index, loads, utils))
     return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
 
 

@@ -66,14 +66,14 @@ class TrafficConfig:
         return 1.0 / (self.flow_intensity * self.intensity_scale * topo.node_count)
 
 
-def truncated_geometric(rng: np.random.Generator, p: float, lo: int, hi: int) -> int:
-    """Draw from P(k) proportional to p*(1-p)^(k-lo) on {lo..hi} by inverse CDF."""
-    if not (0 < p <= 1 and lo <= hi):
+def truncated_geometric(rng: np.random.Generator, p: float, hi: int) -> int:
+    """Draw from P(k) proportional to p*(1-p)^(k-1) on {1..hi} by inverse CDF."""
+    if not (0 < p <= 1 and 1 <= hi):
         raise ConfigError("bad truncated geometric parameters")
-    weights = p * (1.0 - p) ** np.arange(0, hi - lo + 1, dtype=float)
+    weights = p * (1.0 - p) ** np.arange(0, hi, dtype=float)
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    return lo + int(np.searchsorted(cdf, rng.uniform(), side="right"))
+    return 1 + int(np.searchsorted(cdf, rng.uniform(), side="right"))
 
 
 def generate_flows(topo: NetworkTopology, cfg: TrafficConfig, seed: int) -> tuple[Flow, ...]:
@@ -90,7 +90,7 @@ def generate_flows(topo: NetworkTopology, cfg: TrafficConfig, seed: int) -> tupl
         dests = [v for v in sorted(topo.edge_nodes) if v != src and v in dists]
         if not dests:
             raise UnreachableError(f"edge node {src} cannot reach any other edge node")
-        count = truncated_geometric(rng, p, 1, cfg.max_flows_per_source)
+        count = truncated_geometric(rng, p, cfg.max_flows_per_source)
         for _ in range(count):
             dst = dests[int(rng.integers(len(dests)))]
             rate = float(rng.uniform(0.0, 2.0 * mean_rate))

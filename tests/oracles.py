@@ -203,9 +203,9 @@ def best_recreation(requests, topo, lr_old, mu=0.9):
     return best
 
 
-def trunc_geom_mean(p: float, lo: int, hi: int) -> float:
-    ks = np.arange(lo, hi + 1, dtype=float)
-    w = p * (1.0 - p) ** (ks - lo)
+def trunc_geom_mean(p: float, hi: int) -> float:
+    ks = np.arange(1, hi + 1, dtype=float)
+    w = p * (1.0 - p) ** (ks - 1)
     return float((ks * w).sum() / w.sum())
 
 

@@ -207,8 +207,8 @@ def test_criterion_4_sampling_means_match_closed_forms():
     rng = np.random.default_rng(404)
     details = []
     for p in (0.05, 0.2, 0.5):
-        draws = np.array([truncated_geometric(rng, p, 1, 10) for _ in range(100_000)])
-        analytic = oracles.trunc_geom_mean(p, 1, 10)
+        draws = np.array([truncated_geometric(rng, p, 10) for _ in range(100_000)])
+        analytic = oracles.trunc_geom_mean(p, 10)
         rel = abs(float(draws.mean()) - analytic) / analytic
         details.append(f"p={p}: rel.err {rel:.4f}")
         if rel > 0.01:

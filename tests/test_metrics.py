@@ -135,26 +135,41 @@ def test_missing_link_is_a_key_error(topo):
 
 
 def test_sample_matches_the_reference_sums():
-    # Exact equality: reusing the check's loads and the shortcut for slots
-    # without an overloaded link must not move a single bit of metrics.csv.
+    # Exact equality: reusing the check's loads and utilization, and the shortcut for
+    # slots whose utilization stays at most 1, must not move a single bit of metrics.csv.
     rng = np.random.default_rng(12)
     topologies = (ht.reference_topology(), ring14())
-    seen = {"empty": 0, "idle": 0, "overloaded": 0, "at_bandwidth": 0, "empty_path": 0}
+    seen = {"empty": 0, "idle": 0, "overloaded": 0, "at_bandwidth": 0, "one_ulp_over": 0,
+            "empty_path": 0}
     for i in range(1200):
         topo = topologies[i % 2]
         flows, paths = oracles.random_sample_instance(rng, topo)
+        used = {pair for route in paths.values() for pair in route}
+        idle = [ln for ln in topo.links if (ln.src, ln.dst) not in used]
+        if i % 3 == 0 and idle:
+            # One flow alone on an idle link, loading it one ulp above its bandwidth.
+            ln, fid = idle[int(rng.integers(len(idle)))], len(flows)
+            flows += (ht.Flow(fid, ln.src, ln.dst, float(np.nextafter(ln.bandwidth, np.inf)),
+                              10.0),)
+            paths[fid] = ((ln.src, ln.dst),)
         expect = oracles.reference_sample(i, flows, paths, topo)
         index, rates = link_index(topo, flows, paths), rates_of(flows)
         loads = offered_loads(rates, index)
         reference = oracles.reference_offered_loads(flows, paths)
         assert loads.tolist() == [reference.get(pair, 0.0) for pair in topo.by_pair]
+        utils = (loads / index.bandwidth).tolist()  # the trigger check's list
         assert ht.compute_sample(i, rates, index) == expect
         assert ht.compute_sample(i, rates, index, loads) == expect
+        assert ht.compute_sample(i, rates, index, loads, utils) == expect
         bandwidth = {(ln.src, ln.dst): ln.bandwidth for ln in topo.links}
+        over = [p for p, load in reference.items() if load > bandwidth[p]]
         seen["empty"] += not flows
         seen["idle"] += len(reference) < len(bandwidth)
-        seen["overloaded"] += any(load > bandwidth[p] for p, load in reference.items())
+        seen["overloaded"] += bool(over)
         seen["at_bandwidth"] += any(load == bandwidth[p] for p, load in reference.items())
+        # Only a load one ulp above its bandwidth sends the sample down the overloaded branch.
+        seen["one_ulp_over"] += bool(over) and all(
+            reference[p] == np.nextafter(bandwidth[p], np.inf) for p in over)
         # A flow on an empty path delivers its whole rate and adds no hops.
         seen["empty_path"] += any(not paths[f.id] for f in flows)
     assert min(seen.values()) >= 20, seen

@@ -495,7 +495,8 @@ def watch_link_index(monkeypatch):
     """Wrap the index build, the trigger check's load sum and the sample. Returns a
     function that runs a config and checks that the index is built at slot 0 and
     again exactly in the slots whose rounds moved a path, and that every other slot
-    is sampled with the check's loads; it returns the number of slots that moved."""
+    is sampled with the check's loads and utilization list; it returns the number of
+    slots that moved."""
     built, summed, sampled = [], [], []
     index, offered, sample = (orchestrator.link_index, orchestrator.offered_loads,
                               orchestrator.compute_sample)
@@ -503,8 +504,9 @@ def watch_link_index(monkeypatch):
     monkeypatch.setattr(orchestrator, "offered_loads",
                         lambda *a: summed.append(offered(*a)) or summed[-1])
     monkeypatch.setattr(orchestrator, "compute_sample",
-                        lambda t, rates, idx, loads=None:
-                        sampled.append((t, loads)) or sample(t, rates, idx, loads))
+                        lambda t, rates, idx, loads=None, utils=None:
+                        sampled.append((t, idx, loads, utils))
+                        or sample(t, rates, idx, loads, utils))
 
     def run(cfg):
         built.clear(), summed.clear(), sampled.clear()
@@ -514,12 +516,16 @@ def watch_link_index(monkeypatch):
         moved = {e["slot"] for e in events
                  if e.get("changes", "0") != "0" or e.get("changed_entries", "0") != "0"}
         assert len(built) == 1 + len(moved)
-        assert [t for t, _ in sampled] == list(range(cfg.slots))
-        for t, loads in sampled:
+        assert [t for t, *_ in sampled] == list(range(cfg.slots))
+        checks = {e["slot"]: e for e in events if e["event"] == "check"}
+        for t, idx, loads, utils in sampled:
             if t == 0 or t in moved:
-                assert loads is None, t
+                assert loads is None and utils is None, t
             else:
                 assert loads is summed[t - 1], t
+                # The check's list: its maximum is the logged max_util.
+                assert type(utils) is list and utils == (loads / idx.bandwidth).tolist(), t
+                assert checks[t]["max_util"] == f"{max(utils):.6f}", t
         return len(moved)
 
     return run

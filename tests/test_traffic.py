@@ -54,17 +54,21 @@ def test_per_source_counts_within_support(topo):
 def test_truncated_geometric_support_and_mean():
     rng = np.random.default_rng(3)
     p = 0.3
-    draws = [truncated_geometric(rng, p, 1, 6) for _ in range(20000)]
+    draws = [truncated_geometric(rng, p, 6) for _ in range(20000)]
     assert min(draws) >= 1 and max(draws) <= 6
-    expect = oracles.trunc_geom_mean(p, 1, 6)
+    expect = oracles.trunc_geom_mean(p, 6)
     assert np.mean(draws) == pytest.approx(expect, rel=0.02)
 
 
-def test_truncated_geometric_zero_support():
+def test_truncated_geometric_edge_parameters():
+    # The support starts at 1: a sure success (p = 1) or a one-value support always
+    # draws 1, and an empty support or a p outside (0, 1] is rejected.
     rng = np.random.default_rng(4)
-    draws = [truncated_geometric(rng, 0.5, 0, 3) for _ in range(5000)]
-    assert min(draws) == 0 and max(draws) <= 3
-    assert np.mean(draws) == pytest.approx(oracles.trunc_geom_mean(0.5, 0, 3), rel=0.05)
+    assert {truncated_geometric(rng, 1.0, 5) for _ in range(200)} == {1}
+    assert {truncated_geometric(rng, 0.3, 1) for _ in range(200)} == {1}
+    for p, hi in ((0.5, 0), (0.0, 3), (1.5, 3), (float("nan"), 3)):
+        with pytest.raises(ConfigError, match="bad truncated geometric"):
+            truncated_geometric(rng, p, hi)
 
 
 def rates_of(flows):

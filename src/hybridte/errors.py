@@ -39,16 +39,24 @@ class Infeasible(HybridTeError):
         self.proven = proven
 
 
-def check_keys(doc: dict, allowed, where: str) -> None:
-    """Raise ParseError when `doc` has a key outside `allowed`."""
-    unknown = sorted(doc.keys() - allowed)
-    if unknown:
-        raise ParseError(f"{where} has unknown keys {unknown}")
+NUMBER = (int, float)  # a field kind: any JSON number
+_KIND_NAMES = {int: "an integer", NUMBER: "a number", str: "a string", list: "a list",
+               dict: "a JSON object"}
 
 
-def check_types(doc: dict, names, types, kind: str, where: str) -> None:
-    """Raise ParseError when one of `names` present in `doc` is not of `types`."""
-    # JSON true/false load as bools, which Python also counts as ints.
-    for name in names:
-        if name in doc and (not isinstance(doc[name], types) or isinstance(doc[name], bool)):
-            raise ParseError(f"{where} field {name!r} must be {kind}")
+def check_object(doc, fields: dict, where: str, required=frozenset()) -> dict:
+    """Return `doc` when it is a JSON object whose keys are all in `fields`, with every
+    key of the set `required`, and whose values each have their field's kind: int,
+    NUMBER, str, list or dict. Raise ParseError naming the field at fault otherwise."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where} must be a JSON object")
+    keys = doc.keys()
+    if not keys <= fields.keys():
+        raise ParseError(f"{where} has unknown keys {sorted(keys - fields.keys())}")
+    if not keys >= required:
+        raise ParseError(f"{where} missing key {min(required - keys)!r}")
+    for name, value in doc.items():
+        # JSON true/false load as bools, which Python also counts as ints.
+        if type(value) is bool or not isinstance(value, fields[name]):
+            raise ParseError(f"{where} field {name!r} must be {_KIND_NAMES[fields[name]]}")
+    return doc

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import shortest_path_route
-from .errors import ConfigError, Infeasible, ParseError, check_keys, check_types
+from .errors import NUMBER, ConfigError, Infeasible, ParseError, check_object
 from .ffr import ffr
 from .lsp import Lsp, LspPlan, build_lsp
 from .metrics import (MetricsSample, compute_sample, link_index, offered_loads,
@@ -86,19 +86,20 @@ class RunResult:
     config_echo: dict
 
 
-_SCENARIO_KEYS = frozenset({"topology", "traffic", "slots", "scheme", "rerouting_mode",
-                            "mu_trigger", "mu_headroom", "rerouting_interval", "lsp_plan",
-                            "seed"})
-
-
-_PLAN_KEYS = {"auto": frozenset({"kind", "paths_per_pair"}), "file": frozenset({"kind", "path"})}
-_TRAFFIC_KEYS = frozenset(f.name for f in dataclasses.fields(TrafficConfig))
+_SCENARIO_FIELDS = {"topology": str, "traffic": dict, "slots": int, "scheme": str,
+                    "rerouting_mode": str, "mu_trigger": NUMBER, "mu_headroom": NUMBER,
+                    "rerouting_interval": int, "lsp_plan": dict, "seed": int}
+# Any other kind takes no field but `kind`; ScenarioConfig.validate rejects it.
+_PLAN_FIELDS = {"auto": {"kind": str, "paths_per_pair": int}, "file": {"kind": str, "path": str}}
+_TRAFFIC_FIELDS = {"demand_fraction": NUMBER, "flow_intensity": NUMBER,
+                   "max_flows_per_source": int, "growth_max": NUMBER,
+                   "intensity_scale": NUMBER, "delay_stretch": NUMBER}
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Read a scenario JSON file; relative paths resolve against its directory.
-    Unknown keys (top level, in `traffic`, and in `lsp_plan` per kind),
-    non-integer counts and non-number thresholds are rejected, not defaulted."""
+    """Read a scenario JSON file; relative paths resolve against its directory. Each
+    object is checked against its field table (`check_object`); absent fields take the
+    dataclasses' defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             doc = json.load(fp)
@@ -106,44 +107,28 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ParseError(f"cannot read scenario file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"scenario {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a JSON object")
-    check_keys(doc, _SCENARIO_KEYS, "scenario")
-    check_types(doc, ("slots", "rerouting_interval", "seed"), int, "an integer", "scenario")
-    check_types(doc, ("mu_trigger", "mu_headroom"), (int, float), "a number", "scenario")
+    check_object(doc, _SCENARIO_FIELDS, "scenario", required={"topology", "traffic"})
     plan_doc = doc.get("lsp_plan", {})
-    if not isinstance(plan_doc, dict):
-        raise ParseError("scenario field 'lsp_plan' must be a JSON object")
     kind = plan_doc.get("kind", "auto")
-    # Any other kind (a JSON list too, which is unhashable) takes no field; validate rejects it.
-    check_keys(plan_doc, _PLAN_KEYS[kind] if kind in ("auto", "file") else {"kind"},
-               f"scenario lsp_plan of kind {kind!r}")
-    check_types(plan_doc, ("paths_per_pair",), int, "an integer", "scenario lsp_plan")
-    traffic_doc = doc.get("traffic")
-    if not isinstance(traffic_doc, dict):
-        raise ParseError("scenario field 'traffic' must be a JSON object")
-    check_keys(traffic_doc, _TRAFFIC_KEYS, "scenario traffic")
-    check_types(traffic_doc, ("max_flows_per_source",), int, "an integer", "scenario traffic")
-    check_types(traffic_doc, ("demand_fraction", "flow_intensity", "growth_max",
-                              "intensity_scale", "delay_stretch"), (int, float), "a number",
-                "scenario traffic")
+    check_object(plan_doc, _PLAN_FIELDS[kind] if kind in ("auto", "file") else {"kind": str},
+                 f"scenario lsp_plan of kind {kind!r}")
+    traffic_doc = check_object(doc["traffic"], _TRAFFIC_FIELDS, "scenario traffic",
+                               required={"demand_fraction", "flow_intensity",
+                                         "max_flows_per_source", "growth_max"})
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    # Absent keys take the dataclasses' defaults; only these values are converted.
-    try:
-        plan = dict(plan_doc, path=resolve(plan_doc["path"]) if plan_doc.get("path") else None)
-        fields = dict(doc, traffic=TrafficConfig(**traffic_doc), lsp_plan=LspPlanSpec(**plan))
-        fields["topology_path"] = resolve(fields.pop("topology"))
-        if "rerouting_mode" in doc:
+    plan = dict(plan_doc, path=resolve(plan_doc["path"]) if plan_doc.get("path") else None)
+    fields = dict(doc, traffic=TrafficConfig(**traffic_doc), lsp_plan=LspPlanSpec(**plan))
+    fields["topology_path"] = resolve(fields.pop("topology"))
+    if "rerouting_mode" in doc:
+        try:
             fields["rerouting_mode"] = RoutingMode(doc["rerouting_mode"])
-        cfg = ScenarioConfig(**fields)
-    except KeyError as exc:
-        raise ParseError(f"scenario missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"scenario field malformed: {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"scenario field malformed: {exc}") from exc
+    cfg = ScenarioConfig(**fields)
     cfg.validate()
     return cfg
 
@@ -181,6 +166,10 @@ def build_auto_lsp_plan(topo: NetworkTopology, paths_per_pair: int = 2,
     return lsps
 
 
+_PLAN_FILE_FIELDS = {"lsps": list}
+_PLAN_ENTRY_FIELDS = {"path": list, "capacity": NUMBER}
+
+
 def load_lsp_plan_file(path: str, topo: NetworkTopology) -> list[Lsp]:
     """Read an explicit LSP plan: {"lsps": [{"path": [...], "capacity": x}, ...]}."""
     try:
@@ -190,15 +179,11 @@ def load_lsp_plan_file(path: str, topo: NetworkTopology) -> list[Lsp]:
         raise ParseError(f"cannot read LSP plan {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"LSP plan {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("lsps"), list):
-        raise ParseError(f"LSP plan {path!r} must be an object with an 'lsps' list")
-    check_keys(doc, {"lsps"}, f"LSP plan {path!r}")
+    check_object(doc, _PLAN_FILE_FIELDS, f"LSP plan {path!r}", required=_PLAN_FILE_FIELDS.keys())
     for i, e in enumerate(doc["lsps"]):
         where = f"LSP plan {path!r} entry #{i}"
-        if not isinstance(e, dict) or e.keys() != {"path", "capacity"}:
-            raise ParseError(f"{where} must be an object with the keys 'path' and 'capacity'")
-        check_types(e, ("capacity",), (int, float), "a number", where)
-        if not isinstance(e["path"], list) or not all(type(v) is int for v in e["path"]):
+        check_object(e, _PLAN_ENTRY_FIELDS, where, required=_PLAN_ENTRY_FIELDS.keys())
+        if not all(type(v) is int for v in e["path"]):
             raise ParseError(f"{where} field 'path' must be a list of node ids")
     return [build_lsp(topo, e["path"], e["capacity"], i) for i, e in enumerate(doc["lsps"])]
 

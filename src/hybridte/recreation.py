@@ -142,13 +142,15 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
         if math.isnan(req.delay_budget):
             raise ValidationError(f"request {i}: delay budget must not be NaN")
     n = len(problem.requests)
-    old = problem.lr_old or ()
+    old = problem.lr_old or ((),) * n  # no old routing: every old route is empty
+    if len(old) != n:
+        raise ValidationError(f"lr_old has {len(old)} routes for {n} requests")
     # One search, so one set of limits, for the kept-routing check and the kernel run.
     search = Search({(l.src, l.dst): problem.mu * l.bandwidth for l in topo.links},
                     problem.node_budget)
-    if (len(old) >= n and _old_routes_valid(problem, old)
+    if (_old_routes_valid(problem, old)
             and search.keep([(route, req.capacity) for req, route in zip(problem.requests, old)])):
-        return RecreationSolution(tuple(old[:n]), 0, True, search.nodes)
+        return RecreationSolution(tuple(old), 0, True, search.nodes)
     any_truncated = False
     options: list[list[tuple]] = []
     for i, req in enumerate(problem.requests):
@@ -158,7 +160,7 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
         del paths[problem.path_limit:]
         if not paths:
             raise Infeasible(f"request {i}: no simple path within the delay budget")
-        old_links = set(old[i]) if i < len(old) else set()
+        old_links = set(old[i])
         options.append(sorted(((len(old_links.symmetric_difference(links)), links, links)
                                for links in map(links_of_path, paths)), key=lambda o: o[0]))
 

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .errors import ParseError, ValidationError, check_keys, check_types
+from .errors import NUMBER, ParseError, ValidationError, check_object
 
 
 @dataclass(frozen=True, order=True)
@@ -133,45 +133,30 @@ def serialize_topology(topo: NetworkTopology) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-_TOPOLOGY_KEYS = frozenset({"nodes", "edge_nodes", "links"})
-_LINK_KEYS = frozenset({"src", "dst", "bandwidth", "delay"})
+_TOPOLOGY_FIELDS = {"nodes": int, "edge_nodes": list, "links": list}
+_LINK_FIELDS = {"src": int, "dst": int, "bandwidth": NUMBER, "delay": NUMBER}
 
 
 def load_topology(text: str) -> NetworkTopology:
-    """Parse topology JSON. ParseError on malformed input (unknown keys, and
-    node ids or link figures of the wrong type), ValidationError on bad
-    structure."""
+    """Parse topology JSON. ParseError on malformed input (see `check_object`; edge
+    nodes must be distinct integers), ValidationError on bad structure."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"topology is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("topology document must be a JSON object")
-    check_keys(doc, _TOPOLOGY_KEYS, "topology")
-    try:
-        nodes = doc["nodes"]
-        edge_nodes = doc["edge_nodes"]
-        raw_links = doc["links"]
-    except KeyError as exc:
-        raise ParseError(f"topology document missing key {exc}") from exc
-    check_types(doc, ("nodes",), int, "an integer", "topology")
-    if not isinstance(raw_links, list) or not isinstance(edge_nodes, list):
-        raise ParseError("'links' and 'edge_nodes' must be lists")
+    check_object(doc, _TOPOLOGY_FIELDS, "topology", required=_TOPOLOGY_FIELDS.keys())
+    edge_nodes = doc["edge_nodes"]
     if not all(type(v) is int for v in edge_nodes):  # a JSON true/false loads as a bool
         raise ParseError("edge_nodes entries must be integers")
     if len(set(edge_nodes)) != len(edge_nodes):
         raise ParseError("edge_nodes repeats a node")
     links = []
-    for k, entry in enumerate(raw_links):
-        if not isinstance(entry, dict):
-            raise ParseError(f"link #{k} must be an object")
-        if entry.keys() != _LINK_KEYS:
-            raise ParseError(f"link #{k} has keys {sorted(entry)}, not {sorted(_LINK_KEYS)}")
-        check_types(entry, ("src", "dst"), int, "an integer", f"link #{k}")
-        check_types(entry, ("bandwidth", "delay"), (int, float), "a number", f"link #{k}")
+    for k, entry in enumerate(doc["links"]):
+        check_object(entry, _LINK_FIELDS, f"link #{k}", required=_LINK_FIELDS.keys())
         links.append(Link(entry["src"], entry["dst"], float(entry["bandwidth"]),
                           float(entry["delay"])))
-    return NetworkTopology(node_count=nodes, links=tuple(links), edge_nodes=frozenset(edge_nodes))
+    return NetworkTopology(node_count=doc["nodes"], links=tuple(links),
+                           edge_nodes=frozenset(edge_nodes))
 
 
 def load_topology_file(path: str) -> NetworkTopology:

@@ -45,8 +45,11 @@ class TrafficConfig:
     delay_stretch: float = 2.0
 
     def validate(self, topo: NetworkTopology) -> None:
-        if not 0 < self.demand_fraction < math.inf:  # also catches NaN, which JSON can carry
-            raise ConfigError("demand_fraction must be positive and finite")
+        # Rates are drawn from (0, 2 * demand_fraction * mean bandwidth). The check also
+        # catches NaN, which JSON can carry, and a product that overflows or rounds to 0.
+        if not 0 < 2.0 * (self.demand_fraction * topo.mean_bandwidth) < math.inf:
+            raise ConfigError("demand_fraction must be positive, and the rate range "
+                              "2 * demand_fraction * mean bandwidth finite and nonzero")
         if self.max_flows_per_source < 1:
             raise ConfigError("max_flows_per_source must be at least 1")
         if not 0 <= self.growth_max < math.inf:

@@ -114,8 +114,13 @@ GOOD_ROUTE = ((0, 4), (4, 1))
     # A cycle apart from the path keeps every degree and conservation check.
     (GOOD_ROUTE + ((5, 7), (7, 5)), 40.0, 9.0, [
         "request 0: entries do not form one simple path"]),
+    # A walk that comes back to a node it has visited.
+    (((0, 4), (4, 6), (6, 4)), 40.0, 9.0, ["request 0: destination in-degree is not 1",
+                                           "request 0: flow not conserved at node 4",
+                                           "request 0: entries do not form one simple path"]),
 ], ids=["nonexistent-link", "headroom", "delay-budget", "into-source", "out-of-destination",
-        "source-degree", "destination-degree", "conservation", "out-degree", "detached-cycle"])
+        "source-degree", "destination-degree", "conservation", "out-degree", "detached-cycle",
+        "revisit"])
 def test_lsp_routing_audit_reports_each_violation(route, capacity, budget, expect):
     topo = ht.reference_topology()
     other = ht.LspRequest(2, 3, 40.0, 2.0)

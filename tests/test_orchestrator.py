@@ -11,10 +11,11 @@ import pytest
 
 import hybridte as ht
 from hybridte import orchestrator
-from hybridte.errors import ConfigError, ParseError, ValidationError
+from hybridte.errors import NUMBER, ConfigError, ParseError, ValidationError
 from hybridte.lsp import LspPlan
 from hybridte.orchestrator import SCHEMES, load_lsp_plan_file
 from hybridte.rerouting import RoutingMode
+from hybridte.topology import _LINK_FIELDS, _TOPOLOGY_FIELDS
 
 import oracles
 from test_recreation import ring14
@@ -875,13 +876,12 @@ def test_scenario_loader_errors(tmp_path):
         ht.load_scenario(str(incomplete))
     traffic = {k: v for k, v in MINI_TRAFFIC.items() if k != "demand_fraction"}
     for doc, message in (
-            ([], "scenario document must be a JSON object"),
+            ([], "scenario must be a JSON object"),
             ({"traffic": MINI_TRAFFIC}, "scenario missing key 'topology'"),
             ({"topology": "t.json", "traffic": MINI_TRAFFIC, "rerouting_mode": "sideways"},
              "scenario field malformed: 'sideways' is not a valid RoutingMode"),
             ({"topology": "t.json", "traffic": traffic},
-             "scenario field malformed: .*missing 1 required positional argument: "
-             "'demand_fraction'"),
+             "scenario traffic missing key 'demand_fraction'"),
             # Each plan kind takes only its own field.
             ({"topology": "t.json", "traffic": MINI_TRAFFIC,
               "lsp_plan": {"kind": "auto", "path": "x.json"}},
@@ -915,7 +915,6 @@ def test_scenario_config_validation(tmp_path):
     for bad, message in (
             ({"rerouting_interval": 0}, "rerouting_interval must be at least 1"),
             ({"lsp_plan": {"kind": "static"}}, "lsp_plan.kind must be 'auto' or 'file'"),
-            ({"lsp_plan": {"kind": ["auto"]}}, "lsp_plan.kind must be 'auto' or 'file'"),
             ({"lsp_plan": {"kind": "auto", "paths_per_pair": 0}},
              "paths_per_pair must be at least 1"),
             ({"lsp_plan": {"kind": "file"}}, "file LSP plan needs a path")):
@@ -934,8 +933,8 @@ def test_scenario_config_validation(tmp_path):
     for bad in ({"lsp_plan": {"kind": "auto", "paths_per_pairs": 3}},
                 {"lsp_plan": {"kind": "auto", "paths_per_pair": True}},
                 {"lsp_plan": {"kind": "auto", "paths_per_pair": 2.5}},
-                {"lsp_plan": ["auto"]}, {"mu_trigger": True}, {"mu_headroom": True},
-                {"mu_trigger": "0.5"}):
+                {"lsp_plan": ["auto"]}, {"lsp_plan": {"kind": ["auto"]}}, {"scheme": 1},
+                {"mu_trigger": True}, {"mu_headroom": True}, {"mu_trigger": "0.5"}):
         path = write_mini_files(tmp_path, **bad)
         with pytest.raises(ParseError):
             ht.load_scenario(path)
@@ -957,6 +956,44 @@ def test_scenario_config_validation(tmp_path):
     assert ht.load_scenario(path).traffic.growth_max == 0
 
 
+# A value of another kind for each field kind; a JSON true/false is of none.
+OTHER_KIND = {int: 2.5, NUMBER: "1", str: 1, list: {}, dict: []}
+
+
+def test_every_table_field_rejects_true_and_another_kind(tmp_path):
+    # The cases come from the loaders' field tables, so a field added later is covered too.
+    path = write_mini_files(tmp_path)
+    topo_doc = json.loads((tmp_path / "topo.json").read_text())
+    plan_doc = json.loads((tmp_path / "plan.json").read_text())
+    scenario = json.loads((tmp_path / "scenario.json").read_text())
+    topo = ht.load_topology(json.dumps(topo_doc))
+
+    def load_plan(doc):
+        (tmp_path / "plan.json").write_text(json.dumps(doc))
+        load_lsp_plan_file(str(tmp_path / "plan.json"), topo)
+
+    def load_scenario(doc):
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        ht.load_scenario(path)
+
+    tables = (
+        (_TOPOLOGY_FIELDS, topo_doc, lambda d: ht.load_topology(json.dumps(d))),
+        (_LINK_FIELDS, topo_doc["links"][0],
+         lambda d: ht.load_topology(json.dumps(dict(topo_doc, links=[d])))),
+        (orchestrator._PLAN_FILE_FIELDS, plan_doc, load_plan),
+        (orchestrator._PLAN_ENTRY_FIELDS, plan_doc["lsps"][0], lambda d: load_plan({"lsps": [d]})),
+        (orchestrator._SCENARIO_FIELDS, scenario, load_scenario),
+        (orchestrator._TRAFFIC_FIELDS, MINI_TRAFFIC,
+         lambda d: load_scenario(dict(scenario, traffic=d))),
+        *((fields, {"kind": kind}, lambda d: load_scenario(dict(scenario, lsp_plan=d)))
+          for kind, fields in orchestrator._PLAN_FIELDS.items()))
+    for fields, doc, load in tables:
+        for name, kind in fields.items():
+            for bad in (True, OTHER_KIND[kind]):
+                with pytest.raises(ParseError, match=re.escape(f"field {name!r} must be")):
+                    load(dict(doc, **{name: bad}))
+
+
 def test_absent_scenario_keys_take_the_dataclass_defaults(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"topology": "topo.json", "traffic": MINI_TRAFFIC}))
@@ -971,9 +1008,12 @@ def test_config_echo_is_complete_and_serializable():
     cfg = dataclasses.replace(ht.load_scenario(scenario_path("scenario1.json")), slots=2)
     echo, other = (ht.run_scenario(dataclasses.replace(cfg, seed=seed)).config_echo
                    for seed in (0, 3))
-    file_keys = orchestrator._SCENARIO_KEYS - {"topology"} | {"topology_path", "dump_dir"}
+    file_keys = (orchestrator._SCENARIO_FIELDS.keys() - {"topology"}
+                 | {"topology_path", "dump_dir"})
     assert echo.keys() == file_keys
-    assert echo["traffic"].keys() == orchestrator._TRAFFIC_KEYS
+    assert echo["traffic"].keys() == orchestrator._TRAFFIC_FIELDS.keys()
+    plan = orchestrator._PLAN_FIELDS
+    assert echo["lsp_plan"].keys() == plan["auto"].keys() | plan["file"].keys()
     assert (echo["scheme"], echo["seed"]) == ("ffr", 0)
     assert dict(echo, seed=3) == other
     assert json.loads(json.dumps(echo, sort_keys=True)) == echo

@@ -270,6 +270,20 @@ def test_feasible_old_routing_is_kept(square):
     assert sol.routing == old
 
 
+def test_old_routing_needs_one_route_per_request(square):
+    route = ((0, 1), (1, 3))
+    req = ht.LspRequest(0, 3, 6.0, 10.0)
+    # Neither cut to the requests (longer) nor padded with empty routes (shorter).
+    for reqs, old in (((req,), (route, route)), ((req, req), (route,))):
+        with pytest.raises(ValidationError,
+                           match=f"^lr_old has {len(old)} routes for {len(reqs)} requests$"):
+            ht.solve_lsp_recreation(ht.RecreationProblem(reqs, square, old, mu=1.0))
+    # None and () both mean no old routing: every route counts as changed.
+    for old in (None, ()):
+        sol = ht.solve_lsp_recreation(ht.RecreationProblem((req,), square, old, mu=1.0))
+        assert (sol.routing, sol.changed_entries) == ((route,), 2)
+
+
 def test_delay_budget_forces_detour_infeasible(square):
     reqs = (ht.LspRequest(0, 3, 6.0, 1.0),)
     with pytest.raises(Infeasible) as exc:
@@ -456,8 +470,8 @@ def _square_pair(capacity=6.0, delay_budget=10.0):
     # a walk that returns to its source
     (dict(requests=(_square_pair(),), lr_old=(((0, 1), (1, 0), (0, 2), (2, 3)),)),
      ((DOWN,), 2, True, 2)),
-    # an old routing shorter than the requests, and none at all
-    (dict(requests=(_square_pair(),) * 2, lr_old=(UP,)), ((UP, DOWN), 2, True, 3)),
+    # empty old routes, and none at all (a shorter old routing is an error)
+    (dict(requests=(_square_pair(),) * 2, lr_old=((), ())), ((UP, DOWN), 4, True, 3)),
     (dict(requests=(_square_pair(),) * 2, lr_old=None), ((UP, DOWN), 4, True, 3)),
 ])
 def test_old_routing_that_is_not_feasible_is_searched(square, spec, expect):

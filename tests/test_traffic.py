@@ -150,6 +150,8 @@ def test_growth_mean_near_half_cap(topo):
     dict(intensity_scale=math.nan),
     # Python's json reads Infinity too, and numpy cannot draw from an infinite range
     dict(demand_fraction=math.inf),
+    # finite, but 2 x 1e308 x 100 (the mean bandwidth) overflows numpy's draw range
+    dict(demand_fraction=1e308),
     dict(growth_max=math.inf),
     dict(delay_stretch=math.inf),
     # numpy rejects a negative seed with its own ValueError
@@ -164,6 +166,15 @@ def test_config_validation(topo, bad):
     if "growth_max" in bad:
         with pytest.raises(ConfigError):
             ht.growth_block(bad["growth_max"], 0, 2, 0)
+
+
+def test_a_rate_range_that_rounds_to_zero_is_an_error():
+    # 1e-300 x 1e-300 is 0 in floating point: every draw would be 0, and a draw of 0 is
+    # redrawn, so generation would never end.
+    links = [{"src": a, "dst": b, "bandwidth": 1e-300, "delay": 1} for a, b in ((0, 1), (1, 0))]
+    topo = ht.load_topology(json.dumps({"nodes": 2, "edge_nodes": [0, 1], "links": links}))
+    with pytest.raises(ConfigError, match="^demand_fraction must be positive"):
+        ht.generate_flows(topo, cfg(demand_fraction=1e-300, intensity_scale=1.0), 0)
 
 
 def test_edge_node_that_reaches_no_other_is_an_error():

@@ -54,12 +54,16 @@ class Search:
 
     def fits_all(self, items) -> bool:
         """Whether `(resources, demand)` items, placed one after another from empty
-        loads, each fit beside those placed before it."""
-        self.load = dict.fromkeys(self.load, 0.0)
+        loads, each fit beside those placed before it. An item lists each resource
+        once, so its resources are checked and loaded in one loop."""
+        load = self.load = dict.fromkeys(self.load, 0.0)
+        limit = self.limit
         for resources, demand in items:
-            if not self.fits(resources, demand):
-                return False
-            self.place(resources, demand)
+            for r in resources:
+                total = load[r] + demand
+                if total > limit[r]:
+                    return False
+                load[r] = total
         return True
 
     def keep(self, items) -> bool:

@@ -39,6 +39,14 @@ class Infeasible(HybridTeError):
         self.proven = proven
 
 
+def check_count(value, name: str) -> None:
+    """Raise ValidationError unless `value` is an int of at least 1; a bool is none."""
+    if type(value) is bool or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer")
+    if value < 1:
+        raise ValidationError(f"{name} must be at least 1")
+
+
 NUMBER = (int, float)  # a field kind: any JSON number
 _KIND_NAMES = {int: "an integer", NUMBER: "a number", str: "a string", list: "a list",
                dict: "a JSON object"}

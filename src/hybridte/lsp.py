@@ -80,11 +80,12 @@ class LspPlan(tuple):
                                           if l.prop_delay <= max_delay)
         return self._admissible[key]
 
-    def search_tables(self, mu: float, unreserved: bool) -> tuple[dict, dict, dict]:
-        """Re-routing's resource capacities, their `bnb.limits` and each LSP's resources
-        under headroom `mu`, built once per (mu, mode). An LSP loads its own capacity and,
-        in unreserved mode, every link it crosses, each link holding `mu` times its
-        bandwidth in the plan's topology."""
+    def search_tables(self, mu: float, unreserved: bool) -> tuple[dict, dict, dict, dict]:
+        """Re-routing's resource capacities, their `bnb.limits`, each LSP's resources and
+        each (src, dst) pair's room under headroom `mu`, built once per (mu, mode). An LSP
+        loads its own capacity and, in unreserved mode, every link it crosses, each link
+        holding `mu` times its bandwidth in the plan's topology. A pair's room is the sum,
+        in id order, of its LSPs' limits, a negative limit counting as 0: it takes nothing."""
         key = (mu, unreserved)
         if key not in self._tables:
             capacity = {l.id: l.capacity for l in self}
@@ -92,7 +93,10 @@ class LspPlan(tuple):
             if unreserved:
                 for ln in self.topology.links:
                     capacity[(ln.src, ln.dst)] = mu * ln.bandwidth
-            self._tables[key] = capacity, limits(capacity), resources
+            limit = limits(capacity)
+            room = {pair: sum(max(limit[l.id], 0.0) for l in lsps)
+                    for pair, lsps in self.pairs.items()}
+            self._tables[key] = capacity, limit, resources, room
         return self._tables[key]
 
 

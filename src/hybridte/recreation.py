@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .bnb import BudgetExhausted, Search
 from .dumps import request_records, routes, scalar
-from .errors import Infeasible, ValidationError
+from .errors import Infeasible, ValidationError, check_count
 from .topology import NetworkTopology, links_of_path
 
 
@@ -129,11 +129,12 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
 
     A still-feasible old routing is returned as is, at cost 0, without
     enumerating candidate paths, when the node budget allows the kernel's
-    first descent along it (`Search.keep`)."""
+    first descent along it (`Search.keep`). `path_limit` and `node_budget` must be
+    ints of at least 1."""
     if not 0 < problem.mu <= 1:
         raise ValidationError("mu must lie in (0, 1]")
-    if problem.path_limit < 1:
-        raise ValidationError("path_limit must be at least 1")
+    check_count(problem.path_limit, "path_limit")
+    check_count(problem.node_budget, "node_budget")
     topo = problem.topology
     for i, req in enumerate(problem.requests):
         _check_endpoints(topo, req.src, req.dst, f"request {i}: ")

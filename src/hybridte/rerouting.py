@@ -18,9 +18,12 @@ nothing, so their optima together are the optimum and its lexicographic minimum.
 In unreserved mode they share links: each pair is solved against the full link
 headroom, a relaxation (Geoffrion, Math. Programming Study 2, 1974) whose answers
 are optimal and lexicographically smallest whenever they fit the links together.
-When they do not, all flows are searched jointly. The pairs' LSPs, each flow's
-admissible ones and the search's capacity tables are read from the run's plan
-(`lsp.LspPlan`), built once per plan (the tables once per headroom and mode).
+When they do not, all flows are searched jointly. Before any of this, flows that
+all fit together on their admissible old LSPs stay there after one fit check: each
+part then fits alone too, so each would be kept, and the same nodes are counted. The
+pairs' LSPs, each flow's admissible ones, the search's capacity tables and each
+pair's room are read from the run's plan (`lsp.LspPlan`), built once per plan (the
+tables once per headroom and mode).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from enum import Enum
 
 from .bnb import BudgetExhausted, Search
 from .dumps import flow_records, id_map, lsp_records, scalar
-from .errors import Infeasible, ValidationError
+from .errors import Infeasible, ValidationError, check_count
 from .lsp import LspPlan
 from .topology import NetworkTopology
 
@@ -67,39 +70,53 @@ class ReroutingSolution:
 def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     """Solve one re-routing instance; raises Infeasible when no assignment exists.
 
-    A pair whose flows all still fit on their old LSPs keeps them in len(part) + 1 nodes,
-    budget permitting; the others are searched, all on one node counter. When the
-    pair answers overload a shared link in unreserved mode, the joint search starts
-    with the nodes the pair searches already spent, so a budget that does not cover
-    both gives an unproven incumbent or an unproven Infeasible."""
+    After the pre-checks, flows of rates at least 0 that all fit together on their
+    admissible old LSPs stay there at 0 changes, in len(part) + 1 nodes per pair, budget
+    permitting. Otherwise a pair whose flows all still fit on their old LSPs keeps them
+    in len(part) + 1 nodes, budget permitting; the others are searched, all on one node
+    counter. When the pair answers overload a shared link in unreserved mode, the joint
+    search starts with the nodes the pair searches already spent, so a budget that does
+    not cover both gives an unproven incumbent or an unproven Infeasible."""
     unreserved = problem.mode == RoutingMode.UNRESERVED
     # First, as where the caller built the plan; links matter only in unreserved mode.
     plan = LspPlan(problem.lsps, problem.topology if unreserved else None)
     if not 0 < problem.mu <= 1:
         raise ValidationError("mu must lie in (0, 1]")
+    check_count(problem.node_budget, "node_budget")
     plan.check_flows(problem.flows, problem.fr_old)
     if unreserved and problem.topology is None:
         raise ValidationError("unreserved mode needs a topology")
     rate = {f.id: f.rate for f in problem.flows}
-    capacity, limit, resources = plan.search_tables(problem.mu, unreserved)
+    capacity, limit, resources, room = plan.search_tables(problem.mu, unreserved)
     search = Search(capacity, problem.node_budget, limit)
     by_pair: dict[tuple[int, int], list[int]] = {}
     for f in problem.flows:
         by_pair.setdefault((f.src, f.dst), []).append(f.id)
-    for pair in sorted(by_pair):
+    pairs = sorted(by_pair)
+    for pair in pairs:
         # A pair's flows that sum above its LSPs' limits overload one of them whatever
         # the assignment. The margin keeps rounding in both sums from rejecting an
-        # instance the search solves; a negative limit takes nothing, so adds no room.
-        room = sum(max(search.limit[l.id], 0.0) for l in plan.pairs.get(pair, ()))
-        if sum(rate[fid] for fid in by_pair[pair]) > room * (1 + 1e-12):
+        # instance the search solves.
+        if sum(rate[fid] for fid in by_pair[pair]) > room.get(pair, 0.0) * (1 + 1e-12):
             raise Infeasible(f"flows {pair[0]}->{pair[1]} exceed the capacity of their LSPs",
                              proven=True)
+    parts = [sorted(by_pair[pair]) for pair in pairs]
+    old, by_id = problem.fr_old, plan.by_id
+    # Every flow stays when its old LSP is still admissible (so none lacks one), the budget
+    # covers each part's len(part) + 1 nodes and all flows fit together in part order:
+    # adding rates of at least 0 rounds monotonically, so each part then fits alone too.
+    kept_nodes = len(rate) + len(parts)
+    if (kept_nodes <= search.budget
+            and all(f.rate >= 0 and (l := by_id[old[f.id]]).src == f.src and l.dst == f.dst
+                    and l.prop_delay <= f.max_delay for f in problem.flows)
+            and search.fits_all([(resources[old[fid]], rate[fid])
+                                 for part in parts for fid in part])):
+        return ReroutingSolution({fid: old[fid] for fid in sorted(rate)}, 0, True, kept_nodes)
     admissible = {f.id: plan.admissible(f.src, f.dst, f.max_delay) for f in problem.flows}
     for fid, lsps in admissible.items():
         if not lsps:
             raise Infeasible(f"flow {fid} has no admissible LSP", proven=True)
-    parts = [by_pair[pair] for pair in sorted(by_pair)]
-    tables = rate, problem.fr_old, admissible, resources
+    tables = rate, old, admissible, resources
     assignment, changes, optimal = _solve(search, parts, *tables)
     if unreserved and len(parts) > 1 and not search.fits_all(
             [(resources[lid], rate[fid]) for fid, lid in assignment.items()]):

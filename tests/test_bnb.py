@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -82,3 +83,36 @@ def test_budget_runs_out_one_node_past_the_budget():
         assert search.run(order, demand, options) == expect
         assert search.nodes == full.nodes
     assert checked > 300
+
+
+def test_fits_all_agrees_with_the_reference():
+    # Random item lists over 1-4 resources, each item loading each resource once.
+    # In most, one resource's capacity is set so that its final load lands just
+    # inside, at or just outside the 1e-9 tolerance above it.
+    rng = np.random.default_rng(23)
+    seen = Counter()
+    for k in range(3000):
+        resources = range(int(rng.integers(1, 5)))
+        items = [(tuple(r for r in resources if rng.uniform() < 0.6), float(rng.uniform(0.1, 4.0)))
+                 for _ in range(int(rng.integers(0, 7)))]
+        capacity = {r: float(rng.uniform(1.0, 12.0)) for r in resources}
+        load = dict.fromkeys(resources, 0.0)
+        for used, demand in items:
+            for r in used:
+                load[r] += demand
+        r = max(resources, key=load.get)
+        if k % 4 and load[r] > 0:
+            slack = (0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0)[k % 5]
+            capacity[r] = load[r] / (1 + slack * 1e-9)
+            if capacity[r] < 1.0:  # the tolerance is absolute below 1
+                capacity[r] = load[r] - slack * 1e-9
+        search = Search(capacity, 1)
+        search.load = {r: 1e6 for r in resources}  # left over from an earlier call
+        assignment = dict(enumerate(range(len(items))))
+        expect = oracles.fits_together(assignment, {i: d for i, (_, d) in enumerate(items)},
+                                       {i: used for i, (used, _) in enumerate(items)},
+                                       search.limit)
+        assert search.fits_all(items) is expect, k
+        assert search.fits_all(items) is expect, k  # each call starts from empty loads
+        seen[expect, 0 < load[r] - capacity[r] <= 2e-9 * max(1.0, capacity[r])] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 100, seen

@@ -546,3 +546,20 @@ def test_a_call_builds_its_headroom_limits_once(monkeypatch, square):
     assert _outcome(kept) == ((UP, DOWN), 0, True, 3)
     assert _outcome(moved)[1:3] == (4, True)
     assert built == [len(square.links)] * 2
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("node_budget", math.nan, "node_budget must be an integer"),
+    ("node_budget", True, "node_budget must be an integer"),
+    ("node_budget", 0, "node_budget must be at least 1"),
+    ("path_limit", 2.5, "path_limit must be an integer"),
+    ("path_limit", True, "path_limit must be an integer"),
+])
+def test_budget_and_path_limit_must_be_integers_of_at_least_1(square, field, value, message):
+    # A NaN budget searched without limit, True counted as 1, and a path limit of
+    # 2.5 raised a bare TypeError while cutting the path list.
+    for lr_old in (None, (UP,)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ht.solve_lsp_recreation(ht.RecreationProblem(
+                requests=(ht.LspRequest(0, 3, 5.0),), topology=square, lr_old=lr_old,
+                **{field: value}))

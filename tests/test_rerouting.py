@@ -14,6 +14,7 @@ from hybridte import lsp, rerouting
 from hybridte.errors import Infeasible, ValidationError
 from hybridte.lsp import LspPlan
 from hybridte.rerouting import RoutingMode, rerouting_to_json
+from hybridte.topology import Link, NetworkTopology
 
 import oracles
 from test_ffr import shuffled_instances
@@ -390,7 +391,7 @@ def test_joint_search_starts_with_the_budget_the_pairs_spent():
 
     with mock.patch.object(rerouting.Search, "fits_all", spy):
         full = ht.solve_flow_rerouting(problem)
-    pairs = checked_at[0]
+    pairs = checked_at[-1]
     joint = full.nodes_explored - pairs
     assert (pairs, joint, full.optimal) == (27, 40, True)
     with pytest.raises(Infeasible) as exc:
@@ -624,3 +625,128 @@ def test_a_part_whose_flows_all_stay_costs_its_descent():
             ht.solve_flow_rerouting(dataclasses.replace(
                 problem, node_budget=sol.nodes_explored - 1))
         assert not exc.value.proven
+
+
+def all_stay_instances():
+    """Each multi-pair pinned instance, in both modes, re-solved from its own answer:
+    every flow stays where that answer put it."""
+    for key in PINNED:
+        if key[0] == "multi":
+            first = ht.solve_flow_rerouting(pinned_instance(*key))
+            yield key, dataclasses.replace(pinned_instance(*key), fr_old=first.assignment)
+
+
+def test_an_instance_whose_flows_all_stay_takes_one_fit_check():
+    # No search and no per-part keep runs: the answer keeps every flow in the
+    # len(part) + 1 nodes of each part. At that budget the answer is the same; one
+    # node less takes the per-part path, which keeps all parts but the last and
+    # runs out of budget on it, unproven.
+    keep = rerouting.Search.keep
+    for key, problem in all_stay_instances():
+        sizes = [n for _, n in sorted(Counter((f.src, f.dst) for f in problem.flows).items())]
+        nodes = sum(n + 1 for n in sizes)
+        with mock.patch.object(rerouting.Search, "run", side_effect=AssertionError("searched")), \
+                mock.patch.object(rerouting.Search, "keep", side_effect=AssertionError("kept")):
+            for budget in (500_000, nodes):
+                sol = ht.solve_flow_rerouting(dataclasses.replace(problem, node_budget=budget))
+                got = (sol.assignment, list(sol.assignment), sol.changes, sol.optimal,
+                       sol.nodes_explored)
+                assert got == (problem.fr_old, sorted(problem.fr_old), 0, True, nodes), key
+        kept = []
+
+        def spy(search, items):
+            kept.append(len(items))
+            return keep(search, items)
+
+        with mock.patch.object(rerouting.Search, "keep", spy):
+            with pytest.raises(Infeasible) as exc:
+                ht.solve_flow_rerouting(dataclasses.replace(problem, node_budget=nodes - 1))
+        assert not exc.value.proven, key
+        assert kept == sizes, key
+
+
+def test_pairs_that_fit_alone_but_overload_a_shared_link_are_searched(topo):
+    # Flows 0->2 and 1->2 stay on their upper-plane LSPs, each fitting alone, but
+    # together they put 100 units on links 4->6 and 6->2 (headroom 90). The one fit
+    # check fails, both pairs are kept on the per-part path, and the joint search
+    # moves a flow, as the kernel-only reference does.
+    lsps = (ht.build_lsp(topo, [0, 4, 6, 2], 60.0, 0), ht.build_lsp(topo, [0, 5, 7, 2], 60.0, 1),
+            ht.build_lsp(topo, [1, 4, 6, 2], 60.0, 2), ht.build_lsp(topo, [1, 5, 7, 2], 60.0, 3))
+    flows = (ht.Flow(0, 0, 2, 50.0, 9.0), ht.Flow(1, 1, 2, 50.0, 9.0))
+    problem = ht.ReroutingProblem(flows, lsps, {0: 0, 1: 2}, RoutingMode.UNRESERVED,
+                                  topology=topo)
+    run = rerouting.Search.run
+    searched = []
+
+    def spy(search, order, demand, options):
+        searched.append(order)
+        return run(search, order, demand, options)
+
+    with mock.patch.object(rerouting.Search, "run", spy):
+        got = rerouting_outcome(ht.solve_flow_rerouting, problem)
+    assert searched == [[0, 1]]
+    expect = rerouting_outcome(
+        lambda p: oracles.full_scan_rerouting(p, oracles.kernel_parts), problem)
+    assert got == expect
+    assert got[:4] == ({0: 0, 1: 3}, [0, 1], 1, True)
+
+
+@pytest.mark.parametrize("budget, message", [
+    (math.nan, "node_budget must be an integer"),
+    (True, "node_budget must be an integer"),
+    (2.0, "node_budget must be an integer"),
+    (0, "node_budget must be at least 1"),
+])
+def test_node_budget_must_be_an_integer_of_at_least_1(budget, message):
+    # A NaN budget compares false with every node count, so it searched without
+    # limit and reported the answer as proven; True counted as a budget of 1.
+    for mode in RoutingMode:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ht.solve_flow_rerouting(pinned_instance("multi", 4, 1795, mode.value,
+                                                    node_budget=budget))
+
+
+def test_a_pair_room_counts_an_lsp_of_negative_capacity_as_none(topo):
+    # A hand-made LSP of capacity -5 beside one of 10 leaves the pair 10 units of room,
+    # not 5, so 8 units of flow pass the pre-check and fit on the first LSP.
+    lsps = (ht.build_lsp(topo, [0, 4, 1], 10.0, 0), ht.Lsp(1, 0, 1, ((0, 5), (5, 1)), -5.0, 2.0))
+    flows = (ht.Flow(0, 0, 1, 4.0, 4.0), ht.Flow(1, 0, 1, 4.0, 4.0))
+    for mode in RoutingMode:
+        plan = LspPlan(lsps, topo)
+        assert plan.search_tables(0.9, mode is RoutingMode.UNRESERVED)[3] == {
+            (0, 1): 10.0 + 1e-8}
+        sol = ht.solve_flow_rerouting(ht.ReroutingProblem(flows, plan, {0: 1, 1: 1}, mode,
+                                                          topology=topo))
+        assert (sol.assignment, sol.changes, sol.optimal) == ({0: 0, 1: 0}, 2, True)
+
+
+def test_an_old_lsp_of_another_pair_is_left(topo):
+    # LSP 1 (0 -> 2) has room, but flow 0 (0 -> 1) only shares its source and flow 1
+    # (1 -> 2) only its destination: neither may stay on it, alone or together.
+    lsps = (ht.build_lsp(topo, [0, 4, 1], 10.0, 0), ht.build_lsp(topo, [0, 4, 6, 2], 10.0, 1),
+            ht.build_lsp(topo, [1, 4, 6, 2], 10.0, 2))
+    flows = (ht.Flow(0, 0, 1, 1.0, 100.0), ht.Flow(1, 1, 2, 1.0, 100.0))
+    for mode in RoutingMode:
+        for which in ([0], [1], [0, 1]):
+            sol = ht.solve_flow_rerouting(ht.ReroutingProblem(
+                tuple(flows[i] for i in which), lsps, dict.fromkeys(which, 1), mode,
+                topology=topo))
+            assert (sol.assignment, sol.changes, sol.optimal) == (
+                {i: (0, 2)[i] for i in which}, len(which), True)
+
+
+@pytest.mark.parametrize("rate", [math.nan, -60.0])
+def test_a_rate_below_0_or_nan_is_not_kept_by_the_joint_fit_check(rate):
+    # Pair 1->2's two 50-unit flows overload link 3->2 (headroom 90) alone, so the
+    # instance is infeasible. Placed first on that link, a NaN or negative rate of
+    # pair 0->2 would let one joint pass fit them; the answer stays the per-part one.
+    topo = NetworkTopology(5, tuple(Link(a, b, 100.0, 1.0) for a, b in
+                                    ((0, 3), (1, 3), (1, 4), (4, 3), (3, 2))), frozenset(range(5)))
+    lsps = (ht.build_lsp(topo, [0, 3, 2], 100.0, 0), ht.build_lsp(topo, [1, 3, 2], 100.0, 1),
+            ht.build_lsp(topo, [1, 4, 3, 2], 100.0, 2))
+    flows = (ht.Flow(0, 0, 2, rate, 9.0), ht.Flow(1, 1, 2, 50.0, 9.0), ht.Flow(2, 1, 2, 50.0, 9.0))
+    problem = ht.ReroutingProblem(flows, lsps, {0: 0, 1: 1, 2: 2}, RoutingMode.UNRESERVED,
+                                  topology=topo)
+    got = rerouting_outcome(ht.solve_flow_rerouting, problem)
+    assert got == rerouting_outcome(oracles.full_scan_rerouting, problem)
+    assert got == ("no assignment satisfies capacity and delay", True)

@@ -1,0 +1,53 @@
+"""tools/same_outputs.py on a two-run matrix: a tree against itself shows no
+difference, and against a copy whose scenario differs, it names the files that do."""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+TOOL = os.path.join(REPO, "tools", "same_outputs.py")
+
+
+def same_outputs(base, change, work):
+    return subprocess.run([sys.executable, TOOL, "--base", base, "--change", change,
+                           "--work", str(work), "--runs", "2"],
+                          capture_output=True, text=True, timeout=300)
+
+
+def counts(stdout):
+    """kind -> (equal, different), from the tool's table."""
+    rows = stdout.splitlines()
+    table = rows[rows.index(next(r for r in rows if r.startswith("kind"))) + 1:]
+    return {kind: (int(eq), int(diff)) for kind, eq, diff in map(str.split, table)}
+
+
+def test_a_tree_against_itself_is_equal(tmp_path):
+    proc = same_outputs(REPO, REPO, tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    got = counts(proc.stdout)
+    # The matrix starts with scenario1's exact run, which dumps its instances, then its ffr run.
+    assert {kind: got[kind] for kind in ("metrics.csv", "events.log", "config.echo", "status")} \
+        == dict.fromkeys(("metrics.csv", "events.log", "config.echo", "status"), (2, 0))
+    assert got["lp/reroute.json"][0] > 0 and got["lp/reroute.json"][1] == 0
+    assert sorted(os.listdir(tmp_path / "base" / "out" / "scenario1-reserved")) \
+        == ["exact-seed0", "ffr-seed0"]
+
+
+def test_a_changed_scenario_is_named(tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(os.path.join(REPO, "src"), tree / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(os.path.join(REPO, "scenarios"), tree / "scenarios")
+    path = tree / "scenarios" / "scenario1.json"
+    doc = json.loads(path.read_text())
+    doc["traffic"]["demand_fraction"] *= 2
+    path.write_text(json.dumps(doc))
+    proc = same_outputs(REPO, str(tree), tmp_path / "work")
+    assert proc.returncode == 1
+    got = counts(proc.stdout)
+    assert got["config.echo"] == (0, 2) and got["metrics.csv"] == (0, 2)
+    assert got["status"] == (2, 0)
+    assert "scenario1-reserved/ffr-seed0/config.echo: line " in proc.stdout

@@ -24,40 +24,24 @@ def limits(capacity: dict) -> dict:
 
 
 class Search:
-    """Resource loads, one node counter shared by every `run`, and the best
-    assignment of the latest `run`.
+    """Each resource's limit (`limits(capacity)`), one node counter shared by every
+    `run`, and the best assignment of the latest `run`.
 
-    Resources are keyed by LSP id or by (src, dst) link pair. A caller that
-    keeps `limits(capacity)` passes it as `limit`."""
+    Resources are keyed by LSP id or by (src, dst) link pair."""
 
-    def __init__(self, capacity: dict, node_budget: int, limit: dict | None = None):
-        self.limit = limits(capacity) if limit is None else limit
-        self.load = dict.fromkeys(capacity, 0.0)
+    def __init__(self, limit: dict, node_budget: int):
+        self.limit = limit
         self.nodes = 0
         self.budget = node_budget
         self.best: dict | None = None
         self.best_cost = math.inf
 
-    def fits(self, resources, demand: float) -> bool:
-        for r in resources:
-            if self.load[r] + demand > self.limit[r]:
-                return False
-        return True
-
-    def place(self, resources, demand: float):
-        for r in resources:
-            self.load[r] += demand
-
-    def remove(self, resources, demand: float):
-        for r in resources:
-            self.load[r] -= demand
-
     def fits_all(self, items) -> bool:
         """Whether `(resources, demand)` items, placed one after another from empty
         loads, each fit beside those placed before it. An item lists each resource
         once, so its resources are checked and loaded in one loop."""
-        load = self.load = dict.fromkeys(self.load, 0.0)
         limit = self.limit
+        load = dict.fromkeys(limit, 0.0)
         for resources, demand in items:
             for r in resources:
                 total = load[r] + demand
@@ -84,14 +68,14 @@ class Search:
 
         Returns that assignment (item -> option value), or None.
         Raises BudgetExhausted once the node budget is spent; `best` and
-        `best_cost` then hold the incumbent, and the loads are left as they
-        were at that node."""
+        `best_cost` then hold the incumbent."""
         n = len(order)
         bound = [0] * (n + 1)
         for k in range(n - 1, -1, -1):
             bound[k] = bound[k + 1] + min(o[0] for o in options[order[k]])
         chosen: dict = {}
-        self.load = dict.fromkeys(self.load, 0.0)
+        limit = self.limit
+        load = dict.fromkeys(limit, 0.0)
         self.best = None
         self.best_cost = math.inf
 
@@ -109,14 +93,19 @@ class Search:
             item = order[k]
             need = demand[item]
             for step, resources, value in options[item]:
-                if (cost + step + bound[k + 1] >= self.best_cost
-                        or not self.fits(resources, need)):
+                if cost + step + bound[k + 1] >= self.best_cost:
                     continue
-                self.place(resources, need)
-                chosen[item] = value
-                dfs(k + 1, cost + step)
-                del chosen[item]
-                self.remove(resources, need)
+                for r in resources:
+                    if load[r] + need > limit[r]:
+                        break
+                else:
+                    for r in resources:
+                        load[r] += need
+                    chosen[item] = value
+                    dfs(k + 1, cost + step)
+                    del chosen[item]
+                    for r in resources:
+                        load[r] -= need
 
         dfs(0, 0)
         return self.best

@@ -80,9 +80,9 @@ class LspPlan(tuple):
                                           if l.prop_delay <= max_delay)
         return self._admissible[key]
 
-    def search_tables(self, mu: float, unreserved: bool) -> tuple[dict, dict, dict, dict]:
-        """Re-routing's resource capacities, their `bnb.limits`, each LSP's resources and
-        each (src, dst) pair's room under headroom `mu`, built once per (mu, mode). An LSP
+    def search_tables(self, mu: float, unreserved: bool) -> tuple[dict, dict, dict]:
+        """Re-routing's resource limits (`bnb.limits`), each LSP's resources and each
+        (src, dst) pair's room under headroom `mu`, built once per (mu, mode). An LSP
         loads its own capacity and, in unreserved mode, every link it crosses, each link
         holding `mu` times its bandwidth in the plan's topology. A pair's room is the sum,
         in id order, of its LSPs' limits, a negative limit counting as 0: it takes nothing."""
@@ -96,7 +96,7 @@ class LspPlan(tuple):
             limit = limits(capacity)
             room = {pair: sum(max(limit[l.id], 0.0) for l in lsps)
                     for pair, lsps in self.pairs.items()}
-            self._tables[key] = capacity, limit, resources, room
+            self._tables[key] = limit, resources, room
         return self._tables[key]
 
 

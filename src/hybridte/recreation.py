@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bnb import BudgetExhausted, Search
+from .bnb import BudgetExhausted, Search, limits
 from .dumps import request_records, routes, scalar
 from .errors import Infeasible, ValidationError, check_count
 from .topology import NetworkTopology, links_of_path
@@ -97,8 +97,7 @@ def enumerate_simple_paths(topo: NetworkTopology, src: int, dst: int,
     """Simple src->dst paths within the delay budget, ordered by
     (total delay, hop count, node sequence), at most `limit` of them."""
     _check_endpoints(topo, src, dst)
-    if limit < 1:
-        raise ValidationError("limit must be at least 1")
+    check_count(limit, "limit")
     if math.isnan(delay_budget):
         raise ValidationError("delay budget must not be NaN")
     return _enumerate(topo, src, dst, delay_budget, limit)
@@ -147,7 +146,7 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     if len(old) != n:
         raise ValidationError(f"lr_old has {len(old)} routes for {n} requests")
     # One search, so one set of limits, for the kept-routing check and the kernel run.
-    search = Search({(l.src, l.dst): problem.mu * l.bandwidth for l in topo.links},
+    search = Search(limits({(l.src, l.dst): problem.mu * l.bandwidth for l in topo.links}),
                     problem.node_budget)
     if (_old_routes_valid(problem, old)
             and search.keep([(route, req.capacity) for req, route in zip(problem.requests, old)])):

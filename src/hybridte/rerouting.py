@@ -87,8 +87,8 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     if unreserved and problem.topology is None:
         raise ValidationError("unreserved mode needs a topology")
     rate = {f.id: f.rate for f in problem.flows}
-    capacity, limit, resources, room = plan.search_tables(problem.mu, unreserved)
-    search = Search(capacity, problem.node_budget, limit)
+    limit, resources, room = plan.search_tables(problem.mu, unreserved)
+    search = Search(limit, problem.node_budget)
     by_pair: dict[tuple[int, int], list[int]] = {}
     for f in problem.flows:
         by_pair.setdefault((f.src, f.dst), []).append(f.id)

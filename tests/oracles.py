@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from hybridte import rerouting
-from hybridte.bnb import BudgetExhausted, Search
+from hybridte.bnb import BudgetExhausted, Search, limits
 from hybridte.errors import ConfigError, Infeasible
 from hybridte.ffr import FfrResult
 from hybridte.lsp import build_lsp
@@ -585,7 +585,7 @@ def full_scan_rerouting(problem, solve=None):
         for ln in problem.topology.links:
             capacity[(ln.src, ln.dst)] = problem.mu * ln.bandwidth
         resources = {l.id: (l.id, *l.links) for l in lsps}
-    search = Search(capacity, problem.node_budget)
+    search = Search(limits(capacity), problem.node_budget)
     rate = {f.id: f.rate for f in problem.flows}
     pairs = sorted({(f.src, f.dst) for f in problem.flows})
     parts = [[f.id for f in problem.flows if (f.src, f.dst) == pair] for pair in pairs]

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hybridte.bnb import BudgetExhausted, Search
+from hybridte.bnb import BudgetExhausted, Search, limits
 
 import oracles
 
@@ -49,7 +49,7 @@ def test_run_finds_the_cheapest_assignment():
     for _ in range(500):
         capacity, order, demand, options = random_items(rng)
         found = brute_force(capacity, order, demand, options)
-        search = Search(capacity, 10_000)
+        search = Search(limits(capacity), 10_000)
         best = search.run(order, demand, options)
         if not found:
             assert best is None and search.best_cost == math.inf
@@ -68,10 +68,10 @@ def test_budget_runs_out_one_node_past_the_budget():
     checked = 0
     for _ in range(100):
         capacity, order, demand, options = random_items(rng)
-        full = Search(capacity, 10_000)
+        full = Search(limits(capacity), 10_000)
         expect = full.run(order, demand, options)
         for budget in range(full.nodes):
-            search = Search(capacity, budget)
+            search = Search(limits(capacity), budget)
             with pytest.raises(BudgetExhausted):
                 search.run(order, demand, options)
             assert search.nodes == budget + 1
@@ -79,10 +79,38 @@ def test_budget_runs_out_one_node_past_the_budget():
             search.budget = search.nodes + full.nodes
             assert search.run(order, demand, options) == expect
             checked += 1
-        search = Search(capacity, full.nodes)
+        search = Search(limits(capacity), full.nodes)
         assert search.run(order, demand, options) == expect
         assert search.nodes == full.nodes
     assert checked > 300
+
+
+def test_a_search_stopped_mid_descent_answers_as_a_fresh_one():
+    # A run stopped by its budget was holding the loads of the items placed above
+    # the node it stopped at. The next fits_all, keep and run start from empty loads.
+    rng = np.random.default_rng(29)
+    seen = Counter()
+    for _ in range(400):
+        capacity, order, demand, options = random_items(rng)
+        items = [(options[i][int(rng.integers(len(options[i])))][1], demand[i]) for i in order]
+        full = Search(limits(capacity), 10_000)
+        full.run(order, demand, options)
+        if full.nodes < 2:
+            continue
+        stopped = Search(limits(capacity), int(rng.integers(1, full.nodes)))
+        with pytest.raises(BudgetExhausted):
+            stopped.run(order, demand, options)
+        spent = stopped.nodes
+        stopped.budget = spent + 10_000
+        fresh = Search(limits(capacity), 10_000)
+        expect = fresh.fits_all(items)
+        assert stopped.fits_all(items) is expect
+        assert stopped.keep(items) is fresh.keep(items) is expect
+        assert stopped.run(order, demand, options) == fresh.run(order, demand, options)
+        assert stopped.best_cost == fresh.best_cost
+        assert stopped.nodes - spent == fresh.nodes
+        seen[expect] += 1
+    assert min(seen[True], seen[False]) >= 50, seen
 
 
 def test_fits_all_agrees_with_the_reference():
@@ -106,8 +134,7 @@ def test_fits_all_agrees_with_the_reference():
             capacity[r] = load[r] / (1 + slack * 1e-9)
             if capacity[r] < 1.0:  # the tolerance is absolute below 1
                 capacity[r] = load[r] - slack * 1e-9
-        search = Search(capacity, 1)
-        search.load = {r: 1e6 for r in resources}  # left over from an earlier call
+        search = Search(limits(capacity), 1)
         assignment = dict(enumerate(range(len(items))))
         expect = oracles.fits_together(assignment, {i: d for i, (_, d) in enumerate(items)},
                                        {i: used for i, (used, _) in enumerate(items)},

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hybridte as ht
-from hybridte import bnb
+from hybridte import bnb, recreation
 from hybridte.errors import Infeasible, ValidationError
 from hybridte.recreation import _enumerate, recreation_to_json
 from hybridte.topology import Link, NetworkTopology, links_of_path
@@ -217,7 +217,10 @@ def test_enumeration_argument_validation(topo):
         ht.enumerate_simple_paths(topo, 0, 0)
     with pytest.raises(ValidationError):
         ht.enumerate_simple_paths(topo, 0, 99)
-    with pytest.raises(ValidationError):
+    for limit in (2.5, math.nan, True):
+        with pytest.raises(ValidationError, match="^limit must be an integer$"):
+            ht.enumerate_simple_paths(topo, 0, 2, limit=limit)
+    with pytest.raises(ValidationError, match="^limit must be at least 1$"):
         ht.enumerate_simple_paths(topo, 0, 2, limit=0)
     with pytest.raises(ValidationError, match="^delay budget must not be NaN$"):
         ht.enumerate_simple_paths(topo, 0, 2, delay_budget=math.nan)
@@ -536,8 +539,8 @@ def test_a_call_builds_its_headroom_limits_once(monkeypatch, square):
     # The kept-routing check and the search share one set of limits, so a call
     # builds them once whether it keeps the old routing or searches.
     built = []
-    limits = bnb.limits
-    monkeypatch.setattr(bnb, "limits", lambda capacity: built.append(len(capacity))
+    limits = recreation.limits
+    monkeypatch.setattr(recreation, "limits", lambda capacity: built.append(len(capacity))
                         or limits(capacity))
     kept = ht.RecreationProblem(requests=(_square_pair(),) * 2, topology=square,
                                 lr_old=(UP, DOWN))

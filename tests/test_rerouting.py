@@ -713,7 +713,7 @@ def test_a_pair_room_counts_an_lsp_of_negative_capacity_as_none(topo):
     flows = (ht.Flow(0, 0, 1, 4.0, 4.0), ht.Flow(1, 0, 1, 4.0, 4.0))
     for mode in RoutingMode:
         plan = LspPlan(lsps, topo)
-        assert plan.search_tables(0.9, mode is RoutingMode.UNRESERVED)[3] == {
+        assert plan.search_tables(0.9, mode is RoutingMode.UNRESERVED)[2] == {
             (0, 1): 10.0 + 1e-8}
         sol = ht.solve_flow_rerouting(ht.ReroutingProblem(flows, plan, {0: 1, 1: 1}, mode,
                                                           topology=topo))

@@ -4,15 +4,15 @@ from templates with keys in sorted order: byte for byte what
 encoder, which it uses whenever `indent` is set.
 
 Text that repeats from call to call is kept in bounded `lru_cache`s beside
-`Lsp.dump_record`: flow records but their rates, re-creation requests, link
-lists and the string order of id-map keys. So a call formats only the rates,
-the assignments and the solution. A key must fix its text, though equal values
-need not (5 == 5.0 == True, 0.0 == -0.0), and `typed=True` tells types apart
-only at a key's top level. So flat keys are typed, and for a key holding a zero
-other than an exact int 0 the renderer raises `_Unkept` with its text, which
-lru_cache does not keep; a key found later has a kept key's types and equal
-values, so the same text (a NaN finds only its own entry). Nested keys are
-looked up only when every leaf is an exact int. Other keys render uncached.
+`Lsp.dump_record` and `LspPlan.dump_records`: the text around a population's rates
+and around the values of an id map with exact-int keys, re-creation requests and
+link lists; a call formats only the rates, the assignments and the solution. A key
+must fix its text, though equal values need not (5 == 5.0 == True, 0.0 == -0.0).
+Nested keys are looked up only when each leaf has one exact type (int, or a nonzero
+float for a delay bound); exact ints and finite exact floats fill by `str`, which is
+json's text, other values by `scalar`. A request's key is typed (`typed=True` tells
+types apart at its top level), and its text is not kept when the key holds a zero
+other than an exact int 0 (`_Unkept`). Other keys render uncached.
 """
 
 import math
@@ -22,6 +22,7 @@ from operator import attrgetter
 
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _by_id = attrgetter("id")
+_columns = [attrgetter(name) for name in ("id", "src", "dst", "max_delay", "rate")]
 
 
 def scalar(v) -> str:
@@ -60,6 +61,14 @@ def block(items: str, ind: str) -> str:
     return f"[\n{items}\n{ind}]" if items else "[]"
 
 
+def fill(pieces: tuple, texts) -> str:
+    """`pieces` with one of `texts` between each two. Not a `%` fill: CPython 3.11 never
+    reuses a freed tuple of exactly 20 items, and keeps up to 2,000 of them (0.37 MB)."""
+    parts = [None] * (2 * len(pieces) - 1)
+    parts[::2], parts[1::2] = pieces, texts
+    return "".join(parts)
+
+
 def pairs(links, ind: str) -> str:
     """A list of (a, b) link pairs, closed at indent `ind`."""
     i1, i2 = ind + "  ", ind + "    "
@@ -70,10 +79,17 @@ def pairs(links, ind: str) -> str:
 _cached_pairs = lru_cache(maxsize=1024)(pairs)
 
 
+def _link_list(links, ind: str) -> str:
+    """`pairs`, kept in a cache when `links` is a tuple of (int, int) tuples."""
+    return (_cached_pairs if type(links) is tuple and {*map(type, links)} <= {tuple}
+            and {*map(len, links)} <= {2} and {*map(type, chain.from_iterable(links))} <= {int}
+            else pairs)(links, ind)
+
+
 def lsp_record(l) -> str:
     """One LSP's entry in a re-routing dump's `lsps` list."""
     return (f'    {{\n      "capacity": {scalar(l.capacity)},\n      "dst": {scalar(l.dst)},\n'
-            f'      "id": {scalar(l.id)},\n      "links": {pairs(l.links, "      ")},\n'
+            f'      "id": {scalar(l.id)},\n      "links": {_link_list(l.links, "      ")},\n'
             f'      "prop_delay": {scalar(l.prop_delay)},\n      "src": {scalar(l.src)}\n    }}')
 
 
@@ -82,24 +98,28 @@ def lsp_records(lsps) -> str:
     return block(",\n".join([l.dump_record for l in sorted(lsps, key=_by_id)]), "  ")
 
 
-@lru_cache(maxsize=1024, typed=True)
-def _flow_parts(fid, src, dst, max_delay) -> tuple[str, str]:
-    """A flow record's text before and after its rate."""
-    return _kept((f'    {{\n      "dst": {scalar(dst)},\n      "id": {scalar(fid)},\n'
-                  f'      "max_delay": {scalar(max_delay)},\n      "rate": ',
-                  f',\n      "src": {scalar(src)}\n    }}'), fid, src, dst, max_delay)
+@lru_cache(maxsize=64)
+def _flow_pieces(fixed: tuple) -> tuple[str, ...]:
+    """The `flows` list of a population around its rates (`fill`), given the number of
+    flows and then their ids, sources, destinations and delay bounds in id order."""
+    n = fixed[0]
+    return tuple(block(",\n".join([f'    {{\n      "dst": {scalar(dst)},\n      "id": {scalar(fid)},\n'
+                                   f'      "max_delay": {scalar(delay)},\n      "rate": %s,\n'
+                                   f'      "src": {scalar(src)}\n    }}' for fid, src, dst, delay
+                                   in zip(*[fixed[1 + k * n:1 + (k + 1) * n] for k in range(4)])]),
+                       "  ").split("%s"))  # no scalar text holds a "%"
 
 
 def flow_records(flows) -> str:
-    """A re-routing dump's `flows` list, in id order; only the rates are formatted."""
-    items = []
-    for f in sorted(flows, key=_by_id):
-        try:
-            head, tail = _flow_parts(f.id, f.src, f.dst, f.max_delay)
-        except _Unkept as unkept:
-            head, tail = unkept.args[0]
-        items.append(head + scalar(f.rate) + tail)
-    return block(",\n".join(items), "  ")
+    """A re-routing dump's `flows` list, in id order: its population's pieces and rates."""
+    ordered = sorted(flows, key=_by_id)
+    ids, srcs, dsts, delays, rates = ([*map(get, ordered)] for get in _columns)
+    fixed = (len(ordered), *ids, *srcs, *dsts, *delays)  # 4n + 1 items, never 20 (`fill`)
+    if ({*map(type, ids), *map(type, srcs), *map(type, dsts)} <= {int}
+            and {*map(type, delays), *map(type, rates)} <= {float} and 0.0 not in delays
+            and all(map(math.isfinite, rates))):
+        return fill(_flow_pieces(fixed), map(repr, rates))
+    return fill(_flow_pieces.__wrapped__(fixed), map(scalar, rates))
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -122,32 +142,28 @@ def request_records(requests) -> str:
 
 
 def routes(routing, ind: str) -> str:
-    """A list of routes, each a list of link pairs, closed at indent `ind`; the
-    link lists are cached when every one is a tuple of (int, int) tuples."""
-    every = tuple(chain.from_iterable(routing))  # every route's pairs in turn
-    ints = ({*map(type, routing), *map(type, every)} <= {tuple} and {*map(len, every)} <= {2}
-            and {*map(type, chain.from_iterable(every))} <= {int})
-    render = _cached_pairs if ints else pairs
+    """A list of routes, each a list of link pairs, closed at indent `ind`; a route's
+    link list is cached when it is a tuple of (int, int) tuples."""
     i1 = ind + "  "
-    return block(",\n".join([i1 + render(links, i1) for links in routing]), ind)
+    return block(",\n".join([i1 + _link_list(links, i1) for links in routing]), ind)
 
 
 @lru_cache(maxsize=64)
 def _key_order(keys: tuple, ind: str) -> tuple[tuple, tuple[str, ...]]:
-    """The keys in the string order of their names, and each one's `"name": ` text."""
+    """The keys in their names' string order, and the object's text around its values."""
     keys = sorted(keys, key=str)
-    return tuple(keys), tuple(f'{ind}"{name}": ' for name in map(str, keys))
+    heads = [f'{ind}"{name}": ' for name in map(str, keys)]
+    return tuple(keys), ("{\n" + heads[0], *[",\n" + h for h in heads[1:]], f"\n{ind[2:]}}}")
 
 
 def id_map(mapping, ind: str) -> str:
-    """An object keyed by str(key), in string order ("10" before "2"),
-    closed at indent `ind`; the order of exact-int keys is cached."""
+    """An object keyed by str(key), in string order ("10" before "2"), closed at indent
+    `ind`; exact-int keys have their pieces cached, and exact-int values fill them by `str`."""
     if not mapping:
         return "{}"
-    if set(map(type, mapping)) == {int}:
-        keys, names = _key_order(tuple(mapping), ind + "  ")
-    else:  # names may repeat: the last value under each is written, as json does
-        keys, names = _key_order.__wrapped__(tuple({str(k): k for k in mapping}.values()),
-                                             ind + "  ")
-    texts = map(scalar, map(mapping.__getitem__, keys))
-    return "{\n" + ",\n".join(map(str.__add__, names, texts)) + f"\n{ind}}}"
+    ints = set(map(type, mapping)) == {int}
+    # Other names may repeat: the last value under each is written, as json does.
+    keys = tuple(mapping) if ints else tuple({str(k): k for k in mapping}.values())
+    keys, pieces = (_key_order if ints else _key_order.__wrapped__)(keys, ind + "  ")
+    values = [*map(mapping.__getitem__, keys)]
+    return fill(pieces, map(str if set(map(type, values)) == {int} else scalar, values))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bnb import limits
-from .dumps import lsp_record
+from .dumps import lsp_record, lsp_records
 from .errors import InvalidPathError, ValidationError
 from .topology import NetworkTopology, links_of_path
 
@@ -36,7 +36,9 @@ class LspPlan(tuple):
     as is `LspPlan(plan, topology)` for the topology it was checked against. A plan
     compares as the tuple of its LSPs, so an unchanged one compares by one identity
     test. `by_id` maps ids to LSPs, `pairs` each (src, dst) to its LSPs in id order.
-    Lookups and solver tables are built once per plan, on first use."""
+    Lookups, solver tables and the dump's `lsps` text are built once per plan, on first use."""
+
+    dump_records = cached_property(lsp_records)
 
     def __new__(cls, lsps, topology: NetworkTopology | None = None):
         if isinstance(lsps, LspPlan) and topology in (None, lsps.topology):

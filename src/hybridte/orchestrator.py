@@ -348,12 +348,12 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
             trigger = max_util > cfg.mu_trigger or periodic
             log(t, "check", f"max_util={max_util:.6f} periodic={periodic} trigger={trigger}")
             if trigger:
-                now = flows_at(flows, rates)
+                now, before = flows_at(flows, rates), (lsps, assignment)
                 # A kept plan leaves round one's answer, which a retry would only repeat.
                 if run_flow_level(t, "reroute", now) and run_recreation(t):
                     run_flow_level(t, "reroute_retry", now)
-                current = flow_paths()
-                if current != paths:
+                # Paths can differ only on another plan object or another assignment.
+                if (lsps is not before[0] or assignment != before[1]) and (current := flow_paths()) != paths:
                     paths, index = current, link_index(topo, flows, current)
                     loads = utils = None
         samples.append(compute_sample(t, rates, index, loads, utils))

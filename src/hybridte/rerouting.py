@@ -157,7 +157,8 @@ def _solve(search: Search, parts, rate, old, admissible, resources) -> tuple[dic
 
 def rerouting_to_json(problem: ReroutingProblem, solution: ReroutingSolution | None = None) -> str:
     """Deterministic JSON dump of one instance (and optionally its solution)."""
-    text = (f'{{\n  "flows": {flow_records(problem.flows)},\n  "lsps": {lsp_records(problem.lsps)},\n'
+    lsps = problem.lsps.dump_records if isinstance(problem.lsps, LspPlan) else lsp_records(problem.lsps)
+    text = (f'{{\n  "flows": {flow_records(problem.flows)},\n  "lsps": {lsps},\n'
             f'  "mode": "{problem.mode.value}",\n  "mu": {scalar(problem.mu)},\n'
             f'  "node_budget": {scalar(problem.node_budget)},\n'
             f'  "old_assignment": {id_map(problem.fr_old, "  ")}')

@@ -50,8 +50,9 @@ class TrafficConfig:
         if not 0 < 2.0 * (self.demand_fraction * topo.mean_bandwidth) < math.inf:
             raise ConfigError("demand_fraction must be positive, and the rate range "
                               "2 * demand_fraction * mean bandwidth finite and nonzero")
-        if self.max_flows_per_source < 1:
-            raise ConfigError("max_flows_per_source must be at least 1")
+        # truncated_geometric holds max_flows_per_source weights per source, 8 bytes each.
+        if not 1 <= self.max_flows_per_source <= 10**6:
+            raise ConfigError("max_flows_per_source must lie in [1, 10**6]")
         if not 0 <= self.growth_max < math.inf:
             raise ConfigError("growth_max must be nonnegative and finite")
         if not 1 <= self.delay_stretch < math.inf:

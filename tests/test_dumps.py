@@ -11,6 +11,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hybridte as ht
 from hybridte import dumps, orchestrator, recreation
@@ -21,7 +23,8 @@ from hybridte.rerouting import ReroutingSolution, RoutingMode, rerouting_to_json
 from hybridte.traffic import Flow
 
 import oracles
-from test_orchestrator import SCENARIO_DIR
+from test_orchestrator import (CONTESTED_PLANS, SCENARIO_DIR, contested_plan_config, parse_events,
+                               watch_link_index)
 
 
 def solved(solve, problem):
@@ -243,6 +246,41 @@ def test_equal_values_of_other_types_or_signs_render_apart_in_one_process():
                     (ht.LspRequest(2, 3, 5.0, 4.0)._replace(**{field: v}),), None))
 
 
+RATES = EQUAL_BUT_APART + [-math.inf]  # NaN, +inf and -0.0 are in it already
+
+
+def exact(v, kind):
+    """The value of `kind` (int or float) equal to `v`; an int field keeps NaN and +inf."""
+    return kind(v) if kind is float or v - v == 0 else v
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(rows=st.lists(st.tuples(*[st.sampled_from(EQUAL_BUT_APART)] * 4, st.sampled_from(RATES)),
+                     min_size=1, max_size=3))
+def test_flow_templates_keep_equal_values_of_other_types_or_signs_apart(rows):
+    # From drawn (id, src, dst, max_delay, rate) rows: the population with every field of
+    # its exact type, which a flow template may serve, and beside it each copy with one
+    # field of one flow replaced by a value equal to it, of another type or sign. Rendered
+    # in both orders in one process, each must be what json writes; a template keyed by
+    # value alone would write, say, 5.0 as the 5 of a population rendered before it.
+    kinds = (int, int, int, float, float)
+    base = [tuple(map(exact, row, kinds)) for row in rows]
+    populations = [base]
+    for i, row in enumerate(base):
+        for j, v in enumerate(row):
+            for twin in (w for w in RATES if w == v or w is v):
+                populations.append(base[:i] + [row[:j] + (twin,) + row[j + 1:]] + base[i + 1:])
+    for cache in caches():
+        cache.cache_clear()
+    for order in (populations, populations[::-1]):
+        for population in order:
+            flows = tuple(Flow(fid, src, dst, rate, delay)
+                          for fid, src, dst, delay, rate in population)
+            problem = ht.ReroutingProblem(flows, (), {k: f.id for k, f in enumerate(flows)})
+            check_rerouting(problem)
+            check_rerouting(problem, ReroutingSolution(dict(problem.fr_old), 0, True, 1))
+
+
 def captured_scenario_renders(monkeypatch, tmp_path):
     """Every render of `scenario1`-`4` `exact` runs with dumps at seeds 0-2, reserved
     and unreserved: (renderer, args, text), checked against the written files."""
@@ -299,3 +337,58 @@ def test_cold_and_overflowed_caches_render_what_json_writes(monkeypatch, tmp_pat
         assert info.currsize == info.maxsize, (cache, info)
     for render, args, text in renders:
         assert render(*args) == text
+
+
+
+def dumped_paths(doc, assignment):
+    """Each flow's links under `assignment` on the dumped instance `doc`'s LSPs."""
+    links = {l["id"]: [tuple(pair) for pair in l["links"]] for l in doc["lsps"]}
+    return {fid: links[lid] for fid, lid in assignment.items()}
+
+
+@pytest.mark.parametrize("mode", list(RoutingMode))
+def test_moved_routes_are_dumped_from_each_new_plan(monkeypatch, tmp_path, mode):
+    # The "moving" plan's re-creations move routes, so later rounds run on new plans:
+    # every written dump, each plan's `lsps` text included, is what json writes for the
+    # instance. The link index is built at slot 0 and again exactly in the slots whose
+    # rounds left the flows on other links, read from each slot's first and last dump.
+    renders, built, sampled = [], [], []
+    render, index, sample = (orchestrator.rerouting_to_json, orchestrator.link_index,
+                             orchestrator.compute_sample)
+    monkeypatch.setattr(orchestrator, "rerouting_to_json",
+                        lambda *args: renders.append((args, render(*args))) or renders[-1][1])
+    monkeypatch.setattr(orchestrator, "link_index",
+                        lambda *a: built.append(len(sampled)) or index(*a))
+    monkeypatch.setattr(orchestrator, "compute_sample",
+                        lambda t, *a: sampled.append(t) or sample(t, *a))
+    base = contested_plan_config(tmp_path, CONTESTED_PLANS["moving"])
+    rebuilt, kept_links = 0, 0  # slots that moved a flow's links; that moved only a route
+    for seed in range(4):
+        renders.clear(), built.clear(), sampled.clear()
+        lp = tmp_path / f"lp{seed}"
+        events = parse_events(ht.run_scenario(dataclasses.replace(
+            base, rerouting_mode=mode, seed=seed, dump_dir=str(lp))).events)
+        dumps = sorted(lp.glob("*_reroute*.json"))
+        assert sorted(path.read_text() for path in dumps) == sorted(text for _, text in renders)
+        for args, text in renders:
+            assert text == oracles.rerouting_dump(*args)
+        docs = {}
+        for path in dumps:  # slotNNN_reroute.json sorts before slotNNN_reroute_retry.json
+            docs.setdefault(int(path.name[4:7]), []).append(json.loads(path.read_text()))
+        moved, last = [], None
+        for t in sorted(docs):
+            first, final = docs[t][0], docs[t][-1]
+            before = dumped_paths(first, first["old_assignment"])
+            after = dumped_paths(final, final["solution"]["assignment"] if "solution" in final
+                                 else final["old_assignment"])
+            assert last is None or before == last, t
+            last = after
+            moved += [t] if after != before else []
+        assert built == [0] + moved
+        assert len(moved) < len(docs)  # most slots keep every path and skip the rebuild
+        rebuilt += len(moved)
+        kept_links += len({e["slot"] for e in events
+                           if e.get("changed_entries", "0") != "0"} - set(moved))
+        if moved:  # the rounds after a moved flow run on the new plan's LSP text
+            assert len({id(args[0].lsps) for args, _ in renders}) == 2
+    assert rebuilt and kept_links, (rebuilt, kept_links)

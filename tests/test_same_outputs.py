@@ -1,11 +1,16 @@
 """tools/same_outputs.py on a two-run matrix: a tree against itself shows no
-difference, and against a copy whose scenario differs, it names the files that do."""
+difference, and against a copy whose scenario differs, it names the files that do.
+The matrix's moving scenario moves a route under `exact`."""
 
+import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+
+from hybridte.cli import main
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 TOOL = os.path.join(REPO, "tools", "same_outputs.py")
@@ -51,3 +56,23 @@ def test_a_changed_scenario_is_named(tmp_path):
     assert got["config.echo"] == (0, 2) and got["metrics.csv"] == (0, 2)
     assert got["status"] == (2, 0)
     assert "scenario1-reserved/ffr-seed0/config.echo: line " in proc.stdout
+
+
+def test_the_matrix_moves_a_route_under_exact(tmp_path, monkeypatch):
+    # The moving scenario's exact runs move a route in a re-creation and retry on the
+    # rebuilt plan, so the matrix compares dumps of rounds on a new plan too.
+    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.write_scenarios(REPO, str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    runs = [argv for argv in tool.matrix()
+            if argv[1].startswith("scenarios/moving-") and "exact" in argv]
+    assert len(runs) == 16  # both modes, seeds 0-7
+    moved = retried = 0
+    for argv in runs:
+        assert main(argv) == 0
+        events = (tmp_path / argv[-1] / "events.log").read_text()
+        moved += len(re.findall(r"event=recreate .*changed_entries=[1-9]", events))
+        retried += events.count("event=reroute_retry")
+    assert moved and retried, (moved, retried)

@@ -168,6 +168,21 @@ def test_config_validation(topo, bad):
             ht.growth_block(bad["growth_max"], 0, 2, 0)
 
 
+def test_a_huge_flow_count_bound_fails_before_any_draw(topo, monkeypatch):
+    # Each source's draw holds max_flows_per_source weights, so 10**9 would ask for
+    # gigabytes; validation rejects it, naming the bound, before the first draw.
+    draws = []
+    monkeypatch.setattr(ht.traffic, "truncated_geometric",
+                        lambda *args: draws.append(args) or truncated_geometric(*args))
+    for bad in (10**9, 10**6 + 1):
+        with pytest.raises(ConfigError, match=r"^max_flows_per_source must lie in \[1, 10\*\*6\]$"):
+            ht.generate_flows(topo, cfg(max_flows_per_source=bad), 1)
+    assert draws == []
+    # The bound itself is allowed.
+    assert ht.generate_flows(topo, cfg(max_flows_per_source=10**6), 1)
+    assert {hi for _, _, hi in draws} == {10**6}
+
+
 def test_a_rate_range_that_rounds_to_zero_is_an_error():
     # 1e-300 x 1e-300 is 0 in floating point: every draw would be 0, and a draw of 0 is
     # redrawn, so generation would never end.

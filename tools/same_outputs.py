@@ -6,9 +6,12 @@ every output file byte for byte.
 Each tree is a checkout with `src/hybridte` and `scenarios/`. The matrix is
 `hybridte run --dump-lp` under each scheme and `hybridte compare`, over
 `scenario1`, `scenario3` and `degenerate`, each as written, heavy (3x
-`demand_fraction`, `growth_max` 0.1) and still (`growth_max` 0), all in both
-re-routing modes, at seeds 0-7. The variants are written from each tree's own
-scenario files.
+`demand_fraction`, `growth_max` 0.1) and still (`growth_max` 0), and over the
+"moving" mini scenario, all in both re-routing modes, at seeds 0-7: 640
+commands. The variants are written from each tree's own scenario files. The
+moving scenario is written by this script: a 4-node topology with 10-unit links
+and a file plan of two 5-unit LSPs on one route, whose exact re-creations move
+a route, so that the matrix also dumps rounds on a rebuilt plan.
 Each tree runs the whole matrix in its own Python process, which imports only
 that tree's package, with every run's output under `<work>/<side>/out`. Besides
 `metrics.csv`, `events.log`, `config.echo` and the dumps, each run leaves a
@@ -43,6 +46,20 @@ VARIANTS = {
     "still-reserved": ("reserved", {}, {"growth_max": 0.0}),
     "still-unreserved": ("unreserved", {}, {"growth_max": 0.0}),
 }
+# The "moving" mini scenario, written beside the others as moving-<mode>.json.
+MOVING_TOPOLOGY = {"nodes": 4, "edge_nodes": [0, 1], "links": [
+    {"src": a, "dst": b, "bandwidth": 10.0, "delay": 1.0}
+    for pair in ((0, 2), (2, 1), (0, 3), (3, 1)) for a, b in (pair, pair[::-1])]}
+MOVING_PLAN = {"lsps": [{"path": [0, 2, 1], "capacity": 5.0}, {"path": [0, 2, 1], "capacity": 5.0},
+                        {"path": [1, 2, 0], "capacity": 4.0}]}
+MOVING = {"topology": "moving-topology.json", "scheme": "exact", "slots": 12, "seed": 1,
+          "mu_trigger": 0.001, "mu_headroom": 0.9, "rerouting_interval": 5,
+          "lsp_plan": {"kind": "file", "path": "moving-plan.json"},
+          "traffic": {"demand_fraction": 0.3, "flow_intensity": 0.8, "max_flows_per_source": 2,
+                      "growth_max": 0.1, "delay_stretch": 2.0}}
+MODES = ("reserved", "unreserved")
+NAMES = tuple(f"{scenario}-{variant}" for scenario in SCENARIOS for variant in VARIANTS) \
+    + tuple(f"moving-{mode}" for mode in MODES)
 
 # Runs each command of the JSON list on stdin through the tree's `hybridte.cli.main`.
 _RUNNER = """
@@ -71,22 +88,30 @@ def matrix() -> list[list[str]]:
     """Every command of the matrix, as argv lists relative to a side's work directory."""
     runs = []
     for seed in SEEDS:
-        for scenario in SCENARIOS:
-            for variant in VARIANTS:
-                path, out = f"scenarios/{scenario}-{variant}.json", f"out/{scenario}-{variant}"
-                for scheme in SCHEMES:
-                    runs.append(["run", path, "--seed", str(seed), "--scheme", scheme, "--dump-lp",
-                                 "--out", f"{out}/{scheme}-seed{seed}"])
-                runs.append(["compare", path, "--seed", str(seed),
-                             "--out", f"{out}/compare-seed{seed}"])
+        for name in NAMES:
+            path, out = f"scenarios/{name}.json", f"out/{name}"
+            for scheme in SCHEMES:
+                runs.append(["run", path, "--seed", str(seed), "--scheme", scheme, "--dump-lp",
+                             "--out", f"{out}/{scheme}-seed{seed}"])
+            runs.append(["compare", path, "--seed", str(seed),
+                         "--out", f"{out}/compare-seed{seed}"])
     return runs
+
+
+def write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(doc, fp, indent=2)
 
 
 def write_scenarios(tree: str, side_dir: str) -> None:
     """Write each scenario variant from `tree`'s scenario files, beside a copy of
-    the topology file each names."""
+    the topology file each names, and the moving scenario's files."""
     target = os.path.join(side_dir, "scenarios")
     os.makedirs(target)
+    write_json(os.path.join(target, MOVING["topology"]), MOVING_TOPOLOGY)
+    write_json(os.path.join(target, MOVING["lsp_plan"]["path"]), MOVING_PLAN)
+    for mode in MODES:
+        write_json(os.path.join(target, f"moving-{mode}.json"), dict(MOVING, rerouting_mode=mode))
     for scenario in SCENARIOS:
         with open(os.path.join(tree, "scenarios", f"{scenario}.json"), encoding="utf-8") as fp:
             doc = json.load(fp)
@@ -95,9 +120,8 @@ def write_scenarios(tree: str, side_dir: str) -> None:
             traffic = dict(doc["traffic"], **fields)
             for name, factor in scaled.items():
                 traffic[name] *= factor
-            with open(os.path.join(target, f"{scenario}-{variant}.json"), "w",
-                      encoding="utf-8") as fp:
-                json.dump(dict(doc, rerouting_mode=mode, traffic=traffic), fp, indent=2)
+            write_json(os.path.join(target, f"{scenario}-{variant}.json"),
+                       dict(doc, rerouting_mode=mode, traffic=traffic))
 
 
 def start_side(tree: str, side_dir: str, runs: list) -> subprocess.Popen:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 
 
-class BudgetExhausted(Exception):
-    """The search visited more nodes than its budget allows."""
+class _Stop(Exception):
+    """Unwinds `Search.run`'s recursion once the node budget is spent."""
 
 
 def limits(capacity: dict) -> dict:
@@ -24,8 +24,8 @@ def limits(capacity: dict) -> dict:
 
 
 class Search:
-    """Each resource's limit (`limits(capacity)`), one node counter shared by every
-    `run`, and the best assignment of the latest `run`.
+    """Each resource's limit (`limits(capacity)`) and one node counter shared by
+    every `keep` and `run`.
 
     Resources are keyed by LSP id or by (src, dst) link pair."""
 
@@ -33,8 +33,6 @@ class Search:
         self.limit = limit
         self.nodes = 0
         self.budget = node_budget
-        self.best: dict | None = None
-        self.best_cost = math.inf
 
     def fits_all(self, items) -> bool:
         """Whether `(resources, demand)` items, placed one after another from empty
@@ -50,25 +48,27 @@ class Search:
                 load[r] = total
         return True
 
-    def keep(self, items) -> bool:
-        """Whether the answer of cost 0 that places the list of `(resources, demand)`
-        `items` can be kept without search: the items fit together and the budget
-        covers the len(items) + 1 nodes of `run`'s first descent along them, which
-        are then counted. No leaf costs less than 0, so `run` would keep it too."""
-        if self.nodes + len(items) + 1 > self.budget or not self.fits_all(items):
+    def keep(self, items, parts: int) -> bool:
+        """Whether the cost-0 answer placing the list of `(resources, demand)` `items`,
+        split into `parts` parts each searched by its own `run`, can be kept without
+        search: the items fit together (so each part fits alone if no demand is below 0)
+        and the budget covers the len(items) + parts nodes of the runs' first descents
+        along them, which are then counted. No leaf costs less, so `run` would keep it."""
+        if self.nodes + len(items) + parts > self.budget or not self.fits_all(items):
             return False
-        self.nodes += len(items) + 1
+        self.nodes += len(items) + parts
         return True
 
-    def run(self, order, demand, options) -> dict | None:
+    def run(self, order, demand, options) -> tuple[dict | None, float, bool]:
         """Find the cheapest assignment of the items of `order`, branched in
         that order, from empty loads. Only a strictly cheaper leaf replaces
         the incumbent, so of the cheapest assignments the first in branching
         order is kept.
 
-        Returns that assignment (item -> option value), or None.
-        Raises BudgetExhausted once the node budget is spent; `best` and
-        `best_cost` then hold the incumbent."""
+        Returns (assignment, cost, finished): the assignment (item -> option
+        value) and its cost, or None and infinity when none was found.
+        `finished` is False exactly when the node budget stopped the search;
+        the assignment is then the incumbent."""
         n = len(order)
         bound = [0] * (n + 1)
         for k in range(n - 1, -1, -1):
@@ -76,24 +76,23 @@ class Search:
         chosen: dict = {}
         limit = self.limit
         load = dict.fromkeys(limit, 0.0)
-        self.best = None
-        self.best_cost = math.inf
+        best, best_cost = None, math.inf
 
         def dfs(k: int, cost: int):
+            nonlocal best, best_cost
             self.nodes += 1
             if self.nodes > self.budget:
-                raise BudgetExhausted
+                raise _Stop
             # Every node is entered with cost + bound[k] < best_cost (the root
             # as best_cost starts infinite, children by the option check), so
             # it needs no bound check of its own.
             if k == n:
-                self.best_cost = cost
-                self.best = dict(chosen)
+                best, best_cost = dict(chosen), cost
                 return
             item = order[k]
             need = demand[item]
             for step, resources, value in options[item]:
-                if cost + step + bound[k + 1] >= self.best_cost:
+                if cost + step + bound[k + 1] >= best_cost:
                     continue
                 for r in resources:
                     if load[r] + need > limit[r]:
@@ -107,5 +106,8 @@ class Search:
                     for r in resources:
                         load[r] -= need
 
-        dfs(0, 0)
-        return self.best
+        try:
+            dfs(0, 0)
+        except _Stop:
+            return best, best_cost, False
+        return best, best_cost, True

@@ -18,6 +18,7 @@ other than an exact int 0 (`_Unkept`). Other keys render uncached.
 import math
 from functools import lru_cache
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -152,7 +153,7 @@ def routes(routing, ind: str) -> str:
 def _key_order(keys: tuple, ind: str) -> tuple[tuple, tuple[str, ...]]:
     """The keys in their names' string order, and the object's text around its values."""
     keys = sorted(keys, key=str)
-    heads = [f'{ind}"{name}": ' for name in map(str, keys)]
+    heads = [f'{ind}{encode_basestring_ascii(name)}: ' for name in map(str, keys)]
     return tuple(keys), ("{\n" + heads[0], *[",\n" + h for h in heads[1:]], f"\n{ind[2:]}}}")
 
 

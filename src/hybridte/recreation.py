@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bnb import BudgetExhausted, Search, limits
+from .bnb import Search, limits
 from .dumps import request_records, routes, scalar
 from .errors import Infeasible, ValidationError, check_count
 from .topology import NetworkTopology, links_of_path
@@ -149,7 +149,7 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     search = Search(limits({(l.src, l.dst): problem.mu * l.bandwidth for l in topo.links}),
                     problem.node_budget)
     if (_old_routes_valid(problem, old)
-            and search.keep([(route, req.capacity) for req, route in zip(problem.requests, old)])):
+            and search.keep([(route, req.capacity) for req, route in zip(problem.requests, old)], 1)):
         return RecreationSolution(tuple(old), 0, True, search.nodes)
     any_truncated = False
     options: list[list[tuple]] = []
@@ -165,19 +165,12 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
                                for links in map(links_of_path, paths)), key=lambda o: o[0]))
 
     order = sorted(range(n), key=lambda i: (len(options[i]), i))
-    aborted = False
-    try:
-        search.run(order, [r.capacity for r in problem.requests], options)
-    except BudgetExhausted:
-        aborted = True
-    if search.best is None:
-        if aborted or any_truncated:
-            raise Infeasible("search stopped before any feasible routing was found",
-                             proven=False)
-        raise Infeasible("no routing satisfies the reservation headroom", proven=True)
-    routing = tuple(search.best[i] for i in range(n))
-    optimal = not aborted and not any_truncated
-    return RecreationSolution(routing, int(search.best_cost), optimal, search.nodes)
+    best, cost, finished = search.run(order, [r.capacity for r in problem.requests], options)
+    proven = finished and not any_truncated
+    if best is None:
+        raise Infeasible("no routing satisfies the reservation headroom" if proven else
+                         "search stopped before any feasible routing was found", proven=proven)
+    return RecreationSolution(tuple(best[i] for i in range(n)), cost, proven, search.nodes)
 
 
 def recreation_to_json(problem: RecreationProblem, solution: RecreationSolution | None = None) -> str:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .bnb import BudgetExhausted, Search
+from .bnb import Search
 from .dumps import flow_records, id_map, lsp_records, scalar
 from .errors import Infeasible, ValidationError, check_count
 from .lsp import LspPlan
@@ -71,8 +71,8 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     """Solve one re-routing instance; raises Infeasible when no assignment exists.
 
     After the pre-checks, flows of rates at least 0 that all fit together on their
-    admissible old LSPs stay there at 0 changes, in len(part) + 1 nodes per pair, budget
-    permitting. Otherwise a pair whose flows all still fit on their old LSPs keeps them
+    admissible old LSPs stay there at 0 changes in one `Search.keep` of len(part) + 1
+    nodes per pair, budget permitting. Otherwise a pair whose flows all still fit on their old LSPs keeps them
     in len(part) + 1 nodes, budget permitting; the others are searched, all on one node
     counter. When the pair answers overload a shared link in unreserved mode, the joint
     search starts with the nodes the pair searches already spent, so a budget that does
@@ -102,16 +102,14 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
                              proven=True)
     parts = [sorted(by_pair[pair]) for pair in pairs]
     old, by_id = problem.fr_old, plan.by_id
-    # Every flow stays when its old LSP is still admissible (so none lacks one), the budget
-    # covers each part's len(part) + 1 nodes and all flows fit together in part order:
-    # adding rates of at least 0 rounds monotonically, so each part then fits alone too.
-    kept_nodes = len(rate) + len(parts)
-    if (kept_nodes <= search.budget
-            and all(f.rate >= 0 and (l := by_id[old[f.id]]).src == f.src and l.dst == f.dst
-                    and l.prop_delay <= f.max_delay for f in problem.flows)
-            and search.fits_all([(resources[old[fid]], rate[fid])
-                                 for part in parts for fid in part])):
-        return ReroutingSolution({fid: old[fid] for fid in sorted(rate)}, 0, True, kept_nodes)
+    # Every flow stays when its old LSP is still admissible (so none lacks one) and all
+    # flows fit together in part order, each part in its len(part) + 1 nodes: adding
+    # rates of at least 0 rounds monotonically, so each part then fits alone too.
+    if (all(f.rate >= 0 and (l := by_id[old[f.id]]).src == f.src and l.dst == f.dst
+            and l.prop_delay <= f.max_delay for f in problem.flows)
+            and search.keep([(resources[old[fid]], rate[fid]) for part in parts for fid in part],
+                            len(parts))):
+        return ReroutingSolution({fid: old[fid] for fid in sorted(rate)}, 0, True, search.nodes)
     admissible = {f.id: plan.admissible(f.src, f.dst, f.max_delay) for f in problem.flows}
     for fid, lsps in admissible.items():
         if not lsps:
@@ -135,23 +133,21 @@ def _solve(search: Search, parts, rate, old, admissible, resources) -> tuple[dic
     optimal = True
     for part in map(sorted, parts):
         if (all(old[fid] in [l.id for l in admissible[fid]] for fid in part)
-                and search.keep([(resources[old[fid]], rate[fid]) for fid in part])):
+                and search.keep([(resources[old[fid]], rate[fid]) for fid in part], 1)):
             found.update((fid, old[fid]) for fid in part)
             continue
         options = {fid: [(int(l.id != old[fid]), resources[l.id], l.id) for l in admissible[fid]]
                    for fid in part}
-        try:
-            if search.run(part, rate, options) is None:
-                raise Infeasible("no assignment satisfies capacity and delay", proven=True)
-        except BudgetExhausted:
-            # Keep the incumbent; a later part finds the budget spent at its
-            # first node and raises.
-            if search.best is None:
-                raise Infeasible("node budget exhausted before any assignment was found",
-                                 proven=False) from None
-            optimal = False
-        found.update(search.best)
-        changes += int(search.best_cost)
+        best, cost, finished = search.run(part, rate, options)
+        if best is None:
+            raise Infeasible("no assignment satisfies capacity and delay" if finished else
+                             "node budget exhausted before any assignment was found",
+                             proven=finished)
+        # A stopped search keeps its incumbent; a later part finds the budget spent at
+        # its first node and raises.
+        found.update(best)
+        changes += cost
+        optimal = optimal and finished
     return found, changes, optimal
 
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from hybridte import rerouting
-from hybridte.bnb import BudgetExhausted, Search, limits
+from hybridte.bnb import Search, limits
 from hybridte.errors import ConfigError, Infeasible
 from hybridte.ffr import FfrResult
 from hybridte.lsp import build_lsp
@@ -632,20 +632,19 @@ def kernel_parts(search, parts, rate, old, admissible, resources, spent=None):
         options = {fid: [(int(l.id != old[fid]), resources[l.id], l.id) for l in admissible[fid]]
                    for fid in part}
         start = search.nodes
-        try:
-            if search.run(sorted(part), rate, options) is None:
-                if spent is not None:
-                    spent.append((len(part), search.nodes - start, None))
-                raise Infeasible("no assignment satisfies capacity and delay", proven=True)
-        except BudgetExhausted:
-            if search.best is None:
+        best, cost, finished = search.run(sorted(part), rate, options)
+        if best is None:
+            if not finished:
                 raise Infeasible("node budget exhausted before any assignment was found",
-                                 proven=False) from None
-            optimal = False
+                                 proven=False)
+            if spent is not None:
+                spent.append((len(part), search.nodes - start, None))
+            raise Infeasible("no assignment satisfies capacity and delay", proven=True)
         if spent is not None:
-            spent.append((len(part), search.nodes - start, search.best_cost))
-        found.update(search.best)
-        changes += int(search.best_cost)
+            spent.append((len(part), search.nodes - start, cost))
+        found.update(best)
+        changes += int(cost)
+        optimal = optimal and finished
     return found, changes, optimal
 
 

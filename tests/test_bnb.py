@@ -3,9 +3,8 @@ import math
 from collections import Counter
 
 import numpy as np
-import pytest
 
-from hybridte.bnb import BudgetExhausted, Search, limits
+from hybridte.bnb import Search, limits
 
 import oracles
 
@@ -49,13 +48,13 @@ def test_run_finds_the_cheapest_assignment():
     for _ in range(500):
         capacity, order, demand, options = random_items(rng)
         found = brute_force(capacity, order, demand, options)
-        search = Search(limits(capacity), 10_000)
-        best = search.run(order, demand, options)
+        best, best_cost, finished = Search(limits(capacity), 10_000).run(order, demand, options)
+        assert finished
         if not found:
-            assert best is None and search.best_cost == math.inf
+            assert best is None and best_cost == math.inf
             continue
         cost = min(c for c, _ in found)
-        assert search.best_cost == cost
+        assert best_cost == cost
         # Only a strictly cheaper leaf replaces the incumbent, so of the
         # optima the first one met in branching order is kept.
         assert best == next(a for c, a in found if c == cost)
@@ -64,25 +63,32 @@ def test_run_finds_the_cheapest_assignment():
 
 
 def test_budget_runs_out_one_node_past_the_budget():
+    # Below the full run's node count, a run stops unfinished with its incumbent: None,
+    # or a fitting assignment at exactly its cost, no cheaper than the optimum.
     rng = np.random.default_rng(11)
-    checked = 0
+    checked = Counter()
     for _ in range(100):
         capacity, order, demand, options = random_items(rng)
+        found = brute_force(capacity, order, demand, options)
         full = Search(limits(capacity), 10_000)
         expect = full.run(order, demand, options)
+        assert expect[2] and expect[1] == min((c for c, _ in found), default=math.inf)
         for budget in range(full.nodes):
             search = Search(limits(capacity), budget)
-            with pytest.raises(BudgetExhausted):
-                search.run(order, demand, options)
-            assert search.nodes == budget + 1
+            best, cost, finished = search.run(order, demand, options)
+            assert not finished and search.nodes == budget + 1
+            if best is None:
+                assert cost == math.inf
+            else:
+                assert (cost, best) in found and cost >= expect[1]
+            checked[best is None] += 1
             # The loads placed when the budget ran out do not carry over.
             search.budget = search.nodes + full.nodes
             assert search.run(order, demand, options) == expect
-            checked += 1
         search = Search(limits(capacity), full.nodes)
         assert search.run(order, demand, options) == expect
         assert search.nodes == full.nodes
-    assert checked > 300
+    assert min(checked.values()) > 100, checked
 
 
 def test_a_search_stopped_mid_descent_answers_as_a_fresh_one():
@@ -98,16 +104,14 @@ def test_a_search_stopped_mid_descent_answers_as_a_fresh_one():
         if full.nodes < 2:
             continue
         stopped = Search(limits(capacity), int(rng.integers(1, full.nodes)))
-        with pytest.raises(BudgetExhausted):
-            stopped.run(order, demand, options)
+        assert stopped.run(order, demand, options)[2] is False
         spent = stopped.nodes
         stopped.budget = spent + 10_000
         fresh = Search(limits(capacity), 10_000)
         expect = fresh.fits_all(items)
         assert stopped.fits_all(items) is expect
-        assert stopped.keep(items) is fresh.keep(items) is expect
+        assert stopped.keep(items, 1) is fresh.keep(items, 1) is expect
         assert stopped.run(order, demand, options) == fresh.run(order, demand, options)
-        assert stopped.best_cost == fresh.best_cost
         assert stopped.nodes - spent == fresh.nodes
         seen[expect] += 1
     assert min(seen[True], seen[False]) >= 50, seen

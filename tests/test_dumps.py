@@ -23,8 +23,7 @@ from hybridte.rerouting import ReroutingSolution, RoutingMode, rerouting_to_json
 from hybridte.traffic import Flow
 
 import oracles
-from test_orchestrator import (CONTESTED_PLANS, SCENARIO_DIR, contested_plan_config, parse_events,
-                               watch_link_index)
+from test_orchestrator import CONTESTED_PLANS, SCENARIO_DIR, contested_plan_config, parse_events
 
 
 def solved(solve, problem):
@@ -129,6 +128,17 @@ def test_rerouting_edge_cases():
     empty = ht.ReroutingProblem((), (), {})
     check_rerouting(empty)
     check_rerouting(empty, ReroutingSolution({}, 0, True, 1))
+
+
+def test_id_map_names_are_escaped_as_json_writes_them():
+    # A quote, a backslash and a control character are escaped, and a non-ASCII
+    # character is written as its \u escape, so the dump stays valid JSON.
+    fr_old = {'a"b': 0, "é": 1, "c\\d": 2, "e\x01f": 3, 4: 4}
+    problem = ht.ReroutingProblem((), (), fr_old)
+    check_rerouting(problem)
+    check_rerouting(problem, ReroutingSolution(fr_old, 0, True, 1))
+    assert json.loads(rerouting_to_json(problem))["old_assignment"] \
+        == {str(k): v for k, v in fr_old.items()}
 
 
 def test_recreation_edge_cases():

@@ -497,7 +497,10 @@ def watch_link_index(monkeypatch):
     function that runs a config and checks that the index is built at slot 0 and
     again exactly in the slots whose rounds moved a path, and that every other slot
     is sampled with the check's loads and utilization list; it returns the number of
-    slots that moved."""
+    slots that moved. A slot counts as moved when one of its rounds moves a flow or
+    re-routes an LSP, so every plan of the run must give each LSP of a pair its own
+    route: a flow moved between two LSPs on one route moves no path."""
+    plans, _ = watch_plans(monkeypatch)
     built, summed, sampled = [], [], []
     index, offered, sample = (orchestrator.link_index, orchestrator.offered_loads,
                               orchestrator.compute_sample)
@@ -510,10 +513,12 @@ def watch_link_index(monkeypatch):
                         or sample(t, rates, idx, loads, utils))
 
     def run(cfg):
-        built.clear(), summed.clear(), sampled.clear()
+        built.clear(), summed.clear(), sampled.clear(), plans.clear()
         events = parse_events(ht.run_scenario(cfg).events)
-        # Each LSP of a pair has its own route in these plans, so a slot's paths
-        # change exactly when one of its rounds moves a flow or re-routes an LSP.
+        for plan in plans:
+            for pair, lsps in plan.pairs.items():
+                assert len({l.links for l in lsps}) == len(lsps), \
+                    f"watch_link_index needs each LSP of a pair on its own route: {pair}"
         moved = {e["slot"] for e in events
                  if e.get("changes", "0") != "0" or e.get("changed_entries", "0") != "0"}
         assert len(built) == 1 + len(moved)
@@ -530,6 +535,14 @@ def watch_link_index(monkeypatch):
         return len(moved)
 
     return run
+
+
+def test_watch_link_index_refuses_a_plan_with_a_shared_route(monkeypatch, tmp_path):
+    # Two LSPs of the "moving" plan share route 0-2-1, so the helper cannot tell a
+    # moved path from its event lines there.
+    run = watch_link_index(monkeypatch)
+    with pytest.raises(AssertionError, match="on its own route: \\(0, 1\\)"):
+        run(contested_plan_config(tmp_path, CONTESTED_PLANS["moving"]))
 
 
 @pytest.mark.parametrize("scheme", ["ffr", "exact"])

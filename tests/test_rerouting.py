@@ -637,32 +637,39 @@ def all_stay_instances():
 
 
 def test_an_instance_whose_flows_all_stay_takes_one_fit_check():
-    # No search and no per-part keep runs: the answer keeps every flow in the
-    # len(part) + 1 nodes of each part. At that budget the answer is the same; one
-    # node less takes the per-part path, which keeps all parts but the last and
-    # runs out of budget on it, unproven.
+    # No search and no per-part keep runs: one keep of every flow, part by part, counts
+    # the len(part) + 1 nodes of each part. At that budget the answer is the same; one
+    # node less fails that keep and takes the per-part path, which keeps all parts but
+    # the last and runs out of budget on it, unproven.
     keep = rerouting.Search.keep
     for key, problem in all_stay_instances():
-        sizes = [n for _, n in sorted(Counter((f.src, f.dst) for f in problem.flows).items())]
-        nodes = sum(n + 1 for n in sizes)
+        by_pair = {}
+        for f in sorted(problem.flows, key=lambda f: f.id):
+            by_pair.setdefault((f.src, f.dst), []).append(f.rate)
+        parts = [by_pair[pair] for pair in sorted(by_pair)]
+        every = [rate for part in parts for rate in part]
+        nodes = len(every) + len(parts)
+        kept = []
+
+        def spy(search, items, n):
+            kept.append(([demand for _, demand in items], n))
+            return keep(search, items, n)
+
         with mock.patch.object(rerouting.Search, "run", side_effect=AssertionError("searched")), \
-                mock.patch.object(rerouting.Search, "keep", side_effect=AssertionError("kept")):
+                mock.patch.object(rerouting.Search, "keep", spy):
             for budget in (500_000, nodes):
+                kept.clear()
                 sol = ht.solve_flow_rerouting(dataclasses.replace(problem, node_budget=budget))
                 got = (sol.assignment, list(sol.assignment), sol.changes, sol.optimal,
                        sol.nodes_explored)
                 assert got == (problem.fr_old, sorted(problem.fr_old), 0, True, nodes), key
-        kept = []
-
-        def spy(search, items):
-            kept.append(len(items))
-            return keep(search, items)
-
+                assert kept == [(every, len(parts))], key
+        kept.clear()
         with mock.patch.object(rerouting.Search, "keep", spy):
             with pytest.raises(Infeasible) as exc:
                 ht.solve_flow_rerouting(dataclasses.replace(problem, node_budget=nodes - 1))
         assert not exc.value.proven, key
-        assert kept == sizes, key
+        assert kept == [(every, len(parts))] + [(part, 1) for part in parts], key
 
 
 def test_pairs_that_fit_alone_but_overload_a_shared_link_are_searched(topo):

@@ -1,6 +1,7 @@
 """tools/same_outputs.py on a two-run matrix: a tree against itself shows no
 difference, and against a copy whose scenario differs, it names the files that do.
-The matrix's moving scenario moves a route under `exact`."""
+The matrix's moving scenario moves a route under `exact`, and its shifting scenario
+moves flows under `exact` in both re-routing modes."""
 
 import importlib.util
 import json
@@ -9,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 from hybridte.cli import main
 
@@ -58,21 +60,37 @@ def test_a_changed_scenario_is_named(tmp_path):
     assert "scenario1-reserved/ffr-seed0/config.echo: line " in proc.stdout
 
 
-def test_the_matrix_moves_a_route_under_exact(tmp_path, monkeypatch):
-    # The moving scenario's exact runs move a route in a re-creation and retry on the
-    # rebuilt plan, so the matrix compares dumps of rounds on a new plan too.
+def exact_runs(tmp_path, monkeypatch, mini):
+    """The events of each exact run of the matrix on the mini scenario `mini`."""
     spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     tool.write_scenarios(REPO, str(tmp_path))
     monkeypatch.chdir(tmp_path)
     runs = [argv for argv in tool.matrix()
-            if argv[1].startswith("scenarios/moving-") and "exact" in argv]
+            if argv[1].startswith(f"scenarios/{mini}-") and "exact" in argv]
     assert len(runs) == 16  # both modes, seeds 0-7
-    moved = retried = 0
     for argv in runs:
         assert main(argv) == 0
-        events = (tmp_path / argv[-1] / "events.log").read_text()
+        yield argv[1], (tmp_path / argv[-1] / "events.log").read_text()
+
+
+def test_the_matrix_moves_a_route_under_exact(tmp_path, monkeypatch):
+    # The moving scenario's exact runs move a route in a re-creation and retry on the
+    # rebuilt plan, so the matrix compares dumps of rounds on a new plan too.
+    moved = retried = 0
+    for _, events in exact_runs(tmp_path, monkeypatch, "moving"):
         moved += len(re.findall(r"event=recreate .*changed_entries=[1-9]", events))
         retried += events.count("event=reroute_retry")
     assert moved and retried, (moved, retried)
+
+
+def test_the_matrix_moves_a_flow_under_exact_in_both_modes(tmp_path, monkeypatch):
+    # The shifting scenario's exact re-routing rounds move flows, so the matrix compares
+    # dumps and events of kernel searches that answer with a moved flow.
+    moved = Counter()
+    for path, events in exact_runs(tmp_path, monkeypatch, "shifting"):
+        moved[path] += len(re.findall(r"event=reroute(_retry)? .*changes=[1-9]", events))
+    assert sorted(moved) == ["scenarios/shifting-reserved.json",
+                             "scenarios/shifting-unreserved.json"]
+    assert min(moved.values()) > 0, moved

@@ -7,11 +7,19 @@ Each tree is a checkout with `src/hybridte` and `scenarios/`. The matrix is
 `hybridte run --dump-lp` under each scheme and `hybridte compare`, over
 `scenario1`, `scenario3` and `degenerate`, each as written, heavy (3x
 `demand_fraction`, `growth_max` 0.1) and still (`growth_max` 0), and over the
-"moving" mini scenario, all in both re-routing modes, at seeds 0-7: 640
-commands. The variants are written from each tree's own scenario files. The
-moving scenario is written by this script: a 4-node topology with 10-unit links
-and a file plan of two 5-unit LSPs on one route, whose exact re-creations move
-a route, so that the matrix also dumps rounds on a rebuilt plan.
+"moving" and "shifting" mini scenarios, all in both re-routing modes, at seeds
+0-7: 704 commands. The variants are written from each tree's own scenario files.
+The mini scenarios are written by this script, on a 4-node topology with
+10-unit links and two routes between edge nodes 0 and 1:
+- "moving" has a file plan of two 5-unit LSPs on one route, whose exact
+  re-creations move a route, so that the matrix also dumps rounds on a rebuilt
+  plan;
+- "shifting" has one LSP on each route of both pairs, of unequal capacities,
+  and heavier traffic, so that its exact rounds move flows in both modes. Its
+  capacities and three traffic fields are, of 40 draws of a seeded sweep
+  (`numpy.random.default_rng(0)`; capacities 2-8, `max_flows_per_source` 3-4,
+  `demand_fraction` 0.05-0.2, `flow_intensity` 0.8-3), the one whose exact
+  rounds moved flows most often.
 Each tree runs the whole matrix in its own Python process, which imports only
 that tree's package, with every run's output under `<work>/<side>/out`. Besides
 `metrics.csv`, `events.log`, `config.echo` and the dumps, each run leaves a
@@ -57,9 +65,15 @@ MOVING = {"topology": "moving-topology.json", "scheme": "exact", "slots": 12, "s
           "lsp_plan": {"kind": "file", "path": "moving-plan.json"},
           "traffic": {"demand_fraction": 0.3, "flow_intensity": 0.8, "max_flows_per_source": 2,
                       "growth_max": 0.1, "delay_stretch": 2.0}}
+# The "shifting" mini scenario, written beside them as shifting-<mode>.json.
+SHIFTING_PLAN = {"lsps": [{"path": path, "capacity": capacity} for path, capacity in (
+    ([0, 2, 1], 6.0), ([0, 3, 1], 6.0), ([1, 2, 0], 8.0), ([1, 3, 0], 4.0))]}
+SHIFTING = dict(MOVING, lsp_plan={"kind": "file", "path": "shifting-plan.json"},
+                traffic=dict(MOVING["traffic"], demand_fraction=0.2, flow_intensity=3.0,
+                             max_flows_per_source=4))
 MODES = ("reserved", "unreserved")
 NAMES = tuple(f"{scenario}-{variant}" for scenario in SCENARIOS for variant in VARIANTS) \
-    + tuple(f"moving-{mode}" for mode in MODES)
+    + tuple(f"{mini}-{mode}" for mini in ("moving", "shifting") for mode in MODES)
 
 # Runs each command of the JSON list on stdin through the tree's `hybridte.cli.main`.
 _RUNNER = """
@@ -105,13 +119,14 @@ def write_json(path: str, doc: dict) -> None:
 
 def write_scenarios(tree: str, side_dir: str) -> None:
     """Write each scenario variant from `tree`'s scenario files, beside a copy of
-    the topology file each names, and the moving scenario's files."""
+    the topology file each names, and the mini scenarios' files."""
     target = os.path.join(side_dir, "scenarios")
     os.makedirs(target)
     write_json(os.path.join(target, MOVING["topology"]), MOVING_TOPOLOGY)
-    write_json(os.path.join(target, MOVING["lsp_plan"]["path"]), MOVING_PLAN)
-    for mode in MODES:
-        write_json(os.path.join(target, f"moving-{mode}.json"), dict(MOVING, rerouting_mode=mode))
+    for mini, doc, plan in (("moving", MOVING, MOVING_PLAN), ("shifting", SHIFTING, SHIFTING_PLAN)):
+        write_json(os.path.join(target, doc["lsp_plan"]["path"]), plan)
+        for mode in MODES:
+            write_json(os.path.join(target, f"{mini}-{mode}.json"), dict(doc, rerouting_mode=mode))
     for scenario in SCENARIOS:
         with open(os.path.join(tree, "scenarios", f"{scenario}.json"), encoding="utf-8") as fp:
             doc = json.load(fp)

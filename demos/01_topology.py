@@ -1,6 +1,8 @@
 """Build the reference eight-node topology, look around, and round-trip it
 through its JSON form."""
 
+import json
+
 import hybridte as ht
 
 topo = ht.reference_topology()
@@ -29,7 +31,7 @@ assert topo.delay_distances(1)[3] == 3.0
 
 # The JSON form is canonical: parse(serialize(t)) == t, byte-stable.
 text = ht.serialize_topology(topo)
-again = ht.load_topology(text)
+again = ht.load_topology(json.loads(text))
 assert again == topo
 assert ht.serialize_topology(again) == text
 print(f"\nserialized form: {len(text)} bytes, round-trips exactly")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 
 class HybridTeError(Exception):
     """Base class for all package errors."""
@@ -37,6 +39,18 @@ class Infeasible(HybridTeError):
     def __init__(self, message: str, proven: bool = True):
         super().__init__(message)
         self.proven = proven
+
+
+def read_json(path: str, what: str):
+    """The JSON document in the UTF-8 file `path`, a `what`. ParseError naming the file when
+    it is unreadable or no valid JSON, also for nesting or digits past Python's limits."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return json.load(fp)
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path!r}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what} {path!r} is not valid JSON: {exc}") from exc
 
 
 def check_count(value, name: str) -> None:

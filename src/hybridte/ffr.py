@@ -22,7 +22,11 @@ class FfrResult:
     recreation_requests: tuple[int, ...]
     augmentations: dict = field(default_factory=dict)
     examinations: int = 0
-    placed: frozenset = frozenset()
+
+    @property
+    def placed(self) -> frozenset:
+        """The flows this round placed: every flow but the parked ones."""
+        return frozenset(self.assignment).difference(self.recreation_requests)
 
 
 def ffr(flows, lsps, fr_old: dict[int, int], topo: NetworkTopology,
@@ -38,7 +42,6 @@ def ffr(flows, lsps, fr_old: dict[int, int], topo: NetworkTopology,
     assignment: dict[int, int] = {}
     augmentations: dict[int, float] = {}
     requests: list[int] = []
-    placed: set[int] = set()
     exams = 0
 
     def occupy(lsp: Lsp, rate: float):
@@ -77,7 +80,6 @@ def ffr(flows, lsps, fr_old: dict[int, int], topo: NetworkTopology,
         if chosen is not None:
             occupy(chosen, f.rate)
             assignment[f.id] = chosen.id
-            placed.add(f.id)
         else:
             # Congestion stays where it was: the flow keeps its old LSP and
             # the caller is told to request fresh paths.
@@ -90,5 +92,4 @@ def ffr(flows, lsps, fr_old: dict[int, int], topo: NetworkTopology,
         recreation_requests=tuple(sorted(requests)),
         augmentations=augmentations,
         examinations=exams,
-        placed=frozenset(placed),
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import shortest_path_route
-from .errors import NUMBER, ConfigError, Infeasible, ParseError, check_object
+from .errors import NUMBER, ConfigError, Infeasible, ParseError, check_object, read_json
 from .ffr import ffr
 from .lsp import Lsp, LspPlan, build_lsp
 from .metrics import (MetricsSample, compute_sample, link_index, offered_loads,
@@ -100,13 +100,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     """Read a scenario JSON file; relative paths resolve against its directory. Each
     object is checked against its field table (`check_object`); absent fields take the
     dataclasses' defaults."""
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario {path!r} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "scenario file")
     check_object(doc, _SCENARIO_FIELDS, "scenario", required={"topology", "traffic"})
     plan_doc = doc.get("lsp_plan", {})
     kind = plan_doc.get("kind", "auto")
@@ -172,13 +166,7 @@ _PLAN_ENTRY_FIELDS = {"path": list, "capacity": NUMBER}
 
 def load_lsp_plan_file(path: str, topo: NetworkTopology) -> list[Lsp]:
     """Read an explicit LSP plan: {"lsps": [{"path": [...], "capacity": x}, ...]}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except OSError as exc:
-        raise ParseError(f"cannot read LSP plan {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"LSP plan {path!r} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "LSP plan file")
     check_object(doc, _PLAN_FILE_FIELDS, f"LSP plan {path!r}", required=_PLAN_FILE_FIELDS.keys())
     for i, e in enumerate(doc["lsps"]):
         where = f"LSP plan {path!r} entry #{i}"

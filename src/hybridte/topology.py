@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .errors import NUMBER, ParseError, ValidationError, check_object
+from .errors import NUMBER, ParseError, ValidationError, check_object, read_json
 
 
 @dataclass(frozen=True, order=True)
@@ -68,6 +68,8 @@ class NetworkTopology:
                 raise ValidationError(f"edge node {v} out of range")
         if not self.edge_nodes:
             raise ValidationError("topology needs at least one edge node")
+        if not self.links:
+            raise ValidationError("topology needs at least one link")
         object.__setattr__(self, "by_pair", by_pair)
         object.__setattr__(self, "_out", {v: tuple(sorted(ls, key=lambda l: l.dst)) for v, ls in out.items()})
         object.__setattr__(self, "_in", {v: tuple(ls) for v, ls in into.items()})  # by src
@@ -121,7 +123,7 @@ def links_of_path(path: tuple[int, ...] | list[int]) -> tuple[tuple[int, int], .
 
 
 def serialize_topology(topo: NetworkTopology) -> str:
-    """Canonical JSON text; load_topology(serialize_topology(t)) == t."""
+    """Canonical JSON text; load_topology(json.loads(serialize_topology(t))) == t."""
     doc = {
         "nodes": topo.node_count,
         "edge_nodes": sorted(topo.edge_nodes),
@@ -137,13 +139,9 @@ _TOPOLOGY_FIELDS = {"nodes": int, "edge_nodes": list, "links": list}
 _LINK_FIELDS = {"src": int, "dst": int, "bandwidth": NUMBER, "delay": NUMBER}
 
 
-def load_topology(text: str) -> NetworkTopology:
-    """Parse topology JSON. ParseError on malformed input (see `check_object`; edge
-    nodes must be distinct integers), ValidationError on bad structure."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"topology is not valid JSON: {exc}") from exc
+def load_topology(doc) -> NetworkTopology:
+    """Build a topology from its parsed JSON document. ParseError on malformed input (see
+    `check_object`; edge nodes must be distinct integers), ValidationError on bad structure."""
     check_object(doc, _TOPOLOGY_FIELDS, "topology", required=_TOPOLOGY_FIELDS.keys())
     edge_nodes = doc["edge_nodes"]
     if not all(type(v) is int for v in edge_nodes):  # a JSON true/false loads as a bool
@@ -160,12 +158,7 @@ def load_topology(text: str) -> NetworkTopology:
 
 
 def load_topology_file(path: str) -> NetworkTopology:
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            text = fp.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read topology file {path!r}: {exc}") from exc
-    return load_topology(text)
+    return load_topology(read_json(path, "topology file"))
 
 
 # Reference network: 4 edge switches (0-3) and 4 core routers (4-7) arranged

@@ -516,7 +516,7 @@ def full_scan_ffr(flows, lsps, fr_old, topo, mu=0.9):
     by_id = {l.id: l for l in lsps}
     free = {l.id: l.capacity for l in lsps}
     link_load = {}
-    assignment, augmentations, requests, placed = {}, {}, [], set()
+    assignment, augmentations, requests = {}, {}, []
     exams = 0
 
     def occupy(lsp, rate):
@@ -547,13 +547,11 @@ def full_scan_ffr(flows, lsps, fr_old, topo, mu=0.9):
         if chosen is not None:
             occupy(chosen, f.rate)
             assignment[f.id] = chosen.id
-            placed.add(f.id)
         else:
             requests.append(f.id)
             assignment[f.id] = old_id
             occupy(by_id[old_id], f.rate)
-    return FfrResult(assignment, tuple(sorted(requests)), augmentations, exams,
-                     frozenset(placed))
+    return FfrResult(assignment, tuple(sorted(requests)), augmentations, exams)
 
 
 def full_scan_initial_assignment(flows, lsps):

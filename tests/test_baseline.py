@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -50,9 +48,9 @@ def test_matches_bfs_on_random_graphs():
 
 
 def test_unreachable():
-    topo = ht.load_topology(json.dumps({
+    topo = ht.load_topology({
         "nodes": 3, "edge_nodes": [0, 2],
         "links": [{"src": 0, "dst": 1, "bandwidth": 1, "delay": 1}],
-    }))
+    })
     with pytest.raises(UnreachableError):
         ht.shortest_path_route(flow(0, 2), topo)

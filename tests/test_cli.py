@@ -64,7 +64,7 @@ def test_gen_topology_stdout_matches_file(tmp_path, capsys):
     out = tmp_path / "topo.json"
     assert main(["gen-topology", "--out", str(out)]) == 0
     assert out.read_text() == text
-    assert ht.load_topology(text) == ht.reference_topology()
+    assert ht.load_topology(json.loads(text)) == ht.reference_topology()
 
 
 def test_gen_topology_unwritable_path(tmp_path, capsys):
@@ -116,3 +116,17 @@ def test_negative_seed_is_an_error_line(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed" in err
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("scheme", ["shortest_path", "ffr", "exact"])
+def test_a_topology_without_links_is_an_error_line(tmp_path, capsys, scheme):
+    # Traffic is sized by the mean link bandwidth, which a topology without links lacks.
+    with open(SCENARIO, encoding="utf-8") as fp:
+        doc = json.load(fp)
+    (tmp_path / "topo.json").write_text(json.dumps({"nodes": 2, "edge_nodes": [0, 1],
+                                                    "links": []}))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(doc, topology="topo.json")))
+    assert main(["run", str(path), "--scheme", scheme, "--out", str(tmp_path / "res")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least one link" in err

@@ -11,6 +11,7 @@ import pytest
 
 import hybridte as ht
 from hybridte import orchestrator
+from hybridte.cli import main
 from hybridte.errors import NUMBER, ConfigError, ParseError, ValidationError
 from hybridte.lsp import LspPlan
 from hybridte.orchestrator import SCHEMES, load_lsp_plan_file
@@ -850,6 +851,38 @@ def test_lsp_plan_file_round_trip(tmp_path):
     assert plan[0].capacity == 8.0
 
 
+# Each input file read through `errors.read_json`, and its name in the mini files.
+INPUT_FILES = {"scenario file": "scenario.json", "topology file": "topo.json",
+               "LSP plan file": "plan.json"}
+# What each bad case leaves at an input file's path: nothing, a directory, or these bytes.
+BAD_INPUTS = {"missing": None, "a directory": None, "a 0xE9 byte": b'{"nodes": "caf\xe9"}',
+              "not JSON": b"not json at all", "100,000 nested [": b"[" * 100_000,
+              "a 5,000-digit integer": b"1" * 5_000}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+@pytest.mark.parametrize("what", INPUT_FILES)
+def test_bad_input_files_are_parse_errors(tmp_path, capsys, what, case):
+    # Bytes that are not UTF-8, nesting past the recursion limit and integers past the
+    # digit limit raise other errors than JSONDecodeError inside json.
+    scenario = write_mini_files(tmp_path)
+    topo = ht.load_topology_file(str(tmp_path / "topo.json"))
+    target = tmp_path / INPUT_FILES[what]
+    target.unlink()
+    if case == "a directory":
+        target.mkdir()
+    elif BAD_INPUTS[case] is not None:
+        target.write_bytes(BAD_INPUTS[case])
+    load = {"scenario file": ht.load_scenario, "topology file": ht.load_topology_file,
+            "LSP plan file": lambda path: load_lsp_plan_file(path, topo)}[what]
+    named = f"{what} {str(target)!r}"
+    with pytest.raises(ParseError, match=re.escape(named)):
+        load(str(target))
+    assert main(["run", scenario, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
 def test_lsp_plan_file_is_strict(tmp_path):
     write_mini_files(tmp_path)
     topo = ht.load_topology_file(str(tmp_path / "topo.json"))
@@ -979,7 +1012,7 @@ def test_every_table_field_rejects_true_and_another_kind(tmp_path):
     topo_doc = json.loads((tmp_path / "topo.json").read_text())
     plan_doc = json.loads((tmp_path / "plan.json").read_text())
     scenario = json.loads((tmp_path / "scenario.json").read_text())
-    topo = ht.load_topology(json.dumps(topo_doc))
+    topo = ht.load_topology(topo_doc)
 
     def load_plan(doc):
         (tmp_path / "plan.json").write_text(json.dumps(doc))
@@ -990,9 +1023,9 @@ def test_every_table_field_rejects_true_and_another_kind(tmp_path):
         ht.load_scenario(path)
 
     tables = (
-        (_TOPOLOGY_FIELDS, topo_doc, lambda d: ht.load_topology(json.dumps(d))),
+        (_TOPOLOGY_FIELDS, topo_doc, ht.load_topology),
         (_LINK_FIELDS, topo_doc["links"][0],
-         lambda d: ht.load_topology(json.dumps(dict(topo_doc, links=[d])))),
+         lambda d: ht.load_topology(dict(topo_doc, links=[d]))),
         (orchestrator._PLAN_FILE_FIELDS, plan_doc, load_plan),
         (orchestrator._PLAN_ENTRY_FIELDS, plan_doc["lsps"][0], lambda d: load_plan({"lsps": [d]})),
         (orchestrator._SCENARIO_FIELDS, scenario, load_scenario),

@@ -30,7 +30,7 @@ def square():
     for a, b in ((0, 1), (1, 3), (0, 2), (2, 3)):
         doc["links"].append({"src": a, "dst": b, "bandwidth": 10.0, "delay": 1.0})
         doc["links"].append({"src": b, "dst": a, "bandwidth": 10.0, "delay": 1.0})
-    return ht.load_topology(json.dumps(doc))
+    return ht.load_topology(doc)
 
 
 def test_enumeration_matches_recursive_oracle(topo):

@@ -1,7 +1,8 @@
 """tools/same_outputs.py on a two-run matrix: a tree against itself shows no
 difference, and against a copy whose scenario differs, it names the files that do.
-The matrix's moving scenario moves a route under `exact`, and its shifting scenario
-moves flows under `exact` in both re-routing modes."""
+The matrix's moving scenario moves a route under `exact`, its shifting scenario
+moves flows under `exact` in both re-routing modes, and its sharing scenario reaches
+re-routing's joint search of all flows."""
 
 import importlib.util
 import json
@@ -12,7 +13,9 @@ import subprocess
 import sys
 from collections import Counter
 
+from hybridte import orchestrator, rerouting
 from hybridte.cli import main
+from hybridte.errors import Infeasible
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 TOOL = os.path.join(REPO, "tools", "same_outputs.py")
@@ -94,3 +97,33 @@ def test_the_matrix_moves_a_flow_under_exact_in_both_modes(tmp_path, monkeypatch
     assert sorted(moved) == ["scenarios/shifting-reserved.json",
                              "scenarios/shifting-unreserved.json"]
     assert min(moved.values()) > 0, moved
+
+
+def test_the_matrix_reaches_the_joint_search_solved_and_infeasible(tmp_path, monkeypatch):
+    # The sharing scenario's pairs 0->1 and 2->1 share links 3->1 and 4->1, so in unreserved
+    # mode their answers can overload those links together: re-routing then calls `_solve`
+    # a second time, with all flows in one part.
+    parts, joint = [], Counter()
+    solve_parts, solve = rerouting._solve, orchestrator.solve_flow_rerouting
+
+    def spy_parts(search, each, *tables):
+        parts.append(len(each))
+        return solve_parts(search, each, *tables)
+
+    def spy(problem):
+        parts.clear()
+        try:
+            answer = solve(problem)
+        except Infeasible as exc:
+            answer = exc
+        if parts[1:] == [1]:
+            joint["infeasible" if isinstance(answer, Infeasible) else "solved"] += 1
+        if isinstance(answer, Infeasible):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(rerouting, "_solve", spy_parts)
+    monkeypatch.setattr(orchestrator, "solve_flow_rerouting", spy)
+    for _ in exact_runs(tmp_path, monkeypatch, "sharing"):
+        pass
+    assert joint["solved"] and joint["infeasible"], joint

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -187,7 +186,7 @@ def test_a_rate_range_that_rounds_to_zero_is_an_error():
     # 1e-300 x 1e-300 is 0 in floating point: every draw would be 0, and a draw of 0 is
     # redrawn, so generation would never end.
     links = [{"src": a, "dst": b, "bandwidth": 1e-300, "delay": 1} for a, b in ((0, 1), (1, 0))]
-    topo = ht.load_topology(json.dumps({"nodes": 2, "edge_nodes": [0, 1], "links": links}))
+    topo = ht.load_topology({"nodes": 2, "edge_nodes": [0, 1], "links": links})
     with pytest.raises(ConfigError, match="^demand_fraction must be positive"):
         ht.generate_flows(topo, cfg(demand_fraction=1e-300, intensity_scale=1.0), 0)
 
@@ -196,7 +195,7 @@ def test_edge_node_that_reaches_no_other_is_an_error():
     # Edge node 2 has links in but none out.
     links = [{"src": a, "dst": b, "bandwidth": 10, "delay": 1}
              for a, b in ((0, 1), (1, 0), (0, 2), (1, 2))]
-    topo = ht.load_topology(json.dumps({"nodes": 3, "edge_nodes": [0, 1, 2], "links": links}))
+    topo = ht.load_topology({"nodes": 3, "edge_nodes": [0, 1, 2], "links": links})
     with pytest.raises(ht.UnreachableError,
                        match="^edge node 2 cannot reach any other edge node$"):
         ht.generate_flows(topo, cfg(), 1)

@@ -7,19 +7,26 @@ Each tree is a checkout with `src/hybridte` and `scenarios/`. The matrix is
 `hybridte run --dump-lp` under each scheme and `hybridte compare`, over
 `scenario1`, `scenario3` and `degenerate`, each as written, heavy (3x
 `demand_fraction`, `growth_max` 0.1) and still (`growth_max` 0), and over the
-"moving" and "shifting" mini scenarios, all in both re-routing modes, at seeds
-0-7: 704 commands. The variants are written from each tree's own scenario files.
-The mini scenarios are written by this script, on a 4-node topology with
-10-unit links and two routes between edge nodes 0 and 1:
-- "moving" has a file plan of two 5-unit LSPs on one route, whose exact
+"moving", "shifting" and "sharing" mini scenarios, all in both re-routing modes,
+at seeds 0-7: 768 commands. The variants are written from each tree's own scenario
+files. The mini scenarios are written by this script:
+- "moving", on a 4-node topology with 10-unit links and two routes between edge
+  nodes 0 and 1, has a file plan of two 5-unit LSPs on one route, whose exact
   re-creations move a route, so that the matrix also dumps rounds on a rebuilt
   plan;
-- "shifting" has one LSP on each route of both pairs, of unequal capacities,
-  and heavier traffic, so that its exact rounds move flows in both modes. Its
-  capacities and three traffic fields are, of 40 draws of a seeded sweep
-  (`numpy.random.default_rng(0)`; capacities 2-8, `max_flows_per_source` 3-4,
-  `demand_fraction` 0.05-0.2, `flow_intensity` 0.8-3), the one whose exact
-  rounds moved flows most often.
+- "shifting", on the same topology, has one LSP on each route of both pairs, of
+  unequal capacities, and heavier traffic, so that its exact rounds move flows in
+  both modes. Its capacities and three traffic fields are, of 40 draws of a seeded
+  sweep (`numpy.random.default_rng(0)`; capacities 2-8, `max_flows_per_source`
+  3-4, `demand_fraction` 0.05-0.2, `flow_intensity` 0.8-3), the one whose exact
+  rounds moved flows most often;
+- "sharing", on a 5-node topology whose cores 3 and 4 each have a 10-unit link to
+  each of the edge nodes 0-2, has a file plan of 10 LSPs in which the pairs 0->1
+  and 2->1 share links 3->1 and 4->1, so that its unreserved exact rounds reach the
+  joint search of all flows. Its capacities and three traffic fields are draw 32
+  of 40 of the same sweep on this plan; at seeds 0-7 its unreserved exact runs
+  reach the joint search 7 times, once solved with a moved flow and 6 times
+  proven infeasible.
 Each tree runs the whole matrix in its own Python process, which imports only
 that tree's package, with every run's output under `<work>/<side>/out`. Besides
 `metrics.csv`, `events.log`, `config.echo` and the dumps, each run leaves a
@@ -71,9 +78,24 @@ SHIFTING_PLAN = {"lsps": [{"path": path, "capacity": capacity} for path, capacit
 SHIFTING = dict(MOVING, lsp_plan={"kind": "file", "path": "shifting-plan.json"},
                 traffic=dict(MOVING["traffic"], demand_fraction=0.2, flow_intensity=3.0,
                              max_flows_per_source=4))
+# The "sharing" mini scenario, written beside them as sharing-<mode>.json.
+SHARING_TOPOLOGY = {"nodes": 5, "edge_nodes": [0, 1, 2], "links": [
+    {"src": a, "dst": b, "bandwidth": 10.0, "delay": 1.0}
+    for pair in ((0, 3), (0, 4), (2, 3), (2, 4), (3, 1), (4, 1)) for a, b in (pair, pair[::-1])]}
+SHARING_PLAN = {"lsps": [{"path": path, "capacity": capacity} for path, capacity in (
+    ([0, 3, 1], 5.0), ([0, 4, 1], 3.0), ([2, 3, 1], 3.0), ([2, 4, 1], 8.0), ([1, 3, 0], 2.0),
+    ([1, 4, 0], 7.0), ([1, 3, 2], 6.0), ([1, 4, 2], 5.0), ([0, 3, 2], 7.0), ([2, 4, 0], 7.0))]}
+SHARING = dict(MOVING, topology="sharing-topology.json",
+               lsp_plan={"kind": "file", "path": "sharing-plan.json"},
+               traffic=dict(MOVING["traffic"], demand_fraction=0.14826815959870704,
+                            flow_intensity=2.810119677956256, max_flows_per_source=3))
+# mini scenario -> (scenario, topology, LSP plan)
+MINIS = {"moving": (MOVING, MOVING_TOPOLOGY, MOVING_PLAN),
+         "shifting": (SHIFTING, MOVING_TOPOLOGY, SHIFTING_PLAN),
+         "sharing": (SHARING, SHARING_TOPOLOGY, SHARING_PLAN)}
 MODES = ("reserved", "unreserved")
 NAMES = tuple(f"{scenario}-{variant}" for scenario in SCENARIOS for variant in VARIANTS) \
-    + tuple(f"{mini}-{mode}" for mini in ("moving", "shifting") for mode in MODES)
+    + tuple(f"{mini}-{mode}" for mini in MINIS for mode in MODES)
 
 # Runs each command of the JSON list on stdin through the tree's `hybridte.cli.main`.
 _RUNNER = """
@@ -122,8 +144,8 @@ def write_scenarios(tree: str, side_dir: str) -> None:
     the topology file each names, and the mini scenarios' files."""
     target = os.path.join(side_dir, "scenarios")
     os.makedirs(target)
-    write_json(os.path.join(target, MOVING["topology"]), MOVING_TOPOLOGY)
-    for mini, doc, plan in (("moving", MOVING, MOVING_PLAN), ("shifting", SHIFTING, SHIFTING_PLAN)):
+    for mini, (doc, topology, plan) in MINIS.items():
+        write_json(os.path.join(target, doc["topology"]), topology)
         write_json(os.path.join(target, doc["lsp_plan"]["path"]), plan)
         for mode in MODES:
             write_json(os.path.join(target, f"{mini}-{mode}.json"), dict(doc, rerouting_mode=mode))

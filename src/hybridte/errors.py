@@ -69,7 +69,7 @@ _KIND_NAMES = {int: "an integer", NUMBER: "a number", str: "a string", list: "a 
 def check_object(doc, fields: dict, where: str, required=frozenset()) -> dict:
     """Return `doc` when it is a JSON object whose keys are all in `fields`, with every
     key of the set `required`, and whose values each have their field's kind: int,
-    NUMBER, str, list or dict. Raise ParseError naming the field at fault otherwise."""
+    NUMBER (in a float's range), str, list or dict. Raise ParseError naming the field."""
     if not isinstance(doc, dict):
         raise ParseError(f"{where} must be a JSON object")
     keys = doc.keys()
@@ -81,4 +81,9 @@ def check_object(doc, fields: dict, where: str, required=frozenset()) -> dict:
         # JSON true/false load as bools, which Python also counts as ints.
         if type(value) is bool or not isinstance(value, fields[name]):
             raise ParseError(f"{where} field {name!r} must be {_KIND_NAMES[fields[name]]}")
+        if fields[name] is NUMBER and type(value) is int:
+            try:
+                float(value)
+            except OverflowError:
+                raise ParseError(f"{where} field {name!r} is too large for a float") from None
     return doc

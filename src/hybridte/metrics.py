@@ -30,6 +30,7 @@ class LinkIndex(NamedTuple):
     flow: np.ndarray       # flow position of each entry
     link: np.ndarray       # topo.by_pair position of each entry
     starts: np.ndarray     # first entry of each non-empty path
+    routed: np.ndarray     # flow position of each non-empty path: flow[starts]
     bandwidth: np.ndarray  # per link, topo.by_pair order
     hops: int              # entries in all: the summed path lengths
 
@@ -49,6 +50,7 @@ def link_index(topo: NetworkTopology, flows,
     first = np.cumsum(lengths) - lengths
     return LinkIndex(flow=np.repeat(np.arange(len(routes)), lengths),
                      link=np.array(link, dtype=np.intp), starts=first[lengths > 0],
+                     routed=np.flatnonzero(lengths),
                      bandwidth=np.array([ln.bandwidth for ln in topo.by_pair.values()]),
                      hops=len(link))
 
@@ -59,39 +61,38 @@ def _sum_left(values) -> float:
     return reduce(operator.add, values, 0.0)
 
 
-def offered_loads(rates: np.ndarray, index: LinkIndex) -> np.ndarray:
-    """Sum of flow rates crossing each link, in topo.by_pair order. `bincount`
-    adds its weights in input order, so each load is summed in flow order."""
-    return np.bincount(index.link, rates[index.flow], minlength=len(index.bandwidth))
+def utilization(rates: np.ndarray, index: LinkIndex) -> tuple[np.ndarray, list, float]:
+    """One slot's pass over the links, shared by the trigger check and the sample: the
+    offered loads (flow rates summed per link, in topo.by_pair order), their utilizations
+    loads / bandwidth as a list, and its peak. `bincount` adds its weights in input order,
+    so each load is summed in flow order. A topology has at least one link."""
+    loads = np.bincount(index.link, rates[index.flow], minlength=len(index.bandwidth))
+    utils = (loads / index.bandwidth).tolist()
+    return loads, utils, max(utils)
 
 
-def compute_sample(slot: int, rates: np.ndarray, index: LinkIndex, loads=None,
-                   utils=None) -> MetricsSample:
+def compute_sample(slot: int, rates: np.ndarray, index: LinkIndex,
+                   usage: tuple | None = None) -> MetricsSample:
     """Aggregate one slot's metrics over every flow's rate (in the index's flow order)
-    and every directed link. `loads` are offered_loads(rates, index) and `utils` their
-    list (loads / index.bandwidth).tolist(), when the caller has computed them."""
-    if loads is None:
-        loads = offered_loads(rates, index)
-    if utils is None:
-        utils = (loads / index.bandwidth).tolist()
+    and every directed link. `usage` is utilization(rates, index), when the caller
+    has computed it."""
+    loads, utils, peak = usage or utilization(rates, index)
     n = len(rates)
     offered = _sum_left(rates.tolist())
     # Division by a positive finite bandwidth rounds monotonically, so a link's
     # utilization exceeds 1 exactly when its load exceeds its bandwidth.
-    if max(utils, default=0.0) > 1.0:
+    if peak > 1.0:
         # An overloaded link passes bandwidth / load of each flow crossing it, and a
         # flow gets through at the share of its worst link.
         bandwidth = index.bandwidth
-        over = loads > bandwidth
-        share = np.ones(len(bandwidth))
-        share[over] = bandwidth[over] / loads[over]
+        share = np.divide(bandwidth, loads, out=np.ones(len(bandwidth)), where=loads > bandwidth)
         worst = np.ones(n)
-        worst[index.flow[index.starts]] = np.minimum.reduceat(share[index.link], index.starts)
+        worst[index.routed] = np.minimum.reduceat(share[index.link], index.starts)
         throughput = _sum_left((rates * worst).tolist())
-        utils = np.minimum(utils, 1.0).tolist()
+        utils = [u if u < 1.0 else 1.0 for u in utils]
     else:
         throughput = offered  # every flow delivers its whole rate: the same sum
-    return MetricsSample(slot, throughput, _sum_left(utils) / len(utils) if utils else 0.0,
+    return MetricsSample(slot, throughput, _sum_left(utils) / len(utils),
                          index.hops / n if n else 0.0, offered - throughput)
 
 

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import shortest_path_route
-from .errors import NUMBER, ConfigError, Infeasible, ParseError, check_object, read_json
+from .errors import (NUMBER, ConfigError, Infeasible, ParseError, ValidationError, check_object,
+                     read_json)
 from .ffr import ffr
 from .lsp import Lsp, LspPlan, build_lsp
-from .metrics import (MetricsSample, compute_sample, link_index, offered_loads,
-                      write_metrics_csv)
+from .metrics import MetricsSample, compute_sample, link_index, utilization, write_metrics_csv
 from .recreation import (LspRequest, RecreationProblem, enumerate_simple_paths,
                          recreation_to_json, solve_lsp_recreation)
 from .rerouting import (ReroutingProblem, RoutingMode, rerouting_to_json,
@@ -132,7 +132,8 @@ def build_auto_lsp_plan(topo: NetworkTopology, paths_per_pair: int = 2,
     """Plan LSPs between every ordered edge pair: the best few simple paths,
     each granted an equal share of its bottleneck bandwidth, then scaled down
     once so that reservations summed per link never exceed the headroom."""
-    planned: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], float]] = []
+    planned = []  # (nodes, links, their Link records, delay, raw capacity) per path
+    link_sum: dict[tuple[int, int], float] = {}
     for src in sorted(topo.edge_nodes):
         for dst in sorted(topo.edge_nodes):
             if src == dst:
@@ -142,21 +143,25 @@ def build_auto_lsp_plan(topo: NetworkTopology, paths_per_pair: int = 2,
                 raise ConfigError(f"edge pair ({src},{dst}) has no route")
             for nodes in paths:
                 links = links_of_path(nodes)
-                bottleneck = min(topo.by_pair[pair].bandwidth for pair in links)
-                planned.append((nodes, links, bottleneck / len(paths)))
-
-    link_sum: dict[tuple[int, int], float] = {}
-    for _, links, raw in planned:
-        for pair in links:
-            link_sum[pair] = link_sum.get(pair, 0.0) + raw
+                hops = [topo.by_pair[pair] for pair in links]
+                delay, bottleneck = 0.0, math.inf
+                for ln in hops:  # the delay summed in path order, as build_lsp sums it
+                    delay += ln.delay
+                    bottleneck = min(bottleneck, ln.bandwidth)
+                raw = bottleneck / len(paths)
+                for pair in links:
+                    link_sum[pair] = link_sum.get(pair, 0.0) + raw
+                planned.append((nodes, links, hops, delay, raw))
     lsps = []
-    for lsp_id, (nodes, links, raw) in enumerate(planned):
+    for lsp_id, (nodes, links, hops, delay, raw) in enumerate(planned):
         factor = 1.0
-        for pair in links:
-            budget = mu_headroom * topo.by_pair[pair].bandwidth
+        for pair, ln in zip(links, hops):
+            budget = mu_headroom * ln.bandwidth
             if link_sum[pair] > budget:
                 factor = min(factor, budget / link_sum[pair])
-        lsps.append(build_lsp(topo, nodes, raw * factor, lsp_id))
+        if not 0 < raw * factor < math.inf:
+            raise ValidationError("capacity must be positive and finite")
+        lsps.append(Lsp(lsp_id, nodes[0], nodes[-1], links, raw * factor, delay))
     return lsps
 
 
@@ -325,16 +330,15 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
     # Growth changes only the rates, so the index holds until a round moves a path.
     index = link_index(topo, flows, paths)
     for t in range(cfg.slots):
-        loads = utils = None  # compute_sample computes both: slot 0, unplanned, moved paths
+        usage = None  # compute_sample computes it: slot 0, unplanned, moved paths
         if t >= 1:
             rates = grow_flows(rates, growth[t - 1])
         if t >= 1 and planned:
-            loads = offered_loads(rates, index)
-            utils = (loads / index.bandwidth).tolist()
-            max_util = max(utils, default=0.0)
+            usage = utilization(rates, index)
             periodic = t % cfg.rerouting_interval == 0
-            trigger = max_util > cfg.mu_trigger or periodic
-            log(t, "check", f"max_util={max_util:.6f} periodic={periodic} trigger={trigger}")
+            trigger = usage[2] > cfg.mu_trigger or periodic
+            events.append(f"slot={t} event=check scheme={cfg.scheme} max_util={usage[2]:.6f} "
+                          f"periodic={periodic} trigger={trigger}")
             if trigger:
                 now, before = flows_at(flows, rates), (lsps, assignment)
                 # A kept plan leaves round one's answer, which a retry would only repeat.
@@ -343,8 +347,8 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
                 # Paths can differ only on another plan object or another assignment.
                 if (lsps is not before[0] or assignment != before[1]) and (current := flow_paths()) != paths:
                     paths, index = current, link_index(topo, flows, current)
-                    loads = utils = None
-        samples.append(compute_sample(t, rates, index, loads, utils))
+                    usage = None
+        samples.append(compute_sample(t, rates, index, usage))
     return RunResult(cfg.scheme, cfg.seed, samples, events, _config_echo(cfg))
 
 

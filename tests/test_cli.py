@@ -130,3 +130,32 @@ def test_a_topology_without_links_is_an_error_line(tmp_path, capsys, scheme):
     assert main(["run", str(path), "--scheme", scheme, "--out", str(tmp_path / "res")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "at least one link" in err
+
+
+LINK_FIELDS, PLAN_FIELDS = ("bandwidth", "delay"), ("capacity",)
+TRAFFIC_FIELDS = ("demand_fraction", "flow_intensity", "growth_max", "intensity_scale",
+                  "delay_stretch")
+
+
+@pytest.mark.parametrize("field", LINK_FIELDS + PLAN_FIELDS + TRAFFIC_FIELDS)
+def test_a_number_too_large_for_a_float_is_an_error_line(tmp_path, capsys, field):
+    # 401 digits: within the integer length json reads, beyond a float's range, so
+    # float() of it raises OverflowError.
+    huge = 10 ** 400
+    topo = ht.reference_topology()
+    topology = json.loads(ht.serialize_topology(topo))
+    plan = {"lsps": [{"path": [l.src, *(b for _, b in l.links)], "capacity": l.capacity}
+                     for l in ht.build_auto_lsp_plan(topo)]}
+    with open(SCENARIO, encoding="utf-8") as fp:
+        doc = json.load(fp)
+    doc.update(topology="topo.json", lsp_plan={"kind": "file", "path": "plan.json"})
+    target = {**dict.fromkeys(LINK_FIELDS, topology["links"][0]),
+              **dict.fromkeys(PLAN_FIELDS, plan["lsps"][0]),
+              **dict.fromkeys(TRAFFIC_FIELDS, doc["traffic"])}[field]
+    target[field] = huge
+    for name, content in (("topo.json", topology), ("plan.json", plan), ("scenario.json", doc)):
+        (tmp_path / name).write_text(json.dumps(content))
+    assert main(["run", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "res")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"field {field!r}" in err[0], err
+    assert "too large for a float" in err[0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hybridte as ht
-from hybridte.metrics import CSV_HEADER, link_index, metrics_csv_rows, offered_loads
+from hybridte.metrics import CSV_HEADER, link_index, metrics_csv_rows, utilization
 from hybridte.topology import links_of_path
 
 import oracles
@@ -73,7 +73,7 @@ def test_sample_aggregates(topo):
     assert s.avg_path_length == pytest.approx(2.0)
     # 4 loaded links at 0.5 and 0.3, 16 idle, averaged over all 20
     assert s.avg_link_utilization == pytest.approx((2 * 0.5 + 2 * 0.3) / 20.0)
-    loads = dict(zip(topo.by_pair, offered_loads(rates_of(flows), index)))
+    loads = dict(zip(topo.by_pair, utilization(rates_of(flows), index)[0]))
     assert loads[(0, 4)] == pytest.approx(50.0)
     assert loads[(4, 6)] == 0.0  # idle
 
@@ -154,13 +154,13 @@ def test_sample_matches_the_reference_sums():
             paths[fid] = ((ln.src, ln.dst),)
         expect = oracles.reference_sample(i, flows, paths, topo)
         index, rates = link_index(topo, flows, paths), rates_of(flows)
-        loads = offered_loads(rates, index)
+        usage = utilization(rates, index)  # the trigger check's loads, list and peak
+        loads, utils, peak = usage
         reference = oracles.reference_offered_loads(flows, paths)
         assert loads.tolist() == [reference.get(pair, 0.0) for pair in topo.by_pair]
-        utils = (loads / index.bandwidth).tolist()  # the trigger check's list
+        assert utils == (loads / index.bandwidth).tolist() and peak == max(utils)
         assert ht.compute_sample(i, rates, index) == expect
-        assert ht.compute_sample(i, rates, index, loads) == expect
-        assert ht.compute_sample(i, rates, index, loads, utils) == expect
+        assert ht.compute_sample(i, rates, index, usage) == expect
         bandwidth = {(ln.src, ln.dst): ln.bandwidth for ln in topo.links}
         over = [p for p, load in reference.items() if load > bandwidth[p]]
         seen["empty"] += not flows

@@ -19,7 +19,7 @@ from hybridte.rerouting import RoutingMode
 from hybridte.topology import _LINK_FIELDS, _TOPOLOGY_FIELDS
 
 import oracles
-from test_recreation import ring14
+from test_recreation import ring, ring14
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -494,27 +494,26 @@ def test_solvers_run_once_per_round_and_per_built_recreation(tmp_path, monkeypat
 
 
 def watch_link_index(monkeypatch):
-    """Wrap the index build, the trigger check's load sum and the sample. Returns a
-    function that runs a config and checks that the index is built at slot 0 and
-    again exactly in the slots whose rounds moved a path, and that every other slot
-    is sampled with the check's loads and utilization list; it returns the number of
-    slots that moved. A slot counts as moved when one of its rounds moves a flow or
+    """Wrap the index build, the trigger check's utilization pass and the sample.
+    Returns a function that runs a config and checks that the index is built at slot 0
+    and again exactly in the slots whose rounds moved a path, and that every other slot
+    is sampled with the check's loads, utilization list and peak; it returns the number
+    of slots that moved. A slot counts as moved when one of its rounds moves a flow or
     re-routes an LSP, so every plan of the run must give each LSP of a pair its own
     route: a flow moved between two LSPs on one route moves no path."""
     plans, _ = watch_plans(monkeypatch)
-    built, summed, sampled = [], [], []
-    index, offered, sample = (orchestrator.link_index, orchestrator.offered_loads,
-                              orchestrator.compute_sample)
+    built, checked, sampled = [], [], []
+    index, usage, sample = (orchestrator.link_index, orchestrator.utilization,
+                            orchestrator.compute_sample)
     monkeypatch.setattr(orchestrator, "link_index", lambda *a: built.append(a) or index(*a))
-    monkeypatch.setattr(orchestrator, "offered_loads",
-                        lambda *a: summed.append(offered(*a)) or summed[-1])
+    monkeypatch.setattr(orchestrator, "utilization",
+                        lambda *a: checked.append(usage(*a)) or checked[-1])
     monkeypatch.setattr(orchestrator, "compute_sample",
-                        lambda t, rates, idx, loads=None, utils=None:
-                        sampled.append((t, idx, loads, utils))
-                        or sample(t, rates, idx, loads, utils))
+                        lambda t, rates, idx, used=None:
+                        sampled.append((t, idx, used)) or sample(t, rates, idx, used))
 
     def run(cfg):
-        built.clear(), summed.clear(), sampled.clear(), plans.clear()
+        built.clear(), checked.clear(), sampled.clear(), plans.clear()
         events = parse_events(ht.run_scenario(cfg).events)
         for plan in plans:
             for pair, lsps in plan.pairs.items():
@@ -525,14 +524,15 @@ def watch_link_index(monkeypatch):
         assert len(built) == 1 + len(moved)
         assert [t for t, *_ in sampled] == list(range(cfg.slots))
         checks = {e["slot"]: e for e in events if e["event"] == "check"}
-        for t, idx, loads, utils in sampled:
+        for t, idx, used in sampled:
             if t == 0 or t in moved:
-                assert loads is None and utils is None, t
+                assert used is None, t
             else:
-                assert loads is summed[t - 1], t
-                # The check's list: its maximum is the logged max_util.
+                assert used is checked[t - 1], t
+                loads, utils, peak = used
                 assert type(utils) is list and utils == (loads / idx.bandwidth).tolist(), t
-                assert checks[t]["max_util"] == f"{max(utils):.6f}", t
+                # The peak handed to the sample is the one the check logged.
+                assert peak == max(utils) and checks[t]["max_util"] == f"{peak:.6f}", t
         return len(moved)
 
     return run
@@ -824,6 +824,9 @@ def test_auto_plan_matches_the_reference_plan():
             for mu in (0.3, 0.9, 1.0):
                 assert ht.build_auto_lsp_plan(topo, k, mu) == oracles.reference_auto_plan(
                     topo, k, mu)
+    # A 50-node ring at one setting only: its 380 edge pairs take tens of ms per plan.
+    big = ring(20, 30)
+    assert ht.build_auto_lsp_plan(big, 2, 0.9) == oracles.reference_auto_plan(big, 2, 0.9)
     for mu in (0.0, -0.5):
         for plan in (ht.build_auto_lsp_plan, oracles.reference_auto_plan):
             with pytest.raises(ValidationError, match="capacity must be positive"):

@@ -1,8 +1,9 @@
 """tools/same_outputs.py on a two-run matrix: a tree against itself shows no
 difference, and against a copy whose scenario differs, it names the files that do.
 The matrix's moving scenario moves a route under `exact`, its shifting scenario
-moves flows under `exact` in both re-routing modes, and its sharing scenario reaches
-re-routing's joint search of all flows."""
+moves flows under `exact` in both re-routing modes, its sharing scenario reaches
+re-routing's joint search of all flows, and its heavy scenario1 variant overloads
+links under every scheme."""
 
 import importlib.util
 import json
@@ -16,6 +17,7 @@ from collections import Counter
 from hybridte import orchestrator, rerouting
 from hybridte.cli import main
 from hybridte.errors import Infeasible
+from hybridte.metrics import utilization
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 TOOL = os.path.join(REPO, "tools", "same_outputs.py")
@@ -63,19 +65,47 @@ def test_a_changed_scenario_is_named(tmp_path):
     assert "scenario1-reserved/ffr-seed0/config.echo: line " in proc.stdout
 
 
-def exact_runs(tmp_path, monkeypatch, mini):
-    """The events of each exact run of the matrix on the mini scenario `mini`."""
+def matrix_runs(tmp_path, monkeypatch, name):
+    """Each command of the matrix on the scenarios whose names start with `name`, with
+    the scenario files written and the working directory set as the tool sets them."""
     spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     tool.write_scenarios(REPO, str(tmp_path))
     monkeypatch.chdir(tmp_path)
-    runs = [argv for argv in tool.matrix()
-            if argv[1].startswith(f"scenarios/{mini}-") and "exact" in argv]
+    return [argv for argv in tool.matrix() if argv[1].startswith(f"scenarios/{name}")]
+
+
+def exact_runs(tmp_path, monkeypatch, mini):
+    """The events of each exact run of the matrix on the mini scenario `mini`."""
+    runs = [argv for argv in matrix_runs(tmp_path, monkeypatch, f"{mini}-") if "exact" in argv]
     assert len(runs) == 16  # both modes, seeds 0-7
     for argv in runs:
         assert main(argv) == 0
         yield argv[1], (tmp_path / argv[-1] / "events.log").read_text()
+
+
+def test_the_matrix_samples_overloaded_slots_under_every_scheme(tmp_path, monkeypatch):
+    # A sample takes its loss branch only when a link's load exceeds its bandwidth. The
+    # heavy scenario1 variant overloads links under every scheme, so the matrix compares
+    # that branch's metrics.csv rows byte for byte.
+    overloaded, sampled, scheme = Counter(), Counter(), []
+    sample = orchestrator.compute_sample
+
+    def spy(t, rates, index, usage=None):
+        sampled[scheme[0]] += 1
+        overloaded[scheme[0]] += (usage or utilization(rates, index))[2] > 1.0
+        return sample(t, rates, index, usage)
+
+    monkeypatch.setattr(orchestrator, "compute_sample", spy)
+    runs = [argv for argv in matrix_runs(tmp_path, monkeypatch, "scenario1-heavy-reserved.")
+            if argv[0] == "run"]
+    assert len(runs) == 24  # three schemes, seeds 0-7
+    for argv in runs:
+        scheme[:] = [argv[argv.index("--scheme") + 1]]
+        assert main(argv) == 0
+    assert sampled == dict.fromkeys(orchestrator.SCHEMES, 160)
+    assert min(overloaded[s] for s in orchestrator.SCHEMES) > 0, overloaded
 
 
 def test_the_matrix_moves_a_route_under_exact(tmp_path, monkeypatch):

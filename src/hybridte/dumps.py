@@ -3,16 +3,21 @@ from templates with keys in sorted order: byte for byte what
 `json.dumps(doc, indent=2, sort_keys=True)` writes, without json's pure-Python
 encoder, which it uses whenever `indent` is set.
 
-Text that repeats from call to call is kept in bounded `lru_cache`s beside
-`Lsp.dump_record` and `LspPlan.dump_records`: the text around a population's rates
-and around the values of an id map with exact-int keys, re-creation requests and
-link lists; a call formats only the rates, the assignments and the solution. A key
-must fix its text, though equal values need not (5 == 5.0 == True, 0.0 == -0.0).
-Nested keys are looked up only when each leaf has one exact type (int, or a nonzero
-float for a delay bound); exact ints and finite exact floats fill by `str`, which is
-json's text, other values by `scalar`. A request's key is typed (`typed=True` tells
-types apart at its top level), and its text is not kept when the key holds a zero
-other than an exact int 0 (`_Unkept`). Other keys render uncached.
+Text that repeats from round to round is kept on the run's own objects, built from
+their values on first use: each LSP's record and a plan's `lsps` list
+(`Lsp.dump_record`, `LspPlan.dump_records`), a plan's old routing (`LspPlan.routing`, a
+`recreation.Routing`), and a flow population's `flows` list around the rates and, per
+indent, the key order of a map keyed by its flow ids (`traffic.FlowPopulation`). A round
+formats only its numbers: rates, assignments, requests and the solution. A plain tuple
+from an API caller is made such an object on each call, its text built and dropped.
+
+Two bounded `lru_cache`s keep, keyed by value, text that no object holds: re-creation
+requests (`_request_record`) and link lists (`_cached_pairs`). A key must fix its text,
+though equal values need not (5 == 5.0 == True, 0.0 == -0.0). A link list is looked up
+only when each node is an exact int. A request's key is typed (`typed=True` tells types
+apart at its top level), and its text is not kept when the key holds a zero other than
+an exact int 0 (`_Unkept`). Exact ints and finite exact floats fill by `str` or `repr`,
+which is json's text, other values by `scalar`.
 """
 
 import math
@@ -23,7 +28,6 @@ from operator import attrgetter
 
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _by_id = attrgetter("id")
-_columns = [attrgetter(name) for name in ("id", "src", "dst", "max_delay", "rate")]
 
 
 def scalar(v) -> str:
@@ -99,28 +103,20 @@ def lsp_records(lsps) -> str:
     return block(",\n".join([l.dump_record for l in sorted(lsps, key=_by_id)]), "  ")
 
 
-@lru_cache(maxsize=64)
-def _flow_pieces(fixed: tuple) -> tuple[str, ...]:
-    """The `flows` list of a population around its rates (`fill`), given the number of
-    flows and then their ids, sources, destinations and delay bounds in id order."""
-    n = fixed[0]
-    return tuple(block(",\n".join([f'    {{\n      "dst": {scalar(dst)},\n      "id": {scalar(fid)},\n'
-                                   f'      "max_delay": {scalar(delay)},\n      "rate": %s,\n'
-                                   f'      "src": {scalar(src)}\n    }}' for fid, src, dst, delay
-                                   in zip(*[fixed[1 + k * n:1 + (k + 1) * n] for k in range(4)])]),
+def flow_pieces(ordered) -> tuple[str, ...]:
+    """A re-routing dump's `flows` list around its rates (`fill`), from the flows `ordered`
+    by id."""
+    return tuple(block(",\n".join([f'    {{\n      "dst": {scalar(f.dst)},\n      "id": {scalar(f.id)},\n'
+                                   f'      "max_delay": {scalar(f.max_delay)},\n      "rate": %s,\n'
+                                   f'      "src": {scalar(f.src)}\n    }}' for f in ordered]),
                        "  ").split("%s"))  # no scalar text holds a "%"
 
 
-def flow_records(flows) -> str:
-    """A re-routing dump's `flows` list, in id order: its population's pieces and rates."""
-    ordered = sorted(flows, key=_by_id)
-    ids, srcs, dsts, delays, rates = ([*map(get, ordered)] for get in _columns)
-    fixed = (len(ordered), *ids, *srcs, *dsts, *delays)  # 4n + 1 items, never 20 (`fill`)
-    if ({*map(type, ids), *map(type, srcs), *map(type, dsts)} <= {int}
-            and {*map(type, delays), *map(type, rates)} <= {float} and 0.0 not in delays
-            and all(map(math.isfinite, rates))):
-        return fill(_flow_pieces(fixed), map(repr, rates))
-    return fill(_flow_pieces.__wrapped__(fixed), map(scalar, rates))
+def flow_records(pieces: tuple, rates: list) -> str:
+    """A re-routing dump's `flows` list: its `flow_pieces` filled with the rates in id
+    order, by `repr` when all are finite exact floats, json's text for them."""
+    return fill(pieces, map(repr if {*map(type, rates)} <= {float}
+                            and all(map(math.isfinite, rates)) else scalar, rates))
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -149,22 +145,21 @@ def routes(routing, ind: str) -> str:
     return block(",\n".join([i1 + _link_list(links, i1) for links in routing]), ind)
 
 
-@lru_cache(maxsize=64)
-def _key_order(keys: tuple, ind: str) -> tuple[tuple, tuple[str, ...]]:
-    """The keys in their names' string order, and the object's text around its values."""
+def key_order(keys, ind: str) -> tuple[tuple, tuple[str, ...]]:
+    """The keys in their names' string order, and the text of an object with those
+    names around its values, closed at indent `ind`."""
     keys = sorted(keys, key=str)
-    heads = [f'{ind}{encode_basestring_ascii(name)}: ' for name in map(str, keys)]
-    return tuple(keys), ("{\n" + heads[0], *[",\n" + h for h in heads[1:]], f"\n{ind[2:]}}}")
+    heads = [f'{ind}  {encode_basestring_ascii(name)}: ' for name in map(str, keys)]
+    return tuple(keys), ("{\n" + heads[0], *[",\n" + h for h in heads[1:]], f"\n{ind}}}")
 
 
-def id_map(mapping, ind: str) -> str:
+def id_map(mapping, ind: str, order: tuple | None = None) -> str:
     """An object keyed by str(key), in string order ("10" before "2"), closed at indent
-    `ind`; exact-int keys have their pieces cached, and exact-int values fill them by `str`."""
+    `ind`: `order`, when given, is the `key_order` of the mapping's keys; exact-int values
+    fill its pieces by `str`."""
     if not mapping:
         return "{}"
-    ints = set(map(type, mapping)) == {int}
     # Other names may repeat: the last value under each is written, as json does.
-    keys = tuple(mapping) if ints else tuple({str(k): k for k in mapping}.values())
-    keys, pieces = (_key_order if ints else _key_order.__wrapped__)(keys, ind + "  ")
+    keys, pieces = order or key_order({str(k): k for k in mapping}.values(), ind)
     values = [*map(mapping.__getitem__, keys)]
     return fill(pieces, map(str if set(map(type, values)) == {int} else scalar, values))

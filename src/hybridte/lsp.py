@@ -9,7 +9,9 @@ from functools import cached_property
 from .bnb import limits
 from .dumps import lsp_record, lsp_records
 from .errors import InvalidPathError, ValidationError
+from .recreation import Routing
 from .topology import NetworkTopology, links_of_path
+from .traffic import FlowPopulation
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,14 @@ class LspPlan(tuple):
     `topology`, links that it has. Like `tuple(t)`, `LspPlan(plan)` is `plan` itself,
     as is `LspPlan(plan, topology)` for the topology it was checked against. A plan
     compares as the tuple of its LSPs, so an unchanged one compares by one identity
-    test. `by_id` maps ids to LSPs, `pairs` each (src, dst) to its LSPs in id order.
-    Lookups, solver tables and the dump's `lsps` text are built once per plan, on first use."""
+    test. `by_id` maps ids to LSPs, `pairs` each (src, dst) to its LSPs in id order, and
+    `routing` is their links in id order, a re-creation's old routing. Lookups, solver
+    tables, the dump's `lsps` text and the routing with its dump text (`recreation.Routing`)
+    are built once per plan, on first use. The dump text kept by value, not per object, is
+    `dumps`' two caches: request records and link lists."""
 
     dump_records = cached_property(lsp_records)
+    routing = cached_property(lambda plan: Routing(l.links for l in plan))
 
     def __new__(cls, lsps, topology: NetworkTopology | None = None):
         if isinstance(lsps, LspPlan) and topology in (None, lsps.topology):
@@ -64,7 +70,7 @@ class LspPlan(tuple):
     def check_flows(self, flows, fr_old: dict[int, int] | None = None) -> None:
         """Raise ValidationError on duplicate flow ids and, given the old assignment
         `fr_old`, on a flow that it misses or places on an LSP outside this plan."""
-        if len({f.id for f in flows}) != len(flows):
+        if not FlowPopulation(flows).unique:
             raise ValidationError("duplicate flow ids")
         if fr_old is None:
             return

@@ -30,7 +30,8 @@ from .recreation import (LspRequest, RecreationProblem, enumerate_simple_paths,
 from .rerouting import (ReroutingProblem, RoutingMode, rerouting_to_json,
                         solve_flow_rerouting)
 from .topology import NetworkTopology, links_of_path, load_topology_file
-from .traffic import TrafficConfig, flows_at, generate_flows, grow_flows, growth_block
+from .traffic import (FlowPopulation, TrafficConfig, flows_at, generate_flows, grow_flows,
+                      growth_block)
 
 SCHEMES = ("shortest_path", "ffr", "exact")
 
@@ -57,8 +58,9 @@ class ScenarioConfig:
     dump_dir: str | None = None
 
     def validate(self) -> None:
-        if self.slots < 1:
-            raise ConfigError("slots must be at least 1")
+        # growth_block holds (slots - 1) x flows factors from set-up on.
+        if not 1 <= self.slots <= 10**6:
+            raise ConfigError("slots must lie in [1, 10**6]")
         if self.rerouting_interval < 1:
             raise ConfigError("rerouting_interval must be at least 1")
         if self.seed < 0:
@@ -219,13 +221,14 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 
 
 def _set_up(cfg: ScenarioConfig, planned: bool) -> tuple:
-    """Validate `cfg` and build a run's inputs before slot 1: topology, slot-0 flows, their
-    rate vector, every later slot's growth factors (`growth_block`) and, when `planned`,
-    the LSP plan, checked against the topology once, and the initial assignment. A
-    comparison's schemes share them, so they grow the same traffic."""
+    """Validate `cfg` and build a run's inputs before slot 1: topology, slot-0 flows (their
+    `FlowPopulation`), their rate vector, every later slot's growth factors
+    (`growth_block`) and, when `planned`, the LSP plan, checked against the topology once,
+    and the initial assignment. A comparison's schemes share them, so they grow the same
+    traffic."""
     cfg.validate()
     topo = load_topology_file(cfg.topology_path)
-    flows = generate_flows(topo, cfg.traffic, cfg.seed)
+    flows = FlowPopulation(generate_flows(topo, cfg.traffic, cfg.seed))
     rates = np.array([f.rate for f in flows])
     rates.flags.writeable = False  # shared by a comparison's schemes
     growth = growth_block(cfg.traffic.growth_max, cfg.seed, cfg.slots, len(flows))
@@ -307,7 +310,7 @@ def run_scenario(cfg: ScenarioConfig, *, setup: tuple | None = None) -> RunResul
             budgets = _delay_budgets(flows, lsps, assignment)
             problem = RecreationProblem(
                 requests=tuple(LspRequest(l.src, l.dst, l.capacity, budgets[l.id]) for l in lsps),
-                topology=topo, lr_old=tuple(l.links for l in lsps), mu=cfg.mu_headroom)
+                topology=topo, lr_old=lsps.routing, mu=cfg.mu_headroom)
             built = (lsps, assignment, problem,
                      solved(problem, solve_lsp_recreation, recreation_to_json, "changed_entries"))
         rsol = report(t, "recreate", built[3], f"slot{t:03d}_recreation.json")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .bnb import Search, limits
@@ -25,6 +26,19 @@ class LspRequest(NamedTuple):
     dst: int
     capacity: float
     delay_budget: float = math.inf
+
+
+class Routing(tuple):
+    """Routes, each a tuple of link pairs, that keep their dump text once rendered: `text`
+    as a dump's old routing, and `nested` one level deeper, as a solution that keeps it.
+    Like `tuple(t)`, `Routing(routing)` is `routing` itself when it is one; a run's old
+    routing is its plan's (`LspPlan.routing`), rendered once per plan."""
+
+    def __new__(cls, routing):
+        return routing if isinstance(routing, Routing) else super().__new__(cls, routing)
+
+    text = cached_property(lambda routing: routes(routing, "  "))
+    nested = cached_property(lambda routing: routing.text.replace("\n", "\n  "))
 
 
 @dataclass(frozen=True)
@@ -175,16 +189,13 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
 
 def recreation_to_json(problem: RecreationProblem, solution: RecreationSolution | None = None) -> str:
     """Deterministic JSON dump of one instance (and optionally its solution)."""
-    old = problem.lr_old or ()
-    old_text = routes(old, "  ")
+    old = Routing(problem.lr_old or ())
     text = (f'{{\n  "mu": {scalar(problem.mu)},\n  "node_budget": {scalar(problem.node_budget)},\n'
-            f'  "old_routing": {old_text},\n'
+            f'  "old_routing": {old.text},\n'
             f'  "path_limit": {scalar(problem.path_limit)},\n'
             f'  "requests": {request_records(problem.requests)}')
     if solution is not None:
-        # A routing that keeps the old one is its text one level deeper.
-        routing = (old_text.replace("\n", "\n  ") if solution.routing == old
-                   else routes(solution.routing, "    "))
+        routing = old.nested if solution.routing == old else routes(solution.routing, "    ")
         text += (f',\n  "solution": {{\n    "changed_entries": {scalar(solution.changed_entries)},\n'
                  f'    "nodes_explored": {scalar(solution.nodes_explored)},\n'
                  f'    "optimal": {scalar(solution.optimal)},\n'

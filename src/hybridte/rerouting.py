@@ -23,7 +23,8 @@ all fit together on their admissible old LSPs stay there after one fit check: ea
 part then fits alone too, so each would be kept, and the same nodes are counted. The
 pairs' LSPs, each flow's admissible ones, the search's capacity tables and each
 pair's room are read from the run's plan (`lsp.LspPlan`), built once per plan (the
-tables once per headroom and mode).
+tables once per headroom and mode); the flows' ids per pair, and whether they are
+unique, from the run's flow population (`traffic.FlowPopulation`), once per run.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bnb import Search
-from .dumps import flow_records, id_map, lsp_records, scalar
+from .dumps import lsp_records, scalar
 from .errors import Infeasible, ValidationError, check_count
 from .lsp import LspPlan
 from .topology import NetworkTopology
+from .traffic import FlowPopulation
 
 
 class RoutingMode(str, Enum):
@@ -83,24 +85,21 @@ def solve_flow_rerouting(problem: ReroutingProblem) -> ReroutingSolution:
     if not 0 < problem.mu <= 1:
         raise ValidationError("mu must lie in (0, 1]")
     check_count(problem.node_budget, "node_budget")
-    plan.check_flows(problem.flows, problem.fr_old)
+    flows = FlowPopulation(problem.flows)
+    plan.check_flows(flows, problem.fr_old)
     if unreserved and problem.topology is None:
         raise ValidationError("unreserved mode needs a topology")
     rate = {f.id: f.rate for f in problem.flows}
     limit, resources, room = plan.search_tables(problem.mu, unreserved)
     search = Search(limit, problem.node_budget)
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for f in problem.flows:
-        by_pair.setdefault((f.src, f.dst), []).append(f.id)
-    pairs = sorted(by_pair)
-    for pair in pairs:
+    groups, parts = flows.pairs
+    for (src, dst), ids in groups:
         # A pair's flows that sum above its LSPs' limits overload one of them whatever
         # the assignment. The margin keeps rounding in both sums from rejecting an
         # instance the search solves.
-        if sum(rate[fid] for fid in by_pair[pair]) > room.get(pair, 0.0) * (1 + 1e-12):
-            raise Infeasible(f"flows {pair[0]}->{pair[1]} exceed the capacity of their LSPs",
+        if sum(rate[fid] for fid in ids) > room.get((src, dst), 0.0) * (1 + 1e-12):
+            raise Infeasible(f"flows {src}->{dst} exceed the capacity of their LSPs",
                              proven=True)
-    parts = [sorted(by_pair[pair]) for pair in pairs]
     old, by_id = problem.fr_old, plan.by_id
     # Every flow stays when its old LSP is still admissible (so none lacks one) and all
     # flows fit together in part order, each part in its len(part) + 1 nodes: adding
@@ -153,13 +152,14 @@ def _solve(search: Search, parts, rate, old, admissible, resources) -> tuple[dic
 
 def rerouting_to_json(problem: ReroutingProblem, solution: ReroutingSolution | None = None) -> str:
     """Deterministic JSON dump of one instance (and optionally its solution)."""
+    flows = FlowPopulation(problem.flows)
     lsps = problem.lsps.dump_records if isinstance(problem.lsps, LspPlan) else lsp_records(problem.lsps)
-    text = (f'{{\n  "flows": {flow_records(problem.flows)},\n  "lsps": {lsps},\n'
+    text = (f'{{\n  "flows": {flows.dump_records()},\n  "lsps": {lsps},\n'
             f'  "mode": "{problem.mode.value}",\n  "mu": {scalar(problem.mu)},\n'
             f'  "node_budget": {scalar(problem.node_budget)},\n'
-            f'  "old_assignment": {id_map(problem.fr_old, "  ")}')
+            f'  "old_assignment": {flows.id_map(problem.fr_old, "  ")}')
     if solution is not None:
-        text += (f',\n  "solution": {{\n    "assignment": {id_map(solution.assignment, "    ")},\n'
+        text += (f',\n  "solution": {{\n    "assignment": {flows.id_map(solution.assignment, "    ")},\n'
                  f'    "changes": {scalar(solution.changes)},\n'
                  f'    "nodes_explored": {scalar(solution.nodes_explored)},\n'
                  f'    "optimal": {scalar(solution.optimal)}\n  }}')

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dumps import flow_pieces, flow_records, id_map, key_order
 from .errors import ConfigError, UnreachableError
 from .topology import NetworkTopology
 
@@ -24,6 +25,58 @@ class Flow(NamedTuple):
     dst: int
     rate: float
     max_delay: float
+
+
+class FlowPopulation(tuple):
+    """A run's slot-0 flows, checked once when built, as `lsp.LspPlan` is for LSPs: whether
+    their ids are unique (`unique`) and their id order. `FlowPopulation(flows)` is `flows`
+    itself when it is one; a plain tuple becomes one on each call. A slot's flows
+    (`flows_at`) are bound to the run's population and share what it keeps on first use:
+    the flow ids per (src, dst) pair and the dump text around the rates and, per indent,
+    around the values of a map keyed by the flow ids."""
+
+    def __new__(cls, flows):
+        if isinstance(flows, FlowPopulation):
+            return flows
+        population = super().__new__(cls, flows)
+        ids = [f.id for f in population]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        unique = len(set(ids)) == len(ids)
+        vars(population).update(
+            unique=unique,
+            _order=None if order == [*range(len(ids))] else order,  # None: in id order
+            _int_ids=set(ids) if unique and {*map(type, ids)} <= {int} else None,
+            _kept={})  # "pairs", "flows" and each indent -> what is kept for it
+        return population
+
+    @property
+    def pairs(self) -> tuple[list, tuple]:
+        """Each (src, dst) pair of the flows, in sorted order, with its flow ids in flow
+        order; and beside them those ids sorted, re-routing's parts."""
+        kept = self._kept
+        if "pairs" not in kept:
+            by_pair: dict[tuple[int, int], list[int]] = {}
+            for f in self:
+                by_pair.setdefault((f.src, f.dst), []).append(f.id)
+            groups = sorted(by_pair.items())
+            kept["pairs"] = groups, tuple(tuple(sorted(ids)) for _, ids in groups)
+        return kept["pairs"]
+
+    def dump_records(self) -> str:
+        """A re-routing dump's `flows` list at these flows' rates (`dumps.flow_records`)."""
+        ordered = self if self._order is None else [self[i] for i in self._order]
+        if "flows" not in self._kept:
+            self._kept["flows"] = flow_pieces(ordered)
+        return flow_records(self._kept["flows"], [f.rate for f in ordered])
+
+    def id_map(self, mapping, ind: str) -> str:
+        """`dumps.id_map` of `mapping`, from the key order kept per indent when its keys
+        are exactly the flow ids, unique exact ints."""
+        if not (mapping and mapping.keys() == self._int_ids and {*map(type, mapping)} == {int}):
+            return id_map(mapping, ind)
+        if ind not in self._kept:
+            self._kept[ind] = key_order(self._int_ids, ind)
+        return id_map(mapping, ind, self._kept[ind])
 
 
 @dataclass(frozen=True)
@@ -133,8 +186,13 @@ def grow_flows(rates: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return grown
 
 
-def flows_at(flows, rates: np.ndarray) -> tuple[Flow, ...]:
-    """`flows` (slot 0) with each rate replaced by its entry of the slot's `rates`."""
-    # tuple.__new__ skips the frame of Flow's generated __new__.
-    return tuple([tuple.__new__(Flow, (i, src, dst, rate, max_delay))
-                  for (i, src, dst, _, max_delay), rate in zip(flows, rates.tolist())])
+def flows_at(flows, rates: np.ndarray) -> FlowPopulation:
+    """The population `flows` (slot 0) with each rate replaced by its entry of the slot's
+    `rates`, bound to it: the two share their checks and kept text."""
+    population = FlowPopulation(flows)
+    # tuple.__new__ skips the frames of Flow's generated __new__ and of the checks.
+    now = tuple.__new__(FlowPopulation, [tuple.__new__(Flow, (i, src, dst, rate, max_delay))
+                                         for (i, src, dst, _, max_delay), rate
+                                         in zip(population, rates.tolist())])
+    vars(now).update(vars(population))
+    return now

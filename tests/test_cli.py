@@ -118,6 +118,21 @@ def test_negative_seed_is_an_error_line(tmp_path, capsys, command):
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("slots", [0, 10**6 + 1, 2**70])
+def test_slots_out_of_range_is_an_error_line(tmp_path, capsys, slots):
+    # The run's growth block holds (slots - 1) x flows factors; past the cap numpy
+    # raised its own ValueError, or the block would not fit in memory.
+    with open(SCENARIO, encoding="utf-8") as fp:
+        doc = json.load(fp)
+    doc["topology"] = os.path.join(os.path.dirname(os.path.abspath(SCENARIO)), doc["topology"])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(doc, slots=slots)))
+    assert main(["run", str(path), "--out", str(tmp_path / "res")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: slots must lie in [1, 10**6]"], err
+    assert not (tmp_path / "res").exists()
+
+
 @pytest.mark.parametrize("scheme", ["shortest_path", "ffr", "exact"])
 def test_a_topology_without_links_is_an_error_line(tmp_path, capsys, scheme):
     # Traffic is sized by the mean link bandwidth, which a topology without links lacks.

@@ -6,7 +6,6 @@ import dataclasses
 import enum
 import json
 import math
-import os
 from collections import Counter
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridte as ht
-from hybridte import dumps, orchestrator, recreation
+from hybridte import dumps, orchestrator, recreation, traffic
 from hybridte.dumps import scalar
 from hybridte.lsp import Lsp
 from hybridte.recreation import recreation_to_json
@@ -23,7 +22,8 @@ from hybridte.rerouting import ReroutingSolution, RoutingMode, rerouting_to_json
 from hybridte.traffic import Flow
 
 import oracles
-from test_orchestrator import CONTESTED_PLANS, SCENARIO_DIR, contested_plan_config, parse_events
+from test_orchestrator import CONTESTED_PLANS, contested_plan_config, parse_events
+from test_same_outputs import write_matrix_scenarios
 
 
 def solved(solve, problem):
@@ -92,7 +92,8 @@ def test_random_recreation_dumps():
 
 def test_a_kept_routing_reuses_the_old_routing_text(monkeypatch):
     # A solution that keeps the old routing is written from the old routing's
-    # text one level deeper, so only the old routing is rendered.
+    # text one level deeper, so only the old routing is rendered; kept as a
+    # `Routing`, it is rendered once however often it is written.
     rendered = []
     routes = recreation.routes
     monkeypatch.setattr(recreation, "routes",
@@ -110,6 +111,10 @@ def test_a_kept_routing_reuses_the_old_routing_text(monkeypatch):
         rendered.clear()
         check_recreation(problem, again)
         assert rendered == [problem.lr_old]
+        kept_problem = dataclasses.replace(problem, lr_old=recreation.Routing(problem.lr_old))
+        for _ in range(2):
+            check_recreation(kept_problem, again)
+        assert rendered == [problem.lr_old] * 2
         kept += 1
     assert kept >= 20
     for lr_old in (None, ()):
@@ -203,7 +208,7 @@ EQUAL_BUT_APART = [0, 0.0, -0.0, False, Node.ZERO, np.float64(0.0), np.float64(-
 
 def caches():
     found = [v for v in vars(dumps).values() if hasattr(v, "cache_clear")]
-    assert len(found) == 4  # a new cache is cleared and overflowed below too
+    assert len(found) == 2  # a new cache is cleared and overflowed below too
     return found
 
 
@@ -291,29 +296,48 @@ def test_flow_templates_keep_equal_values_of_other_types_or_signs_apart(rows):
             check_rerouting(problem, ReroutingSolution(dict(problem.fr_old), 0, True, 1))
 
 
-def captured_scenario_renders(monkeypatch, tmp_path):
-    """Every render of `scenario1`-`4` `exact` runs with dumps at seeds 0-2, reserved
-    and unreserved: (renderer, args, text), checked against the written files."""
-    renders = []
-    for name in ("rerouting_to_json", "recreation_to_json"):
-        render = getattr(orchestrator, name)
+MATRIX_RUNS = [f"{name}-{mode.value}" for name in ("scenario1", "scenario3", "moving",
+                                                   "shifting", "sharing") for mode in RoutingMode]
 
-        def recording(*args, render=render):
-            renders.append((render, args, render(*args)))
-            return renders[-1][2]
 
-        monkeypatch.setattr(orchestrator, name, recording)
-    written = set()
-    for n in (1, 2, 3, 4):
-        cfg = ht.load_scenario(os.path.join(SCENARIO_DIR, f"scenario{n}.json"))
-        for seed in range(3):
-            for mode in RoutingMode:
-                out = tmp_path / f"s{n}-{seed}-{mode.value}"
-                ht.run_scenario(dataclasses.replace(cfg, seed=seed, scheme="exact",
-                                                    rerouting_mode=mode, dump_dir=str(out)))
-                written |= {path.read_text() for path in out.iterdir()}
-    assert {text for _, _, text in renders} == written
-    return renders
+@pytest.fixture(scope="module")
+def exact_runs(tmp_path_factory):
+    """Every `exact` run with dumps of the equality matrix's (`tools/same_outputs.py`)
+    scenario1, scenario3 and moving, shifting and sharing mini scenarios, in both modes at
+    seeds 0-7, then every comparison of scenario1 and scenario3 (whose `ffr` and `exact`
+    schemes share one plan) without dumps. Per run: `renders`, each (renderer, args,
+    text); `files`, each dump file's name -> text (None for a comparison); and what it
+    built of the kept text: `flow_texts`, the flows of each `flow_pieces` call, and
+    `routing_texts`, each (routing, indent) of a `routes` call."""
+    root = tmp_path_factory.mktemp("matrix")
+    write_matrix_scenarios(root)
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("rerouting_to_json", "recreation_to_json"):
+            def recording(*args, render=getattr(orchestrator, name)):
+                runs[-1]["renders"].append((render, args, render(*args)))
+                return runs[-1]["renders"][-1][2]
+
+            mp.setattr(orchestrator, name, recording)
+        pieces, routes = traffic.flow_pieces, recreation.routes
+        mp.setattr(traffic, "flow_pieces", lambda ordered: runs[-1]["flow_texts"].append(
+            ordered) or pieces(ordered))
+        mp.setattr(recreation, "routes", lambda routing, ind: runs[-1]["routing_texts"].append(
+            (routing, ind)) or routes(routing, ind))
+        for compare in (False, True):
+            for name in MATRIX_RUNS[:4] if compare else MATRIX_RUNS:
+                cfg = ht.load_scenario(str(root / "scenarios" / f"{name}.json"))
+                for seed in range(8):
+                    runs.append({"renders": [], "flow_texts": [], "routing_texts": [],
+                                 "files": None})
+                    if compare:
+                        ht.run_comparison(dataclasses.replace(cfg, seed=seed))
+                        continue
+                    out = root / "out" / f"{name}-{seed}"
+                    ht.run_scenario(dataclasses.replace(cfg, scheme="exact", seed=seed,
+                                                        dump_dir=str(out)))
+                    runs[-1]["files"] = {path.name: path.read_text() for path in out.iterdir()}
+    return runs
 
 
 def oracle_text(render, args):
@@ -321,12 +345,71 @@ def oracle_text(render, args):
     return oracle(*args)
 
 
-def test_cold_and_overflowed_caches_render_what_json_writes(monkeypatch, tmp_path):
-    renders = captured_scenario_renders(monkeypatch, tmp_path)
-    kinds = Counter(render for render, _, _ in renders)
-    assert kinds[rerouting_to_json] >= 100 and kinds[recreation_to_json] >= 10, kinds
-    for render, args, text in renders:
-        assert text == oracle_text(render, args)
+def test_exact_runs_dump_what_json_writes(exact_runs):
+    # Each dump file of each run is json's text of a problem the run rendered; a reused
+    # re-creation's text is written again unrendered. Among them are rounds on a plan
+    # that a re-creation rebuilt, so that a later re-creation renders the new plan's
+    # old routing, and a re-routing retry in the slot of a moved route.
+    kinds = Counter()
+    for run in exact_runs:
+        for render, args, text in run["renders"]:
+            assert text == oracle_text(render, args)
+            kinds[render] += 1
+        if run["files"] is None:
+            continue
+        assert set(run["files"].values()) == {text for _, _, text in run["renders"]}
+        plans = {id(args[0].lr_old) for render, args, _ in run["renders"]
+                 if render is recreation_to_json}
+        kinds["rebuilt plan"] += len(plans) > 1
+        kinds["retry"] += any(name.endswith("_reroute_retry.json") for name in run["files"])
+    assert len(exact_runs) == 80 + 32
+    assert kinds[rerouting_to_json] >= 700 and kinds[recreation_to_json] >= 100, kinds
+    assert kinds["rebuilt plan"] and kinds["retry"], kinds
+
+
+def test_a_run_builds_its_flow_text_once_and_each_plans_routing_text_once(exact_runs):
+    # However many rounds a run or comparison renders, its population's text around the
+    # rates is built once, and each plan's old-routing text once, also where two schemes
+    # render re-creations on one plan. Only a solution that moves a route is rendered
+    # afresh; one that keeps it is the old routing's text one level deeper.
+    repeated = Counter()
+    for run in exact_runs:
+        reroutings = [args for render, args, _ in run["renders"] if render is rerouting_to_json]
+        recreations = [args for render, args, _ in run["renders"] if render is recreation_to_json]
+        assert len(run["flow_texts"]) == (1 if reroutings else 0)
+        plans = {id(args[0].lr_old): args[0].lr_old for args in recreations}
+        assert all(type(old) is recreation.Routing for old in plans.values())
+        built = [(id(routing), ind) for routing, ind in run["routing_texts"]]
+        assert sorted(i for i, ind in built if ind == "  ") == sorted(plans)
+        assert sum(ind == "    " for _, ind in built) == sum(
+            len(args) > 1 and args[1].routing != args[0].lr_old for args in recreations)
+        repeated["reroutings"] += len(reroutings) > 1
+        repeated["recreations"] += len(recreations) > len(plans)
+    assert repeated["reroutings"] and repeated["recreations"], repeated
+
+
+def test_a_hand_built_population_renders_what_json_writes():
+    # A plain tuple out of id order, with an int delay bound, a -0.0 one and a NaN rate,
+    # is made a population on each call; so are the flows of its slots. Maps keyed by
+    # other ids than the flows' (one more, one fewer, 2.0 for 2) fall back to `id_map`.
+    flows = (Flow(5, 0, 1, math.nan, 3), Flow(2, 1, 0, 1.5, -0.0), Flow(10, 0, 1, 0.25, 4.0))
+    lsps = (Lsp(0, 0, 1, ((0, 1),), 8.0, 1.0), Lsp(1, 1, 0, ((1, 0),), 8.0, 1.0))
+    population = traffic.FlowPopulation(flows)
+    slot = traffic.flows_at(population, np.array([0.5, -0.0, math.inf]))
+    assert [f.rate for f in slot] == [0.5, -0.0, math.inf] and slot.unique
+    for fr_old in ({5: 0, 2: 1, 10: 0}, {5: 0, 2: 1, 10: 0, 7: 1}, {5: 0, 2.0: 1, 10: 0},
+                   {5: 0, 10: 0}):
+        for now in (flows, population, slot, flows):
+            problem = ht.ReroutingProblem(now, lsps, fr_old, mu=0.5)
+            check_rerouting(problem)
+            check_rerouting(problem, ReroutingSolution(fr_old, 0, True, 1))
+    twins = (Flow(1, 0, 1, 1.0, 2.0), Flow(1.0, 0, 1, 1.0, 2.0))  # equal ids: not unique
+    assert not traffic.FlowPopulation(twins).unique
+    check_rerouting(ht.ReroutingProblem(twins, lsps, {1: 0}))
+
+
+def test_cold_and_overflowed_caches_render_what_json_writes(exact_runs):
+    renders = [render for run in exact_runs for render in run["renders"]]
     for cache in caches():
         cache.cache_clear()
         for render, args, text in renders:
@@ -334,10 +417,6 @@ def test_cold_and_overflowed_caches_render_what_json_writes(monkeypatch, tmp_pat
     # Overflow every cache with distinct keys, then render everything again.
     size = max(cache.cache_info().maxsize for cache in caches())
     topo = ht.reference_topology()
-    flows = tuple(Flow(i, i % 4, (i + 1) % 4, 0.5 + i, 3.0 + i) for i in range(size + 9))
-    for k in range(1, 80):  # distinct sets of flow ids fill the id maps' key orders
-        check_rerouting(ht.ReroutingProblem(flows[::k], (), {f.id: 0 for f in flows[::k]}),
-                        ReroutingSolution({f.id: 1 for f in flows[::k]}, 0, True, 1))
     requests = tuple(ht.LspRequest(i % 4, (i + 1) % 4, 1.0 + i, 9.0 + i) for i in range(size + 9))
     routing = tuple(((i, i + 1), (i + 1, i + 2)) for i in range(size + 9))
     check_recreation(ht.RecreationProblem(requests, topo, routing),
@@ -347,7 +426,6 @@ def test_cold_and_overflowed_caches_render_what_json_writes(monkeypatch, tmp_pat
         assert info.currsize == info.maxsize, (cache, info)
     for render, args, text in renders:
         assert render(*args) == text
-
 
 
 def dumped_paths(doc, assignment):

@@ -65,13 +65,20 @@ def test_a_changed_scenario_is_named(tmp_path):
     assert "scenario1-reserved/ffr-seed0/config.echo: line " in proc.stdout
 
 
-def matrix_runs(tmp_path, monkeypatch, name):
-    """Each command of the matrix on the scenarios whose names start with `name`, with
-    the scenario files written and the working directory set as the tool sets them."""
+def write_matrix_scenarios(directory):
+    """Write the matrix's scenario files under `directory`/scenarios as the tool writes
+    them; returns the tool's module."""
     spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    tool.write_scenarios(REPO, str(tmp_path))
+    tool.write_scenarios(REPO, str(directory))
+    return tool
+
+
+def matrix_runs(tmp_path, monkeypatch, name):
+    """Each command of the matrix on the scenarios whose names start with `name`, with
+    the scenario files written and the working directory set as the tool sets them."""
+    tool = write_matrix_scenarios(tmp_path)
     monkeypatch.chdir(tmp_path)
     return [argv for argv in tool.matrix() if argv[1].startswith(f"scenarios/{name}")]
 

@@ -15,7 +15,7 @@ print(f"mean link bandwidth: {topo.mean_bandwidth}")
 
 # Every link is symmetric here: the reverse direction always exists.
 for link in topo.links:
-    assert topo.link_lookup(link.dst, link.src) is not None
+    assert (link.dst, link.src) in topo.by_pair
 
 # Shortest propagation delays from edge node 0 to everything else.
 dist = topo.delay_distances(0)

@@ -89,7 +89,7 @@ def audit_lsp_routing(requests, routing, topo, mu: float = 0.9,
     lr = np.zeros((nn, nn, n), dtype=np.int64)
     for i in range(n):
         for a, b in routing[i]:
-            if topo.link_lookup(a, b) is None:
+            if topo.by_pair.get((a, b)) is None:
                 problems.append(f"request {i}: uses nonexistent link ({a},{b})")
             else:
                 lr[a, b, i] = 1

@@ -1,15 +1,15 @@
-"""Pieces of the `--dump-lp` JSON text. Each dump has a fixed schema, written
-from templates with keys in sorted order: byte for byte what
-`json.dumps(doc, indent=2, sort_keys=True)` writes, without json's pure-Python
-encoder, which it uses whenever `indent` is set.
+"""The `--dump-lp` format: `rerouting_to_json` and `recreation_to_json`, one instance
+(and its solution) per file. Each dump has a fixed schema, written from templates with keys
+in sorted order: byte for byte what `json.dumps(doc, indent=2, sort_keys=True)` writes,
+without json's pure-Python encoder, which it uses whenever `indent` is set.
 
-Text that repeats from round to round is kept on the run's own objects, built from
-their values on first use: each LSP's record and a plan's `lsps` list
-(`Lsp.dump_record`, `LspPlan.dump_records`), a plan's old routing (`LspPlan.routing`, a
-`recreation.Routing`), and a flow population's `flows` list around the rates and, per
-indent, the key order of a map keyed by its flow ids (`traffic.FlowPopulation`). A round
-formats only its numbers: rates, assignments, requests and the solution. A plain tuple
-from an API caller is made such an object on each call, its text built and dropped.
+Text that repeats from round to round is kept (`_memo`) in the memo dict (`_kept`) of
+each of the run's objects that has one, built from its values on first use: a flow
+population's `flows` list around the rates and, per indent, the key order of a map keyed
+by its flow ids (`traffic.FlowPopulation`, shared by the run's slots); a plan's `lsps`
+list (`lsp.LspPlan`); and the plan's old routing, also one level deeper as a solution
+that keeps it (`lsp.PlanRouting`). A plain tuple from an API caller has no memo, so its
+text is built on each call. A round formats only its numbers.
 
 Two bounded `lru_cache`s keep, keyed by value, text that no object holds: re-creation
 requests (`_request_record`) and link lists (`_cached_pairs`). A key must fix its text,
@@ -22,7 +22,6 @@ which is json's text, other values by `scalar`.
 
 import math
 from functools import lru_cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -61,6 +60,15 @@ def _kept(text, *key):
     return text
 
 
+def _memo(obj, key, build, *args):
+    """`build(*args)`, kept under `key` in `obj`'s memo dict (`_kept`), so built once per
+    object; an object without one, such as a plain tuple, gets it built on every call."""
+    kept = getattr(obj, "_kept", {})
+    if key not in kept:
+        kept[key] = build(*args)
+    return kept[key]
+
+
 def block(items: str, ind: str) -> str:
     """A list of records already joined by ",\\n", closed at indent `ind`."""
     return f"[\n{items}\n{ind}]" if items else "[]"
@@ -86,9 +94,9 @@ _cached_pairs = lru_cache(maxsize=1024)(pairs)
 
 def _link_list(links, ind: str) -> str:
     """`pairs`, kept in a cache when `links` is a tuple of (int, int) tuples."""
-    return (_cached_pairs if type(links) is tuple and {*map(type, links)} <= {tuple}
-            and {*map(len, links)} <= {2} and {*map(type, chain.from_iterable(links))} <= {int}
-            else pairs)(links, ind)
+    return (_cached_pairs if type(links) is tuple and all(
+        [type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+         for p in links]) else pairs)(links, ind)
 
 
 def lsp_record(l) -> str:
@@ -100,7 +108,7 @@ def lsp_record(l) -> str:
 
 def lsp_records(lsps) -> str:
     """A re-routing dump's `lsps` list, in id order."""
-    return block(",\n".join([l.dump_record for l in sorted(lsps, key=_by_id)]), "  ")
+    return block(",\n".join([lsp_record(l) for l in sorted(lsps, key=_by_id)]), "  ")
 
 
 def flow_pieces(ordered) -> tuple[str, ...]:
@@ -153,13 +161,63 @@ def key_order(keys, ind: str) -> tuple[tuple, tuple[str, ...]]:
     return tuple(keys), ("{\n" + heads[0], *[",\n" + h for h in heads[1:]], f"\n{ind}}}")
 
 
-def id_map(mapping, ind: str, order: tuple | None = None) -> str:
+def id_map(mapping, ind: str, flows, ids) -> str:
     """An object keyed by str(key), in string order ("10" before "2"), closed at indent
-    `ind`: `order`, when given, is the `key_order` of the mapping's keys; exact-int values
-    fill its pieces by `str`."""
+    `ind`; its `key_order` is kept per indent for `flows` when its keys are exactly their
+    `ids`, unique exact ints. Exact-int values fill its pieces by `str`."""
     if not mapping:
         return "{}"
     # Other names may repeat: the last value under each is written, as json does.
-    keys, pieces = order or key_order({str(k): k for k in mapping}.values(), ind)
+    keys, pieces = (_memo(flows, ind, key_order, ids, ind)
+                    if mapping.keys() == ids and {*map(type, mapping)} == {int}
+                    else key_order({str(k): k for k in mapping}.values(), ind))
     values = [*map(mapping.__getitem__, keys)]
     return fill(pieces, map(str if set(map(type, values)) == {int} else scalar, values))
+
+
+def _id_facts(flows) -> tuple:
+    """The flows' positions in id order (None when that is their order), and their ids
+    when those are unique exact ints (else None)."""
+    ids = [f.id for f in flows]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    unique = {*ids}
+    return (None if order == [*range(len(ids))] else order,
+            unique if len(unique) == len(ids) and {*map(type, ids)} <= {int} else None)
+
+
+def rerouting_to_json(problem, solution=None) -> str:
+    """Deterministic JSON dump of one re-routing instance (and optionally its solution)."""
+    flows, lsps = problem.flows, problem.lsps
+    order, ids = _memo(flows, "ids", _id_facts, flows)
+    ordered = flows if order is None else [flows[i] for i in order]
+    records = flow_records(_memo(flows, "flows", flow_pieces, ordered), [f.rate for f in ordered])
+    text = (f'{{\n  "flows": {records},\n  "lsps": {_memo(lsps, "lsps", lsp_records, lsps)},\n'
+            f'  "mode": "{problem.mode.value}",\n  "mu": {scalar(problem.mu)},\n'
+            f'  "node_budget": {scalar(problem.node_budget)},\n'
+            f'  "old_assignment": {id_map(problem.fr_old, "  ", flows, ids)}')
+    if solution is not None:
+        text += (f',\n  "solution": {{\n'
+                 f'    "assignment": {id_map(solution.assignment, "    ", flows, ids)},\n'
+                 f'    "changes": {scalar(solution.changes)},\n'
+                 f'    "nodes_explored": {scalar(solution.nodes_explored)},\n'
+                 f'    "optimal": {scalar(solution.optimal)}\n  }}')
+    return text + ',\n  "type": "flow_rerouting"\n}\n'
+
+
+def recreation_to_json(problem, solution=None) -> str:
+    """Deterministic JSON dump of one re-creation instance (and optionally its solution). A
+    solution whose routing is the old routing itself is written as its text one level deeper."""
+    old = problem.lr_old or ()
+    old_text = _memo(old, "  ", routes, old, "  ")
+    text = (f'{{\n  "mu": {scalar(problem.mu)},\n  "node_budget": {scalar(problem.node_budget)},\n'
+            f'  "old_routing": {old_text},\n'
+            f'  "path_limit": {scalar(problem.path_limit)},\n'
+            f'  "requests": {request_records(problem.requests)}')
+    if solution is not None:
+        routing = (_memo(old, "    ", str.replace, old_text, "\n", "\n  ")
+                   if solution.routing is problem.lr_old else routes(solution.routing, "    "))
+        text += (f',\n  "solution": {{\n    "changed_entries": {scalar(solution.changed_entries)},\n'
+                 f'    "nodes_explored": {scalar(solution.nodes_explored)},\n'
+                 f'    "optimal": {scalar(solution.optimal)},\n'
+                 f'    "routing": {routing}\n  }}')
+    return text + ',\n  "type": "lsp_recreation"\n}\n'

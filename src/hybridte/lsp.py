@@ -7,9 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bnb import limits
-from .dumps import lsp_record, lsp_records
 from .errors import InvalidPathError, ValidationError
-from .recreation import Routing
 from .topology import NetworkTopology, links_of_path
 from .traffic import FlowPopulation
 
@@ -29,7 +27,12 @@ class Lsp:
     capacity: float
     prop_delay: float
 
-    dump_record = cached_property(lsp_record)  # rendered once per object
+
+class PlanRouting(tuple):
+    """A plan's routes, each an LSP's links, in id order: a re-creation's old routing, with
+    a memo dict (`_kept`) for the dump text that `dumps` keeps for it."""
+
+    _kept = cached_property(lambda routing: {})
 
 
 class LspPlan(tuple):
@@ -38,13 +41,11 @@ class LspPlan(tuple):
     as is `LspPlan(plan, topology)` for the topology it was checked against. A plan
     compares as the tuple of its LSPs, so an unchanged one compares by one identity
     test. `by_id` maps ids to LSPs, `pairs` each (src, dst) to its LSPs in id order, and
-    `routing` is their links in id order, a re-creation's old routing. Lookups, solver
-    tables, the dump's `lsps` text and the routing with its dump text (`recreation.Routing`)
-    are built once per plan, on first use. The dump text kept by value, not per object, is
-    `dumps`' two caches: request records and link lists."""
+    `routing` is their links in id order, a re-creation's old routing (`PlanRouting`).
+    Lookups, solver tables and the routing are built once per plan, on first use; the
+    memo dict `_kept` holds the dump text that `dumps` keeps for the plan."""
 
-    dump_records = cached_property(lsp_records)
-    routing = cached_property(lambda plan: Routing(l.links for l in plan))
+    routing = cached_property(lambda plan: PlanRouting(l.links for l in plan))
 
     def __new__(cls, lsps, topology: NetworkTopology | None = None):
         if isinstance(lsps, LspPlan) and topology in (None, lsps.topology):
@@ -61,7 +62,7 @@ class LspPlan(tuple):
         for l in plan:
             pairs[l.src, l.dst] = pairs.get((l.src, l.dst), ()) + (l,)
         vars(plan).update(topology=topology, by_id=by_id, pairs=pairs, _admissible={},
-                         _tables={})
+                         _tables={}, _kept={})
         return plan
 
     def __setattr__(self, name, value):
@@ -120,7 +121,7 @@ def build_lsp(topo: NetworkTopology, path: list[int] | tuple[int, ...], capacity
     links = links_of_path(path)
     delay = 0.0
     for a, b in links:
-        ln = topo.link_lookup(a, b)
+        ln = topo.by_pair.get((a, b))
         if ln is None:
             raise InvalidPathError(f"no link from {a} to {b}")
         delay += ln.delay

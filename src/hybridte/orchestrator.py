@@ -20,15 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import shortest_path_route
+from .dumps import recreation_to_json, rerouting_to_json
 from .errors import (NUMBER, ConfigError, Infeasible, ParseError, ValidationError, check_object,
                      read_json)
 from .ffr import ffr
 from .lsp import Lsp, LspPlan, build_lsp
 from .metrics import MetricsSample, compute_sample, link_index, utilization, write_metrics_csv
 from .recreation import (LspRequest, RecreationProblem, enumerate_simple_paths,
-                         recreation_to_json, solve_lsp_recreation)
-from .rerouting import (ReroutingProblem, RoutingMode, rerouting_to_json,
-                        solve_flow_rerouting)
+                         solve_lsp_recreation)
+from .rerouting import ReroutingProblem, RoutingMode, solve_flow_rerouting
 from .topology import NetworkTopology, links_of_path, load_topology_file
 from .traffic import (FlowPopulation, TrafficConfig, flows_at, generate_flows, grow_flows,
                       growth_block)

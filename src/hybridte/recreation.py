@@ -12,11 +12,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .bnb import Search, limits
-from .dumps import request_records, routes, scalar
 from .errors import Infeasible, ValidationError, check_count
 from .topology import NetworkTopology, links_of_path
 
@@ -26,19 +24,6 @@ class LspRequest(NamedTuple):
     dst: int
     capacity: float
     delay_budget: float = math.inf
-
-
-class Routing(tuple):
-    """Routes, each a tuple of link pairs, that keep their dump text once rendered: `text`
-    as a dump's old routing, and `nested` one level deeper, as a solution that keeps it.
-    Like `tuple(t)`, `Routing(routing)` is `routing` itself when it is one; a run's old
-    routing is its plan's (`LspPlan.routing`), rendered once per plan."""
-
-    def __new__(cls, routing):
-        return routing if isinstance(routing, Routing) else super().__new__(cls, routing)
-
-    text = cached_property(lambda routing: routes(routing, "  "))
-    nested = cached_property(lambda routing: routing.text.replace("\n", "\n  "))
 
 
 @dataclass(frozen=True)
@@ -140,7 +125,8 @@ def _old_routes_valid(problem: RecreationProblem, old: tuple) -> bool:
 def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
     """Solve one re-creation instance; raises Infeasible when no routing exists.
 
-    A still-feasible old routing is returned as is, at cost 0, without
+    A still-feasible old routing is returned as is (`lr_old` itself when it is a tuple),
+    at cost 0, without
     enumerating candidate paths, when the node budget allows the kernel's
     first descent along it (`Search.keep`). `path_limit` and `node_budget` must be
     ints of at least 1."""
@@ -164,7 +150,7 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
                     problem.node_budget)
     if (_old_routes_valid(problem, old)
             and search.keep([(route, req.capacity) for req, route in zip(problem.requests, old)], 1)):
-        return RecreationSolution(tuple(old), 0, True, search.nodes)
+        return RecreationSolution(old if isinstance(old, tuple) else tuple(old), 0, True, search.nodes)
     any_truncated = False
     options: list[list[tuple]] = []
     for i, req in enumerate(problem.requests):
@@ -186,18 +172,3 @@ def solve_lsp_recreation(problem: RecreationProblem) -> RecreationSolution:
                          "search stopped before any feasible routing was found", proven=proven)
     return RecreationSolution(tuple(best[i] for i in range(n)), cost, proven, search.nodes)
 
-
-def recreation_to_json(problem: RecreationProblem, solution: RecreationSolution | None = None) -> str:
-    """Deterministic JSON dump of one instance (and optionally its solution)."""
-    old = Routing(problem.lr_old or ())
-    text = (f'{{\n  "mu": {scalar(problem.mu)},\n  "node_budget": {scalar(problem.node_budget)},\n'
-            f'  "old_routing": {old.text},\n'
-            f'  "path_limit": {scalar(problem.path_limit)},\n'
-            f'  "requests": {request_records(problem.requests)}')
-    if solution is not None:
-        routing = old.nested if solution.routing == old else routes(solution.routing, "    ")
-        text += (f',\n  "solution": {{\n    "changed_entries": {scalar(solution.changed_entries)},\n'
-                 f'    "nodes_explored": {scalar(solution.nodes_explored)},\n'
-                 f'    "optimal": {scalar(solution.optimal)},\n'
-                 f'    "routing": {routing}\n  }}')
-    return text + ',\n  "type": "lsp_recreation"\n}\n'

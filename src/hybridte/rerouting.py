@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bnb import Search
-from .dumps import lsp_records, scalar
 from .errors import Infeasible, ValidationError, check_count
 from .lsp import LspPlan
 from .topology import NetworkTopology
@@ -149,18 +148,3 @@ def _solve(search: Search, parts, rate, old, admissible, resources) -> tuple[dic
         optimal = optimal and finished
     return found, changes, optimal
 
-
-def rerouting_to_json(problem: ReroutingProblem, solution: ReroutingSolution | None = None) -> str:
-    """Deterministic JSON dump of one instance (and optionally its solution)."""
-    flows = FlowPopulation(problem.flows)
-    lsps = problem.lsps.dump_records if isinstance(problem.lsps, LspPlan) else lsp_records(problem.lsps)
-    text = (f'{{\n  "flows": {flows.dump_records()},\n  "lsps": {lsps},\n'
-            f'  "mode": "{problem.mode.value}",\n  "mu": {scalar(problem.mu)},\n'
-            f'  "node_budget": {scalar(problem.node_budget)},\n'
-            f'  "old_assignment": {flows.id_map(problem.fr_old, "  ")}')
-    if solution is not None:
-        text += (f',\n  "solution": {{\n    "assignment": {flows.id_map(solution.assignment, "    ")},\n'
-                 f'    "changes": {scalar(solution.changes)},\n'
-                 f'    "nodes_explored": {scalar(solution.nodes_explored)},\n'
-                 f'    "optimal": {scalar(solution.optimal)}\n  }}')
-    return text + ',\n  "type": "flow_rerouting"\n}\n'

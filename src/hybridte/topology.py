@@ -80,10 +80,6 @@ class NetworkTopology:
         # Summed left to right in links order: the builtin sum compensates from Python 3.12 on.
         return reduce(operator.add, [l.bandwidth for l in self.links], 0.0) / len(self.links)
 
-    def link_lookup(self, src: int, dst: int) -> Link | None:
-        """Return the link src->dst, or None when absent."""
-        return self.by_pair.get((src, dst))
-
     def out_links(self, node: int) -> tuple[Link, ...]:
         """Links leaving `node`, sorted by destination."""
         return self._out[node]

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dumps import flow_pieces, flow_records, id_map, key_order
 from .errors import ConfigError, UnreachableError
 from .topology import NetworkTopology
 
@@ -29,24 +28,17 @@ class Flow(NamedTuple):
 
 class FlowPopulation(tuple):
     """A run's slot-0 flows, checked once when built, as `lsp.LspPlan` is for LSPs: whether
-    their ids are unique (`unique`) and their id order. `FlowPopulation(flows)` is `flows`
-    itself when it is one; a plain tuple becomes one on each call. A slot's flows
-    (`flows_at`) are bound to the run's population and share what it keeps on first use:
-    the flow ids per (src, dst) pair and the dump text around the rates and, per indent,
-    around the values of a map keyed by the flow ids."""
+    their ids are unique (`unique`). `FlowPopulation(flows)` is `flows` itself when it is
+    one; a plain tuple becomes one on each call. A slot's flows (`flows_at`) are bound to
+    the run's population and share its memo dict (`_kept`), which keeps on first use the
+    flow ids per (src, dst) pair and the dump text that `dumps` keeps for the flows."""
 
     def __new__(cls, flows):
         if isinstance(flows, FlowPopulation):
             return flows
         population = super().__new__(cls, flows)
         ids = [f.id for f in population]
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        unique = len(set(ids)) == len(ids)
-        vars(population).update(
-            unique=unique,
-            _order=None if order == [*range(len(ids))] else order,  # None: in id order
-            _int_ids=set(ids) if unique and {*map(type, ids)} <= {int} else None,
-            _kept={})  # "pairs", "flows" and each indent -> what is kept for it
+        vars(population).update(unique=len(set(ids)) == len(ids), _kept={})
         return population
 
     @property
@@ -61,22 +53,6 @@ class FlowPopulation(tuple):
             groups = sorted(by_pair.items())
             kept["pairs"] = groups, tuple(tuple(sorted(ids)) for _, ids in groups)
         return kept["pairs"]
-
-    def dump_records(self) -> str:
-        """A re-routing dump's `flows` list at these flows' rates (`dumps.flow_records`)."""
-        ordered = self if self._order is None else [self[i] for i in self._order]
-        if "flows" not in self._kept:
-            self._kept["flows"] = flow_pieces(ordered)
-        return flow_records(self._kept["flows"], [f.rate for f in ordered])
-
-    def id_map(self, mapping, ind: str) -> str:
-        """`dumps.id_map` of `mapping`, from the key order kept per indent when its keys
-        are exactly the flow ids, unique exact ints."""
-        if not (mapping and mapping.keys() == self._int_ids and {*map(type, mapping)} == {int}):
-            return id_map(mapping, ind)
-        if ind not in self._kept:
-            self._kept[ind] = key_order(self._int_ids, ind)
-        return id_map(mapping, ind, self._kept[ind])
 
 
 @dataclass(frozen=True)

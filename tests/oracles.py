@@ -128,7 +128,7 @@ def rerouting_feasible(flows, lsps, assign, mode="reserved", mu=0.9,
             for pair in routing[assign[f.id]]:
                 link_load[pair] = link_load.get(pair, 0.0) + f.rate
         for pair, load in link_load.items():
-            if not within(load, mu * topo.link_lookup(*pair).bandwidth):
+            if not within(load, mu * topo.by_pair[pair].bandwidth):
                 return False
     return True
 
@@ -192,7 +192,7 @@ def best_recreation(requests, topo, lr_old, mu=0.9):
             for pair in links:
                 reserved[pair] = reserved.get(pair, 0.0) + req.capacity
         for pair, total in reserved.items():
-            if not within(total, mu * topo.link_lookup(*pair).bandwidth):
+            if not within(total, mu * topo.by_pair[pair].bandwidth):
                 ok = False
                 break
         if not ok:
@@ -280,7 +280,7 @@ def random_multipair_rerouting_instance(rng: np.random.Generator, max_flows: int
         paths = all_simple_paths(topo, src, dst)
         specs = [(paths[int(rng.integers(len(paths)))], float(rng.uniform(4.0, 12.0)))
                  for _ in range(int(rng.integers(1, max_lsps + 1)))]
-        max_pd = max(sum(topo.link_lookup(*p).delay for p in links_of_path(nodes))
+        max_pd = max(sum(topo.by_pair[p].delay for p in links_of_path(nodes))
                      for nodes, _ in specs)
         lsp_specs += specs
         flow_specs += [(src, dst, float(rng.uniform(0.5, 6.0)),
@@ -400,7 +400,7 @@ def reference_delivered(flows, paths, topo, loads):
     the link is not overloaded; a link the topology lacks is a KeyError."""
     factor = {}
     for pair, load in loads.items():
-        ln = topo.link_lookup(*pair)
+        ln = topo.by_pair.get(pair)
         if ln is None:
             raise KeyError(f"path uses nonexistent link {pair}")
         factor[pair] = 1.0 if load <= ln.bandwidth else ln.bandwidth / load
@@ -474,7 +474,7 @@ def reference_auto_plan(topo, paths_per_pair, mu_headroom):
             if not paths:
                 raise ConfigError(f"edge pair ({src},{dst}) has no route")
             for nodes in paths:
-                bottleneck = min(topo.link_lookup(a, b).bandwidth
+                bottleneck = min(topo.by_pair[a, b].bandwidth
                                  for a, b in links_of_path(nodes))
                 planned.append((nodes, bottleneck / len(paths)))
     link_sum = {}
@@ -485,7 +485,7 @@ def reference_auto_plan(topo, paths_per_pair, mu_headroom):
     for lsp_id, (nodes, raw) in enumerate(planned):
         factor = 1.0
         for pair in links_of_path(nodes):
-            budget = mu_headroom * topo.link_lookup(*pair).bandwidth
+            budget = mu_headroom * topo.by_pair[pair].bandwidth
             if link_sum[pair] > budget:
                 factor = min(factor, budget / link_sum[pair])
         lsps.append(build_lsp(topo, nodes, raw * factor, lsp_id))
@@ -747,7 +747,7 @@ def reference_run(cfg):
     for t in range(1, cfg.slots):
         rates = reference_growth(flows, cfg.traffic.growth_max, (cfg.seed, t))
         flows = tuple(f._replace(rate=rate) for f, rate in zip(flows, rates))
-        utils = [load / topo.link_lookup(*pair).bandwidth
+        utils = [load / topo.by_pair[pair].bandwidth
                  for pair, load in reference_offered_loads(flows, paths()).items()]
         max_util = max(utils, default=0.0)
         periodic = t % cfg.rerouting_interval == 0

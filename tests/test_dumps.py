@@ -2,11 +2,13 @@
 (`oracles.rerouting_dump`, `oracles.recreation_dump`): the text must match
 byte for byte."""
 
+import ast
 import dataclasses
 import enum
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridte as ht
-from hybridte import dumps, orchestrator, recreation, traffic
-from hybridte.dumps import scalar
-from hybridte.lsp import Lsp
-from hybridte.recreation import recreation_to_json
-from hybridte.rerouting import ReroutingSolution, RoutingMode, rerouting_to_json
+from hybridte import dumps, lsp, orchestrator, traffic
+from hybridte.dumps import recreation_to_json, rerouting_to_json, scalar
+from hybridte.lsp import Lsp, LspPlan
+from hybridte.rerouting import ReroutingSolution, RoutingMode
 from hybridte.traffic import Flow
 
 import oracles
@@ -90,13 +91,30 @@ def test_random_recreation_dumps():
             check_recreation(problem, solved(ht.solve_lsp_recreation, problem))
 
 
+def test_only_dumps_knows_the_dump_format():
+    # The flow, LSP and solver modules import nothing from `dumps`, and `lsp` nothing
+    # from `recreation`: the format and the text kept for a run's objects are `dumps`' alone.
+    def imported(node):
+        if isinstance(node, ast.ImportFrom):
+            return [node.module] if node.module else [a.name for a in node.names]
+        return [a.name for a in node.names] if isinstance(node, ast.Import) else []
+
+    src = Path(ht.__file__).parent
+    for name in ("traffic", "lsp", "recreation", "rerouting"):
+        modules = {m.rpartition(".")[2] for node in ast.walk(ast.parse((src / f"{name}.py").read_text()))
+                   for m in imported(node)}
+        assert "dumps" not in modules, name
+        assert name != "lsp" or "recreation" not in modules
+
+
 def test_a_kept_routing_reuses_the_old_routing_text(monkeypatch):
-    # A solution that keeps the old routing is written from the old routing's
-    # text one level deeper, so only the old routing is rendered; kept as a
-    # `Routing`, it is rendered once however often it is written.
+    # A solution whose routing is the old routing itself, as the solver returns a kept
+    # tuple, is written from the old routing's text one level deeper, so only the old
+    # routing is rendered; a plan's routing keeps it in its memo, rendered once however
+    # often it is written.
     rendered = []
-    routes = recreation.routes
-    monkeypatch.setattr(recreation, "routes",
+    routes = dumps.routes
+    monkeypatch.setattr(dumps, "routes",
                         lambda routing, ind: rendered.append(routing) or routes(routing, ind))
     kept = 0
     for seed in range(60):
@@ -107,19 +125,23 @@ def test_a_kept_routing_reuses_the_old_routing_text(monkeypatch):
             continue
         problem = ht.RecreationProblem(requests, topo, sol.routing, mu)
         again = ht.solve_lsp_recreation(problem)
-        assert again.routing == problem.lr_old
+        assert again.routing is problem.lr_old
         rendered.clear()
         check_recreation(problem, again)
         assert rendered == [problem.lr_old]
-        kept_problem = dataclasses.replace(problem, lr_old=recreation.Routing(problem.lr_old))
+        kept_problem = dataclasses.replace(problem, lr_old=lsp.PlanRouting(problem.lr_old))
         for _ in range(2):
-            check_recreation(kept_problem, again)
+            check_recreation(kept_problem, ht.solve_lsp_recreation(kept_problem))
         assert rendered == [problem.lr_old] * 2
         kept += 1
     assert kept >= 20
     for lr_old in (None, ()):
         check_recreation(ht.RecreationProblem((), ht.reference_topology(), lr_old),
                          ht.RecreationSolution((), 0, True, 1))
+    # A routing equal to the old one but not it, here by a node 0.0 for 0, is its own text.
+    check_recreation(ht.RecreationProblem((ht.LspRequest(0, 1, 1.0),), ht.reference_topology(),
+                                          (((0, 4), (4, 1)),)),
+                     ht.RecreationSolution((((0.0, 4), (4, 1)),), 0, True, 1))
 
 
 def test_rerouting_edge_cases():
@@ -164,31 +186,25 @@ def test_recreation_edge_cases():
     check_recreation(ht.RecreationProblem((), topo))
 
 
-def test_lsp_records_are_rendered_once_per_object():
+def test_lsp_records_are_rendered_once_per_object(monkeypatch):
+    # A plan's `lsps` list is rendered once per plan and kept in its memo, which leaves
+    # the plan comparing as the tuple of its LSPs. A plain tuple has no memo: its list is
+    # rendered on every call. A copy of an LSP is a new plan's, with its own text.
+    built = []
+    records = dumps.lsp_records
+    monkeypatch.setattr(dumps, "lsp_records", lambda lsps: built.append(lsps) or records(lsps))
     topo = ht.reference_topology()
-    lsp = ht.build_lsp(topo, [0, 4, 1], 5.0, 0)
-    facts = (lsp, hash(lsp), repr(lsp), dataclasses.asdict(lsp))
-    problem = ht.ReroutingProblem((Flow(0, 0, 1, 1.0, 9.0),), (lsp,), {0: 0})
-    text = rerouting_to_json(problem)
-    assert rerouting_to_json(problem) == text == oracles.rerouting_dump(problem)
-    assert vars(lsp)["dump_record"] in text  # kept on the object after the first render
-    assert (lsp, hash(lsp), repr(lsp), dataclasses.asdict(lsp)) == facts
-    # A copy is a new object with its own record.
-    wider = dataclasses.replace(lsp, capacity=7.5)
-    check_rerouting(dataclasses.replace(problem, lsps=(wider,)))
-    assert '"capacity": 7.5' in wider.dump_record and '"capacity": 5.0' in lsp.dump_record
-    # Equal LSPs whose figures are of different types, or zeros of different
-    # signs, render differently in one process.
-    pairs = [(Lsp(1, 0, 1, ((0, 1),), 1, 0.0), Lsp(1, 0, 1, ((0, 1),), 1.0, -0.0)),
-             (Lsp(2, 0, 1, ((0, 1),), True, 1), Lsp(2, 0, 1, ((0, 1),), 1.0, 1.0))]
-    for a, b in pairs:
-        assert a == b and hash(a) == hash(b)
-        for l in (a, b, a):
-            check_rerouting(ht.ReroutingProblem((), (l,), {}))
-    assert '"capacity": 1,' in pairs[0][0].dump_record
-    assert '"capacity": 1.0,' in pairs[0][1].dump_record
-    assert '"prop_delay": -0.0,' in pairs[0][1].dump_record
-    assert '"capacity": true,' in pairs[1][0].dump_record
+    one = ht.build_lsp(topo, [0, 4, 1], 5.0, 0)
+    plan = LspPlan((one,), topo)
+    problem = ht.ReroutingProblem((Flow(0, 0, 1, 1.0, 9.0),), plan, {0: 0})
+    for lsps in (plan, (one,), plan, (one,)):
+        check_rerouting(dataclasses.replace(problem, lsps=lsps))
+    assert [type(lsps) for lsps in built] == [LspPlan, tuple, tuple]
+    assert plan == (one,) and hash(plan) == hash((one,))
+    assert plan._kept["lsps"] in rerouting_to_json(problem)
+    wider = LspPlan((dataclasses.replace(one, capacity=7.5),), topo)
+    check_rerouting(dataclasses.replace(problem, lsps=wider))
+    assert '"capacity": 7.5' in wider._kept["lsps"] and '"capacity": 5.0' in plan._kept["lsps"]
 
 
 # -- the fragment caches in `hybridte.dumps` --
@@ -214,15 +230,18 @@ def caches():
 
 def edge_case_problems():
     """Problems that differ only in one value taken from EQUAL_BUT_APART, in each
-    field of a flow (so also in an id-map key) or of a re-creation request, and in
-    node ids of the old and the solved routing."""
+    field of a flow (so also in an id-map key), of an LSP or of a re-creation request,
+    and in node ids of an LSP's links and of the old and the solved routing."""
     topo = ht.reference_topology()
-    lsp = Lsp(0, 0, 1, ((0, 4), (4, 1)), 8.0, 2.0)
+    base = Lsp(0, 0, 1, ((0, 4), (4, 1)), 8.0, 2.0)
     for v in EQUAL_BUT_APART:
         for field in Flow._fields:
             flow = Flow(7, 2, 3, 1.5, 4.0)._replace(**{field: v})
-            yield ht.ReroutingProblem((flow, Flow(2, 0, 1, 0.5, 6.0)), (lsp,),
+            yield ht.ReroutingProblem((flow, Flow(2, 0, 1, 0.5, 6.0)), (base,),
                                       {flow.id: 0, 2: 0}, mu=0.5)
+        for field in ("id", "src", "dst", "capacity", "prop_delay", "links"):
+            value = ((v, 4), (4, 1)) if field == "links" else v
+            yield ht.ReroutingProblem((), (dataclasses.replace(base, **{field: value}),), {})
         for field in ht.LspRequest._fields:
             request = ht.LspRequest(2, 3, 5.0, 4.0)._replace(**{field: v})
             routing = (((v, 4), (4, 1)), ((2, 6), (6, v)))
@@ -307,8 +326,9 @@ def exact_runs(tmp_path_factory):
     seeds 0-7, then every comparison of scenario1 and scenario3 (whose `ffr` and `exact`
     schemes share one plan) without dumps. Per run: `renders`, each (renderer, args,
     text); `files`, each dump file's name -> text (None for a comparison); and what it
-    built of the kept text: `flow_texts`, the flows of each `flow_pieces` call, and
-    `routing_texts`, each (routing, indent) of a `routes` call."""
+    built of the text that the memos keep: `flow_texts`, the flows of each `flow_pieces`
+    call, `lsps_texts`, the LSPs of each `lsp_records` call, and `routing_texts`, each
+    (routing, indent) of a `routes` call."""
     root = tmp_path_factory.mktemp("matrix")
     write_matrix_scenarios(root)
     runs = []
@@ -319,17 +339,19 @@ def exact_runs(tmp_path_factory):
                 return runs[-1]["renders"][-1][2]
 
             mp.setattr(orchestrator, name, recording)
-        pieces, routes = traffic.flow_pieces, recreation.routes
-        mp.setattr(traffic, "flow_pieces", lambda ordered: runs[-1]["flow_texts"].append(
+        pieces, records, routes = dumps.flow_pieces, dumps.lsp_records, dumps.routes
+        mp.setattr(dumps, "flow_pieces", lambda ordered: runs[-1]["flow_texts"].append(
             ordered) or pieces(ordered))
-        mp.setattr(recreation, "routes", lambda routing, ind: runs[-1]["routing_texts"].append(
+        mp.setattr(dumps, "lsp_records", lambda lsps: runs[-1]["lsps_texts"].append(
+            lsps) or records(lsps))
+        mp.setattr(dumps, "routes", lambda routing, ind: runs[-1]["routing_texts"].append(
             (routing, ind)) or routes(routing, ind))
         for compare in (False, True):
             for name in MATRIX_RUNS[:4] if compare else MATRIX_RUNS:
                 cfg = ht.load_scenario(str(root / "scenarios" / f"{name}.json"))
                 for seed in range(8):
-                    runs.append({"renders": [], "flow_texts": [], "routing_texts": [],
-                                 "files": None})
+                    runs.append({"renders": [], "flow_texts": [], "lsps_texts": [],
+                                 "routing_texts": [], "files": None})
                     if compare:
                         ht.run_comparison(dataclasses.replace(cfg, seed=seed))
                         continue
@@ -369,20 +391,25 @@ def test_exact_runs_dump_what_json_writes(exact_runs):
 
 def test_a_run_builds_its_flow_text_once_and_each_plans_routing_text_once(exact_runs):
     # However many rounds a run or comparison renders, its population's text around the
-    # rates is built once, and each plan's old-routing text once, also where two schemes
-    # render re-creations on one plan. Only a solution that moves a route is rendered
-    # afresh; one that keeps it is the old routing's text one level deeper.
+    # rates is built once, and each plan's `lsps` list and old-routing text once, also
+    # where two schemes render re-creations on one plan: each is kept in its object's
+    # memo. Only a solution that moves a route is rendered afresh; one that keeps it is
+    # the old routing's text one level deeper.
     repeated = Counter()
     for run in exact_runs:
         reroutings = [args for render, args, _ in run["renders"] if render is rerouting_to_json]
         recreations = [args for render, args, _ in run["renders"] if render is recreation_to_json]
         assert len(run["flow_texts"]) == (1 if reroutings else 0)
+        assert all("flows" in args[0].flows._kept for args in reroutings)
+        lsps = {id(args[0].lsps): args[0].lsps for args in reroutings}
+        assert all(type(plan) is LspPlan for plan in lsps.values())
+        assert sorted(map(id, run["lsps_texts"])) == sorted(lsps)
         plans = {id(args[0].lr_old): args[0].lr_old for args in recreations}
-        assert all(type(old) is recreation.Routing for old in plans.values())
+        assert all(type(old) is lsp.PlanRouting and "  " in old._kept for old in plans.values())
         built = [(id(routing), ind) for routing, ind in run["routing_texts"]]
         assert sorted(i for i, ind in built if ind == "  ") == sorted(plans)
         assert sum(ind == "    " for _, ind in built) == sum(
-            len(args) > 1 and args[1].routing != args[0].lr_old for args in recreations)
+            len(args) > 1 and args[1].routing is not args[0].lr_old for args in recreations)
         repeated["reroutings"] += len(reroutings) > 1
         repeated["recreations"] += len(recreations) > len(plans)
     assert repeated["reroutings"] and repeated["recreations"], repeated
@@ -390,13 +417,15 @@ def test_a_run_builds_its_flow_text_once_and_each_plans_routing_text_once(exact_
 
 def test_a_hand_built_population_renders_what_json_writes():
     # A plain tuple out of id order, with an int delay bound, a -0.0 one and a NaN rate,
-    # is made a population on each call; so are the flows of its slots. Maps keyed by
-    # other ids than the flows' (one more, one fewer, 2.0 for 2) fall back to `id_map`.
+    # has no memo, so its text is built on each call; a population and its slots share
+    # one. Maps keyed by other ids than the flows' (one more, one fewer, 2.0 for 2) are
+    # written without the kept key order.
     flows = (Flow(5, 0, 1, math.nan, 3), Flow(2, 1, 0, 1.5, -0.0), Flow(10, 0, 1, 0.25, 4.0))
     lsps = (Lsp(0, 0, 1, ((0, 1),), 8.0, 1.0), Lsp(1, 1, 0, ((1, 0),), 8.0, 1.0))
     population = traffic.FlowPopulation(flows)
     slot = traffic.flows_at(population, np.array([0.5, -0.0, math.inf]))
     assert [f.rate for f in slot] == [0.5, -0.0, math.inf] and slot.unique
+    assert slot._kept is population._kept
     for fr_old in ({5: 0, 2: 1, 10: 0}, {5: 0, 2: 1, 10: 0, 7: 1}, {5: 0, 2.0: 1, 10: 0},
                    {5: 0, 10: 0}):
         for now in (flows, population, slot, flows):

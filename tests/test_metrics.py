@@ -127,7 +127,7 @@ def test_empty_flows(topo):
 
 
 def test_missing_link_is_a_key_error(topo):
-    assert topo.link_lookup(0, 6) is None
+    assert (0, 6) not in topo.by_pair
     flows = (ht.Flow(0, 0, 1, 5.0, 9.0), ht.Flow(1, 0, 2, 5.0, 9.0))
     paths = path_map((0, (0, 4, 1)), (1, (0, 6, 2)))
     with pytest.raises(KeyError, match=r"nonexistent link \(0, 6\)"):

@@ -795,7 +795,7 @@ def test_auto_plan_reservations_fit_headroom():
             for pair in l.links:
                 sums[pair] = sums.get(pair, 0.0) + l.capacity
         for pair, total in sums.items():
-            assert total <= 0.9 * topo.link_lookup(*pair).bandwidth + 1e-9
+            assert total <= 0.9 * topo.by_pair[pair].bandwidth + 1e-9
 
 
 def test_auto_plan_is_deterministic():

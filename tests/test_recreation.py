@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import hybridte as ht
 from hybridte import bnb, recreation
 from hybridte.errors import Infeasible, ValidationError
-from hybridte.recreation import _enumerate, recreation_to_json
+from hybridte.dumps import recreation_to_json
+from hybridte.recreation import _enumerate
 from hybridte.topology import Link, NetworkTopology, links_of_path
 
 import oracles
@@ -41,7 +42,7 @@ def test_enumeration_matches_recursive_oracle(topo):
 
 def test_enumeration_order_is_delay_hops_lex(topo):
     paths = ht.enumerate_simple_paths(topo, 0, 2)
-    keyed = [(sum(topo.link_lookup(a, b).delay for a, b in links_of_path(p)), len(p) - 1, p)
+    keyed = [(sum(topo.by_pair[a, b].delay for a, b in links_of_path(p)), len(p) - 1, p)
              for p in paths]
     assert keyed == sorted(keyed)
     assert paths[0] == (0, 4, 6, 2)

@@ -11,9 +11,10 @@ import pytest
 
 import hybridte as ht
 from hybridte import lsp, rerouting
+from hybridte.dumps import rerouting_to_json
 from hybridte.errors import Infeasible, ValidationError
 from hybridte.lsp import LspPlan
-from hybridte.rerouting import RoutingMode, rerouting_to_json
+from hybridte.rerouting import RoutingMode
 from hybridte.topology import Link, NetworkTopology
 
 import oracles

@@ -54,10 +54,10 @@ def test_round_trip_identity():
 
 def test_link_lookup():
     topo = ht.reference_topology()
-    ln = topo.link_lookup(0, 4)
+    ln = topo.by_pair.get((0, 4))
     assert ln is not None and ln.bandwidth == 100.0 and ln.delay == 1.0
-    assert topo.link_lookup(0, 6) is None
-    assert topo.link_lookup(4, 0) is not None
+    assert topo.by_pair.get((0, 6)) is None
+    assert topo.by_pair.get((4, 0)) is not None
 
 
 def test_delay_distances_match_hops_on_unit_delays():
@@ -182,7 +182,7 @@ def test_shipped_topology_and_integer_figures_load():
         "nodes": 2, "edge_nodes": [0, 1],
         "links": [{"src": 0, "dst": 1, "bandwidth": 10, "delay": 2}],
     })
-    assert topo.link_lookup(0, 1) == ht.Link(0, 1, 10.0, 2.0)
+    assert topo.by_pair[0, 1] == ht.Link(0, 1, 10.0, 2.0)
 
 
 def test_random_topologies_round_trip():

@@ -4,7 +4,8 @@ Flows are visited largest first. Pass one keeps or moves a flow onto an admissib
 of the run's plan (`lsp.LspPlan`, grouped and checked once, not per round) with enough
 free capacity; pass two tries to widen an LSP by borrowing headroom left on its physical
 links. Flows that fit nowhere stay on their old LSP and are reported so the caller can
-ask for new LSP paths.
+ask for new LSP paths. A round keeps link loads in a list by topology position, and reads
+each LSP's link positions and each link's headroom from the plan's `ffr_tables`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .lsp import Lsp, LspPlan
+from .lsp import LspPlan
 from .topology import NetworkTopology
 
 
@@ -37,55 +38,50 @@ def ffr(flows, lsps, fr_old: dict[int, int], topo: NetworkTopology,
     if not 0 < mu <= 1:
         raise ValidationError("mu must lie in (0, 1]")
     plan.check_flows(flows, fr_old)
+    positions, head = plan.ffr_tables(mu)
+    by_id, admissible = plan.by_id, plan.admissible
     free = {l.id: l.capacity for l in plan}
-    link_load: dict[tuple[int, int], float] = {}
+    load = [0.0] * len(head)  # the rates placed on each link this round, by position
     assignment: dict[int, int] = {}
     augmentations: dict[int, float] = {}
     requests: list[int] = []
-    exams = 0
+    exams = len(plan) * len(flows)  # every flow against the whole plan: the cost model
 
-    def occupy(lsp: Lsp, rate: float):
-        free[lsp.id] -= rate
-        for pair in lsp.links:
-            link_load[pair] = link_load.get(pair, 0.0) + rate
-
-    for f in sorted(flows, key=lambda f: (-f.rate, f.id)):
-        exams += len(plan)
-        old = plan.by_id[fr_old[f.id]]  # tried first, then the roomiest
+    for fid, src, dst, rate, max_delay in sorted(flows, key=lambda f: (-f.rate, f.id)):
+        old = by_id[fr_old[fid]]  # tried first, then the roomiest
         chosen = None
-        if ((old.src, old.dst) == (f.src, f.dst) and old.prop_delay <= f.max_delay
-                and free[old.id] >= f.rate):
+        if (old.src == src and old.dst == dst and old.prop_delay <= max_delay
+                and free[old.id] >= rate):
             proper, chosen = (), old  # it fits at once: no candidates to list and sort
             exams += 1
         else:
-            proper = sorted(plan.admissible(f.src, f.dst, f.max_delay),
+            proper = sorted(admissible(src, dst, max_delay),
                             key=lambda l: (l.id != old.id, -free[l.id], l.id))
         for l in proper:
             exams += 1
-            if free[l.id] >= f.rate:
+            if free[l.id] >= rate:
                 chosen = l
                 break
         if chosen is None:
             for l in proper:
                 exams += 1 + len(l.links)
                 # Widen the LSP by the headroom left on its most loaded link.
-                residual = min(mu * topo.by_pair[pair].bandwidth - link_load.get(pair, 0.0)
-                               for pair in l.links)
-                if free[l.id] + residual >= f.rate:
-                    grant = f.rate - free[l.id]
+                residual = min([head[k] - load[k] for k in positions[l.id]])
+                if free[l.id] + residual >= rate:
+                    grant = rate - free[l.id]
                     free[l.id] += grant
                     augmentations[l.id] = augmentations.get(l.id, 0.0) + grant
                     chosen = l
                     break
-        if chosen is not None:
-            occupy(chosen, f.rate)
-            assignment[f.id] = chosen.id
-        else:
+        if chosen is None:
             # Congestion stays where it was: the flow keeps its old LSP and
             # the caller is told to request fresh paths.
-            requests.append(f.id)
-            assignment[f.id] = old.id
-            occupy(old, f.rate)
+            requests.append(fid)
+            chosen = old
+        assignment[fid] = chosen.id
+        free[chosen.id] -= rate
+        for k in positions[chosen.id]:
+            load[k] += rate
 
     return FfrResult(
         assignment=assignment,

@@ -108,6 +108,18 @@ class LspPlan(tuple):
             self._tables[key] = limit, resources, room
         return self._tables[key]
 
+    def ffr_tables(self, mu: float) -> tuple[dict, list]:
+        """`ffr`'s index tables under headroom `mu`: each LSP's link positions in the plan's
+        topology (`NetworkTopology.position`) by LSP id, built once per plan, and each
+        link's headroom `mu` times its bandwidth by position, built once per mu."""
+        if ("ffr", mu) not in self._tables:
+            if "ffr" not in self._tables:
+                position = self.topology.position
+                self._tables["ffr"] = {l.id: [position[pair] for pair in l.links] for l in self}
+            self._tables["ffr", mu] = (self._tables["ffr"],
+                                       [mu * ln.bandwidth for ln in self.topology.links])
+        return self._tables["ffr", mu]
+
 
 def build_lsp(topo: NetworkTopology, path: list[int] | tuple[int, ...], capacity: float,
               lsp_id: int = 0) -> Lsp:

@@ -39,7 +39,7 @@ def link_index(topo: NetworkTopology, flows,
                paths: dict[int, tuple[tuple[int, int], ...]]) -> LinkIndex:
     """Index `paths` (keyed by flow id) for `flows` in their order. The index holds
     while neither the paths nor the order of the flows change; rates may."""
-    position = {pair: i for i, pair in enumerate(topo.by_pair)}
+    position = topo.position
     routes = [paths[f.id] for f in flows]
     try:
         link = [position[pair] for route in routes for pair in route]

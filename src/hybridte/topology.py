@@ -37,6 +37,7 @@ class NetworkTopology:
     links: tuple[Link, ...]
     edge_nodes: frozenset[int]
     by_pair: dict = field(init=False, repr=False, compare=False)  # (src, dst) -> Link, links order
+    position: dict = field(init=False, repr=False, compare=False)  # (src, dst) -> index in links
     _out: dict = field(init=False, repr=False, compare=False)
     _in: dict = field(init=False, repr=False, compare=False)
     _dist_to: dict = field(init=False, repr=False, compare=False)  # dst -> delay_distances_to(dst)
@@ -71,6 +72,7 @@ class NetworkTopology:
         if not self.links:
             raise ValidationError("topology needs at least one link")
         object.__setattr__(self, "by_pair", by_pair)
+        object.__setattr__(self, "position", {pair: k for k, pair in enumerate(by_pair)})
         object.__setattr__(self, "_out", {v: tuple(sorted(ls, key=lambda l: l.dst)) for v, ls in out.items()})
         object.__setattr__(self, "_in", {v: tuple(ls) for v, ls in into.items()})  # by src
         object.__setattr__(self, "_dist_to", {})

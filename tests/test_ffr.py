@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -8,10 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hybridte as ht
+from hybridte import orchestrator
 from hybridte.errors import ValidationError
+from hybridte.lsp import LspPlan
 from hybridte.orchestrator import initial_assignment
 
 import oracles
+from test_orchestrator import CONTESTED_PLANS, contested_plan_config, parse_events
 from test_recreation import ring14
 
 
@@ -189,6 +193,74 @@ def test_ffr_matches_the_full_scan():
     assert min(seen.values()) > 0
 
 
+def ffr_outcome(res):
+    """Everything a round answers, in insertion order."""
+    return (list(res.assignment.items()), list(res.augmentations.items()),
+            res.recreation_requests, res.examinations)
+
+
+def test_one_plan_answers_each_headroom_as_the_full_scan():
+    # A plan keeps ffr's headroom table per mu. Each plan is asked under three headrooms,
+    # in both orders, so a table kept for the first mu and read under another would widen
+    # by the wrong residual.
+    differ = 0
+    for topo, flows, lsps, fr_old in shuffled_instances():
+        expect = {mu: ffr_outcome(oracles.full_scan_ffr(flows, lsps, fr_old, topo, mu))
+                  for mu in (0.5, 0.9, 1.0)}
+        for order in ((0.5, 0.9, 1.0), (1.0, 0.9, 0.5)):
+            plan = LspPlan(lsps, topo)
+            for mu in order:
+                assert ffr_outcome(ht.ffr(flows, plan, fr_old, topo, mu)) == expect[mu]
+        differ += len({repr(outcome) for outcome in expect.values()}) > 1
+    assert differ > 10
+
+
+def test_ffr_tables_are_built_once_per_plan_and_headroom(tmp_path, monkeypatch):
+    # At headroom 0.5 the "moving" plan's ffr rounds park flows, and one re-creation moves
+    # a route: the run reads the set-up's plan and a rebuilt one, each building its tables
+    # once for all its rounds. Every round matches the full scan.
+    calls, tables, greedy = [], LspPlan.ffr_tables, orchestrator.ffr
+    monkeypatch.setattr(LspPlan, "ffr_tables", lambda plan, mu:
+                        calls.append((plan, mu, tables(plan, mu))) or calls[-1][2])
+
+    def checked(flows, lsps, fr_old, topo, mu):
+        res = greedy(flows, lsps, fr_old, topo, mu=mu)
+        assert ffr_outcome(res) == ffr_outcome(oracles.full_scan_ffr(flows, lsps, fr_old,
+                                                                     topo, mu))
+        return res
+
+    monkeypatch.setattr(orchestrator, "ffr", checked)
+    cfg = contested_plan_config(tmp_path, CONTESTED_PLANS["moving"], "ffr")
+    cfg = dataclasses.replace(cfg, mu_headroom=0.5, seed=2, dump_dir=None)
+    events = parse_events(ht.run_scenario(cfg).events)
+    assert [e["event"] for e in events if e["event"].startswith("reroute_retry")] == [
+        "reroute_retry"]
+    plans = []
+    for plan, _, _ in calls:
+        if all(plan is not p for p in plans):
+            plans.append(plan)
+    assert len(plans) == 2 and plans[0] != plans[1] and len(calls) > 2
+    for plan in plans:
+        kept = [t for p, _, t in calls if p is plan]
+        assert all(t is kept[0] for t in kept)
+        links, head = kept[0]
+        assert links == {l.id: [plan.topology.position[pair] for pair in l.links] for l in plan}
+        assert head == [0.5 * ln.bandwidth for ln in plan.topology.links]
+    # Per plan: the link positions once, the headroom once per mu.
+    plan, topo = plans[1], plans[1].topology
+    assert plan.ffr_tables(0.9)[0] is plan.ffr_tables(0.5)[0]
+    assert plan.ffr_tables(0.9) is plan.ffr_tables(0.9) and plan.ffr_tables(0.9)[1] != head
+    # A plain tuple of LSPs is made a new plan, with its own tables, on every call.
+    flows = tuple(ht.Flow(i, 0, 1, 2.5, 9.0) for i in range(4))
+    fr_old = {f.id: plan[0].id for f in flows}
+    del calls[:]
+    for _ in range(2):
+        assert ffr_outcome(ht.ffr(flows, tuple(plan), fr_old, topo, 0.5)) == ffr_outcome(
+            oracles.full_scan_ffr(flows, tuple(plan), fr_old, topo, 0.5))
+    assert len(calls) == 2 and calls[0][0] is not calls[1][0]
+    assert calls[0][2] is not calls[1][2] and calls[0][2] == calls[1][2]
+
+
 def test_initial_assignment_matches_the_full_scan():
     unplaced = placed = 0
     for i, (_, flows, lsps, _) in enumerate(shuffled_instances()):
@@ -227,6 +299,7 @@ def test_a_round_from_its_own_answer_repeats_it(seed, kind, paths, tighten, mu):
     flows = tuple(f._replace(max_delay=f.max_delay * tighten) if rng.random() < 0.3 else f
                   for f in flows)
     first = ht.ffr(flows, lsps, fr_old, topo, mu)
+    assert ffr_outcome(first) == ffr_outcome(oracles.full_scan_ffr(flows, lsps, fr_old, topo, mu))
     again = ht.ffr(flows, lsps, first.assignment, topo, mu)
     assert list(again.assignment.items()) == list(first.assignment.items())
     assert again.recreation_requests == first.recreation_requests
